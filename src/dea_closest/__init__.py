@@ -4,7 +4,8 @@ For each decision-making unit the pipeline computes a BCC efficiency score,
 a unique closest efficient target by lexicographic slack minimization, the
 maximal closest reference set behind that target, and the returns-to-scale
 class of the target point.  All optimization runs on an embedded
-bounded-variable simplex with a branch-and-bound layer for binaries.
+bounded-variable simplex with a branch-and-bound layer for binaries and
+complementarity pairs.
 """
 
 __version__ = "0.1.0"
@@ -13,7 +14,7 @@ from .data import (Dataset, Dmu, PriorityRanking, default_priority, dump_dataset
                    load_dataset, priority_from_labels)
 from .efficiency import (EfficiencyResult, EfficientSet, efficient_set, evaluate_all,
                          evaluate_bcc, multiplier_score)
-from .errors import AnalysisError, BigMWarning, DeaError, SolverLimitError, ValidationError
+from .errors import AnalysisError, DeaError, SolverLimitError, ValidationError
 from .projection import Projection, StageSolution, build_stage_program, closest_projection
 from .reference_set import (MaxSupportSolution, McrsResult, identify_mcrs, maximal_weights,
                             solve_max_support_lp)
@@ -23,7 +24,7 @@ from .solver import LinearProgram, Solution, SolveStatus, SolverConfig, solve_lp
 
 __all__ = [
     "__version__",
-    "AnalysisError", "BigMWarning", "DeaError", "SolverLimitError", "ValidationError",
+    "AnalysisError", "DeaError", "SolverLimitError", "ValidationError",
     "Dataset", "Dmu", "PriorityRanking", "default_priority", "dump_dataset",
     "load_dataset", "priority_from_labels",
     "EfficiencyResult", "EfficientSet", "efficient_set", "evaluate_all", "evaluate_bcc",

@@ -1,6 +1,7 @@
 """Command-line front door.
 
-Exit codes: 0 success, 2 validation error, 3 solver limit, 4 I/O error.
+Exit codes: 0 success, 2 validation error, 3 solver limit, 4 I/O error,
+5 analysis error (a model that is feasible by construction was not).
 """
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import SolverLimitError, ValidationError
+from .errors import AnalysisError, SolverLimitError, ValidationError
 from .report import COMMANDS, RunConfig, run
 
 
@@ -22,8 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--priority", default="default",
                         help="comma-separated slack labels, highest priority first, "
                              "or 'default' (all outputs before all inputs)")
-    common.add_argument("--big-m", type=float, default=1e5, dest="big_m",
-                        help="big-M constant linking intensities and hyperplane deviations")
     common.add_argument("--tol", type=float, default=None,
                         help="zero threshold for efficiency/membership/RTS sign tests")
     common.add_argument("--max-iterations", type=int, default=None, dest="max_iterations")
@@ -53,7 +52,6 @@ def main(argv: list[str] | None = None) -> int:
             input_path=args.input,
             command=args.command,
             priority_spec=args.priority,
-            big_m=args.big_m,
             tol=args.tol,
             max_iterations=args.max_iterations,
             max_nodes=args.max_nodes,
@@ -70,6 +68,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except AnalysisError as exc:
+        print(f"error: analysis: {exc}", file=sys.stderr)
+        return 5
 
     text = report.to_json() if config.output_format == "json" else report.to_csv()
     sys.stdout.write(text)

@@ -38,8 +38,3 @@ class AnalysisError(DeaError):
     efficient frontier. Indicates a bug or a broken precondition, not bad
     user data.
     """
-
-
-class BigMWarning(UserWarning):
-    """A deviation variable landed close to the big-M cap, which means the
-    configured constant may be distorting the feasible region."""

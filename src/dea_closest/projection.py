@@ -1,30 +1,24 @@
 """Unique closest efficient targets via lexicographic slack minimization.
 
-One MILP per slack, in priority order: minimize the current slack while
+One program per slack, in priority order: minimize the current slack while
 every previously optimized slack stays pinned at its optimum.  Feasible
 points are exactly the slack vectors that land the DMU on the strongly
 efficient frontier: intensity weights over the efficient DMUs describe the
 target, a supporting hyperplane with multipliers >= 1 certifies strong
-efficiency, and binaries force each efficient DMU to carry weight only if
-it lies on that hyperplane (deviation zero).
+efficiency, and a complementarity pair per efficient DMU lets it carry
+weight only if it lies on that hyperplane (lambda_k * d_k = 0).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, PriorityRanking
 from .efficiency import EfficientSet
-from .errors import AnalysisError, BigMWarning, SolverLimitError
-from .solver import LinearProgram, SolveStatus, SolverConfig, solve_lp, solve_milp
-
-# Pin band for slacks fixed by earlier stages.  Wide enough to absorb the
-# solver noise carried between stages, narrow enough that later stages cannot
-# visibly trade a pinned slack against their own objective.
-LEX_PIN_TOL = 1e-9
+from .errors import AnalysisError, SolverLimitError
+from .solver import LinearProgram, SolveStatus, SolverConfig, solve_milp
 
 
 @dataclass(frozen=True)
@@ -34,8 +28,8 @@ class StageSolution:
     ``slack_index`` is the slack minimized at this stage (0..m-1 inputs,
     m..m+s-1 outputs) and ``value`` its optimum.  The remaining fields are
     the full variable snapshot: intensities over the efficient set, all
-    slacks, hyperplane multipliers and intercept, per-DMU deviations below
-    the hyperplane, and the indicator binaries.
+    slacks, hyperplane multipliers and intercept, and per-DMU deviations
+    below the hyperplane.
     """
 
     stage: int
@@ -46,7 +40,6 @@ class StageSolution:
     weights: np.ndarray
     intercept: float
     deviations: np.ndarray
-    indicators: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -62,15 +55,14 @@ class Projection:
 
 
 def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
-                        pinned: list[tuple[int, float]], target: int,
-                        cfg: SolverConfig = SolverConfig(),
-                        lex_pin_tol: float = LEX_PIN_TOL) -> LinearProgram:
-    """MILP for one stage: minimize slack ``target`` with ``pinned`` slacks fixed.
+                        pinned: list[tuple[int, float]], target: int) -> LinearProgram:
+    """Program for one stage: minimize slack ``target`` with ``pinned`` slacks fixed.
 
     Variables: [lambda (t), slacks (m+s), multipliers (m+s), intercept,
-    deviations (t), indicators (t)].  The lambda/indicator exclusivity uses
-    the tight bound lambda_k + I_k <= 1 (the convexity row already caps every
-    lambda at 1); the deviation/indicator link keeps the configured big-M.
+    deviations (t)].  Each pair (lambda_k, d_k) is complementary, so an
+    efficient DMU carries weight only when it lies on the hyperplane.  Each
+    pinned slack is fixed exactly at its earlier optimum; the previous
+    stage's point satisfies that, so every stage is feasible.
     """
     pinned_idx = {idx for idx, _ in pinned}
     if target in pinned_idx:
@@ -80,52 +72,35 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
     m, s = dataset.m, dataset.s
     t = j_e.size
     idx = list(j_e.indices)
-    big_m = cfg.big_m
 
     n_slack = m + s
     # column offsets
-    c_lam, c_s, c_w, c_w0, c_d, c_i = 0, t, t + n_slack, t + 2 * n_slack, t + 2 * n_slack + 1, t + 2 * n_slack + 1 + t
-    nv = c_i + t
+    c_lam, c_s, c_w, c_w0, c_d = 0, t, t + n_slack, t + 2 * n_slack, t + 2 * n_slack + 1
+    nv = c_d + t
 
-    rows = m + s + 1 + 3 * t
+    rows = m + s + 1 + t
     a = np.zeros((rows, nv))
     b = np.zeros(rows)
-    rel: list[str] = []
 
     r = 0
     for i in range(m):  # sum lambda x + s_i = x_o
         a[r, c_lam:c_lam + t] = x[idx, i]
         a[r, c_s + i] = 1.0
         b[r] = x[o, i]
-        rel.append("=")
         r += 1
     for j in range(s):  # sum lambda y - s_out = y_o
         a[r, c_lam:c_lam + t] = y[idx, j]
         a[r, c_s + m + j] = -1.0
         b[r] = y[o, j]
-        rel.append("=")
         r += 1
     a[r, c_lam:c_lam + t] = 1.0  # convexity
     b[r] = 1.0
-    rel.append("=")
     r += 1
     for k in range(t):  # supporting hyperplane with deviation d_k for each efficient DMU
         a[r, c_w:c_w + m] = -x[idx[k]]
         a[r, c_w + m:c_w + m + s] = y[idx[k]]
         a[r, c_w0] = -1.0
         a[r, c_d + k] = 1.0
-        rel.append("=")
-        r += 1
-    for k in range(t):  # d_k <= M I_k
-        a[r, c_d + k] = 1.0
-        a[r, c_i + k] = -big_m
-        rel.append("<=")
-        r += 1
-    for k in range(t):  # lambda_k and I_k mutually exclusive
-        a[r, c_lam + k] = 1.0
-        a[r, c_i + k] = 1.0
-        b[r] = 1.0
-        rel.append("<=")
         r += 1
 
     lower = np.zeros(nv)
@@ -133,65 +108,19 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
     upper[c_lam:c_lam + t] = 1.0
     lower[c_w:c_w + n_slack] = 1.0
     lower[c_w0] = -np.inf
-    upper[c_i:c_i + t] = 1.0
     for slack_idx, value in pinned:
-        lower[c_s + slack_idx] = value
-        upper[c_s + slack_idx] = value + lex_pin_tol
+        lower[c_s + slack_idx] = upper[c_s + slack_idx] = value
 
     c = np.zeros(nv)
     c[c_s + target] = 1.0
-    binary = np.zeros(nv, dtype=bool)
-    binary[c_i:c_i + t] = True
-    return LinearProgram("min", c, a, tuple(rel), b, lower, upper, binary)
-
-
-def _check_big_m(deviations: np.ndarray, big_m: float, dmu_name: str, stage: int) -> bool:
-    """True when some deviation crowds the big-M cap (M likely too small)."""
-    near = deviations >= big_m * (1.0 - 1e-3)
-    if near.any():
-        warnings.warn(
-            f"DMU {dmu_name!r} stage {stage}: deviation within 0.1% of big-M "
-            f"({big_m:g}); increase big_m to avoid a distorted projection",
-            BigMWarning, stacklevel=3)
-        return True
-    return False
-
-
-def _polish_stage(lp: LinearProgram, x: np.ndarray, t: int, n_slack: int,
-                  cfg: SolverConfig) -> np.ndarray:
-    """Re-point the stage solution to minimal total deviation.
-
-    The stage objective leaves the hyperplane side of the solution free to
-    land anywhere on the optimal face, including vertices where deviations
-    sit at the big-M cap for no reason.  Freezing the slacks and indicators
-    of the solved point and minimizing the deviation total picks a canonical
-    representative, so the big-M hygiene check only fires when the cap is
-    genuinely binding.  Falls back to the raw point if the polish LP fails.
-    """
-    c_s = t
-    c_d = t + 2 * n_slack + 1
-    c_i = c_d + t
-    lower = lp.lower.copy()
-    upper = lp.upper.copy()
-    slacks = np.maximum(x[c_s:c_s + n_slack], 0.0)
-    lower[c_s:c_s + n_slack] = slacks
-    upper[c_s:c_s + n_slack] = slacks
-    indicators = np.round(x[c_i:c_i + t])
-    lower[c_i:c_i + t] = indicators
-    upper[c_i:c_i + t] = indicators
-    c = np.zeros(lp.n_vars)
-    c[c_d:c_d + t] = 1.0
-    polish = LinearProgram("min", c, lp.a, lp.relations, lp.b, lower, upper)
-    sol = solve_lp(polish, cfg)
-    if sol.status is not SolveStatus.OPTIMAL:
-        return x
-    return sol.x
+    complements = np.column_stack([np.arange(c_lam, c_lam + t), np.arange(c_d, c_d + t)])
+    return LinearProgram("min", c, a, ("=",) * rows, b, lower, upper,
+                         complements=complements)
 
 
 def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
                        priority: PriorityRanking,
-                       cfg: SolverConfig = SolverConfig(),
-                       lex_pin_tol: float = LEX_PIN_TOL) -> Projection:
+                       cfg: SolverConfig = SolverConfig()) -> Projection:
     """Lexicographically minimal slack vector and the target it induces.
 
     The target is unique: whichever optimal intensities/multipliers each
@@ -216,7 +145,7 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
     warm: np.ndarray | None = None
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):
-        lp = build_stage_program(dataset, j_e, o, pinned, slack_idx, cfg, lex_pin_tol)
+        lp = build_stage_program(dataset, j_e, o, pinned, slack_idx)
         sol = solve_milp(lp, cfg, warm_start=warm)
         if sol.status in (SolveStatus.NODE_LIMIT, SolveStatus.ITERATION_LIMIT):
             raise SolverLimitError(
@@ -231,22 +160,17 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
         c_w = t + n_slack
         c_w0 = t + 2 * n_slack
         c_d = c_w0 + 1
-        c_i = c_d + t
         value = max(float(sol.x[c_s + slack_idx]), 0.0)
-        polished = _polish_stage(lp, sol.x, t, n_slack, cfg)
-        snapshot = StageSolution(
+        stages.append(StageSolution(
             stage=stage_no,
             slack_index=slack_idx,
             value=value,
-            lambdas=polished[:t].copy(),
-            slacks=np.maximum(polished[c_s:c_s + n_slack], 0.0),
-            weights=polished[c_w:c_w + n_slack].copy(),
-            intercept=float(polished[c_w0]),
-            deviations=polished[c_d:c_d + t].copy(),
-            indicators=polished[c_i:c_i + t].copy(),
-        )
-        _check_big_m(snapshot.deviations, cfg.big_m, name, stage_no)
-        stages.append(snapshot)
+            lambdas=sol.x[:t].copy(),
+            slacks=np.maximum(sol.x[c_s:c_s + n_slack], 0.0),
+            weights=sol.x[c_w:c_w + n_slack].copy(),
+            intercept=float(sol.x[c_w0]),
+            deviations=sol.x[c_d:c_d + t].copy(),
+        ))
         pinned.append((slack_idx, value))
         warm = sol.x
 

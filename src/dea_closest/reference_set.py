@@ -30,11 +30,13 @@ BORDERLINE_WEIGHT = 1e-9
 
 @dataclass(frozen=True)
 class MaxSupportSolution:
-    """Optimal capped/uncapped component pairs; index t is the target's pair."""
+    """Optimal capped/uncapped component pairs; index t is the target's pair.
+    ``dmu`` names the DMU whose target was represented."""
 
     alpha: np.ndarray
     beta: np.ndarray
     objective: float
+    dmu: str
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,12 @@ def solve_max_support_lp(dataset: Dataset, j_e: EfficientSet, projection: Projec
     upper[:t + 1] = 1.0
 
     sol = solve_lp(LinearProgram("max", c, a, ("=",) * (m + s + 1), b, lower, upper), cfg)
+    name = dataset.dmus[projection.dmu].name
     if sol.status is not SolveStatus.OPTIMAL:
         # zero is feasible and alpha is boxed, so anything else is a bug
-        raise AnalysisError(f"support LP for DMU {dataset.dmus[projection.dmu].name!r} "
-                            f"returned {sol.status.value}")
-    return MaxSupportSolution(sol.x[:t + 1].copy(), sol.x[t + 1:].copy(), float(sol.objective))
+        raise AnalysisError(f"support LP for DMU {name!r} returned {sol.status.value}")
+    return MaxSupportSolution(sol.x[:t + 1].copy(), sol.x[t + 1:].copy(), float(sol.objective),
+                              name)
 
 
 def maximal_weights(sol: MaxSupportSolution, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
@@ -94,7 +97,7 @@ def maximal_weights(sol: MaxSupportSolution, cfg: SolverConfig = SolverConfig())
     denom = float(sol.alpha[t] + sol.beta[t])
     if denom < 1.0 - cfg.feas_tol * 10:
         # any optimum can be rescaled so the target aggregate reaches 1
-        raise AnalysisError(f"support LP target aggregate {denom} below 1")
+        raise AnalysisError(f"support LP for DMU {sol.dmu!r}: target aggregate {denom} below 1")
     return (sol.alpha[:t] + sol.beta[:t]) / denom
 
 

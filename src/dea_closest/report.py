@@ -26,7 +26,7 @@ from .returns_to_scale import RtsBounds, RtsLabel, classify_rts, intercept_bound
 from .solver import SolverConfig
 
 COMMANDS = ("efficiency", "project", "mcrs", "rts", "report")
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class RunConfig:
     input_path: str
     command: str = "report"
     priority_spec: str = "default"
-    big_m: float = 1e5
     tol: float | None = None
     max_iterations: int | None = None
     max_nodes: int | None = None
@@ -52,7 +51,7 @@ class RunConfig:
             raise ValidationError("input path must not be empty")
 
     def solver_config(self) -> SolverConfig:
-        kwargs = {"big_m": self.big_m}
+        kwargs = {}
         if self.tol is not None:
             kwargs["zero_tol"] = self.tol
         if self.max_iterations is not None:
@@ -94,7 +93,6 @@ class AnalysisReport:
             "config": {
                 "input": self.config.input_path,
                 "priority": list(self.priority.labels(ds)),
-                "big_m": _num(self.config.big_m),
                 "zero_tol": _num(self.config.solver_config().zero_tol),
                 "format": self.config.output_format,
             },

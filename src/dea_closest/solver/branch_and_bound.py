@@ -1,8 +1,12 @@
-"""Exhaustive branch and bound for programs with binary variables.
+"""Exhaustive branch and bound over binaries and complementarity pairs.
 
-Branching fixes one fractional binary to 0/1 by pinning its bounds on the
-shared standardized system (the matrix is built once per MILP).  Search is
-depth-first, diving first into the half the relaxation already leans
+A node is split by pinning bounds on the shared standardized system (the
+matrix is built once per program): a fractional binary is fixed to 1 in one
+child and to 0 in the other, and a complementarity pair ``(a, b)`` with both
+members positive gets ``x_a = 0`` in one child and ``x_b = 0`` in the other
+(SOS1-style branching, Beale & Tomlin 1970).  Both kinds are lists of
+bound-fix alternatives, so one routine chooses them.  Search is
+depth-first, diving first into the child the relaxation already leans
 toward, and prunes on infeasibility and on relaxation objectives that
 cannot beat the incumbent.  With the deterministic simplex underneath,
 identical programs always produce identical solutions.
@@ -14,6 +18,37 @@ import numpy as np
 
 from .model import LinearProgram, Solution, SolveStatus, SolverConfig
 from .simplex import solve_lp, solve_standardized, standardize
+
+
+def _branching(x: np.ndarray, lp: LinearProgram, cfg: SolverConfig
+               ) -> tuple[tuple[int, float], ...]:
+    """Bound-fix alternatives ``(column, value)`` that split the node at ``x``,
+    the preferred one last, or () when ``x`` needs no branching.
+
+    The most fractional binary goes first; with every binary integral, the
+    pair with the largest product is split, zeroing its smaller member first.
+    """
+    bin_idx = np.flatnonzero(lp.binary)
+    vals = x[bin_idx]
+    frac = np.abs(vals - np.round(vals))
+    open_bins = np.flatnonzero(frac > cfg.int_tol)
+    if open_bins.size:
+        k = int(open_bins[np.argmin(np.abs(vals[open_bins] - 0.5))])
+        j = int(bin_idx[k])
+        preferred = 1.0 if vals[k] >= 0.5 else 0.0
+        return (j, 1.0 - preferred), (j, preferred)
+
+    pairs = lp.complements
+    if len(pairs) == 0:
+        return ()
+    xa, xb = x[pairs[:, 0]], x[pairs[:, 1]]
+    violated = np.minimum(xa, xb) > 10.0 * cfg.feas_tol  # a smaller member below this is zero
+    if not violated.any():
+        return ()
+    k = int(np.argmax(np.where(violated, xa * xb, -np.inf)))
+    a, b = int(pairs[k, 0]), int(pairs[k, 1])
+    small, large = (a, b) if xa[k] <= xb[k] else (b, a)
+    return (large, 0.0), (small, 0.0)
 
 
 def _warm_objective(lp: LinearProgram, std, x: np.ndarray, cfg: SolverConfig) -> float | None:
@@ -33,29 +68,28 @@ def _warm_objective(lp: LinearProgram, std, x: np.ndarray, cfg: SolverConfig) ->
             return None
         if rel == ">=" and r < -tol:
             return None
-    vals = x[lp.binary]
-    if vals.size and np.abs(vals - np.round(vals)).max() > cfg.int_tol:
+    if _branching(x, lp, cfg):
         return None
     return float(std.c[: lp.n_vars] @ x)
 
 
 def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
                warm_start: np.ndarray | None = None) -> Solution:
-    """Solve a mixed binary-linear program to proven optimality.
+    """Solve a program with binaries and complementarity pairs to proven
+    optimality.
 
-    ``warm_start`` may carry a known integral-feasible point (typically the
-    previous stage of a lexicographic sequence); it only seeds the incumbent
-    and never affects which solutions are optimal.
+    ``warm_start`` may carry a known feasible point (typically the previous
+    stage of a lexicographic sequence); it only seeds the incumbent and
+    never affects which solutions are optimal.
 
     An unbounded relaxation is reported as UNBOUNDED; exhausting
     ``cfg.max_nodes`` returns NODE_LIMIT with the best incumbent found so
     far, if any.
     """
-    if not lp.binary.any():
+    if not lp.is_mixed:
         return solve_lp(lp, cfg)
 
     std = standardize(lp)
-    bin_idx = np.flatnonzero(lp.binary)
 
     inc_x: np.ndarray | None = None
     inc_obj = np.inf
@@ -87,17 +121,13 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
         if obj >= inc_obj - 1e-9 * max(1.0, abs(inc_obj)):
             continue
 
-        vals = x[bin_idx]
-        frac = np.abs(vals - np.round(vals))
-        if frac.size == 0 or frac.max() <= cfg.int_tol:
+        alternatives = _branching(x, lp, cfg)
+        if not alternatives:
             inc_x, inc_obj = x, obj
             continue
-
-        k = int(np.argmin(np.abs(vals[frac > cfg.int_tol] - 0.5)))
-        k = int(np.flatnonzero(frac > cfg.int_tol)[k])
-        j = int(bin_idx[k])
-        preferred = 1.0 if vals[k] >= 0.5 else 0.0
-        for value in (1.0 - preferred, preferred):  # preferred branch pops first
+        for j, value in alternatives:  # the preferred child is pushed last, so it pops first
+            if not lo[j] <= value <= up[j]:
+                continue  # the fix contradicts a bound already in force
             lo_c, up_c = lo.copy(), up.copy()
             lo_c[j] = up_c[j] = value
             stack.append((lo_c, up_c))

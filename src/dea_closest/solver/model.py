@@ -29,8 +29,6 @@ class SolverConfig:
     int_tol : how far a binary may sit from {0, 1} and still count as integral.
     zero_tol : reporting threshold; values below it are treated as zero when
         classifying efficiency, reference-set membership, and returns to scale.
-    big_m : the constant linking intensity weights and hyperplane deviations
-        through the indicator binaries in the closest-projection stages.
     max_iterations : simplex pivot budget per LP solve.
     max_nodes : branch-and-bound node budget per MILP solve.
     degen_limit : consecutive degenerate pivots tolerated before the pricing
@@ -41,7 +39,6 @@ class SolverConfig:
     pivot_tol: float = 1e-9
     int_tol: float = 1e-6
     zero_tol: float = 1e-7
-    big_m: float = 1e5
     max_iterations: int = 20_000
     max_nodes: int = 1_000_000
     degen_limit: int = 50
@@ -50,8 +47,6 @@ class SolverConfig:
         for name in ("feas_tol", "pivot_tol", "int_tol", "zero_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.big_m <= 1:
-            raise ValueError("big_m must exceed 1")
         if self.max_iterations <= 0 or self.max_nodes <= 0:
             raise ValueError("iteration and node limits must be positive")
 
@@ -65,11 +60,14 @@ def _as_float_array(value, ndim: int) -> np.ndarray:
 
 @dataclass
 class LinearProgram:
-    """Dense linear program with per-variable bounds and optional binaries.
+    """Dense linear program with per-variable bounds, optional binaries and
+    optional complementarity pairs.
 
-    ``a @ x  (relations)  b`` row-wise, ``lower <= x <= upper``, and variables
-    flagged in ``binary`` additionally restricted to {0, 1}.  Bounds may be
-    ``-inf``/``+inf``; a pair with ``lower == upper`` pins the variable.
+    ``a @ x  (relations)  b`` row-wise, ``lower <= x <= upper``, variables
+    flagged in ``binary`` additionally restricted to {0, 1}, and for each row
+    ``(i, j)`` of ``complements`` the nonnegative columns i and j may not both
+    be positive (``x_i * x_j = 0``).  Bounds may be ``-inf``/``+inf``; a pair
+    with ``lower == upper`` pins the variable.
     """
 
     sense: str
@@ -80,6 +78,7 @@ class LinearProgram:
     lower: np.ndarray
     upper: np.ndarray
     binary: np.ndarray = field(default=None)  # type: ignore[assignment]
+    complements: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -114,6 +113,21 @@ class LinearProgram:
                 raise ValueError("binary mask must match the number of variables")
         if np.any(self.lower[self.binary] < -0.0) or np.any(self.upper[self.binary] > 1.0):
             raise ValueError("binary variables must have bounds within [0, 1]")
+        if self.complements is None:
+            self.complements = np.zeros((0, 2), dtype=int)
+        else:
+            self.complements = np.asarray(self.complements, dtype=int).reshape(-1, 2)
+            if np.any(self.complements < 0) or np.any(self.complements >= n):
+                raise ValueError("complementarity pair refers to a missing variable")
+            if np.any(self.complements[:, 0] == self.complements[:, 1]):
+                raise ValueError("complementarity pair joins a variable with itself")
+            if np.any(self.lower[self.complements] < 0.0):
+                raise ValueError("complementary variables must be nonnegative")
+
+    @property
+    def is_mixed(self) -> bool:
+        """True when some binary or complementarity pair needs branching."""
+        return bool(self.binary.any()) or len(self.complements) > 0
 
     @property
     def n_vars(self) -> int:

@@ -30,6 +30,7 @@ _BASIC = 3
 _DEGEN_STEP = 1e-11
 _RATIO_TIE = 1e-12
 _PIVOT_FLOOR = 1e-7  # smallest pivot magnitude accepted while stable rows exist
+_BOUND_TOL = 1e-7  # relative bound violation past which a final point is rejected
 
 
 @dataclass
@@ -137,7 +138,13 @@ class _Simplex:
         outcome, x = self._iterate(c2, *state)
         if outcome is not None:
             return outcome, None, None
-        return SolveStatus.OPTIMAL, x[:n], basis.copy()
+        x = x[:n]
+        below = x < self.lower - _BOUND_TOL * (1.0 + np.abs(self.lower))
+        above = x > self.upper + _BOUND_TOL * (1.0 + np.abs(self.upper))
+        if below.any() or above.any():
+            # basis too ill-conditioned to hold its own bounds; not an optimum
+            return SolveStatus.ITERATION_LIMIT, None, None
+        return SolveStatus.OPTIMAL, x, basis.copy()
 
     def _run_unconstrained(self, c: np.ndarray):
         """No rows: each variable independently sits at its cheapest bound."""
@@ -321,15 +328,15 @@ def solve_standardized(std: StandardizedLP, cfg: SolverConfig,
 
 
 def solve_lp(lp: LinearProgram, cfg: SolverConfig = SolverConfig()) -> Solution:
-    """Solve a linear program without binary variables.
+    """Solve a linear program without binaries or complementarity pairs.
 
     Infeasibility and unboundedness are detected and reported as statuses;
     hitting ``max_iterations`` (cycling or severe ill-conditioning) is
     reported as ITERATION_LIMIT.  Dimension errors are raised when the
     ``LinearProgram`` itself is constructed, never here.
     """
-    if lp.binary.any():
-        raise ValueError("program has binary variables; use solve_milp")
+    if lp.is_mixed:
+        raise ValueError("program has binaries or complementarity pairs; use solve_milp")
     std = standardize(lp)
     status, x, obj, iters, basis = solve_standardized(std, cfg)
     if status is SolveStatus.OPTIMAL:

@@ -110,6 +110,27 @@ def random_binary_lp(rng: np.random.Generator, max_binaries: int = 10) -> Linear
     return LinearProgram(sense, c, a, rels, b, lower, upper, binary)
 
 
+def random_complementarity_lp(rng: np.random.Generator, max_pairs: int = 5) -> LinearProgram:
+    """Boxed nonnegative program with complementarity pairs over distinct
+    columns; two thirds have rows that a complementary point satisfies."""
+    k = int(rng.integers(1, max_pairs + 1))
+    n = 2 * k + int(rng.integers(0, 3))
+    m = int(rng.integers(1, 4))
+    a = np.round(rng.uniform(-4, 4, (m, n)), 2)
+    upper = np.round(rng.uniform(1, 8, n), 2)
+    rels = tuple(str(rng.choice(["<=", ">=", "="])) for _ in range(m))
+    pairs = rng.permutation(n)[:2 * k].reshape(k, 2)
+    if rng.integers(3) == 0:
+        b = np.round(rng.uniform(-3, 5, m), 2)
+    else:
+        x0 = rng.uniform(0, 1, n) * upper
+        x0[pairs[np.arange(k), rng.integers(0, 2, k)]] = 0.0
+        b = a @ x0
+    c = np.round(rng.uniform(-5, 5, n), 2)
+    sense = "min" if rng.integers(2) else "max"
+    return LinearProgram(sense, c, a, rels, b, np.zeros(n), upper, complements=pairs)
+
+
 def enumerate_lp_optimum(lp: LinearProgram, tol: float = 1e-7) -> float | None:
     """Optimal objective by enumerating every basic solution of an
     equality-form LP with finite bounds: pick the basic columns, park each
@@ -144,16 +165,20 @@ def enumerate_lp_optimum(lp: LinearProgram, tol: float = 1e-7) -> float | None:
 
 
 def enumerate_milp_optimum(lp: LinearProgram, cfg: SolverConfig) -> float | None:
-    """Optimal objective over every 0/1 assignment of the binary mask, each
-    assignment evaluated with solve_lp.  None means no assignment is feasible."""
+    """Optimal objective over every 0/1 assignment of the binary mask and
+    every choice of the member zeroed in each complementarity pair, each
+    combination evaluated with solve_lp.  None means none is feasible."""
     bins = np.flatnonzero(lp.binary)
     sign = 1.0 if lp.sense == "min" else -1.0
     best = None
-    for bits in itertools.product((0.0, 1.0), repeat=len(bins)):
+    for bits, sides in itertools.product(itertools.product((0.0, 1.0), repeat=len(bins)),
+                                         itertools.product((0, 1), repeat=len(lp.complements))):
         lo = lp.lower.copy()
         up = lp.upper.copy()
         lo[bins] = bits
         up[bins] = bits
+        zeroed = lp.complements[np.arange(len(sides)), list(sides)]
+        lo[zeroed] = up[zeroed] = 0.0
         sub = LinearProgram(lp.sense, lp.c, lp.a, lp.relations, lp.b, lo, up)
         sol = solve_lp(sub, cfg)
         if sol.status is SolveStatus.OPTIMAL:

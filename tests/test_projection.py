@@ -1,15 +1,11 @@
-import warnings
-
 import numpy as np
 import pytest
 
-from dea_closest import (BigMWarning, LinearProgram, PriorityRanking, SolverConfig,
-                         SolveStatus, build_stage_program, closest_projection,
-                         default_priority, efficient_set, evaluate_bcc, solve_lp,
-                         solve_milp)
-from dea_closest.projection import LEX_PIN_TOL, _check_big_m
+from dea_closest import (LinearProgram, PriorityRanking, SolveStatus, build_stage_program,
+                         closest_projection, default_priority, efficient_set, evaluate_bcc,
+                         solve_lp, solve_milp)
 
-from conftest import random_dataset
+from conftest import make_dataset, random_dataset
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +49,14 @@ def additive_max_slacks(ds, o, cfg):
 
 def test_stage_program_shape(eight_dmu, je8, cfg):
     # stage 1 for DMU7, output slack first: the objective touches only that slack
-    lp = build_stage_program(eight_dmu, je8, 6, [], target=1, cfg=cfg)
+    lp = build_stage_program(eight_dmu, je8, 6, [], target=1)
     t = je8.size
     assert lp.c[t + 1] == 1.0
     assert np.count_nonzero(lp.c) == 1
-    assert lp.binary.sum() == t
+    assert not lp.binary.any()
+    assert lp.n_rows == 1 + 1 + 1 + t
+    # one complementarity pair (lambda_k, d_k) per efficient DMU
+    assert lp.complements.tolist() == [[k, t + 5 + k] for k in range(t)]
     # lambda capped by the convexity row, multipliers bounded below by one
     assert np.all(lp.upper[:t] == 1.0)
     assert np.all(lp.lower[t + 2: t + 4] == 1.0)
@@ -65,24 +64,23 @@ def test_stage_program_shape(eight_dmu, je8, cfg):
 
 
 def test_stage_program_pins_previous_optimum(eight_dmu, je8, cfg):
-    lp = build_stage_program(eight_dmu, je8, 6, [(1, 0.0)], target=0, cfg=cfg)
+    lp = build_stage_program(eight_dmu, je8, 6, [(1, 0.25)], target=0)
     t = je8.size
-    assert lp.lower[t + 1] == 0.0
-    assert lp.upper[t + 1] == pytest.approx(LEX_PIN_TOL)
+    assert lp.lower[t + 1] == lp.upper[t + 1] == 0.25
     with pytest.raises(ValueError):
-        build_stage_program(eight_dmu, je8, 6, [(1, 0.0)], target=1, cfg=cfg)
+        build_stage_program(eight_dmu, je8, 6, [(1, 0.0)], target=1)
 
 
 def test_stage_one_output_slack_dmu7_is_zero(eight_dmu, je8, cfg):
     # frontier already reaches output level 3, so no shortfall is needed
-    lp = build_stage_program(eight_dmu, je8, 6, [], target=1, cfg=cfg)
+    lp = build_stage_program(eight_dmu, je8, 6, [], target=1)
     sol = solve_milp(lp, cfg)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_stage_milp_for_efficient_dmu_has_zero_optimum(eight_dmu, je8, cfg):
-    lp = build_stage_program(eight_dmu, je8, 1, [], target=1, cfg=cfg)
+    lp = build_stage_program(eight_dmu, je8, 1, [], target=1)
     sol = solve_milp(lp, cfg)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
@@ -121,8 +119,7 @@ def test_lexicographic_monotonicity(eight_dmu, je8, cfg):
     for o in (4, 5, 6, 7):
         p = closest_projection(eight_dmu, je8, o, out_first(eight_dmu), cfg)
         for earlier, later in zip(p.stages, p.stages[1:]):
-            replayed = later.slacks[earlier.slack_index]
-            assert earlier.value - 1e-12 <= replayed <= earlier.value + LEX_PIN_TOL + 1e-12
+            assert later.slacks[earlier.slack_index] == earlier.value
 
 
 def test_stage_complementarity(eight_dmu, je8, cfg):
@@ -188,30 +185,6 @@ def test_closest_no_longer_than_furthest(eight_dmu, je8, cfg):
         assert p.slacks.sum() < ram.sum() - 1e-6
 
 
-def test_no_big_m_warning_with_default_config(eight_dmu, four_dmu, cfg):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", BigMWarning)
-        for ds in (eight_dmu, four_dmu):
-            je = efficient_set(ds, cfg)
-            for o in range(ds.n):
-                closest_projection(ds, je, o, out_first(ds), cfg)
-
-
-def test_big_m_warning_when_cap_binds(eight_dmu, je8):
-    # M = 1.5 pushes DMU6 off its true target and leaves a deviation at the cap
-    tight = SolverConfig(big_m=1.5)
-    with pytest.warns(BigMWarning):
-        closest_projection(eight_dmu, je8, 5, out_first(eight_dmu), tight)
-
-
-def test_check_big_m_helper():
-    with pytest.warns(BigMWarning):
-        assert _check_big_m(np.array([99.95]), 100.0, "u", 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert not _check_big_m(np.array([50.0]), 100.0, "u", 1)
-
-
 def test_random_datasets_dominance_and_frontier(cfg):
     rng = np.random.default_rng(606)
     for _ in range(3):
@@ -225,3 +198,51 @@ def test_random_datasets_dominance_and_frontier(cfg):
             r = evaluate_bcc(ext, ext.n - 1, cfg)
             assert r.theta == pytest.approx(1.0, abs=1e-6)
             assert np.abs(r.slacks).max() < 1e-6
+
+
+@pytest.fixture(scope="module")
+def uniform15():
+    """Seeded 15-DMU set with two inputs and two outputs from uniform[1, 100]."""
+    rng = np.random.default_rng(0)
+    return np.round(rng.uniform(1, 100, (15, 2)), 3), np.round(rng.uniform(1, 100, (15, 2)), 3)
+
+
+def project_all(x, y, cfg):
+    ds = make_dataset(x, y)
+    je = efficient_set(ds, cfg)
+    pri = out_first(ds)
+    return ds, je, [closest_projection(ds, je, o, pri, cfg) for o in range(ds.n)]
+
+
+@pytest.fixture(scope="module")
+def uniform15_projections(uniform15, cfg):
+    return {f: project_all(uniform15[0] * f, uniform15[1] * f, cfg) for f in (1.0, 1e-3, 1e3)}
+
+
+@pytest.mark.parametrize("factor", [1e-3, 1e3])
+def test_slacks_scale_with_uniformly_rescaled_data(uniform15, uniform15_projections, factor):
+    # the stage feasible sets map onto each other under uniform rescaling
+    _, _, base = uniform15_projections[1.0]
+    _, _, scaled = uniform15_projections[factor]
+    assert any(p.stages for p in base)
+    tol = 1e-9 * factor * max(uniform15[0].max(), uniform15[1].max())
+    for p, q in zip(base, scaled):
+        assert np.abs(q.slacks - factor * p.slacks).max() <= tol
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e-3, 1e3])
+def test_stage_points_satisfy_rows_and_bounds(uniform15_projections, factor):
+    ds, je, projections = uniform15_projections[factor]
+    for p in projections:
+        pinned = []
+        for st in p.stages:
+            lp = build_stage_program(ds, je, p.dmu, pinned, st.slack_index)
+            z = np.concatenate([st.lambdas, st.slacks, st.weights, [st.intercept],
+                                st.deviations])
+            scale = np.abs(lp.a) @ np.abs(z) + np.abs(lp.b)
+            assert np.all(np.abs(lp.a @ z - lp.b) <= 1e-9 * (1.0 + scale))
+            assert np.all(z >= lp.lower - 1e-7 * (1.0 + np.abs(lp.lower)))
+            assert np.all(z <= lp.upper + 1e-7 * (1.0 + np.abs(lp.upper)))
+            pairs = lp.complements
+            assert np.minimum(z[pairs[:, 0]], z[pairs[:, 1]]).max() <= 1e-8
+            pinned.append((st.slack_index, st.value))

@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dea_closest import ValidationError, load_dataset
+from dea_closest import Solution, SolveStatus, ValidationError, load_dataset, reference_set
 from dea_closest.cli import main
 from dea_closest.report import RunConfig, analyze, emit_plot_data, run
 
@@ -79,9 +79,10 @@ def test_subcommand_gating(table_path):
 def test_json_report_validates_against_schema(table_path):
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(resources.files("dea_closest")
-                        .joinpath("schemas/report-v1.schema.json").read_text())
+                        .joinpath("schemas/report-v2.schema.json").read_text())
     for command in ("efficiency", "report"):
         doc = run(RunConfig(input_path=table_path, command=command)).to_dict()
+        assert doc["schema_version"] == "2"
         jsonschema.validate(doc, schema)
 
 
@@ -192,6 +193,24 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
 def test_cli_solver_limit_exit_code(table_path, capsys):
     assert main(["efficiency", "--input", table_path, "--max-iterations", "1"]) == 3
     assert "solver limit" in capsys.readouterr().err
+
+
+def test_cli_analysis_error_exit_code(table_path, capsys, monkeypatch):
+    # a support LP that finds only the zero solution leaves the target
+    # aggregate at 0, which no convex representation allows
+    def zero_solution(lp, cfg):
+        return Solution(SolveStatus.OPTIMAL, 0.0, np.zeros(lp.n_vars))
+
+    monkeypatch.setattr(reference_set, "solve_lp", zero_solution)
+    assert main(["mcrs", "--input", table_path]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: analysis: support LP for DMU 'DMU1': target aggregate")
+
+
+def test_cli_has_no_big_m_flag(table_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["project", "--input", table_path, "--big-m", "10"])
+    assert "--big-m" in capsys.readouterr().err
 
 
 def test_cli_bad_priority_label(table_path, capsys):

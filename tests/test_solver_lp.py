@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dea_closest import LinearProgram, SolverConfig, SolveStatus, solve_lp
+from dea_closest.solver import simplex
 from dea_closest.solver.simplex import standardize
 
 from conftest import enumerate_lp_optimum, random_box_lp
@@ -82,6 +83,32 @@ def test_binary_mask_rejected(cfg):
                        [0.0], [1.0], binary=[True])
     with pytest.raises(ValueError):
         solve_lp(lp, cfg)
+    lp = LinearProgram("min", [1.0, 1.0], [[1.0, 1.0]], ("=",), [1.0],
+                       [0.0, 0.0], [1.0, 1.0], complements=[(0, 1)])
+    with pytest.raises(ValueError):
+        solve_lp(lp, cfg)
+
+
+@pytest.mark.parametrize("drift,status", [(1e-5, SolveStatus.ITERATION_LIMIT),
+                                          (1e-8, SolveStatus.OPTIMAL)])
+def test_final_point_must_hold_its_bounds(cfg, monkeypatch, drift, status):
+    # a phase-2 point pushed past an upper bound of 1 is no optimum; noise well
+    # inside 1e-7 relative is still accepted
+    lp = LinearProgram("min", [1.0, 1.0], [[1.0, 1.0]], ("=",), [1.0],
+                       [0.0, 0.0], [1.0, 1.0])
+    original = simplex._Simplex._iterate
+    phases = []
+
+    def drifting(self, c, *state):
+        outcome, x = original(self, c, *state)
+        phases.append(outcome)
+        if len(phases) == 2:
+            x = x.copy()
+            x[int(np.argmax(x[:2]))] = 1.0 + drift
+        return outcome, x
+
+    monkeypatch.setattr(simplex._Simplex, "_iterate", drifting)
+    assert solve_lp(lp, cfg).status is status
 
 
 def test_dimension_mismatch_is_construction_error():
@@ -93,6 +120,13 @@ def test_dimension_mismatch_is_construction_error():
         LinearProgram("min", [1.0], [[1.0]], ("??",), [1.0], [0.0], [1.0])
     with pytest.raises(ValueError):
         LinearProgram("min", [1.0], [[1.0]], ("=",), [1.0], [0.0], [2.0], binary=[True])
+    pair = ("min", [1.0, 1.0], [[1.0, 1.0]], ("=",), [1.0])
+    with pytest.raises(ValueError):
+        LinearProgram(*pair, [0.0, 0.0], [1.0, 1.0], complements=[(0, 2)])  # no column 2
+    with pytest.raises(ValueError):
+        LinearProgram(*pair, [0.0, 0.0], [1.0, 1.0], complements=[(1, 1)])
+    with pytest.raises(ValueError):
+        LinearProgram(*pair, [-1.0, 0.0], [1.0, 1.0], complements=[(0, 1)])  # may go negative
 
 
 def test_matches_enumeration_on_random_lps(cfg):

@@ -3,7 +3,7 @@ import pytest
 
 from dea_closest import LinearProgram, SolverConfig, SolveStatus, solve_lp, solve_milp
 
-from conftest import enumerate_milp_optimum, random_binary_lp
+from conftest import enumerate_milp_optimum, random_binary_lp, random_complementarity_lp
 
 
 def knapsack() -> LinearProgram:
@@ -79,21 +79,28 @@ def test_warm_start_accepted_and_harmless(cfg):
 
 
 def test_matches_enumeration_on_random_milps(cfg):
-    rng = np.random.default_rng(31415)
-    feasible = 0
-    for _ in range(25):
-        lp = random_binary_lp(rng, max_binaries=8)
-        sol = solve_milp(lp, cfg)
-        expected = enumerate_milp_optimum(lp, cfg)
-        if expected is None:
-            assert sol.status is SolveStatus.INFEASIBLE
-        else:
-            feasible += 1
-            assert sol.status is SolveStatus.OPTIMAL
-            assert sol.objective == pytest.approx(expected, abs=1e-7)
-            frac = np.abs(sol.x[lp.binary] - np.round(sol.x[lp.binary]))
-            assert frac.max(initial=0.0) <= cfg.int_tol
-    assert feasible > 8
+    inputs = (
+        (31415, lambda rng: random_binary_lp(rng, max_binaries=8), 8),
+        (2718, lambda rng: random_complementarity_lp(rng, max_pairs=6), 20),
+    )
+    for seed, generate, minimum in inputs:
+        rng = np.random.default_rng(seed)
+        feasible = 0
+        for _ in range(25):
+            lp = generate(rng)
+            sol = solve_milp(lp, cfg)
+            expected = enumerate_milp_optimum(lp, cfg)
+            if expected is None:
+                assert sol.status is SolveStatus.INFEASIBLE
+            else:
+                feasible += 1
+                assert sol.status is SolveStatus.OPTIMAL
+                assert sol.objective == pytest.approx(expected, abs=1e-7)
+                frac = np.abs(sol.x[lp.binary] - np.round(sol.x[lp.binary]))
+                assert frac.max(initial=0.0) <= cfg.int_tol
+                pairs = lp.complements
+                assert np.minimum(sol.x[pairs[:, 0]], sol.x[pairs[:, 1]]).max(initial=0.0) <= 1e-8
+        assert feasible > minimum
 
 
 def test_twelve_binaries_equal_enumeration(cfg):

@@ -49,6 +49,8 @@ class Dataset:
             if len(dmu.inputs) != self.m or len(dmu.outputs) != self.s:
                 raise ValidationError(f"DMU {dmu.name!r} has inconsistent dimensions")
             vals = [*dmu.inputs, *dmu.outputs]
+            if not np.isfinite(vals).all():
+                raise ValidationError(f"DMU {dmu.name!r} has a non-finite value")
             if any(v < 0 for v in vals):
                 raise ValidationError(f"DMU {dmu.name!r} has a negative value")
             if all(v == 0 for v in vals):
@@ -230,5 +232,5 @@ def dump_dataset(dataset: Dataset) -> str:
     writer.writerow(["dmu"] + [f"in:{nm}" for nm in dataset.input_names]
                     + [f"out:{nm}" for nm in dataset.output_names])
     for dmu in dataset.dmus:
-        writer.writerow([dmu.name] + [repr(v) for v in (*dmu.inputs, *dmu.outputs)])
+        writer.writerow([dmu.name] + [repr(float(v)) for v in (*dmu.inputs, *dmu.outputs)])
     return out.getvalue()

@@ -3,8 +3,11 @@
 Nonbasic variables rest at one of their finite bounds (or at zero when
 free both ways), so finite upper bounds never materialize as constraint
 rows; a step blocked by the entering variable's own opposite bound is a
-bound flip that leaves the basis unchanged.  Feasibility comes from a
-phase-1 scheme with one artificial variable per row.  Pricing is
+bound flip that leaves the basis unchanged.  Phase 1 starts from a slack
+basis: an inequality row whose own slack can absorb the row's residual at
+the resting point starts with that slack basic, and only the remaining rows
+get an artificial variable, so the starting basis is a signed identity and
+exactly feasible for phase 1.  Pricing is
 Dantzig's rule, switching permanently to Bland's rule after a run of
 degenerate pivots so the solve cannot cycle.
 
@@ -38,8 +41,10 @@ class StandardizedLP:
     """Equality-form system: ``a @ x = b`` with bounds, minimization.
 
     Columns 0..n_struct-1 are the original variables; the remainder are
-    inequality slacks.  ``sense_sign`` is +1 when the original program was
-    a minimization, -1 otherwise (objective values are mapped back on exit).
+    inequality slacks.  ``slack_of_row[i]`` is the column of row i's slack,
+    or -1 for an equality row.  ``sense_sign`` is +1 when the original
+    program was a minimization, -1 otherwise (objective values are mapped
+    back on exit).
     """
 
     a: np.ndarray
@@ -49,6 +54,7 @@ class StandardizedLP:
     upper: np.ndarray
     n_struct: int
     sense_sign: float
+    slack_of_row: np.ndarray
 
 
 def standardize(lp: LinearProgram) -> StandardizedLP:
@@ -60,16 +66,18 @@ def standardize(lp: LinearProgram) -> StandardizedLP:
 
     a = np.zeros((rows, n_total))
     a[:, :n] = lp.a
+    slack_of_row = np.full(rows, -1)
     for k, i in enumerate(ineq):
         # a.x + s = b with s >= 0 for "<=", a.x - s = b for ">="
         a[i, n + k] = 1.0 if lp.relations[i] == "<=" else -1.0
+        slack_of_row[i] = n + k
 
     sign = 1.0 if lp.sense == "min" else -1.0
     c = np.zeros(n_total)
     c[:n] = sign * lp.c
     lower = np.concatenate([lp.lower, np.zeros(len(ineq))])
     upper = np.concatenate([lp.upper, np.full(len(ineq), np.inf)])
-    return StandardizedLP(a, lp.b.copy(), c, lower, upper, n, sign)
+    return StandardizedLP(a, lp.b.copy(), c, lower, upper, n, sign, slack_of_row)
 
 
 def _resting_values(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,6 +98,7 @@ class _Simplex:
                  lower: np.ndarray | None = None, upper: np.ndarray | None = None):
         self.a = std.a
         self.b = std.b
+        self.slack_of_row = std.slack_of_row
         self.cfg = cfg
         self.lower = std.lower if lower is None else lower
         self.upper = std.upper if upper is None else upper
@@ -111,15 +120,27 @@ class _Simplex:
         x0[nb] = values[nb]
         resid = self.b - self.a @ x0
 
-        # phase 1: one artificial per row, signed so its resting value is >= 0
-        art_sign = np.where(resid >= 0, 1.0, -1.0)
-        a_ext = np.hstack([self.a, np.diag(art_sign)])
-        lo_ext = np.concatenate([self.lower, np.zeros(rows)])
-        up_ext = np.concatenate([self.upper, np.full(rows, np.inf)])
-        c1 = np.zeros(n + rows)
+        # phase 1 starts from a slack basis: a row whose slack (coefficient
+        # +-1, resting at 0, bounds [0, inf)) can take up the residual starts
+        # with that slack basic; every other row gets an artificial, signed so
+        # its basic value is >= 0
+        slack = self.slack_of_row
+        has_slack = slack >= 0
+        col = np.where(has_slack, slack, 0)
+        crash = has_slack & (resid * self.a[np.arange(rows), col] >= 0)
+        need = np.flatnonzero(~crash)
+        k = need.size
+        art = np.zeros((rows, k))
+        art[need, np.arange(k)] = np.where(resid[need] >= 0, 1.0, -1.0)
+        a_ext = np.hstack([self.a, art])
+        lo_ext = np.concatenate([self.lower, np.zeros(k)])
+        up_ext = np.concatenate([self.upper, np.full(k, np.inf)])
+        c1 = np.zeros(n + k)
         c1[n:] = 1.0
-        basis = np.arange(n, n + rows)
-        vstatus = np.concatenate([status, np.full(rows, _BASIC, dtype=np.int8)])
+        basis = np.where(crash, col, 0)
+        basis[need] = np.arange(n, n + k)
+        vstatus = np.concatenate([status, np.full(k, _BASIC, dtype=np.int8)])
+        vstatus[basis] = _BASIC
 
         state = (a_ext, lo_ext, up_ext, basis, vstatus)
         outcome, x = self._iterate(c1, *state)
@@ -134,7 +155,7 @@ class _Simplex:
         lo_ext[n:] = 0.0
         up_ext[n:] = 0.0  # artificials pinned; redundant rows keep theirs basic at zero
 
-        c2 = np.concatenate([c_struct, np.zeros(rows)])
+        c2 = np.concatenate([c_struct, np.zeros(k)])
         outcome, x = self._iterate(c2, *state)
         if outcome is not None:
             return outcome, None, None

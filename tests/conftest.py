@@ -92,6 +92,49 @@ def random_box_lp(rng: np.random.Generator) -> LinearProgram:
     return LinearProgram(sense, c, a, ("=",) * m, b, lower, upper)
 
 
+def random_inequality_lp(rng: np.random.Generator) -> LinearProgram:
+    """Boxed LP with mixed <=, >= and = rows and rhs of both signs; two thirds
+    are feasible by construction (inequality rows get a random margin), the
+    rest get a random rhs."""
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(1, 4))
+    a = np.round(rng.uniform(-3, 3, (m, n)), 2)
+    lower = np.round(rng.uniform(-5, 0, n), 2)
+    upper = lower + np.round(rng.uniform(0.5, 6, n), 2)
+    rels = tuple(str(rng.choice(["<=", ">=", "="])) for _ in range(m))
+    if rng.integers(3) == 0:
+        b = np.round(rng.uniform(-5, 5, m), 2)
+    else:
+        x0 = lower + rng.uniform(0, 1, n) * (upper - lower)
+        margin = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[r] for r in rels])
+        b = a @ x0 + margin * rng.uniform(0, 2, m)
+    c = np.round(rng.uniform(-5, 5, n), 2)
+    sense = "min" if rng.integers(2) else "max"
+    return LinearProgram(sense, c, a, rels, b, lower, upper)
+
+
+def equality_twin(lp: LinearProgram) -> LinearProgram:
+    """The same program in equality form: one explicit slack column per
+    inequality row, boxed by the range a.x takes over the variable box, so
+    the twin has finite bounds and the same optimum."""
+    lo_ax = np.minimum(lp.a * lp.lower, lp.a * lp.upper).sum(axis=1)
+    up_ax = np.maximum(lp.a * lp.lower, lp.a * lp.upper).sum(axis=1)
+    ineq = [i for i, rel in enumerate(lp.relations) if rel != "="]
+    a = np.hstack([lp.a, np.zeros((lp.n_rows, len(ineq)))])
+    slack_up = np.empty(len(ineq))
+    for k, i in enumerate(ineq):
+        if lp.relations[i] == "<=":  # a.x + s = b, s = b - a.x
+            a[i, lp.n_vars + k] = 1.0
+            slack_up[k] = max(0.0, lp.b[i] - lo_ax[i])
+        else:  # a.x - s = b, s = a.x - b
+            a[i, lp.n_vars + k] = -1.0
+            slack_up[k] = max(0.0, up_ax[i] - lp.b[i])
+    return LinearProgram(lp.sense, np.concatenate([lp.c, np.zeros(len(ineq))]), a,
+                         ("=",) * lp.n_rows, lp.b,
+                         np.concatenate([lp.lower, np.zeros(len(ineq))]),
+                         np.concatenate([lp.upper, slack_up]))
+
+
 def random_binary_lp(rng: np.random.Generator, max_binaries: int = 10) -> LinearProgram:
     k = int(rng.integers(2, max_binaries + 1))
     nc = int(rng.integers(0, 4))

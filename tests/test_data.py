@@ -71,6 +71,22 @@ def test_round_trip_bit_for_bit():
         assert d1 == d2  # exact float equality through the round trip
 
 
+def test_round_trip_from_numpy_scalars():
+    # numpy 2 reprs a float64 as "np.float64(1.0)"; the dump must write plain numbers
+    ds = Dataset((Dmu("u1", (np.float64(1.0), np.float64(0.1)), (np.float64(2.5),)),
+                  Dmu("u2", (np.float64(3.0), np.float64(7.0)), (np.float64(1 / 3),))),
+                 ("a", "b"), ("c",))
+    again = load_dataset(io.StringIO(dump_dataset(ds)))
+    for d1, d2 in zip(ds.dmus, again.dmus):
+        assert d1 == d2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected_programmatically(bad):
+    with pytest.raises(ValidationError, match="'v'.*non-finite"):
+        Dataset((Dmu("u", (1.0,), (1.0,)), Dmu("v", (2.0,), (bad,))), ("a",), ("b",))
+
+
 def test_dump_header_matches_contract():
     ds = load_dataset(io.StringIO(EIGHT_DMU_CSV))
     assert dump_dataset(ds).splitlines()[0] == "dmu,in:input,out:output"

@@ -5,7 +5,9 @@ from dea_closest import LinearProgram, SolverConfig, SolveStatus, solve_lp
 from dea_closest.solver import simplex
 from dea_closest.solver.simplex import standardize
 
-from conftest import enumerate_lp_optimum, random_box_lp
+from dea_closest.returns_to_scale import _intercept_program
+
+from conftest import enumerate_lp_optimum, equality_twin, random_box_lp, random_inequality_lp
 
 
 def test_unit_simplex_corner(cfg):
@@ -143,6 +145,54 @@ def test_matches_enumeration_on_random_lps(cfg):
             assert sol.status is SolveStatus.OPTIMAL
             assert sol.objective == pytest.approx(expected, abs=1e-7)
     assert feasible > 20
+
+
+def test_matches_enumeration_on_random_inequality_lps(cfg):
+    # the slack start keeps an inequality row's slack basic when the row's
+    # residual at the resting point (every variable at its lower bound) has
+    # the slack's sign, and gives the row an artificial otherwise; both occur
+    rng = np.random.default_rng(5151)
+    feasible = 0
+    outcomes = set()
+    for _ in range(60):
+        lp = random_inequality_lp(rng)
+        resid = lp.b - lp.a @ lp.lower
+        for i, rel in enumerate(lp.relations):
+            if rel != "=":
+                outcomes.add(bool(resid[i] * (1.0 if rel == "<=" else -1.0) >= 0))
+        sol = solve_lp(lp, cfg)
+        expected = enumerate_lp_optimum(equality_twin(lp))
+        if expected is None:
+            assert sol.status is SolveStatus.INFEASIBLE
+        else:
+            feasible += 1
+            assert sol.status is SolveStatus.OPTIMAL
+            assert sol.objective == pytest.approx(expected, abs=1e-7)
+    assert feasible > 20
+    assert outcomes == {True, False}
+
+
+def test_slack_start_needs_no_pivot(cfg):
+    # every row's slack absorbs its rhs at the origin, so the slack basis is
+    # already feasible and, with nothing to price, already optimal
+    a = np.array([[1.0, 2.0, -1.0, 0.5], [-1.0, 1.0, 3.0, 1.0], [2.0, -1.0, 1.0, 1.0]])
+    lp = LinearProgram("max", np.zeros(4), a, ("<=",) * 3, [4.0, 1.0, 2.5],
+                       np.zeros(4), np.full(4, 5.0))
+    sol = solve_lp(lp, cfg)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.iterations == 0
+    assert sol.x == pytest.approx(np.zeros(4))
+
+
+def test_intercept_programs_pivot_budget(eight_dmu, cfg):
+    # one artificial per row cost 172 pivots over these 16 programs; starting
+    # the n "<=" rows from their slacks must at least halve that
+    total = 0
+    for dmu in eight_dmu.dmus:
+        for sense in ("max", "min"):
+            lp = _intercept_program(eight_dmu, np.array(dmu.inputs), np.array(dmu.outputs), sense)
+            total += solve_lp(lp, cfg).iterations
+    assert total <= 172 // 2
 
 
 def test_returned_point_is_feasible(cfg):

@@ -10,10 +10,9 @@ complementarity pairs.
 
 __version__ = "0.1.0"
 
-from .data import (Dataset, Dmu, PriorityRanking, default_priority, dump_dataset,
-                   load_dataset, priority_from_labels)
-from .efficiency import (EfficiencyResult, EfficientSet, efficient_set, evaluate_all,
-                         evaluate_bcc, multiplier_score)
+from .data import (Dataset, PriorityRanking, default_priority, dump_dataset, load_dataset,
+                   priority_from_labels)
+from .efficiency import EfficiencyResult, EfficientSet, efficient_set, evaluate_all, evaluate_bcc
 from .errors import AnalysisError, DeaError, SolverLimitError, ValidationError
 from .projection import Projection, StageSolution, build_stage_program, closest_projection
 from .reference_set import (MaxSupportSolution, McrsResult, identify_mcrs, maximal_weights,
@@ -25,10 +24,9 @@ from .solver import LinearProgram, Solution, SolveStatus, SolverConfig, solve_lp
 __all__ = [
     "__version__",
     "AnalysisError", "DeaError", "SolverLimitError", "ValidationError",
-    "Dataset", "Dmu", "PriorityRanking", "default_priority", "dump_dataset",
+    "Dataset", "PriorityRanking", "default_priority", "dump_dataset",
     "load_dataset", "priority_from_labels",
     "EfficiencyResult", "EfficientSet", "efficient_set", "evaluate_all", "evaluate_bcc",
-    "multiplier_score",
     "Projection", "StageSolution", "build_stage_program", "closest_projection",
     "MaxSupportSolution", "McrsResult", "identify_mcrs", "maximal_weights",
     "solve_max_support_lp",

@@ -1,5 +1,10 @@
 """Dataset model, CSV ingestion, and slack priority rankings.
 
+A ``Dataset`` holds its values as two read-only float64 arrays, inputs ``x``
+(n, m) and outputs ``y`` (n, s), with one row per DMU in ``names`` order, so
+every model builder takes its blocks by slicing.  Construction validates the
+whole table at once and names the first offending DMU.
+
 The CSV contract: header ``dmu,in:<name>[,in:<name>...],out:<name>[,out:<name>...]``,
 one row per DMU, UTF-8, plain decimal numbers.  Input columns come before
 output columns and there is at least one of each.  Row order is preserved
@@ -19,46 +24,53 @@ import numpy as np
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class Dmu:
-    """One decision-making unit: a named bundle of nonnegative inputs/outputs."""
-
-    name: str
-    inputs: tuple[float, ...]
-    outputs: tuple[float, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable table of n DMUs sharing m inputs and s outputs."""
+    """Immutable table of n DMUs sharing m inputs and s outputs.
 
-    dmus: tuple[Dmu, ...]
+    ``x`` (n, m) holds the inputs and ``y`` (n, s) the outputs, one row per
+    DMU in ``names`` order: read-only float64 copies of the values passed in.
+    Equality is identity (arrays have no single truth value).
+    """
+
+    names: tuple[str, ...]
+    x: np.ndarray
+    y: np.ndarray
     input_names: tuple[str, ...]
     output_names: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.dmus:
+        names = tuple(self.names)
+        x, y = np.array(self.x, dtype=float), np.array(self.y, dtype=float)
+        x.setflags(write=False)
+        y.setflags(write=False)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+        if not names:
             raise ValidationError("dataset contains no DMUs")
         if not self.input_names or not self.output_names:
             raise ValidationError("dataset needs at least one input and one output measure")
         seen: set[str] = set()
-        for dmu in self.dmus:
-            if dmu.name in seen:
-                raise ValidationError(f"duplicate DMU name {dmu.name!r}")
-            seen.add(dmu.name)
-            if len(dmu.inputs) != self.m or len(dmu.outputs) != self.s:
-                raise ValidationError(f"DMU {dmu.name!r} has inconsistent dimensions")
-            vals = [*dmu.inputs, *dmu.outputs]
-            if not np.isfinite(vals).all():
-                raise ValidationError(f"DMU {dmu.name!r} has a non-finite value")
-            if any(v < 0 for v in vals):
-                raise ValidationError(f"DMU {dmu.name!r} has a negative value")
-            if all(v == 0 for v in vals):
-                raise ValidationError(f"DMU {dmu.name!r} is identically zero")
+        for name in names:
+            if name in seen:
+                raise ValidationError(f"duplicate DMU name {name!r}")
+            seen.add(name)
+        if x.shape != (self.n, self.m) or y.shape != (self.n, self.s):
+            raise ValidationError(f"inconsistent dimensions: inputs {x.shape} and outputs "
+                                  f"{y.shape} for {self.n} DMUs, {self.m} inputs and "
+                                  f"{self.s} outputs")
+        vals = np.hstack([x, y])
+        for bad, what in ((~np.isfinite(vals).all(axis=1), "has a non-finite value"),
+                          ((vals < 0).any(axis=1), "has a negative value"),
+                          ((vals == 0).all(axis=1), "is identically zero")):
+            if bad.any():
+                raise ValidationError(f"DMU {names[int(np.argmax(bad))]!r} {what}")
 
     @property
     def n(self) -> int:
-        return len(self.dmus)
+        return len(self.names)
 
     @property
     def m(self) -> int:
@@ -68,18 +80,6 @@ class Dataset:
     def s(self) -> int:
         return len(self.output_names)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.dmus)
-
-    def input_matrix(self) -> np.ndarray:
-        """(n, m) array of inputs, row per DMU."""
-        return np.array([d.inputs for d in self.dmus], dtype=float)
-
-    def output_matrix(self) -> np.ndarray:
-        """(n, s) array of outputs, row per DMU."""
-        return np.array([d.outputs for d in self.dmus], dtype=float)
-
     def slack_labels(self) -> tuple[str, ...]:
         """The m input slack labels followed by the s output slack labels."""
         return tuple([f"in:{nm}" for nm in self.input_names]
@@ -87,14 +87,15 @@ class Dataset:
 
     def with_dmu(self, name: str, inputs: Iterable[float], outputs: Iterable[float]) -> "Dataset":
         """New dataset with one extra DMU appended (used to test virtual points)."""
-        extra = Dmu(name, tuple(float(v) for v in inputs), tuple(float(v) for v in outputs))
-        return Dataset(self.dmus + (extra,), self.input_names, self.output_names)
+        return Dataset(self.names + (name,), np.vstack([self.x, list(inputs)]),
+                       np.vstack([self.y, list(outputs)]), self.input_names, self.output_names)
 
     def reordered(self, permutation: Iterable[int]) -> "Dataset":
         perm = list(permutation)
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation of the DMU indices")
-        return Dataset(tuple(self.dmus[i] for i in perm), self.input_names, self.output_names)
+        return Dataset(tuple(self.names[i] for i in perm), self.x[perm], self.y[perm],
+                       self.input_names, self.output_names)
 
 
 @dataclass(frozen=True)
@@ -190,8 +191,8 @@ def load_dataset(source: str | Path | TextIO) -> Dataset:
     input_names, output_names = _parse_header(rows[0])
     m, s = len(input_names), len(output_names)
 
-    dmus: list[Dmu] = []
-    names_seen: dict[str, int] = {}
+    table: list[list[float]] = []
+    names_seen: dict[str, int] = {}  # name -> row, in row order
     for r, row in enumerate(rows[1:], start=2):
         if not row:
             raise ValidationError("blank line inside the table", row=r)
@@ -217,11 +218,13 @@ def load_dataset(source: str | Path | TextIO) -> Dataset:
             values.append(v)
         if all(v == 0 for v in values):
             raise ValidationError(f"DMU {name!r} is identically zero", row=r)
-        dmus.append(Dmu(name, tuple(values[:m]), tuple(values[m:])))
+        table.append(values)
 
-    if not dmus:
+    if not table:
         raise ValidationError("dataset has a header but no DMU rows", row=2)
-    return Dataset(tuple(dmus), tuple(input_names), tuple(output_names))
+    data = np.array(table)
+    return Dataset(tuple(names_seen), data[:, :m], data[:, m:],
+                   tuple(input_names), tuple(output_names))
 
 
 def dump_dataset(dataset: Dataset) -> str:
@@ -231,6 +234,6 @@ def dump_dataset(dataset: Dataset) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["dmu"] + [f"in:{nm}" for nm in dataset.input_names]
                     + [f"out:{nm}" for nm in dataset.output_names])
-    for dmu in dataset.dmus:
-        writer.writerow([dmu.name] + [repr(float(v)) for v in (*dmu.inputs, *dmu.outputs)])
+    for name, row in zip(dataset.names, np.hstack([dataset.x, dataset.y]).tolist()):
+        writer.writerow([name] + [repr(v) for v in row])
     return out.getvalue()

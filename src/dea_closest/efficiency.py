@@ -56,23 +56,15 @@ def _bcc_program(dataset: Dataset, o: int, theta_bounds: tuple[float, float],
     Output rows:  sum_j lambda_j y_rj - s_{m+r} = y_ro
     Convexity:    sum_j lambda_j = 1
     """
-    x = dataset.input_matrix()
-    y = dataset.output_matrix()
+    x, y = dataset.x, dataset.y
     n, m, s = dataset.n, dataset.m, dataset.s
     nv = 1 + n + m + s
 
     a = np.zeros((m + s + 1, nv))
-    b = np.zeros(m + s + 1)
-    for i in range(m):
-        a[i, 0] = -x[o, i]
-        a[i, 1:1 + n] = x[:, i]
-        a[i, 1 + n + i] = 1.0
-    for r in range(s):
-        a[m + r, 1:1 + n] = y[:, r]
-        a[m + r, 1 + n + m + r] = -1.0
-        b[m + r] = y[o, r]
-    a[m + s, 1:1 + n] = 1.0
-    b[m + s] = 1.0
+    a[:m, 0] = -x[o]
+    a[:, 1:1 + n] = np.vstack([x.T, y.T, np.ones(n)])
+    a[:m + s, 1 + n:] = np.diag(np.concatenate([np.ones(m), -np.ones(s)]))
+    b = np.concatenate([np.zeros(m), y[o], [1.0]])
 
     c = np.zeros(nv)
     if phase2:
@@ -90,7 +82,7 @@ def _bcc_program(dataset: Dataset, o: int, theta_bounds: tuple[float, float],
 
 def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig()) -> EfficiencyResult:
     """Radial score, max-slack completion, and efficiency flag for DMU ``o``."""
-    name = dataset.dmus[o].name
+    name = dataset.names[o]
     n, m, s = dataset.n, dataset.m, dataset.s
 
     phase1 = solve_lp(_bcc_program(dataset, o, (0.0, np.inf), phase2=False), cfg)
@@ -121,40 +113,3 @@ def efficient_set(dataset: Dataset, cfg: SolverConfig = SolverConfig()) -> Effic
     """Indices of every efficient DMU, including non-extreme frontier members."""
     results = evaluate_all(dataset, cfg)
     return EfficientSet(tuple(r.dmu for r in results if r.is_efficient))
-
-
-def multiplier_score(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig()) -> float:
-    """Radial score from the multiplier (dual) side; internal cross-check only.
-
-    max  sum_r w_out_r y_ro - w0
-    s.t. sum_i w_in_i x_io = 1
-         sum_r w_out_r y_rj - sum_i w_in_i x_ij - w0 <= 0   for every j
-         w >= 0, w0 free
-    """
-    x = dataset.input_matrix()
-    y = dataset.output_matrix()
-    n, m, s = dataset.n, dataset.m, dataset.s
-    nv = m + s + 1  # [w_in, w_out, w0]
-
-    a = np.zeros((1 + n, nv))
-    b = np.zeros(1 + n)
-    rel = ["="] + ["<="] * n
-    a[0, :m] = x[o]
-    b[0] = 1.0
-    for j in range(n):
-        a[1 + j, :m] = -x[j]
-        a[1 + j, m:m + s] = y[j]
-        a[1 + j, m + s] = -1.0
-
-    c = np.zeros(nv)
-    c[m:m + s] = y[o]
-    c[m + s] = -1.0
-    lower = np.zeros(nv)
-    lower[m + s] = -np.inf
-    upper = np.full(nv, np.inf)
-
-    sol = solve_lp(LinearProgram("max", c, a, tuple(rel), b, lower, upper), cfg)
-    if sol.status is not SolveStatus.OPTIMAL:
-        raise AnalysisError(f"multiplier model for DMU {dataset.dmus[o].name!r} "
-                            f"returned {sol.status.value}")
-    return float(sol.objective)

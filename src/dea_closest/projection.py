@@ -67,41 +67,26 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
     pinned_idx = {idx for idx, _ in pinned}
     if target in pinned_idx:
         raise ValueError("stage target is already pinned")
-    x = dataset.input_matrix()
-    y = dataset.output_matrix()
     m, s = dataset.m, dataset.s
     t = j_e.size
     idx = list(j_e.indices)
+    xe, ye = dataset.x[idx], dataset.y[idx]
 
     n_slack = m + s
     # column offsets
     c_lam, c_s, c_w, c_w0, c_d = 0, t, t + n_slack, t + 2 * n_slack, t + 2 * n_slack + 1
     nv = c_d + t
 
+    # envelopment rows (sum lambda x + s_in = x_o, sum lambda y - s_out = y_o,
+    # convexity), then one supporting-hyperplane row with deviation d_k per
+    # efficient DMU
     rows = m + s + 1 + t
     a = np.zeros((rows, nv))
-    b = np.zeros(rows)
-
-    r = 0
-    for i in range(m):  # sum lambda x + s_i = x_o
-        a[r, c_lam:c_lam + t] = x[idx, i]
-        a[r, c_s + i] = 1.0
-        b[r] = x[o, i]
-        r += 1
-    for j in range(s):  # sum lambda y - s_out = y_o
-        a[r, c_lam:c_lam + t] = y[idx, j]
-        a[r, c_s + m + j] = -1.0
-        b[r] = y[o, j]
-        r += 1
-    a[r, c_lam:c_lam + t] = 1.0  # convexity
-    b[r] = 1.0
-    r += 1
-    for k in range(t):  # supporting hyperplane with deviation d_k for each efficient DMU
-        a[r, c_w:c_w + m] = -x[idx[k]]
-        a[r, c_w + m:c_w + m + s] = y[idx[k]]
-        a[r, c_w0] = -1.0
-        a[r, c_d + k] = 1.0
-        r += 1
+    a[:m + s + 1, c_lam:c_lam + t] = np.vstack([xe.T, ye.T, np.ones(t)])
+    a[:m + s, c_s:c_s + n_slack] = np.diag(np.concatenate([np.ones(m), -np.ones(s)]))
+    a[m + s + 1:, c_w:c_w0 + 1] = np.hstack([-xe, ye, -np.ones((t, 1))])
+    a[m + s + 1:, c_d:] = np.eye(t)
+    b = np.concatenate([dataset.x[o], dataset.y[o], [1.0], np.zeros(t)])
 
     lower = np.zeros(nv)
     upper = np.full(nv, np.inf)
@@ -131,12 +116,11 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
     m, s = dataset.m, dataset.s
     if priority.m != m or priority.s != s:
         raise ValueError("priority ranking dimensions do not match the dataset")
-    name = dataset.dmus[o].name
-    xo = np.array(dataset.dmus[o].inputs)
-    yo = np.array(dataset.dmus[o].outputs)
+    name = dataset.names[o]
+    xo, yo = dataset.x[o], dataset.y[o]
 
     if o in j_e:
-        return Projection(o, xo, yo, np.zeros(m + s), (), priority)
+        return Projection(o, xo.copy(), yo.copy(), np.zeros(m + s), (), priority)
 
     pinned: list[tuple[int, float]] = []
     stages: list[StageSolution] = []

@@ -60,21 +60,18 @@ def solve_max_support_lp(dataset: Dataset, j_e: EfficientSet, projection: Projec
                          cfg: SolverConfig = SolverConfig()) -> MaxSupportSolution:
     """Maximize the number of efficient DMUs active in a representation of the
     projection's target point."""
-    x = dataset.input_matrix()
-    y = dataset.output_matrix()
     m, s = dataset.m, dataset.s
     t = j_e.size
     idx = list(j_e.indices)
     nv = 2 * (t + 1)  # [alpha (t+1), beta (t+1)]
 
-    a = np.zeros((m + s + 1, nv))
-    b = np.zeros(m + s + 1)
-    cols_x = np.vstack([x[idx].T, y[idx].T, np.ones((1, t))])          # (m+s+1, t)
+    # envelopment columns [x; y; 1] of the efficient DMUs and, negated, of the
+    # target point; the alpha and the beta components share them
     target = np.concatenate([projection.target_inputs, projection.target_outputs, [1.0]])
-    a[:, :t] = cols_x
-    a[:, t] = -target
-    a[:, t + 1:t + 1 + t] = cols_x
-    a[:, 2 * t + 1] = -target
+    block = np.column_stack([np.vstack([dataset.x[idx].T, dataset.y[idx].T, np.ones(t)]),
+                             -target])
+    a = np.hstack([block, block])
+    b = np.zeros(m + s + 1)
 
     c = np.zeros(nv)
     c[:t + 1] = 1.0
@@ -83,7 +80,7 @@ def solve_max_support_lp(dataset: Dataset, j_e: EfficientSet, projection: Projec
     upper[:t + 1] = 1.0
 
     sol = solve_lp(LinearProgram("max", c, a, ("=",) * (m + s + 1), b, lower, upper), cfg)
-    name = dataset.dmus[projection.dmu].name
+    name = dataset.names[projection.dmu]
     if sol.status is not SolveStatus.OPTIMAL:
         # zero is feasible and alpha is boxed, so anything else is a bug
         raise AnalysisError(f"support LP for DMU {name!r} returned {sol.status.value}")
@@ -113,8 +110,8 @@ def identify_mcrs(dataset: Dataset, j_e: EfficientSet, projection: Projection,
             members.append(j)
         elif lam[k] > BORDERLINE_WEIGHT:
             warnings.warn(
-                f"DMU {dataset.dmus[projection.dmu].name!r}: reference weight for "
-                f"{dataset.dmus[j].name!r} is borderline ({lam[k]:.3e}); excluded from the MCRS",
+                f"DMU {dataset.names[projection.dmu]!r}: reference weight for "
+                f"{dataset.names[j]!r} is borderline ({lam[k]:.3e}); excluded from the MCRS",
                 stacklevel=2)
 
     if projection.stages:

@@ -129,7 +129,7 @@ class AnalysisReport:
         if rec.mcrs is not None:
             weights = dict(zip(rec.mcrs.columns, rec.mcrs.lambda_max))
             out["mcrs"] = {
-                "members": [{"name": ds.dmus[j].name, "weight": _num(weights[j])}
+                "members": [{"name": ds.names[j], "weight": _num(weights[j])}
                             for j in rec.mcrs.members],
             }
         if rec.rts_label is not None:
@@ -172,7 +172,7 @@ class AnalysisReport:
                 row += [_text(v) for v in p.target_outputs]
                 row += [_text(v) for v in p.slacks]
             if has_mcrs:
-                names = [ds.dmus[j].name for j in rec.mcrs.members]
+                names = [ds.names[j] for j in rec.mcrs.members]
                 weights = _member_weights(rec.mcrs)
                 row += [";".join(names), ";".join(_text(w) for w in weights)]
             if has_rts:
@@ -217,7 +217,7 @@ def analyze(dataset: Dataset, config: RunConfig, priority: PriorityRanking | Non
 
     records: list[DmuAnalysis] = []
     for o in range(dataset.n):
-        rec = DmuAnalysis(dataset.dmus[o].name, eff[o])
+        rec = DmuAnalysis(dataset.names[o], eff[o])
         if need_projection:
             rec.projection = closest_projection(dataset, j_e, o, priority, cfg)
         if level >= 2:
@@ -244,21 +244,19 @@ def emit_plot_data(report: AnalysisReport, path: str) -> None:
     if ds.m != 1 or ds.s != 1:
         raise ValidationError("plot data requires exactly one input and one output "
                               f"(dataset has {ds.m} and {ds.s})")
+    x, y = ds.x[:, 0], ds.y[:, 0]
+
+    def row(kind: str, k: int, target_x: str = "", target_y: str = "") -> tuple[str, ...]:
+        return (kind, ds.names[k], _text(x[k]), _text(y[k]), target_x, target_y)
+
+    efficient = [k for k, rec in enumerate(report.records) if rec.efficiency.is_efficient]
     rows = [("kind", "name", "x", "y", "target_x", "target_y")]
-    efficient = [(i, ds.dmus[i]) for i, rec in enumerate(report.records)
-                 if rec.efficiency.is_efficient]
-    efficient.sort(key=lambda item: (item[1].inputs[0], item[1].outputs[0]))
-    for _, dmu in efficient:
-        rows.append(("frontier", dmu.name, _text(dmu.inputs[0]), _text(dmu.outputs[0]), "", ""))
-    for dmu in ds.dmus:
-        rows.append(("observed", dmu.name, _text(dmu.inputs[0]), _text(dmu.outputs[0]), "", ""))
-    for rec in report.records:
-        if rec.efficiency.is_efficient or rec.projection is None:
-            continue
-        dmu = ds.dmus[rec.projection.dmu]
-        rows.append(("projection", dmu.name, _text(dmu.inputs[0]), _text(dmu.outputs[0]),
-                     _text(rec.projection.target_inputs[0]),
-                     _text(rec.projection.target_outputs[0])))
+    rows += [row("frontier", k) for k in sorted(efficient, key=lambda k: (x[k], y[k]))]
+    rows += [row("observed", k) for k in range(ds.n)]
+    rows += [row("projection", rec.projection.dmu, _text(rec.projection.target_inputs[0]),
+                 _text(rec.projection.target_outputs[0]))
+             for rec in report.records
+             if not rec.efficiency.is_efficient and rec.projection is not None]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerows(rows)

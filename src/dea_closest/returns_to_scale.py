@@ -56,33 +56,24 @@ def _intercept_program(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarra
     """Hyperplane multipliers [w_in (m), w_out (s), intercept], normalized so
     the input prices of the evaluated point sum to 1, supporting every
     observed DMU and binding at the point."""
-    x = dataset.input_matrix()
-    y = dataset.output_matrix()
     n, m, s = dataset.n, dataset.m, dataset.s
     nv = m + s + 1
 
+    # the normalization row, then the hyperplane row -w_in.x + w_out.y - w0
+    # of every observed DMU and last of the point itself
     a = np.zeros((n + 2, nv))
-    b = np.zeros(n + 2)
-    rel = []
     a[0, :m] = point_x
-    b[0] = 1.0
-    rel.append("=")
-    for j in range(n):
-        a[1 + j, :m] = -x[j]
-        a[1 + j, m:m + s] = y[j]
-        a[1 + j, m + s] = -1.0
-        rel.append("<=")
-    a[n + 1, :m] = -point_x
-    a[n + 1, m:m + s] = point_y
-    a[n + 1, m + s] = -1.0
-    rel.append("=")
+    a[1:] = np.hstack([-np.vstack([dataset.x, point_x]), np.vstack([dataset.y, point_y]),
+                       -np.ones((n + 1, 1))])
+    b = np.concatenate([[1.0], np.zeros(n + 1)])
+    rel = ("=",) + ("<=",) * n + ("=",)
 
     c = np.zeros(nv)
     c[m + s] = 1.0
     lower = np.zeros(nv)
     lower[m + s] = -np.inf
     upper = np.full(nv, np.inf)
-    return LinearProgram(sense, c, a, tuple(rel), b, lower, upper)
+    return LinearProgram(sense, c, a, rel, b, lower, upper)
 
 
 def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,

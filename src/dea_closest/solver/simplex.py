@@ -330,16 +330,12 @@ def solve_standardized(std: StandardizedLP, cfg: SolverConfig,
                        lower: np.ndarray | None = None,
                        upper: np.ndarray | None = None,
                        ) -> tuple[SolveStatus, np.ndarray | None, float, int, np.ndarray | None]:
-    """Solve the standardized system, optionally with overridden bounds.
+    """Solve the standardized system, optionally with full-length bound overrides.
 
-    The bound override is what branch-and-bound uses to fix binaries without
+    Branch-and-bound passes them to fix binaries and pair members without
     rebuilding the system.  Returns (status, structural x, objective in the
     min sense, iterations, basis).
     """
-    if lower is not None and len(lower) < std.a.shape[1]:
-        lower = np.concatenate([lower, std.lower[len(lower):]])
-    if upper is not None and len(upper) < std.a.shape[1]:
-        upper = np.concatenate([upper, std.upper[len(upper):]])
     sx = _Simplex(std, cfg, lower, upper)
     status, x, basis = sx.run(std.c)
     if status is not SolveStatus.OPTIMAL:

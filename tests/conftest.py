@@ -8,8 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dea_closest import (Dataset, Dmu, LinearProgram, SolverConfig, SolveStatus,
-                         solve_lp)
+from dea_closest import Dataset, LinearProgram, SolverConfig, SolveStatus, solve_lp
 
 EIGHT_DMU_CSV = """dmu,in:input,out:output
 DMU1,1,2
@@ -33,10 +32,8 @@ D,4,4
 def make_dataset(x: np.ndarray, y: np.ndarray, names=None) -> Dataset:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    n = x.shape[0]
-    names = names or [f"U{k + 1}" for k in range(n)]
-    dmus = tuple(Dmu(names[k], tuple(x[k]), tuple(y[k])) for k in range(n))
-    return Dataset(dmus,
+    names = names or [f"U{k + 1}" for k in range(x.shape[0])]
+    return Dataset(tuple(names), x, y,
                    tuple(f"x{i + 1}" for i in range(x.shape[1])),
                    tuple(f"y{r + 1}" for r in range(y.shape[1])))
 
@@ -72,6 +69,28 @@ def random_dataset(rng: np.random.Generator, max_n: int = 15, max_dim: int = 3) 
     x = np.round(rng.uniform(1, 100, size=(n, m)), 3)
     y = np.round(rng.uniform(1, 100, size=(n, s)), 3)
     return make_dataset(x, y)
+
+
+def multiplier_score(ds: Dataset, o: int, cfg: SolverConfig) -> float:
+    """Radial BCC score from the multiplier (dual) side, to cross-check the
+    envelopment side.
+
+    max  sum_r w_out_r y_ro - w0
+    s.t. sum_i w_in_i x_io = 1
+         sum_r w_out_r y_rj - sum_i w_in_i x_ij - w0 <= 0   for every j
+         w >= 0, w0 free
+    """
+    n, m, s = ds.n, ds.m, ds.s
+    a = np.zeros((1 + n, m + s + 1))  # columns [w_in, w_out, w0]
+    a[0, :m] = ds.x[o]
+    a[1:] = np.hstack([-ds.x, ds.y, -np.ones((n, 1))])
+    b = np.r_[1.0, np.zeros(n)]
+    c = np.r_[np.zeros(m), ds.y[o], -1.0]
+    lower = np.r_[np.zeros(m + s), -np.inf]
+    upper = np.full(m + s + 1, np.inf)
+    sol = solve_lp(LinearProgram("max", c, a, ("=",) + ("<=",) * n, b, lower, upper), cfg)
+    assert sol.status is SolveStatus.OPTIMAL, f"multiplier model for DMU {ds.names[o]!r}"
+    return float(sol.objective)
 
 
 def random_box_lp(rng: np.random.Generator) -> LinearProgram:

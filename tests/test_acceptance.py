@@ -63,8 +63,8 @@ def test_criterion_3_mcrs_and_weights(eight_dmu, cfg):
         for o, (names, weights) in expected.items():
             p = closest_projection(eight_dmu, je, o, pri, cfg)
             mc = identify_mcrs(eight_dmu, je, p, cfg)
-            assert tuple(eight_dmu.dmus[j].name for j in mc.members) == names
-            by_name = dict(zip((eight_dmu.dmus[j].name for j in mc.columns),
+            assert tuple(eight_dmu.names[j] for j in mc.members) == names
+            by_name = dict(zip((eight_dmu.names[j] for j in mc.columns),
                                mc.lambda_max))
             for name, w in zip(names, weights):
                 assert abs(by_name[name] - w) < 1e-4
@@ -86,8 +86,7 @@ def test_criterion_5_rts_of_efficient_units(eight_dmu, four_dmu, cfg):
             (four_dmu, [RtsLabel.IRS, RtsLabel.CRS, RtsLabel.DRS]),
         ):
             for o, label in enumerate(expected):
-                b = intercept_bounds(ds, np.array(ds.dmus[o].inputs),
-                                     np.array(ds.dmus[o].outputs), cfg)
+                b = intercept_bounds(ds, ds.x[o], ds.y[o], cfg)
                 assert classify_rts(b, cfg) is label
 
 
@@ -139,13 +138,13 @@ def test_criterion_8_property_suite(cfg):
             ds = random_dataset(rng, max_n=15, max_dim=3)
             je = efficient_set(ds, cfg)
             pri = default_priority(ds.m, ds.s)
-            x, y = ds.input_matrix(), ds.output_matrix()
+            x, y = ds.x, ds.y
             idx = list(je.indices)
 
             slacks_by_name = {}
             for o in range(ds.n):
                 p = closest_projection(ds, je, o, pri, cfg)
-                slacks_by_name[ds.dmus[o].name] = p.slacks
+                slacks_by_name[ds.names[o]] = p.slacks
 
                 # dominance
                 assert np.all(p.target_inputs <= x[o] + 1e-9)
@@ -172,6 +171,6 @@ def test_criterion_8_property_suite(cfg):
             je2 = efficient_set(shuffled, cfg)
             for o2 in range(shuffled.n):
                 p2 = closest_projection(shuffled, je2, o2, pri, cfg)
-                assert np.abs(p2.slacks - slacks_by_name[shuffled.dmus[o2].name]).max() < 1e-6
+                assert np.abs(p2.slacks - slacks_by_name[shuffled.names[o2]]).max() < 1e-6
         elapsed = time.perf_counter() - start
         assert elapsed < 300.0

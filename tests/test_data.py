@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from dea_closest import (Dataset, Dmu, ValidationError, default_priority, dump_dataset,
+from dea_closest import (Dataset, ValidationError, default_priority, dump_dataset,
                          load_dataset, priority_from_labels)
 
 from conftest import EIGHT_DMU_CSV, FOUR_DMU_CSV
@@ -13,20 +13,20 @@ def test_load_eight_dmu_table():
     ds = load_dataset(io.StringIO(EIGHT_DMU_CSV))
     assert (ds.n, ds.m, ds.s) == (8, 1, 1)
     assert ds.names == tuple(f"DMU{k}" for k in range(1, 9))
-    assert ds.input_matrix()[:, 0].tolist() == [1, 2, 3, 5, 8, 2, 3, 6]
-    assert ds.output_matrix()[:, 0].tolist() == [2, 5, 6, 8, 8, 1, 3, 4]
+    assert ds.x[:, 0].tolist() == [1, 2, 3, 5, 8, 2, 3, 6]
+    assert ds.y[:, 0].tolist() == [2, 5, 6, 8, 8, 1, 3, 4]
 
 
 def test_load_four_dmu_table():
     ds = load_dataset(io.StringIO(FOUR_DMU_CSV))
-    assert ds.input_matrix()[:, 0].tolist() == [2, 3, 6, 4]
-    assert ds.output_matrix()[:, 0].tolist() == [2, 5, 6, 4]
+    assert ds.x[:, 0].tolist() == [2, 3, 6, 4]
+    assert ds.y[:, 0].tolist() == [2, 5, 6, 4]
 
 
 def test_single_dmu_file():
     ds = load_dataset(io.StringIO("dmu,in:a,out:b\nonly,1,2\n"))
     assert ds.n == 1
-    assert ds.dmus[0] == Dmu("only", (1.0,), (2.0,))
+    assert (ds.names, ds.x.tolist(), ds.y.tolist()) == (("only",), [[1.0]], [[2.0]])
 
 
 def test_load_from_path(tmp_path):
@@ -60,31 +60,75 @@ def test_malformed_inputs_report_coordinates(text, frag):
 
 def test_zero_components_allowed_when_not_all_zero():
     ds = load_dataset(io.StringIO("dmu,in:a,in:b,out:c\nu,0,1,2\n"))
-    assert ds.dmus[0].inputs == (0.0, 1.0)
+    assert ds.x[0].tolist() == [0.0, 1.0]
 
 
 def test_round_trip_bit_for_bit():
     text = "dmu,in:a,out:b\nu1,0.1,2.30000000000000004\nu2,7,0.333333333333333315\n"
     ds = load_dataset(io.StringIO(text))
-    again = load_dataset(io.StringIO(dump_dataset(ds)))
-    for d1, d2 in zip(ds.dmus, again.dmus):
-        assert d1 == d2  # exact float equality through the round trip
+    assert_same_table(load_dataset(io.StringIO(dump_dataset(ds))), ds)
+
+
+def assert_same_table(got, want):
+    assert got.names == want.names
+    assert np.array_equal(got.x, want.x)  # exact float equality through the round trip
+    assert np.array_equal(got.y, want.y)
 
 
 def test_round_trip_from_numpy_scalars():
     # numpy 2 reprs a float64 as "np.float64(1.0)"; the dump must write plain numbers
-    ds = Dataset((Dmu("u1", (np.float64(1.0), np.float64(0.1)), (np.float64(2.5),)),
-                  Dmu("u2", (np.float64(3.0), np.float64(7.0)), (np.float64(1 / 3),))),
-                 ("a", "b"), ("c",))
-    again = load_dataset(io.StringIO(dump_dataset(ds)))
-    for d1, d2 in zip(ds.dmus, again.dmus):
-        assert d1 == d2
+    ds = Dataset(("u1", "u2"),
+                 [[np.float64(1.0), np.float64(0.1)], [np.float64(3.0), np.float64(7.0)]],
+                 [[np.float64(2.5)], [np.float64(1 / 3)]], ("a", "b"), ("c",))
+    assert_same_table(load_dataset(io.StringIO(dump_dataset(ds))), ds)
+
+
+def two_dmus(v_output):
+    return Dataset(("u", "v"), [[1.0], [2.0]], [[1.0], v_output], ("a",), ("b",))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_values_rejected_programmatically(bad):
     with pytest.raises(ValidationError, match="'v'.*non-finite"):
-        Dataset((Dmu("u", (1.0,), (1.0,)), Dmu("v", (2.0,), (bad,))), ("a",), ("b",))
+        two_dmus([bad])
+
+
+def test_negative_value_rejected_programmatically():
+    with pytest.raises(ValidationError, match="DMU 'v' has a negative value"):
+        two_dmus([-1.0])
+
+
+def test_identically_zero_dmu_rejected_programmatically():
+    with pytest.raises(ValidationError, match="DMU 'v' is identically zero"):
+        Dataset(("u", "v"), [[1.0], [0.0]], [[1.0], [0.0]], ("a",), ("b",))
+
+
+def test_first_offending_dmu_is_named():
+    with pytest.raises(ValidationError, match="DMU 'v' has a negative value"):
+        Dataset(("u", "v", "w"), [[1.0], [-2.0], [-3.0]], [[1.0], [1.0], [1.0]], ("a",), ("b",))
+
+
+@pytest.mark.parametrize("y", [[[1.0], [2.0], [3.0]], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0]])
+def test_wrong_shape_rejected_programmatically(y):
+    with pytest.raises(ValidationError, match="inconsistent dimensions"):
+        Dataset(("u", "v"), [[1.0], [2.0]], y, ("a",), ("b",))
+
+
+def test_arrays_are_read_only_float64():
+    ds = load_dataset(io.StringIO(FOUR_DMU_CSV))
+    assert ds.x.dtype == ds.y.dtype == np.float64
+    with pytest.raises(ValueError):
+        ds.x[0, 0] = 99.0
+    with pytest.raises(ValueError):
+        ds.y[0, 0] = 99.0
+
+
+def test_source_arrays_are_copied():
+    x, y = np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]])
+    ds = Dataset(("u", "v"), x, y, ("a",), ("b",))
+    x[0, 0] = y[0, 0] = 99.0
+    assert ds.x.tolist() == [[1.0], [2.0]] and ds.y.tolist() == [[3.0], [4.0]]
+    assert x.flags.writeable  # the caller's arrays are left writable
 
 
 def test_dump_header_matches_contract():
@@ -123,14 +167,17 @@ def test_priority_spec_errors(spec, frag):
 
 def test_duplicate_names_rejected_programmatically():
     with pytest.raises(ValidationError):
-        Dataset((Dmu("u", (1.0,), (1.0,)), Dmu("u", (2.0,), (2.0,))), ("a",), ("b",))
+        Dataset(("u", "u"), [[1.0], [2.0]], [[1.0], [2.0]], ("a",), ("b",))
 
 
 def test_reordered_and_append():
     ds = load_dataset(io.StringIO(FOUR_DMU_CSV))
     rev = ds.reordered([3, 2, 1, 0])
     assert rev.names == ("D", "C", "B", "A")
+    assert rev.x[:, 0].tolist() == [4, 6, 3, 2] and rev.y[:, 0].tolist() == [4, 6, 5, 2]
     ext = ds.with_dmu("virtual", [1.5], [2.5])
-    assert ext.n == 5 and ext.dmus[-1].name == "virtual"
+    assert ext.n == 5 and ext.names[-1] == "virtual"
+    assert ext.x[-1].tolist() == [1.5] and ext.y[-1].tolist() == [2.5]
+    assert ds.n == 4  # appending leaves the original untouched
     with pytest.raises(ValueError):
         ds.reordered([0, 0, 1, 2])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dea_closest import (efficient_set, evaluate_all, evaluate_bcc, multiplier_score)
+from dea_closest import efficient_set, evaluate_all, evaluate_bcc
 
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, multiplier_score, random_dataset
 
 
 def test_eight_dmu_classification(eight_dmu, cfg):
@@ -61,9 +61,9 @@ def test_unit_invariance_of_classification(cfg):
     rng = np.random.default_rng(5150)
     ds = random_dataset(rng, max_n=10)
     flags = [r.is_efficient for r in evaluate_all(ds, cfg)]
-    x = ds.input_matrix()
+    x = ds.x.copy()
     x[:, 0] *= 37.5
-    scaled = make_dataset(x, ds.output_matrix())
+    scaled = make_dataset(x, ds.y)
     assert [r.is_efficient for r in evaluate_all(scaled, cfg)] == flags
 
 
@@ -72,7 +72,7 @@ def test_dominated_dmu_never_efficient(cfg):
     for _ in range(5):
         ds = random_dataset(rng, max_n=10)
         results = evaluate_all(ds, cfg)
-        x, y = ds.input_matrix(), ds.output_matrix()
+        x, y = ds.x, ds.y
         for b in range(ds.n):
             for a in range(ds.n):
                 if a == b:
@@ -88,8 +88,8 @@ def test_radial_projection_reevaluates_efficient(eight_dmu, cfg):
     # the intensity-weighted point of an inefficient DMU lies on the frontier
     for o in (4, 5, 6, 7):
         r = evaluate_bcc(eight_dmu, o, cfg)
-        px = r.lambdas @ eight_dmu.input_matrix()
-        py = r.lambdas @ eight_dmu.output_matrix()
+        px = r.lambdas @ eight_dmu.x
+        py = r.lambdas @ eight_dmu.y
         ext = eight_dmu.with_dmu("proj", px, py)
         pr = evaluate_bcc(ext, ext.n - 1, cfg)
         assert pr.theta == pytest.approx(1.0, abs=1e-7)

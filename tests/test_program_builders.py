@@ -1,0 +1,128 @@
+"""The DEA programs are assembled from array blocks; each is checked bit for
+bit (signed zeros included) against the per-row loop it replaced, so every
+entry and the row and column order stay exactly as the simplex saw them."""
+
+import numpy as np
+import pytest
+
+from dea_closest import (closest_projection, default_priority, efficient_set, reference_set,
+                         solve_max_support_lp)
+from dea_closest.efficiency import _bcc_program
+from dea_closest.projection import build_stage_program
+from dea_closest.returns_to_scale import _intercept_program
+
+from conftest import make_dataset, random_dataset
+
+
+def loop_bcc_rows(ds, o):
+    x, y, n, m, s = ds.x, ds.y, ds.n, ds.m, ds.s
+    a = np.zeros((m + s + 1, 1 + n + m + s))
+    b = np.zeros(m + s + 1)
+    for i in range(m):
+        a[i, 0] = -x[o, i]
+        a[i, 1:1 + n] = x[:, i]
+        a[i, 1 + n + i] = 1.0
+    for r in range(s):
+        a[m + r, 1:1 + n] = y[:, r]
+        a[m + r, 1 + n + m + r] = -1.0
+        b[m + r] = y[o, r]
+    a[m + s, 1:1 + n] = 1.0
+    b[m + s] = 1.0
+    return a, b
+
+
+def loop_stage_rows(ds, je, o):
+    x, y, m, s = ds.x, ds.y, ds.m, ds.s
+    idx, t = list(je.indices), je.size
+    c_w, c_d = t + m + s, t + 2 * (m + s) + 1
+    a = np.zeros((m + s + 1 + t, c_d + t))
+    b = np.zeros(m + s + 1 + t)
+    for i in range(m):
+        a[i, :t] = x[idx, i]
+        a[i, t + i] = 1.0
+        b[i] = x[o, i]
+    for j in range(s):
+        a[m + j, :t] = y[idx, j]
+        a[m + j, t + m + j] = -1.0
+        b[m + j] = y[o, j]
+    a[m + s, :t] = 1.0
+    b[m + s] = 1.0
+    for k in range(t):
+        r = m + s + 1 + k
+        a[r, c_w:c_w + m] = -x[idx[k]]
+        a[r, c_w + m:c_w + m + s] = y[idx[k]]
+        a[r, c_d - 1] = -1.0
+        a[r, c_d + k] = 1.0
+    return a, b
+
+
+def loop_support_rows(ds, je, p):
+    idx, t = list(je.indices), je.size
+    cols = np.vstack([ds.x[idx].T, ds.y[idx].T, np.ones((1, t))])
+    target = np.concatenate([p.target_inputs, p.target_outputs, [1.0]])
+    a = np.zeros((ds.m + ds.s + 1, 2 * (t + 1)))
+    a[:, :t] = cols
+    a[:, t] = -target
+    a[:, t + 1:2 * t + 1] = cols
+    a[:, 2 * t + 1] = -target
+    return a, np.zeros(ds.m + ds.s + 1)
+
+
+def loop_intercept_rows(ds, px, py):
+    x, y, n, m, s = ds.x, ds.y, ds.n, ds.m, ds.s
+    a = np.zeros((n + 2, m + s + 1))
+    b = np.zeros(n + 2)
+    a[0, :m] = px
+    b[0] = 1.0
+    for j in range(n):
+        a[1 + j, :m] = -x[j]
+        a[1 + j, m:m + s] = y[j]
+        a[1 + j, m + s] = -1.0
+    a[n + 1, :m] = -px
+    a[n + 1, m:m + s] = py
+    a[n + 1, m + s] = -1.0
+    return a, b, ("=",) + ("<=",) * n + ("=",)
+
+
+def assert_bitwise(lp, a, b):
+    assert lp.a.shape == a.shape and lp.a.tobytes() == a.tobytes()
+    assert lp.b.shape == b.shape and lp.b.tobytes() == b.tobytes()
+
+
+def datasets():
+    rng = np.random.default_rng(4711)
+    yield make_dataset([[1], [2], [3], [5], [8], [2], [3], [6]],
+                       [[2], [5], [6], [8], [8], [1], [3], [4]])
+    # zero entries make the negated blocks carry -0.0
+    yield make_dataset([[0, 2], [1, 0], [2, 2], [3, 3], [4, 1]],
+                       [[1, 0], [2, 1], [2, 2], [1, 3], [3, 3]])
+    for _ in range(4):
+        yield random_dataset(rng, max_n=9, max_dim=3)
+
+
+@pytest.mark.parametrize("ds", list(datasets()), ids=lambda ds: f"n{ds.n}m{ds.m}s{ds.s}")
+def test_programs_match_loop_reference(ds, cfg, monkeypatch):
+    je = efficient_set(ds, cfg)
+    pri = default_priority(ds.m, ds.s)
+    supports = []
+    solve_lp = reference_set.solve_lp
+
+    def recording(lp, cfg):
+        supports.append(lp)
+        return solve_lp(lp, cfg)
+
+    monkeypatch.setattr(reference_set, "solve_lp", recording)
+    for o in range(ds.n):
+        for phase2 in (False, True):
+            assert_bitwise(_bcc_program(ds, o, (0.5, 1.0), phase2), *loop_bcc_rows(ds, o))
+        pinned = [(pri.order[0], 0.25)]
+        assert_bitwise(build_stage_program(ds, je, o, pinned, pri.order[1]),
+                       *loop_stage_rows(ds, je, o))
+        p = closest_projection(ds, je, o, pri, cfg)
+        solve_max_support_lp(ds, je, p, cfg)
+        assert_bitwise(supports[-1], *loop_support_rows(ds, je, p))
+        for sense in ("max", "min"):
+            lp = _intercept_program(ds, p.target_inputs, p.target_outputs, sense)
+            a, b, relations = loop_intercept_rows(ds, p.target_inputs, p.target_outputs)
+            assert_bitwise(lp, a, b)
+            assert lp.relations == relations

@@ -3,7 +3,7 @@ import pytest
 
 from dea_closest import (LinearProgram, PriorityRanking, SolveStatus, build_stage_program,
                          closest_projection, default_priority, efficient_set, evaluate_bcc,
-                         solve_lp, solve_milp)
+                         projection, solve_lp, solve_milp)
 
 from conftest import make_dataset, random_dataset
 
@@ -25,7 +25,7 @@ def out_first(ds):
 def additive_max_slacks(ds, o, cfg):
     """Slack vector of a furthest (total-slack-maximal) projection."""
     n, m, s = ds.n, ds.m, ds.s
-    x, y = ds.input_matrix(), ds.output_matrix()
+    x, y = ds.x, ds.y
     nv = n + m + s
     a = np.zeros((m + s + 1, nv))
     b = np.zeros(m + s + 1)
@@ -134,8 +134,8 @@ def test_stage_complementarity(eight_dmu, je8, cfg):
 def test_projection_dominates_dmu(eight_dmu, je8, cfg):
     for o in range(8):
         p = closest_projection(eight_dmu, je8, o, out_first(eight_dmu), cfg)
-        assert np.all(p.target_inputs <= np.array(eight_dmu.dmus[o].inputs) + 1e-9)
-        assert np.all(p.target_outputs >= np.array(eight_dmu.dmus[o].outputs) - 1e-9)
+        assert np.all(p.target_inputs <= eight_dmu.x[o] + 1e-9)
+        assert np.all(p.target_outputs >= eight_dmu.y[o] - 1e-9)
         assert np.all(p.slacks >= 0.0)
 
 
@@ -246,3 +246,30 @@ def test_stage_points_satisfy_rows_and_bounds(uniform15_projections, factor):
             pairs = lp.complements
             assert np.minimum(z[pairs[:, 0]], z[pairs[:, 1]]).max() <= 1e-8
             pinned.append((st.slack_index, st.value))
+
+
+def test_warm_start_prunes_stage_nodes(monkeypatch, cfg):
+    # seeding each stage's incumbent with the previous stage's optimum must
+    # prune branch-and-bound nodes; on this dataset (n=12, m=s=2, 6 efficient)
+    # the stages of the inefficient DMUs took 126 nodes warm and 162 cold
+    ds = random_dataset(np.random.default_rng(7), max_n=12, max_dim=2)
+    je = efficient_set(ds, cfg)
+    pri = default_priority(ds.m, ds.s)
+
+    def stage_nodes(keep_warm_start):
+        nodes = []
+
+        def counting(lp, cfg, warm_start=None):
+            sol = solve_milp(lp, cfg, warm_start=warm_start if keep_warm_start else None)
+            nodes.append(sol.nodes)
+            return sol
+
+        monkeypatch.setattr(projection, "solve_milp", counting)
+        slacks = [closest_projection(ds, je, o, pri, cfg).slacks
+                  for o in range(ds.n) if o not in je]
+        return sum(nodes), np.array(slacks)
+
+    warm, warm_slacks = stage_nodes(True)
+    cold, cold_slacks = stage_nodes(False)
+    assert warm < cold
+    assert np.abs(warm_slacks - cold_slacks).max() < 1e-9

@@ -30,7 +30,7 @@ def reference_support_oracle(ds, je, target_x, target_y, cfg, tol=1e-7):
     reference set exactly when some convex representation of the target gives
     it positive weight, i.e. max lambda_j over the representation polytope is
     positive."""
-    x, y = ds.input_matrix(), ds.output_matrix()
+    x, y = ds.x, ds.y
     idx = list(je.indices)
     t = len(idx)
     a = np.vstack([x[idx].T, y[idx].T, np.ones((1, t))])
@@ -55,8 +55,8 @@ def reference_support_oracle(ds, je, target_x, target_y, cfg, tol=1e-7):
 def test_eight_dmu_reference_sets(eight_dmu, je8, cfg, o, members, weights):
     p = project(eight_dmu, je8, o, cfg)
     mc = identify_mcrs(eight_dmu, je8, p, cfg)
-    assert tuple(eight_dmu.dmus[j].name for j in mc.members) == members
-    by_name = dict(zip((eight_dmu.dmus[j].name for j in mc.columns), mc.lambda_max))
+    assert tuple(eight_dmu.names[j] for j in mc.members) == members
+    by_name = dict(zip((eight_dmu.names[j] for j in mc.columns), mc.lambda_max))
     for name, w in zip(members, weights):
         assert by_name[name] == pytest.approx(w, abs=1e-6)
 
@@ -72,7 +72,7 @@ def test_support_lp_solution_structure(eight_dmu, je8, cfg):
     agg = sol.alpha[t] + sol.beta[t]
     assert agg >= 1.0 - 1e-8
     # the homogeneous balance rows hold at the solution
-    x, y = eight_dmu.input_matrix(), eight_dmu.output_matrix()
+    x, y = eight_dmu.x, eight_dmu.y
     idx = list(je8.indices)
     mass = sol.alpha[:t] + sol.beta[:t]
     assert x[idx].T @ mass == pytest.approx(agg * p.target_inputs, abs=1e-7)
@@ -96,14 +96,14 @@ def test_non_extreme_point_collects_whole_face(eight_dmu, je8, cfg):
     pri = default_priority(1, 1)
     p = point_projection(2, [3.0], [6.0], pri)
     mc = identify_mcrs(eight_dmu, je8, p, cfg)
-    names = tuple(eight_dmu.dmus[j].name for j in mc.members)
+    names = tuple(eight_dmu.names[j] for j in mc.members)
     assert names == ("DMU2", "DMU3", "DMU4")
     oracle = reference_support_oracle(eight_dmu, je8, [3.0], [6.0], cfg)
     assert mc.members == oracle
 
 
 def test_lambda_max_reconststructs_target(eight_dmu, je8, cfg):
-    x, y = eight_dmu.input_matrix(), eight_dmu.output_matrix()
+    x, y = eight_dmu.x, eight_dmu.y
     idx = list(je8.indices)
     for o in range(8):
         p = project(eight_dmu, je8, o, cfg)

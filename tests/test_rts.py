@@ -18,7 +18,7 @@ def je4(four_dmu, cfg):
 
 
 def point(ds, o):
-    return np.array(ds.dmus[o].inputs), np.array(ds.dmus[o].outputs)
+    return ds.x[o], ds.y[o]
 
 
 def test_eight_dmu_efficient_labels(eight_dmu, cfg):

@@ -188,9 +188,9 @@ def test_intercept_programs_pivot_budget(eight_dmu, cfg):
     # one artificial per row cost 172 pivots over these 16 programs; starting
     # the n "<=" rows from their slacks must at least halve that
     total = 0
-    for dmu in eight_dmu.dmus:
+    for o in range(eight_dmu.n):
         for sense in ("max", "min"):
-            lp = _intercept_program(eight_dmu, np.array(dmu.inputs), np.array(dmu.outputs), sense)
+            lp = _intercept_program(eight_dmu, eight_dmu.x[o], eight_dmu.y[o], sense)
             total += solve_lp(lp, cfg).iterations
     assert total <= 172 // 2
 

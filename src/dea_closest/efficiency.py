@@ -93,7 +93,10 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig()) -
         raise AnalysisError(f"BCC phase 1 for DMU {name!r} returned {phase1.status.value}")
     theta = float(phase1.objective)
 
-    phase2 = solve_lp(_bcc_program(dataset, o, (theta, theta), phase2=True), cfg)
+    # same rows and columns with theta pinned at its optimum, so the phase-1
+    # basis stays feasible and phase 2 resumes from it
+    phase2 = solve_lp(_bcc_program(dataset, o, (theta, theta), phase2=True), cfg,
+                      warm_start=phase1)
     if phase2.status is SolveStatus.ITERATION_LIMIT:
         raise SolverLimitError(f"BCC phase 2 for DMU {name!r} hit the iteration limit")
     if phase2.status is not SolveStatus.OPTIMAL:

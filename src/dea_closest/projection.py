@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset, PriorityRanking
 from .efficiency import EfficientSet
 from .errors import AnalysisError, SolverLimitError
-from .solver import LinearProgram, SolveStatus, SolverConfig, solve_milp
+from .solver import LinearProgram, Solution, SolveStatus, SolverConfig, solve_milp
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
     stages: list[StageSolution] = []
     t = j_e.size
     n_slack = m + s
-    warm: np.ndarray | None = None
+    warm: Solution | None = None  # the previous stage: incumbent and starting basis
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):
         lp = build_stage_program(dataset, j_e, o, pinned, slack_idx)
@@ -156,7 +156,7 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
             deviations=sol.x[c_d:c_d + t].copy(),
         ))
         pinned.append((slack_idx, value))
-        warm = sol.x
+        warm = sol
 
     # the final stage's joint solution is the projection: its slack vector
     # satisfies every pin and its intensities reproduce the target exactly

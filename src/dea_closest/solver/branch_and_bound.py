@@ -8,7 +8,13 @@ members positive gets ``x_a = 0`` in one child and ``x_b = 0`` in the other
 bound-fix alternatives, so one routine chooses them.  Search is
 depth-first, diving first into the child the relaxation already leans
 toward, and prunes on infeasibility and on relaxation objectives that
-cannot beat the incumbent.  With the deterministic simplex underneath,
+cannot beat the incumbent.
+
+Every node carries its parent's final basis.  A child differs from its
+parent in one bound, so that basis stays dual feasible and the simplex
+resumes from it with a few dual pivots instead of a cold two-phase solve;
+the root starts from the basis of a caller-supplied warm start (the
+previous lexicographic stage).  With the deterministic simplex underneath,
 identical programs always produce identical solutions.
 """
 
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import LinearProgram, Solution, SolveStatus, SolverConfig
+from .model import Basis, LinearProgram, Solution, SolveStatus, SolverConfig
 from .simplex import solve_lp, solve_standardized, standardize
 
 
@@ -51,7 +57,8 @@ def _branching(x: np.ndarray, lp: LinearProgram, cfg: SolverConfig
     return (large, 0.0), (small, 0.0)
 
 
-def _warm_objective(lp: LinearProgram, std, x: np.ndarray, cfg: SolverConfig) -> float | None:
+def _warm_objective(lp: LinearProgram, std, x: np.ndarray | None, cfg: SolverConfig
+                    ) -> float | None:
     """Min-sense objective of a caller-supplied feasible point, or None if the
     point fails a feasibility screen (then the hint is silently dropped)."""
     if x is None or len(x) != lp.n_vars:
@@ -74,31 +81,37 @@ def _warm_objective(lp: LinearProgram, std, x: np.ndarray, cfg: SolverConfig) ->
 
 
 def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
-               warm_start: np.ndarray | None = None) -> Solution:
+               warm_start: Solution | None = None) -> Solution:
     """Solve a program with binaries and complementarity pairs to proven
     optimality.
 
-    ``warm_start`` may carry a known feasible point (typically the previous
-    stage of a lexicographic sequence); it only seeds the incumbent and
-    never affects which solutions are optimal.
+    ``warm_start`` may carry the Solution of a program with the same rows
+    and columns (typically the previous stage of a lexicographic sequence).
+    A point of it that is feasible here seeds the incumbent, and its basis
+    starts the root relaxation; neither affects which solutions are optimal.
 
     An unbounded relaxation is reported as UNBOUNDED; exhausting
     ``cfg.max_nodes`` returns NODE_LIMIT with the best incumbent found so
-    far, if any.
+    far, if any.  The returned ``basis`` is that of the node that found the
+    incumbent, or the warm start's own when no node improved on it.
     """
     if not lp.is_mixed:
-        return solve_lp(lp, cfg)
+        return solve_lp(lp, cfg, warm_start)
 
     std = standardize(lp)
 
     inc_x: np.ndarray | None = None
     inc_obj = np.inf
-    warm = _warm_objective(lp, std, warm_start, cfg)
+    inc_basis: Basis | None = None
+    root_start = warm_start.basis if warm_start is not None else None
+    warm = _warm_objective(lp, std, warm_start.x if warm_start is not None else None, cfg)
     if warm is not None:
-        inc_x = np.asarray(warm_start, dtype=float).copy()
+        inc_x = np.asarray(warm_start.x, dtype=float).copy()
         inc_obj = warm
+        inc_basis = root_start
 
-    stack = [(std.lower.copy(), std.upper.copy())]
+    # each entry: node bounds and the parent's final basis to resume from
+    stack = [(std.lower.copy(), std.upper.copy(), root_start)]
     nodes = 0
     total_iters = 0
     hit_node_limit = False
@@ -107,8 +120,8 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
         if nodes >= cfg.max_nodes:
             hit_node_limit = True
             break
-        lo, up = stack.pop()
-        status, x, obj, iters, _ = solve_standardized(std, cfg, lo, up)
+        lo, up, start = stack.pop()
+        status, x, obj, iters, basis = solve_standardized(std, cfg, lo, up, start)
         nodes += 1
         total_iters += iters
 
@@ -123,21 +136,18 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
 
         alternatives = _branching(x, lp, cfg)
         if not alternatives:
-            inc_x, inc_obj = x, obj
+            inc_x, inc_obj, inc_basis = x, obj, basis
             continue
         for j, value in alternatives:  # the preferred child is pushed last, so it pops first
             if not lo[j] <= value <= up[j]:
                 continue  # the fix contradicts a bound already in force
             lo_c, up_c = lo.copy(), up.copy()
             lo_c[j] = up_c[j] = value
-            stack.append((lo_c, up_c))
+            stack.append((lo_c, up_c, basis))
 
-    if hit_node_limit:
-        if inc_x is not None:
-            return Solution(SolveStatus.NODE_LIMIT, std.sense_sign * inc_obj,
-                            inc_x[: lp.n_vars].copy(), total_iters, nodes)
-        return Solution(SolveStatus.NODE_LIMIT, np.nan, None, total_iters, nodes)
     if inc_x is None:
-        return Solution(SolveStatus.INFEASIBLE, np.nan, None, total_iters, nodes)
-    return Solution(SolveStatus.OPTIMAL, std.sense_sign * inc_obj,
-                    inc_x[: lp.n_vars].copy(), total_iters, nodes)
+        status = SolveStatus.NODE_LIMIT if hit_node_limit else SolveStatus.INFEASIBLE
+        return Solution(status, np.nan, None, total_iters, nodes)
+    status = SolveStatus.NODE_LIMIT if hit_node_limit else SolveStatus.OPTIMAL
+    return Solution(status, std.sense_sign * inc_obj, inc_x[: lp.n_vars].copy(),
+                    total_iters, nodes, inc_basis)

@@ -29,10 +29,12 @@ class SolverConfig:
     int_tol : how far a binary may sit from {0, 1} and still count as integral.
     zero_tol : reporting threshold; values below it are treated as zero when
         classifying efficiency, reference-set membership, and returns to scale.
-    max_iterations : simplex pivot budget per LP solve.
+    max_iterations : simplex pivot budget per LP solve; a warm start that gives
+        up leaves the cold solve that replaces it a full budget.
     max_nodes : branch-and-bound node budget per MILP solve.
     degen_limit : consecutive degenerate pivots tolerated before the pricing
-        rule switches from Dantzig to Bland (anti-cycling).
+        rule switches from Dantzig to Bland (anti-cycling), in the primal and
+        the dual simplex alike.
     """
 
     feas_tol: float = 1e-9
@@ -138,15 +140,33 @@ class LinearProgram:
         return self.a.shape[0]
 
 
+@dataclass(frozen=True)
+class Basis:
+    """Final basis of a simplex solve, kept so that a related program can
+    resume from it.
+
+    ``columns[i]`` is the column of the internal standardized system
+    (structural variables, then one slack per inequality row) basic in row
+    i, and ``x`` is the full standardized point at that basis.  A solve that
+    resumes from the record places each nonbasic column by its value against
+    its own bounds, so the record stays meaningful when bounds change.
+    """
+
+    columns: np.ndarray
+    x: np.ndarray
+
+
 @dataclass
 class Solution:
     """Result of an LP or MILP solve.
 
     ``x`` holds structural variable values only when the status is OPTIMAL
-    (or NODE_LIMIT with an incumbent), otherwise None.  ``basis`` lists the
-    columns of the internal standardized system that were basic at the final
-    iterate; it is diagnostic output used by the optimality-certificate
-    checks and is None for MILP solves.
+    (or NODE_LIMIT with an incumbent), otherwise None.  ``basis`` is the
+    final basis of the solve that produced ``x``: the LP's own, or for a
+    MILP the branch-and-bound node that found the incumbent.  It is None
+    when there is no ``x``, and for a MILP incumbent that came from a warm
+    start without one.  Passing the Solution as ``warm_start`` to a solve of
+    a program with the same rows and columns starts it from that basis.
     """
 
     status: SolveStatus
@@ -154,4 +174,4 @@ class Solution:
     x: np.ndarray | None
     iterations: int = 0
     nodes: int = 0
-    basis: np.ndarray | None = None
+    basis: Basis | None = None

@@ -1,16 +1,32 @@
-"""Primal simplex for linear programs with explicit variable bounds.
+"""Bounded-variable simplex for linear programs, with warm starts.
 
 Nonbasic variables rest at one of their finite bounds (or at zero when
 free both ways), so finite upper bounds never materialize as constraint
 rows; a step blocked by the entering variable's own opposite bound is a
-bound flip that leaves the basis unchanged.  Phase 1 starts from a slack
-basis: an inequality row whose own slack can absorb the row's residual at
-the resting point starts with that slack basic, and only the remaining rows
-get an artificial variable, so the starting basis is a signed identity and
-exactly feasible for phase 1.  Pricing is
-Dantzig's rule, switching permanently to Bland's rule after a run of
-degenerate pivots so the solve cannot cycle.
+bound flip that leaves the basis unchanged.
 
+A cold solve runs two primal phases.  Phase 1 starts from a slack basis: an
+inequality row whose own slack can absorb the row's residual at the resting
+point starts with that slack basic, and only the remaining rows get an
+artificial variable, so the starting basis is a signed identity and exactly
+feasible for phase 1.
+
+A warm solve resumes from the final basis of a related program with the same
+rows and columns (a branch-and-bound parent, the previous lexicographic
+stage, the first phase of a two-phase model).  Each nonbasic column is
+placed by its old value against its new bounds.  If the basic solution is
+then primal feasible, primal phase 2 runs alone; if it is only dual
+feasible (a parent basis after one bound changed), a bounded dual simplex
+(Koberstein 2005) restores primal feasibility first.  The dual leaves on the
+largest bound violation and enters by the ratio test |d_j|/|alpha_rj|, ties
+going to the largest |alpha_rj|.  It reports an infeasible program only when
+the leaving row, read as a bound over the variable box, certifies it.
+Whenever the warm path cannot certify its answer (neither feasibility holds,
+a numerical guard fires, the budget runs out), the program is solved cold,
+so results never depend on the start.
+
+Pricing is Dantzig's rule in both directions, switching permanently to
+Bland's rule after a run of degenerate pivots so that no solve can cycle.
 The basic solution is recomputed from the basis factorization at every
 iteration (no tableau updates), which keeps residual drift at machine
 noise for the desk-scale systems this package targets.
@@ -22,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LinearProgram, Solution, SolveStatus, SolverConfig
+from .model import Basis, LinearProgram, Solution, SolveStatus, SolverConfig
 
 # nonbasic/basic variable states
 _AT_LOWER = 0
@@ -80,15 +96,30 @@ def standardize(lp: LinearProgram) -> StandardizedLP:
     return StandardizedLP(a, lp.b.copy(), c, lower, upper, n, sign, slack_of_row)
 
 
-def _resting_values(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Initial nonbasic state and value for every column: the finite lower
-    bound if there is one, else the finite upper bound, else free at zero."""
-    n = lower.size
-    status = np.full(n, _FREE, dtype=np.int8)
+def _nonbasic_status(lower: np.ndarray, upper: np.ndarray,
+                     x: np.ndarray | None = None) -> np.ndarray:
+    """Where each column rests while nonbasic: at a fixed column's single
+    value; at the bound ``x`` (a previous solve's point) already sits on;
+    otherwise at the finite lower bound if there is one, else at the finite
+    upper bound, else free at zero.
+
+    Placing a column by its value rather than by its old state matters when
+    bounds change between solves: a column that branching pinned at zero may
+    have rested "at upper" then, which would read as its old upper bound
+    once the pin is gone.
+    """
+    status = np.full(lower.size, _FREE, dtype=np.int8)
     status[np.isfinite(upper)] = _AT_UPPER
     status[np.isfinite(lower)] = _AT_LOWER
-    values = np.where(status == _AT_LOWER, lower, np.where(status == _AT_UPPER, upper, 0.0))
-    return status, values
+    if x is not None:
+        status[x == upper] = _AT_UPPER
+        status[x == lower] = _AT_LOWER
+    status[lower == upper] = _AT_LOWER
+    return status
+
+
+def _nonbasic_values(status: np.ndarray, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
+    return np.where(status == _AT_LOWER, lo, np.where(status == _AT_UPPER, up, 0.0))
 
 
 class _Simplex:
@@ -105,20 +136,32 @@ class _Simplex:
         self.n = std.a.shape[1]
         self.rows = std.a.shape[0]
         self.iterations = 0
+        self._restart()
+
+    def _restart(self):
+        """Fresh pricing state and pivot budget for one attempt at the solve."""
         self.bland = False
         self._degen_run = 0
+        self._limit = self.iterations + self.cfg.max_iterations
 
-    def run(self, c_struct: np.ndarray) -> tuple[SolveStatus, np.ndarray | None, np.ndarray | None]:
-        """Two phases; returns (status, x, basis) over the standardized columns."""
-        rows, n = self.rows, self.n
-        if rows == 0:
+    def run(self, c_struct: np.ndarray, start: Basis | None = None
+            ) -> tuple[SolveStatus, np.ndarray | None, np.ndarray | None]:
+        """Returns (status, x, basis) over the standardized columns."""
+        if self.rows == 0:
             return self._run_unconstrained(c_struct)
+        if start is not None:
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                result = self._run_warm(c_struct, start)
+            if result is not None:
+                return result
+            self._restart()  # pivots of the abandoned attempt stay counted
+        return self._run_cold(c_struct)
 
-        status, values = _resting_values(self.lower, self.upper)
-        x0 = np.zeros(n)
-        nb = status != _BASIC
-        x0[nb] = values[nb]
-        resid = self.b - self.a @ x0
+    def _run_cold(self, c_struct: np.ndarray):
+        """Two phases from the slack basis."""
+        rows, n = self.rows, self.n
+        status = _nonbasic_status(self.lower, self.upper)
+        resid = self.b - self.a @ _nonbasic_values(status, self.lower, self.upper)
 
         # phase 1 starts from a slack basis: a row whose slack (coefficient
         # +-1, resting at 0, bounds [0, inf)) can take up the residual starts
@@ -147,8 +190,7 @@ class _Simplex:
         if outcome is not None:
             # phase 1 is bounded below by zero, so only the iteration limit can stop it
             return outcome, None, None
-        infeas = x[n:].sum()
-        if infeas > self.cfg.feas_tol * (1.0 + np.abs(self.b).max()) * 10.0:
+        if x[n:].sum() > self._infeasibility_cut():
             return SolveStatus.INFEASIBLE, None, None
 
         self._evict_artificials(a_ext, basis, vstatus, n)
@@ -160,12 +202,41 @@ class _Simplex:
         if outcome is not None:
             return outcome, None, None
         x = x[:n]
-        below = x < self.lower - _BOUND_TOL * (1.0 + np.abs(self.lower))
-        above = x > self.upper + _BOUND_TOL * (1.0 + np.abs(self.upper))
-        if below.any() or above.any():
+        if not self._holds_bounds(x):
             # basis too ill-conditioned to hold its own bounds; not an optimum
             return SolveStatus.ITERATION_LIMIT, None, None
         return SolveStatus.OPTIMAL, x, basis.copy()
+
+    def _run_warm(self, c: np.ndarray, start: Basis):
+        """Resume from a previous basis; None when the answer cannot be
+        certified this way and the program must be solved cold."""
+        n = self.n
+        basis = np.array(start.columns, dtype=int)
+        if start.x.size != n or basis.size != self.rows or basis.max(initial=-1) >= n:
+            return None  # another system's basis, or one holding an artificial
+        vstatus = _nonbasic_status(self.lower, self.upper, start.x)
+        vstatus[basis] = _BASIC
+
+        outcome = self._dual_loop(c, basis, vstatus)
+        if outcome is SolveStatus.INFEASIBLE:
+            return outcome, None, None
+        if outcome is not None:
+            return None
+        outcome, x = self._iterate(c, self.a, self.lower, self.upper, basis, vstatus)
+        if outcome is SolveStatus.UNBOUNDED:
+            return outcome, None, None
+        if outcome is not None or not self._holds_bounds(x):
+            return None
+        return SolveStatus.OPTIMAL, x, basis
+
+    def _infeasibility_cut(self) -> float:
+        """Phase-1 infeasibility below which a program counts as feasible."""
+        return self.cfg.feas_tol * (1.0 + np.abs(self.b).max()) * 10.0
+
+    def _holds_bounds(self, x: np.ndarray) -> bool:
+        below = x < self.lower - _BOUND_TOL * (1.0 + np.abs(self.lower))
+        above = x > self.upper + _BOUND_TOL * (1.0 + np.abs(self.upper))
+        return not (below.any() or above.any())
 
     def _run_unconstrained(self, c: np.ndarray):
         """No rows: each variable independently sits at its cheapest bound."""
@@ -203,51 +274,74 @@ class _Simplex:
             vstatus[j] = _BASIC
             vstatus[art] = _AT_LOWER
 
+    def _factor(self, c, a_ext, a_abs, lo, up, basis, vstatus, x):
+        """Factorize the current basis and fill ``x`` with its basic solution.
+
+        Returns (B^-1, reduced costs, per-column reduced-cost zero threshold),
+        or None when the basis is numerically singular or too ill-conditioned
+        to reproduce its own right-hand side.
+        """
+        nb = vstatus != _BASIC
+        x[nb] = _nonbasic_values(vstatus[nb], lo[nb], up[nb])
+        x[basis] = 0.0
+        b_mat = a_ext[:, basis]
+        rhs = self.b - a_ext @ x
+        try:
+            b_inv = np.linalg.inv(b_mat)
+        except np.linalg.LinAlgError:
+            return None
+        x[basis] = b_inv @ rhs
+        if np.abs(b_mat @ x[basis] - rhs).max(initial=0.0) > 1e-6 * (1.0 + np.abs(rhs).max(initial=0.0)):
+            return None
+        y = b_inv.T @ c[basis]
+        d = c - a_ext.T @ y
+        d[basis] = 0.0
+        # reduced-cost noise grows with the dual magnitudes, so the zero
+        # threshold is scaled per column; an absolute cutoff would let
+        # noise-level "improvements" drive pivots on degenerate cones
+        dtol = self.cfg.pivot_tol * (1.0 + a_abs.T @ np.abs(y))
+        return b_inv, d, dtol
+
+    @staticmethod
+    def _improving(d, dtol, vstatus, fixed) -> np.ndarray:
+        """Nonbasic columns whose reduced cost would lower the objective."""
+        elig = (((vstatus == _AT_LOWER) & (d < -dtol))
+                | ((vstatus == _AT_UPPER) & (d > dtol))
+                | ((vstatus == _FREE) & (np.abs(d) > dtol)))
+        elig[fixed] = False
+        return elig
+
+    def _count_step(self, step: float):
+        """Book one pivot of length ``step``; a long enough run of degenerate
+        ones switches pricing to Bland's rule for the rest of the attempt."""
+        if step <= _DEGEN_STEP:
+            self._degen_run += 1
+            if self._degen_run > self.cfg.degen_limit:
+                self.bland = True
+        else:
+            self._degen_run = 0
+
     def _iterate(self, c, a_ext, lo, up, basis, vstatus):
-        """Pivot until optimal; returns (early_status_or_None, x)."""
-        cfg = self.cfg
-        ptol = cfg.pivot_tol
+        """Primal simplex until optimal; returns (early_status_or_None, x)."""
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            return self._pivot_loop(c, a_ext, lo, up, basis, vstatus)
+
+    def _pivot_loop(self, c, a_ext, lo, up, basis, vstatus):
+        ptol = self.cfg.pivot_tol
         n_ext = a_ext.shape[1]
         fixed = lo == up
         x = np.zeros(n_ext)
         a_abs = np.abs(a_ext)
-
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            return self._pivot_loop(c, a_ext, a_abs, lo, up, basis, vstatus, fixed, x, ptol, cfg)
-
-    def _pivot_loop(self, c, a_ext, a_abs, lo, up, basis, vstatus, fixed, x, ptol, cfg):
-        n_ext = a_ext.shape[1]
         while True:
-            nb = vstatus != _BASIC
-            x[nb] = np.where(vstatus[nb] == _AT_LOWER, lo[nb],
-                             np.where(vstatus[nb] == _AT_UPPER, up[nb], 0.0))
-            x[basis] = 0.0
-            b_mat = a_ext[:, basis]
-            rhs = self.b - a_ext @ x
-            try:
-                b_inv = np.linalg.inv(b_mat)
-            except np.linalg.LinAlgError:
-                return SolveStatus.ITERATION_LIMIT, None  # numerically singular basis
-            x[basis] = b_inv @ rhs
-            y = b_inv.T @ c[basis]
-            if np.abs(b_mat @ x[basis] - rhs).max(initial=0.0) > 1e-6 * (1.0 + np.abs(rhs).max(initial=0.0)):
-                return SolveStatus.ITERATION_LIMIT, None  # basis too ill-conditioned to trust
-            d = c - a_ext.T @ y
-            d[basis] = 0.0
-
-            # reduced-cost noise grows with the dual magnitudes, so the zero
-            # threshold is scaled per column; an absolute cutoff would let
-            # noise-level "improvements" drive pivots on degenerate cones
-            dtol = ptol * (1.0 + a_abs.T @ np.abs(y))
-            elig = np.zeros(n_ext, dtype=bool)
-            elig[(vstatus == _AT_LOWER) & (d < -dtol)] = True
-            elig[(vstatus == _AT_UPPER) & (d > dtol)] = True
-            elig[(vstatus == _FREE) & (np.abs(d) > dtol)] = True
-            elig[fixed] = False
+            factors = self._factor(c, a_ext, a_abs, lo, up, basis, vstatus, x)
+            if factors is None:
+                return SolveStatus.ITERATION_LIMIT, None  # basis singular or untrustworthy
+            b_inv, d, dtol = factors
+            elig = self._improving(d, dtol, vstatus, fixed)
             if not elig.any():
                 return None, x
 
-            if self.iterations >= cfg.max_iterations:
+            if self.iterations >= self._limit:
                 return SolveStatus.ITERATION_LIMIT, None
             self.iterations += 1
 
@@ -317,35 +411,115 @@ class _Simplex:
                 vstatus[leaving] = _AT_UPPER if delta_r > 0 else _AT_LOWER
                 basis[r] = q
                 vstatus[q] = _BASIC
+            self._count_step(step)
 
-            if step <= _DEGEN_STEP:
-                self._degen_run += 1
-                if self._degen_run > cfg.degen_limit:
-                    self.bland = True
+    def _dual_loop(self, c, basis, vstatus):
+        """Bounded dual simplex over the standardized system until the basic
+        solution holds its bounds.
+
+        Returns None once it does, INFEASIBLE when a leaving row certifies
+        that no point of the variable box satisfies it, and ITERATION_LIMIT
+        when the basis cannot be resumed: it starts dual infeasible, a
+        numerical guard fires, a row admits no entering column without
+        certifying infeasibility, or the budget runs out.
+        """
+        a, lo, up = self.a, self.lower, self.upper
+        ptol = self.cfg.pivot_tol
+        fixed = lo == up
+        a_abs = np.abs(a)
+        x = np.zeros(self.n)
+        first = True
+        while True:
+            factors = self._factor(c, a, a_abs, lo, up, basis, vstatus, x)
+            if factors is None:
+                return SolveStatus.ITERATION_LIMIT
+            b_inv, d, dtol = factors
+            xb = x[basis]
+            below = lo[basis] - xb
+            above = xb - up[basis]
+            excess = np.maximum(below, above)
+            violated = excess > self.cfg.feas_tol * (1.0 + np.abs(xb))
+            if not violated.any():
+                return None
+            if first and self._improving(d, dtol, vstatus, fixed).any():
+                return SolveStatus.ITERATION_LIMIT  # neither primal nor dual feasible
+            first = False
+            if self.iterations >= self._limit:
+                return SolveStatus.ITERATION_LIMIT
+
+            rows = np.flatnonzero(violated)
+            if self.bland:
+                r = int(rows[np.argmin(basis[rows])])
             else:
-                self._degen_run = 0
+                r = int(rows[np.argmax(excess[rows])])
+            raise_r = below[r] > above[r]  # the leaving variable climbs to its lower bound
+
+            # row r of the tableau: x_r = beta_r - sum over nonbasic j of alpha_j x_j
+            alpha = b_inv[r] @ a
+            alpha[basis] = 0.0
+            signed = alpha if raise_r else -alpha
+            cand = (((vstatus == _AT_LOWER) & (signed < -ptol))
+                    | ((vstatus == _AT_UPPER) & (signed > ptol))
+                    | ((vstatus == _FREE) & (np.abs(alpha) > ptol)))
+            cand[fixed] = False
+            if not cand.any():
+                return (SolveStatus.INFEASIBLE if self._row_certifies(b_inv[r], alpha, basis[r], raise_r)
+                        else SolveStatus.ITERATION_LIMIT)
+
+            ratio = np.where(cand, np.abs(d) / np.abs(alpha), np.inf)
+            step = float(ratio.min())
+            ties = np.flatnonzero(ratio <= step + _RATIO_TIE)
+            q = int(ties[0] if self.bland else ties[np.argmax(np.abs(alpha[ties]))])
+
+            self.iterations += 1
+            vstatus[basis[r]] = _AT_LOWER if raise_r else _AT_UPPER
+            basis[r] = q
+            vstatus[q] = _BASIC
+            self._count_step(step)
+
+    def _row_certifies(self, z: np.ndarray, alpha: np.ndarray, leaving: int, raise_r: bool) -> bool:
+        """Whether the tableau row ``x_r = z.b - alpha.x_N`` keeps the basic
+        variable of that row short of its violated bound over the whole
+        variable box, by more than the phase-1 infeasibility cut."""
+        lo, up = self.lower, self.upper
+        nz = alpha != 0.0
+        at_lo, at_up = alpha[nz] * lo[nz], alpha[nz] * up[nz]
+        beta = float(z @ self.b)
+        cut = self._infeasibility_cut()
+        if raise_r:  # the most x_r can reach, against its lower bound
+            return beta - np.minimum(at_lo, at_up).sum() < lo[leaving] - cut
+        return beta - np.maximum(at_lo, at_up).sum() > up[leaving] + cut
 
 
 def solve_standardized(std: StandardizedLP, cfg: SolverConfig,
                        lower: np.ndarray | None = None,
                        upper: np.ndarray | None = None,
-                       ) -> tuple[SolveStatus, np.ndarray | None, float, int, np.ndarray | None]:
+                       start: Basis | None = None,
+                       ) -> tuple[SolveStatus, np.ndarray | None, float, int, Basis | None]:
     """Solve the standardized system, optionally with full-length bound overrides.
 
     Branch-and-bound passes them to fix binaries and pair members without
-    rebuilding the system.  Returns (status, structural x, objective in the
-    min sense, iterations, basis).
+    rebuilding the system.  ``start`` is the final basis of a related solve
+    over the same system; the solve resumes from it where it can and solves
+    cold otherwise.  Returns (status, structural x, objective in the min
+    sense, iterations, final basis).
     """
     sx = _Simplex(std, cfg, lower, upper)
-    status, x, basis = sx.run(std.c)
+    status, x, basis = sx.run(std.c, start)
     if status is not SolveStatus.OPTIMAL:
         return status, None, np.nan, sx.iterations, None
     obj = float(std.c[: std.n_struct] @ x[: std.n_struct])
-    return status, x[: std.n_struct].copy(), obj, sx.iterations, basis
+    return status, x[: std.n_struct].copy(), obj, sx.iterations, Basis(basis, x)
 
 
-def solve_lp(lp: LinearProgram, cfg: SolverConfig = SolverConfig()) -> Solution:
+def solve_lp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
+             warm_start: Solution | None = None) -> Solution:
     """Solve a linear program without binaries or complementarity pairs.
+
+    ``warm_start`` may carry the Solution of a program with the same rows
+    and columns (for instance the same model under other bounds or another
+    objective); the solve starts from its basis.  It never changes which
+    solutions are optimal.
 
     Infeasibility and unboundedness are detected and reported as statuses;
     hitting ``max_iterations`` (cycling or severe ill-conditioning) is
@@ -355,7 +529,8 @@ def solve_lp(lp: LinearProgram, cfg: SolverConfig = SolverConfig()) -> Solution:
     if lp.is_mixed:
         raise ValueError("program has binaries or complementarity pairs; use solve_milp")
     std = standardize(lp)
-    status, x, obj, iters, basis = solve_standardized(std, cfg)
+    start = warm_start.basis if warm_start is not None else None
+    status, x, obj, iters, basis = solve_standardized(std, cfg, start=start)
     if status is SolveStatus.OPTIMAL:
         return Solution(status, std.sense_sign * obj, x, iters, 0, basis)
     if status is SolveStatus.UNBOUNDED:

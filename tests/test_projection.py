@@ -1,9 +1,13 @@
+import io
+import itertools
+
 import numpy as np
 import pytest
 
 from dea_closest import (LinearProgram, PriorityRanking, SolveStatus, build_stage_program,
                          closest_projection, default_priority, efficient_set, evaluate_bcc,
-                         projection, solve_lp, solve_milp)
+                         load_dataset, projection, solve_lp, solve_milp)
+from dea_closest.solver import simplex
 
 from conftest import make_dataset, random_dataset
 
@@ -273,3 +277,128 @@ def test_warm_start_prunes_stage_nodes(monkeypatch, cfg):
     cold, cold_slacks = stage_nodes(False)
     assert warm < cold
     assert np.abs(warm_slacks - cold_slacks).max() < 1e-9
+
+
+def test_warm_started_stages_stay_within_five_pivots_per_node(monkeypatch, cfg):
+    # every node resumes from its parent's basis and every stage root from
+    # the previous stage's; cold-starting every node took about 15 pivots per
+    # node on the dataset of test_warm_start_prunes_stage_nodes
+    ds = random_dataset(np.random.default_rng(7), max_n=12, max_dim=2)
+    je = efficient_set(ds, cfg)
+    pri = default_priority(ds.m, ds.s)
+    solves = []
+
+    def counting(lp, cfg, warm_start=None):
+        sol = solve_milp(lp, cfg, warm_start=warm_start)
+        solves.append(sol)
+        return sol
+
+    monkeypatch.setattr(projection, "solve_milp", counting)
+    for o in range(ds.n):
+        closest_projection(ds, je, o, pri, cfg)
+    nodes = sum(sol.nodes for sol in solves)
+    assert nodes > 0
+    assert sum(sol.iterations for sol in solves) <= 5 * nodes
+
+
+def test_degenerate_dual_pivots_switch_to_bland_and_finish(monkeypatch, cfg):
+    # dataset 46 of the acceptance property suite: a child node of DMU U1's
+    # stages takes more than degen_limit degenerate dual pivots in a row;
+    # Dantzig's choice alone cycles there until the iteration limit
+    rng = np.random.default_rng(895623)
+    for _ in range(47):
+        ds = random_dataset(rng, max_n=15, max_dim=3)
+    je = efficient_set(ds, cfg)
+    pri = default_priority(ds.m, ds.s)
+
+    switched = []
+    original = simplex._Simplex._dual_loop
+
+    def watching(self, *args):
+        outcome = original(self, *args)
+        switched.append(self.bland)
+        return outcome
+
+    statuses = []
+
+    def solving(lp, cfg, warm_start=None):
+        sol = solve_milp(lp, cfg, warm_start=warm_start)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(simplex._Simplex, "_dual_loop", watching)
+    monkeypatch.setattr(projection, "solve_milp", solving)
+    warm = closest_projection(ds, je, 0, pri, cfg)
+    assert any(switched)
+    assert statuses and all(st is SolveStatus.OPTIMAL for st in statuses)
+
+    # the same slacks as with every stage solved cold
+    monkeypatch.setattr(projection, "solve_milp",
+                        lambda lp, cfg, warm_start=None: solve_milp(lp, cfg))
+    cold = closest_projection(ds, je, 0, pri, cfg)
+    assert np.abs(warm.slacks - cold.slacks).max() <= 1e-9 * (1.0 + np.abs(cold.slacks).max())
+
+
+# 12 DMUs, 6 of them on a known frontier, with every column rescaled by a
+# power of ten (inputs near 1e5 and 1e-1, outputs near 1e2 and 1e3)
+RESCALED_UNITS_CSV = """dmu,in:x1,in:x2,out:y1,out:y2
+U1,679590.0,1.18293,396.12,8734.6
+U2,152720.0,0.94916,603.71,8587.300000000001
+U3,829430.0,0.41511000000000003,703.8,8655.6
+U4,554100.0,0.03728,710.34,2946.1
+U5,798190.0,0.41767000000000004,575.9599999999999,6534.4
+U6,386500.0,0.65091,317.46,5218.2
+U7,710230.0,0.6879600000000001,369.73999999999995,6238.1
+U8,516700.0,0.95096,501.38,11028.5
+U9,524770.0,0.62078,506.84,5469.5
+U10,755980.0,0.54276,526.13,10109.0
+U11,318710.0,0.42908999999999997,327.78,8002.299999999999
+U12,1018420.0,0.7186100000000001,488.65999999999997,8733.199999999999
+"""
+
+
+def highs_stage_optimum(lp, linprog):
+    """Smallest stage objective over every choice of the zeroed member of each
+    complementarity pair, each choice an LP solved by HiGHS; None when HiGHS
+    finds none of them feasible."""
+    best = None
+    for sides in itertools.product((0, 1), repeat=len(lp.complements)):
+        lo, up = lp.lower.copy(), lp.upper.copy()
+        zeroed = lp.complements[np.arange(len(sides)), list(sides)]
+        lo[zeroed] = up[zeroed] = 0.0
+        res = linprog(lp.c, A_eq=lp.a, b_eq=lp.b, bounds=np.column_stack([lo, up]),
+                      method="highs")
+        if res.status == 0:
+            best = res.fun if best is None else min(best, res.fun)
+    return best
+
+
+def test_stage_optima_match_highs_on_rescaled_columns(cfg):
+    # every stage optimum of every inefficient DMU against an independent
+    # enumeration.  A branch-and-bound node relaxation that stopped short of
+    # its optimum once pruned the branch holding U5's stage-1 optimum (slack
+    # out:y1): 58.98 came back where HiGHS finds 0
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ds = load_dataset(io.StringIO(RESCALED_UNITS_CSV))
+    je = efficient_set(ds, cfg)
+    pri = default_priority(ds.m, ds.s)
+    checked = []
+    for o in range(ds.n):
+        if o in je:
+            continue
+        p = closest_projection(ds, je, o, pri, cfg)
+        own = np.concatenate([ds.x[o], ds.y[o]])
+        pinned = []
+        for st in p.stages:
+            # each stage is enumerated under the pins the solver itself found,
+            # so a wrong stage fails here rather than in a later one
+            lp = build_stage_program(ds, je, o, pinned, st.slack_index)
+            expected = highs_stage_optimum(lp, linprog)
+            if expected is None:
+                break  # HiGHS finds no feasible fixing: no reference for this DMU
+            assert abs(st.value - expected) <= 1e-6 * own[st.slack_index], (
+                f"{ds.names[o]} stage {st.stage}: {st.value} against {expected}")
+            pinned.append((st.slack_index, st.value))
+        else:
+            checked.append(ds.names[o])
+    assert "U5" in checked and len(checked) >= 5

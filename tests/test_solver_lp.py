@@ -172,6 +172,72 @@ def test_matches_enumeration_on_random_inequality_lps(cfg):
     assert outcomes == {True, False}
 
 
+def test_warm_start_after_tightening_a_basic_bound(monkeypatch, cfg):
+    # a branch-and-bound child: the random programs above with one bound of
+    # a basic variable tightened, resumed from the parent's final basis.  A
+    # bound the parent point still meets leaves it primal feasible (primal
+    # phase 2 only); one it breaks leaves it dual feasible (dual simplex),
+    # and sometimes no point meets it (infeasibility certified by the dual)
+    paths = []
+    original_dual = simplex._Simplex._dual_loop
+    original_cold = simplex._Simplex._run_cold
+
+    def dual(self, *args):
+        before = self.iterations
+        outcome = original_dual(self, *args)
+        paths.append("certified" if outcome is SolveStatus.INFEASIBLE
+                     else "dual" if self.iterations > before else "primal")
+        return outcome
+
+    def cold(self, *args):
+        paths.append("cold")
+        return original_cold(self, *args)
+
+    monkeypatch.setattr(simplex._Simplex, "_dual_loop", dual)
+    monkeypatch.setattr(simplex._Simplex, "_run_cold", cold)
+
+    seen = set()
+    for seed, generate, twin in ((4242, random_box_lp, lambda lp: lp),
+                                 (5151, random_inequality_lp, equality_twin)):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            lp = generate(rng)
+            parent = solve_lp(lp, cfg)
+            if parent.status is not SolveStatus.OPTIMAL:
+                continue
+            cols = parent.basis.columns
+            inner = [j for j in cols[cols < lp.n_vars]
+                     if lp.lower[j] + 1e-6 < parent.x[j] < lp.upper[j] - 1e-6]
+            if not inner:
+                continue
+            j = int(rng.choice(inner))
+            lower, upper = lp.lower.copy(), lp.upper.copy()
+            if rng.integers(3) == 0:  # a bound the parent point still meets
+                upper[j] = (parent.x[j] + upper[j]) / 2.0
+            else:  # a bound it breaks, anywhere up to the far end of the box
+                cut = rng.uniform(0.05, 1.0)
+                if rng.integers(2):
+                    upper[j] = parent.x[j] - cut * (parent.x[j] - lower[j])
+                else:
+                    lower[j] = parent.x[j] + cut * (upper[j] - parent.x[j])
+            child = LinearProgram(lp.sense, lp.c, lp.a, lp.relations, lp.b, lower, upper)
+
+            paths.clear()
+            warm = solve_lp(child, cfg, warm_start=parent)
+            assert paths and paths[-1] != "cold", "the warm start fell back to a cold solve"
+            seen.add(paths[0])
+            cold_sol = solve_lp(child, cfg)
+            expected = enumerate_lp_optimum(twin(child))
+            assert warm.status is cold_sol.status
+            if expected is None:
+                assert warm.status is SolveStatus.INFEASIBLE
+            else:
+                assert warm.status is SolveStatus.OPTIMAL
+                assert warm.objective == pytest.approx(expected, abs=1e-7)
+                assert warm.objective == pytest.approx(cold_sol.objective, abs=1e-7)
+    assert seen == {"primal", "dual", "certified"}
+
+
 def test_slack_start_needs_no_pivot(cfg):
     # every row's slack absorbs its rhs at the origin, so the slack basis is
     # already feasible and, with nothing to price, already optimal
@@ -218,7 +284,7 @@ def test_optimality_certificate(cfg):
         if sol.status is not SolveStatus.OPTIMAL:
             continue
         std = standardize(lp)
-        basis = sol.basis
+        basis = sol.basis.columns
         b_mat = std.a[:, basis]
         y = np.linalg.solve(b_mat.T, std.c[basis])
         d = std.c - std.a.T @ y

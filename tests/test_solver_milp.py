@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dea_closest import LinearProgram, SolverConfig, SolveStatus, solve_lp, solve_milp
+from dea_closest import LinearProgram, Solution, SolverConfig, SolveStatus, solve_lp, solve_milp
 
 from conftest import enumerate_milp_optimum, random_binary_lp, random_complementarity_lp
 
@@ -70,11 +70,11 @@ def test_node_limit(cfg):
 def test_warm_start_accepted_and_harmless(cfg):
     lp = knapsack()
     plain = solve_milp(lp, cfg)
-    warm = solve_milp(lp, cfg, warm_start=np.array([1.0, 1.0, 0.0]))
+    warm = solve_milp(lp, cfg, warm_start=Solution(SolveStatus.OPTIMAL, 7.0, np.array([1.0, 1.0, 0.0])))
     assert warm.status is SolveStatus.OPTIMAL
     assert warm.objective == pytest.approx(plain.objective)
     # infeasible hints are dropped, not trusted
-    bogus = solve_milp(lp, cfg, warm_start=np.array([1.0, 1.0, 1.0]))
+    bogus = solve_milp(lp, cfg, warm_start=Solution(SolveStatus.OPTIMAL, 12.0, np.array([1.0, 1.0, 1.0])))
     assert bogus.objective == pytest.approx(plain.objective)
 
 

@@ -120,15 +120,9 @@ def classify_rts(bounds: RtsBounds, cfg: SolverConfig = SolverConfig()) -> RtsLa
 
 def closest_rts(dataset: Dataset, j_e: EfficientSet, o: int,
                 priority: PriorityRanking,
-                cfg: SolverConfig = SolverConfig(),
-                projection: Projection | None = None) -> CrtsResult:
-    """RTS of the DMU's unique closest projection (the DMU itself when efficient).
-
-    ``projection`` may carry that projection when the caller already has it
-    (``closest_projection`` of the same arguments); it is then not solved again.
-    """
-    if projection is None:
-        projection = closest_projection(dataset, j_e, o, priority, cfg)
+                cfg: SolverConfig = SolverConfig()) -> CrtsResult:
+    """RTS of the DMU's unique closest projection (the DMU itself when efficient)."""
+    projection = closest_projection(dataset, j_e, o, priority, cfg)
     bounds = intercept_bounds(dataset, projection.target_inputs,
                               projection.target_outputs, cfg)
     return CrtsResult(o, projection, bounds, classify_rts(bounds, cfg))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Basis, LinearProgram, Solution, SolveStatus, SolverConfig
-from .simplex import solve_lp, solve_standardized, standardize
+from .simplex import check_warm_start, solve_lp, solve_standardized, standardize
 
 
 def _branching(x: np.ndarray, lp: LinearProgram, cfg: SolverConfig
@@ -93,8 +93,10 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
     An unbounded relaxation is reported as UNBOUNDED; exhausting
     ``cfg.max_nodes`` returns NODE_LIMIT with the best incumbent found so
     far, if any.  The returned ``basis`` is that of the node that found the
-    incumbent, or the warm start's own when no node improved on it.
+    incumbent, or the warm start's own when no node improved on it.  A
+    ``warm_start`` that is not a Solution raises TypeError.
     """
+    check_warm_start(warm_start)
     if not lp.is_mixed:
         return solve_lp(lp, cfg, warm_start)
 

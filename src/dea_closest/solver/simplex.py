@@ -22,8 +22,11 @@ largest bound violation and enters by the ratio test |d_j|/|alpha_rj|, ties
 going to the largest |alpha_rj|.  It reports an infeasible program only when
 the leaving row, read as a bound over the variable box, certifies it.
 Whenever the warm path cannot certify its answer (neither feasibility holds,
-a numerical guard fires, the budget runs out), the program is solved cold,
-so results never depend on the start.
+a numerical guard fires, the budget runs out), the program is solved cold.
+The start can still change the result where a cold solve stops early: a
+warm start may reach the optimum of a node whose cold solve halts at a
+vertex that still has a barely eligible improving column, or finish where
+the cold solve runs out of iterations.
 
 Pricing is Dantzig's rule in both directions, switching permanently to
 Bland's rule after a run of degenerate pivots so that no solve can cycle.
@@ -458,10 +461,7 @@ class _Simplex:
             alpha = b_inv[r] @ a
             alpha[basis] = 0.0
             signed = alpha if raise_r else -alpha
-            cand = (((vstatus == _AT_LOWER) & (signed < -ptol))
-                    | ((vstatus == _AT_UPPER) & (signed > ptol))
-                    | ((vstatus == _FREE) & (np.abs(alpha) > ptol)))
-            cand[fixed] = False
+            cand = self._improving(signed, ptol, vstatus, fixed)
             if not cand.any():
                 return (SolveStatus.INFEASIBLE if self._row_certifies(b_inv[r], alpha, basis[r], raise_r)
                         else SolveStatus.ITERATION_LIMIT)
@@ -512,6 +512,13 @@ def solve_standardized(std: StandardizedLP, cfg: SolverConfig,
     return status, x[: std.n_struct].copy(), obj, sx.iterations, Basis(basis, x)
 
 
+def check_warm_start(warm_start) -> None:
+    """Reject a warm start that is not a Solution (or None)."""
+    if warm_start is not None and not isinstance(warm_start, Solution):
+        raise TypeError("warm_start must be a Solution of an earlier solve, "
+                        f"not {type(warm_start).__name__}")
+
+
 def solve_lp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
              warm_start: Solution | None = None) -> Solution:
     """Solve a linear program without binaries or complementarity pairs.
@@ -524,10 +531,12 @@ def solve_lp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
     Infeasibility and unboundedness are detected and reported as statuses;
     hitting ``max_iterations`` (cycling or severe ill-conditioning) is
     reported as ITERATION_LIMIT.  Dimension errors are raised when the
-    ``LinearProgram`` itself is constructed, never here.
+    ``LinearProgram`` itself is constructed, never here; a ``warm_start``
+    that is not a Solution raises TypeError.
     """
     if lp.is_mixed:
         raise ValueError("program has binaries or complementarity pairs; use solve_milp")
+    check_warm_start(warm_start)
     std = standardize(lp)
     start = warm_start.basis if warm_start is not None else None
     status, x, obj, iters, basis = solve_standardized(std, cfg, start=start)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from dea_closest import (AnalysisError, RtsBounds, RtsLabel, classify_rts, closest_projection,
-                         closest_rts, default_priority, efficient_set, intercept_bounds,
-                         projection, solve_milp)
+from dea_closest import (AnalysisError, RtsBounds, RtsLabel, classify_rts, closest_rts,
+                         default_priority, efficient_set, intercept_bounds)
 
 from conftest import random_dataset
 
@@ -139,24 +138,3 @@ def test_every_frontier_point_gets_one_label(cfg):
         assert isinstance(r.label, RtsLabel)
         labels.add(r.label)
     assert labels  # at least one classification produced
-
-
-def test_crts_reuses_a_supplied_projection(eight_dmu, je8, cfg, monkeypatch):
-    pri = default_priority(1, 1)
-    for o in (4, 5, 6, 7):
-        fresh = closest_rts(eight_dmu, je8, o, pri, cfg)
-        proj = closest_projection(eight_dmu, je8, o, pri, cfg)
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve_milp(*args, **kwargs)
-
-        monkeypatch.setattr(projection, "solve_milp", counting)
-        reused = closest_rts(eight_dmu, je8, o, pri, cfg, projection=proj)
-        monkeypatch.undo()
-        assert calls == []
-        assert reused.projection is proj
-        assert reused.label is fresh.label
-        assert reused.bounds == fresh.bounds
-        assert np.array_equal(reused.projection.slacks, fresh.projection.slacks)

@@ -78,6 +78,16 @@ def test_warm_start_accepted_and_harmless(cfg):
     assert bogus.objective == pytest.approx(plain.objective)
 
 
+def test_warm_start_must_be_a_solution(cfg):
+    lp = knapsack()
+    point = np.array([1.0, 1.0, 0.0])
+    with pytest.raises(TypeError, match="Solution"):
+        solve_milp(lp, cfg, warm_start=point)
+    relaxed = LinearProgram("max", lp.c, lp.a, lp.relations, lp.b, lp.lower, lp.upper)
+    with pytest.raises(TypeError, match="Solution"):
+        solve_lp(relaxed, cfg, warm_start=point)
+
+
 def test_matches_enumeration_on_random_milps(cfg):
     inputs = (
         (31415, lambda rng: random_binary_lp(rng, max_binaries=8), 8),

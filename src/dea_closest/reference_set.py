@@ -24,6 +24,7 @@ from .efficiency import EfficientSet
 from .errors import AnalysisError
 from .projection import Projection
 from .solver import LinearProgram, SolveStatus, SolverConfig, solve_lp
+from .solver.model import FEAS_TOL
 
 BORDERLINE_WEIGHT = 1e-9
 
@@ -92,7 +93,7 @@ def maximal_weights(sol: MaxSupportSolution, cfg: SolverConfig = SolverConfig())
     """Intensity vector with maximal support, scaled back to a convex combination."""
     t = sol.alpha.size - 1
     denom = float(sol.alpha[t] + sol.beta[t])
-    if denom < 1.0 - cfg.feas_tol * 10:
+    if denom < 1.0 - FEAS_TOL * 10:
         # any optimum can be rescaled so the target aggregate reaches 1
         raise AnalysisError(f"support LP for DMU {sol.dmu!r}: target aggregate {denom} below 1")
     return (sol.alpha[:t] + sol.beta[:t]) / denom

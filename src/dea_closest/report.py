@@ -49,6 +49,12 @@ class RunConfig:
             raise ValidationError(f"unknown output format {self.output_format!r}")
         if not self.input_path:
             raise ValidationError("input path must not be empty")
+        if self.tol is not None and not 0.0 < self.tol < np.inf:
+            raise ValidationError(f"--tol must be a positive finite number, got {self.tol}")
+        for flag, limit in (("--max-iterations", self.max_iterations),
+                            ("--max-nodes", self.max_nodes)):
+            if limit is not None and limit <= 0:
+                raise ValidationError(f"{flag} must be a positive integer, got {limit}")
 
     def solver_config(self) -> SolverConfig:
         kwargs = {}

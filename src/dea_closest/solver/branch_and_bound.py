@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Basis, LinearProgram, Solution, SolveStatus, SolverConfig
+from .model import FEAS_TOL, INT_TOL, Basis, LinearProgram, Solution, SolveStatus, SolverConfig
 from .simplex import check_warm_start, solve_lp, solve_standardized, standardize
 
 
-def _branching(x: np.ndarray, lp: LinearProgram, cfg: SolverConfig
-               ) -> tuple[tuple[int, float], ...]:
+def _branching(x: np.ndarray, lp: LinearProgram) -> tuple[tuple[int, float], ...]:
     """Bound-fix alternatives ``(column, value)`` that split the node at ``x``,
     the preferred one last, or () when ``x`` needs no branching.
 
@@ -37,7 +36,7 @@ def _branching(x: np.ndarray, lp: LinearProgram, cfg: SolverConfig
     bin_idx = np.flatnonzero(lp.binary)
     vals = x[bin_idx]
     frac = np.abs(vals - np.round(vals))
-    open_bins = np.flatnonzero(frac > cfg.int_tol)
+    open_bins = np.flatnonzero(frac > INT_TOL)
     if open_bins.size:
         k = int(open_bins[np.argmin(np.abs(vals[open_bins] - 0.5))])
         j = int(bin_idx[k])
@@ -48,7 +47,7 @@ def _branching(x: np.ndarray, lp: LinearProgram, cfg: SolverConfig
     if len(pairs) == 0:
         return ()
     xa, xb = x[pairs[:, 0]], x[pairs[:, 1]]
-    violated = np.minimum(xa, xb) > 10.0 * cfg.feas_tol  # a smaller member below this is zero
+    violated = np.minimum(xa, xb) > 10.0 * FEAS_TOL  # a smaller member below this is zero
     if not violated.any():
         return ()
     k = int(np.argmax(np.where(violated, xa * xb, -np.inf)))
@@ -57,8 +56,7 @@ def _branching(x: np.ndarray, lp: LinearProgram, cfg: SolverConfig
     return (large, 0.0), (small, 0.0)
 
 
-def _warm_objective(lp: LinearProgram, std, x: np.ndarray | None, cfg: SolverConfig
-                    ) -> float | None:
+def _warm_objective(lp: LinearProgram, std, x: np.ndarray | None) -> float | None:
     """Min-sense objective of a caller-supplied feasible point, or None if the
     point fails a feasibility screen (then the hint is silently dropped)."""
     if x is None or len(x) != lp.n_vars:
@@ -75,7 +73,7 @@ def _warm_objective(lp: LinearProgram, std, x: np.ndarray | None, cfg: SolverCon
             return None
         if rel == ">=" and r < -tol:
             return None
-    if _branching(x, lp, cfg):
+    if _branching(x, lp):
         return None
     return float(std.c[: lp.n_vars] @ x)
 
@@ -106,7 +104,7 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
     inc_obj = np.inf
     inc_basis: Basis | None = None
     root_start = warm_start.basis if warm_start is not None else None
-    warm = _warm_objective(lp, std, warm_start.x if warm_start is not None else None, cfg)
+    warm = _warm_objective(lp, std, warm_start.x if warm_start is not None else None)
     if warm is not None:
         inc_x = np.asarray(warm_start.x, dtype=float).copy()
         inc_obj = warm
@@ -136,7 +134,7 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
         if obj >= inc_obj - 1e-9 * max(1.0, abs(inc_obj)):
             continue
 
-        alternatives = _branching(x, lp, cfg)
+        alternatives = _branching(x, lp)
         if not alternatives:
             inc_x, inc_obj, inc_basis = x, obj, basis
             continue

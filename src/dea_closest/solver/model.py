@@ -18,37 +18,33 @@ class SolveStatus(Enum):
     NODE_LIMIT = "node_limit"
 
 
+# Fixed tolerances of the solver
+FEAS_TOL = 1e-9  # constraint and bound satisfaction
+PIVOT_TOL = 1e-9  # reduced-cost and pivot-element threshold in the simplex
+INT_TOL = 1e-6  # how far a binary may sit from {0, 1} and still count as integral
+DEGEN_LIMIT = 50  # degenerate pivots in a row before pricing switches from Dantzig to Bland
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and limits shared by every solve in the pipeline.
+    """Reporting threshold and limits shared by every solve in the pipeline.
 
     Attributes
     ----------
-    feas_tol : constraint/bound satisfaction tolerance.
-    pivot_tol : reduced-cost and pivot-element threshold in the simplex.
-    int_tol : how far a binary may sit from {0, 1} and still count as integral.
     zero_tol : reporting threshold; values below it are treated as zero when
         classifying efficiency, reference-set membership, and returns to scale.
     max_iterations : simplex pivot budget per LP solve; a warm start that gives
         up leaves the cold solve that replaces it a full budget.
     max_nodes : branch-and-bound node budget per MILP solve.
-    degen_limit : consecutive degenerate pivots tolerated before the pricing
-        rule switches from Dantzig to Bland (anti-cycling), in the primal and
-        the dual simplex alike.
     """
 
-    feas_tol: float = 1e-9
-    pivot_tol: float = 1e-9
-    int_tol: float = 1e-6
     zero_tol: float = 1e-7
     max_iterations: int = 20_000
     max_nodes: int = 1_000_000
-    degen_limit: int = 50
 
     def __post_init__(self):
-        for name in ("feas_tol", "pivot_tol", "int_tol", "zero_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        if not 0.0 < self.zero_tol < np.inf:
+            raise ValueError("zero_tol must be positive and finite")
         if self.max_iterations <= 0 or self.max_nodes <= 0:
             raise ValueError("iteration and node limits must be positive")
 

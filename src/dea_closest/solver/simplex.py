@@ -24,12 +24,14 @@ the leaving row, read as a bound over the variable box, certifies it.
 Whenever the warm path cannot certify its answer (neither feasibility holds,
 a numerical guard fires, the budget runs out), the program is solved cold.
 The start can still change the result where a cold solve stops early: a
-warm start may reach the optimum of a node whose cold solve halts at a
-vertex that still has a barely eligible improving column, or finish where
-the cold solve runs out of iterations.
+warm start may finish where the cold solve hits a numerical guard or runs
+out of iterations.
 
 Pricing is Dantzig's rule in both directions, switching permanently to
 Bland's rule after a run of degenerate pivots so that no solve can cycle.
+The primal pivots on whatever row its ratio test picks; a basis that this
+leaves too ill-conditioned to reproduce its right-hand side, or whose final
+point breaks a bound, is reported as a solver limit, never as an optimum.
 The basic solution is recomputed from the basis factorization at every
 iteration (no tableau updates), which keeps residual drift at machine
 noise for the desk-scale systems this package targets.
@@ -41,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Basis, LinearProgram, Solution, SolveStatus, SolverConfig
+from .model import (DEGEN_LIMIT, FEAS_TOL, PIVOT_TOL, Basis, LinearProgram, Solution, SolveStatus,
+                    SolverConfig)
 
 # nonbasic/basic variable states
 _AT_LOWER = 0
@@ -51,7 +54,7 @@ _BASIC = 3
 
 _DEGEN_STEP = 1e-11
 _RATIO_TIE = 1e-12
-_PIVOT_FLOOR = 1e-7  # smallest pivot magnitude accepted while stable rows exist
+_PIVOT_FLOOR = 1e-7  # smallest pivot that may move a basic artificial onto a structural column
 _BOUND_TOL = 1e-7  # relative bound violation past which a final point is rejected
 
 
@@ -150,8 +153,6 @@ class _Simplex:
     def run(self, c_struct: np.ndarray, start: Basis | None = None
             ) -> tuple[SolveStatus, np.ndarray | None, np.ndarray | None]:
         """Returns (status, x, basis) over the standardized columns."""
-        if self.rows == 0:
-            return self._run_unconstrained(c_struct)
         if start is not None:
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 result = self._run_warm(c_struct, start)
@@ -234,26 +235,12 @@ class _Simplex:
 
     def _infeasibility_cut(self) -> float:
         """Phase-1 infeasibility below which a program counts as feasible."""
-        return self.cfg.feas_tol * (1.0 + np.abs(self.b).max()) * 10.0
+        return FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0)) * 10.0
 
     def _holds_bounds(self, x: np.ndarray) -> bool:
         below = x < self.lower - _BOUND_TOL * (1.0 + np.abs(self.lower))
         above = x > self.upper + _BOUND_TOL * (1.0 + np.abs(self.upper))
         return not (below.any() or above.any())
-
-    def _run_unconstrained(self, c: np.ndarray):
-        """No rows: each variable independently sits at its cheapest bound."""
-        x = np.empty(self.n)
-        for j in range(self.n):
-            if c[j] > self.cfg.pivot_tol:
-                x[j] = self.lower[j]
-            elif c[j] < -self.cfg.pivot_tol:
-                x[j] = self.upper[j]
-            else:
-                x[j] = self.lower[j] if np.isfinite(self.lower[j]) else min(0.0, self.upper[j])
-            if not np.isfinite(x[j]):
-                return SolveStatus.UNBOUNDED, None, None
-        return SolveStatus.OPTIMAL, x, np.empty(0, dtype=int)
 
     def _evict_artificials(self, a_ext, basis, vstatus, n):
         """Pivot basic artificials onto structural columns where possible."""
@@ -302,7 +289,7 @@ class _Simplex:
         # reduced-cost noise grows with the dual magnitudes, so the zero
         # threshold is scaled per column; an absolute cutoff would let
         # noise-level "improvements" drive pivots on degenerate cones
-        dtol = self.cfg.pivot_tol * (1.0 + a_abs.T @ np.abs(y))
+        dtol = PIVOT_TOL * (1.0 + a_abs.T @ np.abs(y))
         return b_inv, d, dtol
 
     @staticmethod
@@ -319,7 +306,7 @@ class _Simplex:
         ones switches pricing to Bland's rule for the rest of the attempt."""
         if step <= _DEGEN_STEP:
             self._degen_run += 1
-            if self._degen_run > self.cfg.degen_limit:
+            if self._degen_run > DEGEN_LIMIT:
                 self.bland = True
         else:
             self._degen_run = 0
@@ -330,10 +317,8 @@ class _Simplex:
             return self._pivot_loop(c, a_ext, lo, up, basis, vstatus)
 
     def _pivot_loop(self, c, a_ext, lo, up, basis, vstatus):
-        ptol = self.cfg.pivot_tol
-        n_ext = a_ext.shape[1]
         fixed = lo == up
-        x = np.zeros(n_ext)
+        x = np.zeros(a_ext.shape[1])
         a_abs = np.abs(a_ext)
         while True:
             factors = self._factor(c, a_ext, a_abs, lo, up, basis, vstatus, x)
@@ -348,73 +333,45 @@ class _Simplex:
                 return SolveStatus.ITERATION_LIMIT, None
             self.iterations += 1
 
-            # entering candidates in rule order; a candidate whose only blocking
-            # pivots are numerically tiny is skipped (it is near-dependent on the
-            # basis and would wreck the factorization), unless nothing else moves
-            move = None
-            banned = np.zeros(n_ext, dtype=bool)
-            while True:
-                cand = elig & ~banned
-                if not cand.any():
-                    break
-                if self.bland:
-                    q = int(np.flatnonzero(cand)[0])
-                else:
-                    score = np.where(cand, np.abs(d), -1.0)
-                    q = int(np.argmax(score))
-                if vstatus[q] == _AT_LOWER:
-                    sigma = 1.0
-                elif vstatus[q] == _AT_UPPER:
-                    sigma = -1.0
-                else:
-                    sigma = 1.0 if d[q] < 0 else -1.0
-
-                w = b_inv @ a_ext[:, q]
-                delta = -sigma * w  # basic change per unit step of the entering variable
-
-                xb = x[basis]
-                t = np.full(self.rows, np.inf)
-                pos = delta > ptol
-                neg = delta < -ptol
-                t[pos] = (up[basis[pos]] - xb[pos]) / delta[pos]
-                t[neg] = (lo[basis[neg]] - xb[neg]) / delta[neg]
-                t[np.isnan(t)] = np.inf
-                np.maximum(t, 0.0, out=t)
-                t_row = t.min() if self.rows else np.inf
-                t_flip = up[q] - lo[q]
-
-                if min(t_row, t_flip) == np.inf:
-                    return SolveStatus.UNBOUNDED, None
-
-                if t_flip <= t_row:
-                    move = ("flip", q, sigma, t_flip)
-                    break
-                ties = np.flatnonzero(t <= t_row + _RATIO_TIE)
-                if self.bland:
-                    r = int(ties[np.argmin(basis[ties])])
-                else:
-                    r = int(ties[np.argmax(np.abs(delta[ties]))])
-                stable = abs(delta[r]) >= _PIVOT_FLOOR * max(1.0, float(np.abs(delta).max()))
-                if stable or self.bland:
-                    move = ("pivot", q, r, delta[r], t_row)
-                    break
-                banned[q] = True
-
-            if move is None:
-                # only near-dependent candidates remain; their reduced costs are
-                # at noise level relative to any stable pivot, so stop here
-                return None, x
-
-            if move[0] == "flip":
-                _, q, sigma, step = move
-                vstatus[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
+            if self.bland:
+                q = int(np.flatnonzero(elig)[0])
             else:
-                _, q, r, delta_r, step = move
-                leaving = basis[r]
-                vstatus[leaving] = _AT_UPPER if delta_r > 0 else _AT_LOWER
-                basis[r] = q
-                vstatus[q] = _BASIC
-            self._count_step(step)
+                q = int(np.argmax(np.where(elig, np.abs(d), -1.0)))
+            if vstatus[q] == _AT_LOWER:
+                sigma = 1.0
+            elif vstatus[q] == _AT_UPPER:
+                sigma = -1.0
+            else:
+                sigma = 1.0 if d[q] < 0 else -1.0
+            delta = -sigma * (b_inv @ a_ext[:, q])  # basic change per unit step of the entering variable
+
+            xb = x[basis]
+            t = np.full(self.rows, np.inf)
+            pos = delta > PIVOT_TOL
+            neg = delta < -PIVOT_TOL
+            t[pos] = (up[basis[pos]] - xb[pos]) / delta[pos]
+            t[neg] = (lo[basis[neg]] - xb[neg]) / delta[neg]
+            t[np.isnan(t)] = np.inf
+            np.maximum(t, 0.0, out=t)
+            t_row = t.min(initial=np.inf)
+            t_flip = up[q] - lo[q]
+
+            if min(t_row, t_flip) == np.inf:
+                return SolveStatus.UNBOUNDED, None
+
+            if t_flip <= t_row:
+                vstatus[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
+                self._count_step(t_flip)
+                continue
+            ties = np.flatnonzero(t <= t_row + _RATIO_TIE)
+            if self.bland:
+                r = int(ties[np.argmin(basis[ties])])
+            else:
+                r = int(ties[np.argmax(np.abs(delta[ties]))])
+            vstatus[basis[r]] = _AT_UPPER if delta[r] > 0 else _AT_LOWER
+            basis[r] = q
+            vstatus[q] = _BASIC
+            self._count_step(t_row)
 
     def _dual_loop(self, c, basis, vstatus):
         """Bounded dual simplex over the standardized system until the basic
@@ -427,7 +384,6 @@ class _Simplex:
         certifying infeasibility, or the budget runs out.
         """
         a, lo, up = self.a, self.lower, self.upper
-        ptol = self.cfg.pivot_tol
         fixed = lo == up
         a_abs = np.abs(a)
         x = np.zeros(self.n)
@@ -441,7 +397,7 @@ class _Simplex:
             below = lo[basis] - xb
             above = xb - up[basis]
             excess = np.maximum(below, above)
-            violated = excess > self.cfg.feas_tol * (1.0 + np.abs(xb))
+            violated = excess > FEAS_TOL * (1.0 + np.abs(xb))
             if not violated.any():
                 return None
             if first and self._improving(d, dtol, vstatus, fixed).any():
@@ -461,7 +417,7 @@ class _Simplex:
             alpha = b_inv[r] @ a
             alpha[basis] = 0.0
             signed = alpha if raise_r else -alpha
-            cand = self._improving(signed, ptol, vstatus, fixed)
+            cand = self._improving(signed, PIVOT_TOL, vstatus, fixed)
             if not cand.any():
                 return (SolveStatus.INFEASIBLE if self._row_certifies(b_inv[r], alpha, basis[r], raise_r)
                         else SolveStatus.ITERATION_LIMIT)

@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from dea_closest import efficient_set, evaluate_all, evaluate_bcc
+from dea_closest import efficient_set, evaluate_all, evaluate_bcc, load_dataset
 
 from conftest import make_dataset, multiplier_score, random_dataset
 
@@ -101,3 +103,40 @@ def test_multiplier_model_cross_check(eight_dmu, four_dmu, cfg):
         for o in range(ds.n):
             theta = evaluate_bcc(ds, o, cfg).theta
             assert multiplier_score(ds, o, cfg) == pytest.approx(theta, abs=1e-6)
+
+
+# 12 DMUs, 6 of them on a known frontier, with every column rescaled by a
+# power of ten (inputs near 1e0, outputs near 1e3 and 1e5)
+RESCALED_BCC_CSV = """dmu,in:x1,in:x2,out:y1,out:y2
+U1,1.4955,9.006100000000002,4469.3,595090.0
+U2,5.5358,6.5374,5041.599999999999,398330.0
+U3,5.8950000000000005,3.7797,6411.400000000001,280510.0
+U4,1.0286,7.732200000000001,2413.5,904340.0
+U5,5.569800000000001,2.822,6052.7,241980.0
+U6,0.8252000000000002,6.642700000000001,7217.1,475310.0
+U7,6.554300000000001,5.601400000000001,9933.5,478350.0
+U8,5.4413,3.1502,3423.6,382750.0
+U9,4.2303,1.8210000000000002,5038.0,592730.0
+U10,4.2236,3.4401000000000006,7403.5,467170.0
+U11,5.543500000000001,6.4266000000000005,6377.5,467620.0
+U12,5.6604,0.8921,8069.499999999999,63920.0
+"""
+
+
+def test_bcc_scores_match_highs_on_rescaled_columns(cfg):
+    # theta=1, lambda_o=1 is always feasible, yet phase 1 once stopped at a
+    # vertex it took for optimal and reported U6's program "infeasible"
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ds = load_dataset(io.StringIO(RESCALED_BCC_CSV))
+    for o in range(ds.n):
+        # min theta over [theta, lambda]: X lambda <= theta x_o, Y lambda >= y_o,
+        # sum lambda = 1
+        c = np.concatenate([[1.0], np.zeros(ds.n)])
+        a_ub = np.vstack([np.column_stack([-ds.x[o], ds.x.T]),
+                          np.column_stack([np.zeros(ds.s), -ds.y.T])])
+        b_ub = np.concatenate([np.zeros(ds.m), -ds.y[o]])
+        a_eq = np.concatenate([[0.0], np.ones(ds.n)])[None, :]
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+                      bounds=[(0, None)] * (1 + ds.n), method="highs")
+        assert res.status == 0
+        assert abs(evaluate_bcc(ds, o, cfg).theta - res.fun) <= 1e-6, ds.names[o]

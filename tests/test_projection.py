@@ -303,7 +303,7 @@ def test_warm_started_stages_stay_within_five_pivots_per_node(monkeypatch, cfg):
 
 def test_degenerate_dual_pivots_switch_to_bland_and_finish(monkeypatch, cfg):
     # dataset 46 of the acceptance property suite: a child node of DMU U1's
-    # stages takes more than degen_limit degenerate dual pivots in a row;
+    # stages takes more than DEGEN_LIMIT degenerate dual pivots in a row;
     # Dantzig's choice alone cycles there until the iteration limit
     rng = np.random.default_rng(895623)
     for _ in range(47):
@@ -402,3 +402,28 @@ def test_stage_optima_match_highs_on_rescaled_columns(cfg):
         else:
             checked.append(ds.names[o])
     assert "U5" in checked and len(checked) >= 5
+
+
+def test_cold_node_relaxations_match_highs_on_rescaled_columns(cfg):
+    # U5's stage-1 relaxation with one lambda zeroed at a time, as a
+    # branch-and-bound child sees it, solved cold.  When every improving
+    # column's blocking pivot failed a relative size test, the simplex once
+    # reported that vertex as optimal: 104.84 for lambda 4 where HiGHS finds 0
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ds = load_dataset(io.StringIO(RESCALED_UNITS_CSV))
+    je = efficient_set(ds, cfg)
+    o = ds.names.index("U5")
+    target = default_priority(ds.m, ds.s).order[0]
+    stage = build_stage_program(ds, je, o, [], target)
+    own = np.concatenate([ds.x[o], ds.y[o]])[target]
+    for k in range(je.size):
+        lower, upper = stage.lower.copy(), stage.upper.copy()
+        lower[k] = upper[k] = 0.0
+        lp = LinearProgram(stage.sense, stage.c, stage.a, stage.relations, stage.b,
+                           lower, upper)
+        sol = solve_lp(lp, cfg)
+        res = linprog(lp.c, A_eq=lp.a, b_eq=lp.b, bounds=np.column_stack([lower, upper]),
+                      method="highs")
+        assert res.status == 0 and sol.status is SolveStatus.OPTIMAL, f"lambda {k}"
+        assert abs(sol.objective - res.fun) <= 1e-6 * own, (
+            f"lambda {k}: {sol.objective} against {res.fun}")

@@ -190,6 +190,15 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
     assert main(["report", "--input", str(empty), "--priority", "out:nope"]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
+                                         ("--tol", "inf"), ("--max-iterations", "0"),
+                                         ("--max-nodes", "-3")])
+def test_cli_rejects_out_of_range_settings(table_path, capsys, flag, value):
+    assert main(["report", "--input", table_path, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+
+
 def test_cli_solver_limit_exit_code(table_path, capsys):
     assert main(["efficiency", "--input", table_path, "--max-iterations", "1"]) == 3
     assert "solver limit" in capsys.readouterr().err

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dea_closest import LinearProgram, SolverConfig, SolveStatus, solve_lp
+from dea_closest import LinearProgram, SolverConfig, SolveStatus, solve_lp, solve_milp
 from dea_closest.solver import simplex
+from dea_closest.solver.model import FEAS_TOL, PIVOT_TOL
 from dea_closest.solver.simplex import standardize
 
 from dea_closest.returns_to_scale import _intercept_program
@@ -51,6 +52,48 @@ def test_unbounded(cfg):
     sol = solve_lp(lp, cfg)
     assert sol.status is SolveStatus.UNBOUNDED
     assert sol.objective == -np.inf
+
+
+def cheapest_bound_objective(lp: LinearProgram) -> float:
+    """Optimum of a program without rows: every variable sits at its cheapest
+    bound, and one that has no such bound makes the program unbounded."""
+    sign = 1.0 if lp.sense == "min" else -1.0
+    total = 0.0
+    for cj, lo, up in zip(sign * lp.c, lp.lower, lp.upper):
+        if cj != 0.0:
+            bound = lo if cj > 0 else up
+            if not np.isfinite(bound):
+                return -sign * np.inf
+            total += cj * bound
+    return sign * total
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_programs_without_rows(sense, cfg):
+    rng = np.random.default_rng(5)
+    statuses = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        c = rng.choice([-2.0, -0.5, 0.0, 1.0, 3.0], n)
+        upper = rng.choice([-1.0, 0.0, 2.0, 5.0, np.inf], n)
+        lower = np.minimum(rng.choice([-np.inf, -2.0, 0.0, 1.5], n), upper)
+        binary = rng.random(n) < 0.4
+        lower[binary], upper[binary] = 0.0, 1.0
+        expected = None
+        for mask, solve in ((None, solve_lp), (binary, solve_milp)):
+            lp = LinearProgram(sense, c, np.zeros((0, n)), (), [], lower, upper, binary=mask)
+            expected = cheapest_bound_objective(lp)
+            sol = solve(lp, cfg)
+            if np.isinf(expected):
+                assert sol.status is SolveStatus.UNBOUNDED
+                assert sol.objective == expected
+            else:
+                assert sol.status is SolveStatus.OPTIMAL
+                assert sol.objective == pytest.approx(expected, abs=1e-12)
+                assert np.all((sol.x >= lower) & (sol.x <= upper))
+                assert np.array_equal(sol.x[binary], np.round(sol.x[binary]))
+            statuses.add(sol.status)
+    assert statuses == {SolveStatus.OPTIMAL, SolveStatus.UNBOUNDED}
 
 
 def test_free_variable(cfg):
@@ -268,9 +311,9 @@ def test_returned_point_is_feasible(cfg):
         sol = solve_lp(lp, cfg)
         if sol.status is not SolveStatus.OPTIMAL:
             continue
-        assert np.all(sol.x >= lp.lower - cfg.feas_tol)
-        assert np.all(sol.x <= lp.upper + cfg.feas_tol)
-        assert np.abs(lp.a @ sol.x - lp.b).max() < cfg.feas_tol
+        assert np.all(sol.x >= lp.lower - FEAS_TOL)
+        assert np.all(sol.x <= lp.upper + FEAS_TOL)
+        assert np.abs(lp.a @ sol.x - lp.b).max() < FEAS_TOL
 
 
 def test_optimality_certificate(cfg):
@@ -288,7 +331,7 @@ def test_optimality_certificate(cfg):
         b_mat = std.a[:, basis]
         y = np.linalg.solve(b_mat.T, std.c[basis])
         d = std.c - std.a.T @ y
-        dtol = cfg.pivot_tol * (1.0 + np.abs(std.a).T @ np.abs(y)) + 1e-9
+        dtol = PIVOT_TOL * (1.0 + np.abs(std.a).T @ np.abs(y)) + 1e-9
         for j in range(lp.n_vars):  # structural columns; slack positions not reported
             if j in basis:
                 continue

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dea_closest import LinearProgram, Solution, SolverConfig, SolveStatus, solve_lp, solve_milp
+from dea_closest.solver.model import INT_TOL
 
 from conftest import enumerate_milp_optimum, random_binary_lp, random_complementarity_lp
 
@@ -107,7 +108,7 @@ def test_matches_enumeration_on_random_milps(cfg):
                 assert sol.status is SolveStatus.OPTIMAL
                 assert sol.objective == pytest.approx(expected, abs=1e-7)
                 frac = np.abs(sol.x[lp.binary] - np.round(sol.x[lp.binary]))
-                assert frac.max(initial=0.0) <= cfg.int_tol
+                assert frac.max(initial=0.0) <= INT_TOL
                 pairs = lp.complements
                 assert np.minimum(sol.x[pairs[:, 0]], sol.x[pairs[:, 1]]).max(initial=0.0) <= 1e-8
         assert feasible > minimum

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class DeaError(Exception):
     """Base class for all errors raised by this package."""
@@ -38,3 +40,13 @@ class AnalysisError(DeaError):
     efficient frontier. Indicates a bug or a broken precondition, not bad
     user data.
     """
+
+
+@contextmanager
+def failure_context(prefix: str):
+    """Re-raise a solver-limit or analysis failure with ``prefix`` in front of
+    its message, keeping its type (and so its CLI exit code)."""
+    try:
+        yield
+    except (SolverLimitError, AnalysisError) as exc:
+        raise type(exc)(f"{prefix}: {exc}") from exc

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .data import Dataset, PriorityRanking, load_dataset, priority_from_labels
 from .efficiency import EfficiencyResult, EfficientSet, evaluate_all
-from .errors import ValidationError
+from .errors import ValidationError, failure_context
 from .projection import Projection, closest_projection
 from .reference_set import McrsResult, identify_mcrs
 from .returns_to_scale import RtsBounds, RtsLabel, classify_rts, intercept_bounds
@@ -229,8 +229,9 @@ def analyze(dataset: Dataset, config: RunConfig, priority: PriorityRanking | Non
         if level >= 2:
             rec.mcrs = identify_mcrs(dataset, j_e, rec.projection, cfg)
         if level >= 3:
-            rec.rts_bounds = intercept_bounds(dataset, rec.projection.target_inputs,
-                                              rec.projection.target_outputs, cfg)
+            with failure_context(f"returns to scale of DMU {rec.name!r}"):
+                rec.rts_bounds = intercept_bounds(dataset, rec.projection.target_inputs,
+                                                  rec.projection.target_outputs, cfg)
             rec.rts_label = classify_rts(rec.rts_bounds, cfg)
         records.append(rec)
 

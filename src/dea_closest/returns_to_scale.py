@@ -5,7 +5,8 @@ against the point's own inputs) has an intercept range whose sign decides
 the local scaling behavior: strictly negative everywhere means increasing
 returns, strictly positive means decreasing, and a range straddling zero
 means constant.  For an inefficient DMU the classification is performed at
-its unique closest projection (closest RTS).
+its unique closest projection (closest RTS).  Each end of the range is an
+LP in envelopment form (Banker & Thrall 1992), with m+s+1 rows for any n.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, PriorityRanking
 from .efficiency import EfficientSet
-from .errors import AnalysisError, SolverLimitError
+from .errors import AnalysisError, SolverLimitError, failure_context
 from .projection import Projection, closest_projection
 from .solver import LinearProgram, SolveStatus, SolverConfig, solve_lp
 
@@ -32,10 +33,10 @@ class RtsLabel(Enum):
 class RtsBounds:
     """Intercept range of the supporting hyperplanes at a frontier point.
 
-    ``upper``/``lower`` may be +inf/-inf (endpoint points admit vertical
-    supporting families).  ``stage_count`` records whether the minimizing
-    stage was actually solved; when the maximizing stage already forces the
-    label (upper < 0), the lower bound is reported as -inf unsolved.
+    ``upper`` may be +inf (endpoint points admit vertical supporting
+    families); ``lower`` is at least -1.  ``stage_count`` records whether the
+    minimizing stage was solved; when the maximizing stage already forces the
+    label (upper < 0), ``lower`` is reported as -inf unsolved.
     """
 
     upper: float
@@ -53,60 +54,58 @@ class CrtsResult:
 
 def _intercept_program(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
                        sense: str) -> LinearProgram:
-    """Hyperplane multipliers [w_in (m), w_out (s), intercept], normalized so
-    the input prices of the evaluated point sum to 1, supporting every
-    observed DMU and binding at the point."""
+    """Dual of optimizing (``sense``) the intercept w0 over multipliers w >= 0
+    with w_in.point_x = 1, supporting every DMU and binding at the point.
+
+    Columns [u0, mu, lambda (n) >= 0]; rows x_p.u0 - x_p.mu - X'lambda >= 0,
+    y_p.mu + Y'lambda >= 0 and -mu - sum(lambda) = sigma.  "max" minimizes u0
+    with sigma = +1 and "min" maximizes -u0 with sigma = -1, so either
+    optimum is the intercept bound itself.
+    """
     n, m, s = dataset.n, dataset.m, dataset.s
-    nv = m + s + 1
-
-    # the normalization row, then the hyperplane row -w_in.x + w_out.y - w0
-    # of every observed DMU and last of the point itself
-    a = np.zeros((n + 2, nv))
-    a[0, :m] = point_x
-    a[1:] = np.hstack([-np.vstack([dataset.x, point_x]), np.vstack([dataset.y, point_y]),
-                       -np.ones((n + 1, 1))])
-    b = np.concatenate([[1.0], np.zeros(n + 1)])
-    rel = ("=",) + ("<=",) * n + ("=",)
-
-    c = np.zeros(nv)
-    c[m + s] = 1.0
-    lower = np.zeros(nv)
-    lower[m + s] = -np.inf
-    upper = np.full(nv, np.inf)
-    return LinearProgram(sense, c, a, rel, b, lower, upper)
+    sigma, dual_sense = (1.0, "min") if sense == "max" else (-1.0, "max")
+    a = np.zeros((m + s + 1, n + 2))
+    a[:m, 0] = point_x
+    a[:m, 1] = -point_x
+    a[:m, 2:] = -dataset.x.T
+    a[m:m + s, 1] = point_y
+    a[m:m + s, 2:] = dataset.y.T
+    a[m + s, 1:] = -1.0
+    return LinearProgram(dual_sense, np.r_[sigma, np.zeros(n + 1)], a,
+                         (">=",) * (m + s) + ("=",), np.r_[np.zeros(m + s), sigma],
+                         np.r_[-np.inf, -np.inf, np.zeros(n)], np.full(n + 2, np.inf))
 
 
 def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
                      cfg: SolverConfig = SolverConfig()) -> RtsBounds:
-    """Two-stage intercept range at a frontier point.
+    """Two-stage intercept range at a frontier point, statuses read by LP duality.
 
-    Stage 1 maximizes the intercept; when that already comes out negative
-    the label is decided and stage 2 (minimization) is skipped.  Unbounded
-    stages map to the corresponding infinity.  A frontier point always
-    supports at least one hyperplane, so infeasibility means the caller's
-    point is not on the frontier.
+    Stage 1 bounds the intercept from above; a negative bound decides the
+    label and stage 2 is skipped.  An unbounded dual means that no hyperplane
+    supports the point, so it is off the frontier.  An infeasible stage-1 dual
+    reads as upper = +inf; a point without support also gives one, and stage
+    2 then finds it.  Stage 2 is feasible at lambda=0, mu=1, u0=1: lower >= -1.
     """
     point_x = np.asarray(point_x, dtype=float)
     point_y = np.asarray(point_y, dtype=float)
 
-    hi = solve_lp(_intercept_program(dataset, point_x, point_y, "max"), cfg)
-    if hi.status is SolveStatus.INFEASIBLE:
-        raise AnalysisError("intercept bounds requested at a point that is not "
-                            "on the efficient frontier")
-    if hi.status is SolveStatus.ITERATION_LIMIT:
-        raise SolverLimitError("intercept maximization hit the iteration limit")
-    upper = np.inf if hi.status is SolveStatus.UNBOUNDED else float(hi.objective)
+    def solve(sense: str, stage: str):
+        sol = solve_lp(_intercept_program(dataset, point_x, point_y, sense), cfg)
+        if sol.status is SolveStatus.ITERATION_LIMIT:
+            raise SolverLimitError(f"intercept {stage} hit the iteration limit")
+        if sol.status is SolveStatus.UNBOUNDED:
+            raise AnalysisError("intercept bounds requested at a point that is not "
+                                "on the efficient frontier")
+        return sol
 
+    hi = solve("max", "maximization")
+    upper = np.inf if hi.status is SolveStatus.INFEASIBLE else float(hi.objective)
     if upper < -cfg.zero_tol:
         return RtsBounds(upper, -np.inf, 1)
-
-    lo = solve_lp(_intercept_program(dataset, point_x, point_y, "min"), cfg)
-    if lo.status is SolveStatus.ITERATION_LIMIT:
-        raise SolverLimitError("intercept minimization hit the iteration limit")
+    lo = solve("min", "minimization")
     if lo.status is SolveStatus.INFEASIBLE:
-        raise AnalysisError("intercept bounds inconsistent between stages")
-    lower = -np.inf if lo.status is SolveStatus.UNBOUNDED else float(lo.objective)
-    return RtsBounds(upper, lower, 2)
+        raise AnalysisError("intercept minimization returned infeasible")
+    return RtsBounds(upper, float(lo.objective), 2)
 
 
 def classify_rts(bounds: RtsBounds, cfg: SolverConfig = SolverConfig()) -> RtsLabel:
@@ -123,6 +122,7 @@ def closest_rts(dataset: Dataset, j_e: EfficientSet, o: int,
                 cfg: SolverConfig = SolverConfig()) -> CrtsResult:
     """RTS of the DMU's unique closest projection (the DMU itself when efficient)."""
     projection = closest_projection(dataset, j_e, o, priority, cfg)
-    bounds = intercept_bounds(dataset, projection.target_inputs,
-                              projection.target_outputs, cfg)
+    with failure_context(f"returns to scale of DMU {dataset.names[o]!r}"):
+        bounds = intercept_bounds(dataset, projection.target_inputs,
+                                  projection.target_outputs, cfg)
     return CrtsResult(o, projection, bounds, classify_rts(bounds, cfg))

@@ -93,6 +93,28 @@ def multiplier_score(ds: Dataset, o: int, cfg: SolverConfig) -> float:
     return float(sol.objective)
 
 
+def multiplier_intercept_program(ds: Dataset, px: np.ndarray, py: np.ndarray,
+                                 sense: str) -> LinearProgram:
+    """Supporting-hyperplane intercept program in multiplier form, the LP
+    dual of the envelopment-form program behind intercept_bounds.
+
+    max or min  w0
+    s.t. sum_i w_in_i px_i = 1
+         sum_r w_out_r y_rj - sum_i w_in_i x_ij - w0 <= 0   for every j
+         sum_r w_out_r py_r - sum_i w_in_i px_i - w0 = 0
+         w >= 0, w0 free
+    """
+    n, m, s = ds.n, ds.m, ds.s
+    a = np.zeros((n + 2, m + s + 1))  # columns [w_in, w_out, w0]
+    a[0, :m] = px
+    a[1:] = np.hstack([-np.vstack([ds.x, px]), np.vstack([ds.y, py]), -np.ones((n + 1, 1))])
+    b = np.r_[1.0, np.zeros(n + 1)]
+    c = np.r_[np.zeros(m + s), 1.0]
+    lower = np.r_[np.zeros(m + s), -np.inf]
+    return LinearProgram(sense, c, a, ("=",) + ("<=",) * n + ("=",), b, lower,
+                         np.full(m + s + 1, np.inf))
+
+
 def random_box_lp(rng: np.random.Generator) -> LinearProgram:
     """Equality-constrained LP with finite box bounds; two thirds are feasible
     by construction, the rest get a random rhs."""

@@ -68,20 +68,22 @@ def loop_support_rows(ds, je, p):
     return a, np.zeros(ds.m + ds.s + 1)
 
 
-def loop_intercept_rows(ds, px, py):
+def loop_intercept_rows(ds, px, py, sigma):
     x, y, n, m, s = ds.x, ds.y, ds.n, ds.m, ds.s
-    a = np.zeros((n + 2, m + s + 1))
-    b = np.zeros(n + 2)
-    a[0, :m] = px
-    b[0] = 1.0
-    for j in range(n):
-        a[1 + j, :m] = -x[j]
-        a[1 + j, m:m + s] = y[j]
-        a[1 + j, m + s] = -1.0
-    a[n + 1, :m] = -px
-    a[n + 1, m:m + s] = py
-    a[n + 1, m + s] = -1.0
-    return a, b, ("=",) + ("<=",) * n + ("=",)
+    a = np.zeros((m + s + 1, n + 2))
+    b = np.zeros(m + s + 1)
+    for i in range(m):
+        a[i, 0] = px[i]
+        a[i, 1] = -px[i]
+        for j in range(n):
+            a[i, 2 + j] = -x[j, i]
+    for r in range(s):
+        a[m + r, 1] = py[r]
+        for j in range(n):
+            a[m + r, 2 + j] = y[j, r]
+    a[m + s, 1:] = -1.0
+    b[m + s] = sigma
+    return a, b, (">=",) * (m + s) + ("=",)
 
 
 def assert_bitwise(lp, a, b):
@@ -121,8 +123,8 @@ def test_programs_match_loop_reference(ds, cfg, monkeypatch):
         p = closest_projection(ds, je, o, pri, cfg)
         solve_max_support_lp(ds, je, p, cfg)
         assert_bitwise(supports[-1], *loop_support_rows(ds, je, p))
-        for sense in ("max", "min"):
+        for sense, sigma in (("max", 1.0), ("min", -1.0)):
             lp = _intercept_program(ds, p.target_inputs, p.target_outputs, sense)
-            a, b, relations = loop_intercept_rows(ds, p.target_inputs, p.target_outputs)
+            a, b, relations = loop_intercept_rows(ds, p.target_inputs, p.target_outputs, sigma)
             assert_bitwise(lp, a, b)
             assert lp.relations == relations

@@ -6,7 +6,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dea_closest import Solution, SolveStatus, ValidationError, load_dataset, reference_set
+from dea_closest import (Solution, SolveStatus, ValidationError, load_dataset, reference_set,
+                         returns_to_scale)
 from dea_closest.cli import main
 from dea_closest.report import RunConfig, analyze, emit_plot_data, run
 
@@ -214,6 +215,16 @@ def test_cli_analysis_error_exit_code(table_path, capsys, monkeypatch):
     assert main(["mcrs", "--input", table_path]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error: analysis: support LP for DMU 'DMU1': target aggregate")
+
+
+def test_cli_rts_solver_limit_names_dmu_and_stage(table_path, capsys, monkeypatch):
+    def out_of_pivots(lp, cfg):
+        return Solution(SolveStatus.ITERATION_LIMIT, float("nan"), None)
+
+    monkeypatch.setattr(returns_to_scale, "solve_lp", out_of_pivots)
+    assert main(["report", "--input", table_path]) == 3
+    assert capsys.readouterr().err == ("error: solver limit: returns to scale of DMU 'DMU1': "
+                                       "intercept maximization hit the iteration limit\n")
 
 
 def test_cli_has_no_big_m_flag(table_path, capsys):

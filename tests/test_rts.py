@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from dea_closest import (AnalysisError, RtsBounds, RtsLabel, classify_rts, closest_rts,
-                         default_priority, efficient_set, intercept_bounds)
+from dea_closest import (AnalysisError, RtsBounds, RtsLabel, Solution, SolverLimitError,
+                         SolveStatus, classify_rts, closest_projection, closest_rts,
+                         default_priority, efficient_set, intercept_bounds, returns_to_scale)
+from dea_closest.report import RunConfig, analyze
 
-from conftest import random_dataset
+from conftest import make_dataset, multiplier_intercept_program, random_dataset
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +140,89 @@ def test_every_frontier_point_gets_one_label(cfg):
         assert isinstance(r.label, RtsLabel)
         labels.add(r.label)
     assert labels  # at least one classification produced
+
+
+def test_statuses_map_by_duality(cfg):
+    ds = make_dataset([[1], [2]], [[1], [2]], names=["A", "B"])
+    # (3, 2) lies right of the frontier's end: no hyperplane supports it, and
+    # the multiplier program and its dual are both infeasible there
+    with pytest.raises(AnalysisError, match="not on the efficient frontier"):
+        intercept_bounds(ds, np.array([3.0]), np.array([2.0]), cfg)
+    # at the endpoint B the supports run from w0 = 0 up to vertical
+    b = intercept_bounds(ds, np.array([2.0]), np.array([2.0]), cfg)
+    assert b == RtsBounds(np.inf, 0.0, 2)
+    # (4, 1) is dominated by A: the dual of the first stage is unbounded
+    with pytest.raises(AnalysisError, match="not on the efficient frontier"):
+        intercept_bounds(ds, np.array([4.0]), np.array([1.0]), cfg)
+
+
+def test_closest_rts_failure_names_the_dmu(eight_dmu, je8, cfg, monkeypatch):
+    def out_of_pivots(lp, cfg):
+        return Solution(SolveStatus.ITERATION_LIMIT, float("nan"), None)
+
+    monkeypatch.setattr(returns_to_scale, "solve_lp", out_of_pivots)
+    with pytest.raises(SolverLimitError, match="^returns to scale of DMU 'DMU6': intercept "
+                                               "maximization hit the iteration limit$"):
+        closest_rts(eight_dmu, je8, 5, default_priority(1, 1), cfg)
+
+
+def test_rts_labels_do_not_depend_on_data_magnitude():
+    rng = np.random.default_rng(2)
+    x = np.round(rng.uniform(1, 100, (15, 2)), 3)
+    y = np.round(rng.uniform(1, 100, (15, 2)), 3)
+
+    def labels(scale):
+        report = analyze(make_dataset(x * scale, y * scale), RunConfig("scaled.csv"))
+        return [rec.rts_label for rec in report.records]
+
+    # the multiplier-form maximization hit the iteration limit at x1e5
+    assert labels(1e5) == labels(1.0) == labels(1e-3)
+
+
+def highs_intercept(lp, linprog):
+    """Objective of a multiplier-form intercept program by HiGHS, or None
+    when HiGHS finds it infeasible; +-inf when unbounded.  Presolve is off:
+    with it, HiGHS calls some unbounded maximizations infeasible although
+    the minimization of the same program has an optimum."""
+    eq = np.array([rel == "=" for rel in lp.relations])
+    sign = 1.0 if lp.sense == "min" else -1.0
+    res = linprog(sign * lp.c, A_ub=lp.a[~eq], b_ub=lp.b[~eq], A_eq=lp.a[eq], b_eq=lp.b[eq],
+                  bounds=np.column_stack([lp.lower, lp.upper]), method="highs",
+                  options={"presolve": False})
+    assert res.status in (0, 2, 3), res.message
+    if res.status == 2:
+        return None
+    return -sign * np.inf if res.status == 3 else sign * res.fun
+
+
+def test_bounds_match_highs_on_the_multiplier_form(eight_dmu, four_dmu, cfg):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(2024)
+    checked = raised = 0
+    for ds in [eight_dmu, four_dmu] + [random_dataset(rng, max_n=12) for _ in range(10)]:
+        je = efficient_set(ds, cfg)
+        pri = default_priority(ds.m, ds.s)
+        points = [(ds.x[o], ds.y[o]) for o in range(ds.n)]
+        for o in range(ds.n):
+            p = closest_projection(ds, je, o, pri, cfg)
+            points.append((p.target_inputs, p.target_outputs))
+        for px, py in points:
+            upper = highs_intercept(multiplier_intercept_program(ds, px, py, "max"), linprog)
+            try:
+                b = intercept_bounds(ds, px, py, cfg)
+            except AnalysisError:
+                assert upper is None
+                raised += 1
+                continue
+            pairs = [(b.upper, upper)]
+            if b.stage_count == 2:
+                lp = multiplier_intercept_program(ds, px, py, "min")
+                pairs.append((b.lower, highs_intercept(lp, linprog)))
+            for got, want in pairs:
+                assert want is not None
+                if np.isinf(want) or np.isinf(got):
+                    assert got == want
+                else:
+                    assert abs(got - want) <= 1e-9 * (1 + abs(want))
+            checked += 1
+    assert checked > 100 and raised > 10

@@ -294,8 +294,9 @@ def test_slack_start_needs_no_pivot(cfg):
 
 
 def test_intercept_programs_pivot_budget(eight_dmu, cfg):
-    # one artificial per row cost 172 pivots over these 16 programs; starting
-    # the n "<=" rows from their slacks must at least halve that
+    # the n+2-row multiplier form with one artificial per row cost 172 pivots
+    # over these 16 programs; the m+s+1-row dual, its ">=" rows started from
+    # their slacks, must take at most half of that
     total = 0
     for o in range(eight_dmu.n):
         for sense in ("max", "min"):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import AnalysisError, SolverLimitError
-from .solver import LinearProgram, SolveStatus, SolverConfig, solve_lp
+from .solver import LinearProgram, Solution, SolveStatus, SolverConfig, solve_lp, vertex_start
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,31 @@ def _bcc_program(dataset: Dataset, o: int, theta_bounds: tuple[float, float],
     return LinearProgram(sense, c, a, ("=",) * (m + s + 1), b, lower, upper)
 
 
+def _unit_vertex(dataset: Dataset, o: int) -> Solution:
+    """Phase-1 start at theta = 1, lambda_o = 1 with every slack zero.
+
+    The basic columns are the slacks of their own rows, lambda_o in the
+    convexity row, and theta in place of the slack of the input row with
+    the largest x_io.  Up to row order the basis matrix is triangular with
+    pivots +-1, 1 and -x_io, the largest theta can take, so it is
+    nonsingular whenever x_o is not all zero.
+    """
+    n, m, s = dataset.n, dataset.m, dataset.s
+    x = np.zeros(1 + n + m + s)
+    x[0] = x[1 + o] = 1.0
+    columns = np.r_[1 + n + np.arange(m + s), 1 + o]
+    columns[int(np.argmax(dataset.x[o]))] = 0
+    return vertex_start(columns, x)
+
+
 def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig()) -> EfficiencyResult:
     """Radial score, max-slack completion, and efficiency flag for DMU ``o``."""
     name = dataset.names[o]
     n, m, s = dataset.n, dataset.m, dataset.s
 
-    phase1 = solve_lp(_bcc_program(dataset, o, (0.0, np.inf), phase2=False), cfg)
+    # the feasible vertex theta = 1, lambda_o = 1 spares phase 1 its artificial phase
+    phase1 = solve_lp(_bcc_program(dataset, o, (0.0, np.inf), phase2=False), cfg,
+                      warm_start=_unit_vertex(dataset, o))
     if phase1.status is SolveStatus.ITERATION_LIMIT:
         raise SolverLimitError(f"BCC phase 1 for DMU {name!r} hit the iteration limit")
     if phase1.status is not SolveStatus.OPTIMAL:

@@ -20,7 +20,7 @@ from .data import Dataset, PriorityRanking
 from .efficiency import EfficientSet
 from .errors import AnalysisError, SolverLimitError, failure_context
 from .projection import Projection, closest_projection
-from .solver import LinearProgram, SolveStatus, SolverConfig, solve_lp
+from .solver import LinearProgram, Solution, SolveStatus, SolverConfig, solve_lp, vertex_start
 
 
 class RtsLabel(Enum):
@@ -76,6 +76,21 @@ def _intercept_program(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarra
                          np.r_[-np.inf, -np.inf, np.zeros(n)], np.full(n + 2, np.inf))
 
 
+def _unit_multipliers(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray) -> Solution:
+    """Start of the minimizing stage at lambda = 0, mu = 1, u0 = 1.
+
+    Over the standardized columns [u0, mu, lambda (n), row slacks (m+s)],
+    the basic columns are the slacks of their own rows, mu in the equality
+    row, and u0 in place of the slack of the input row with the largest
+    x_p.  The input slacks are zero there and the output slacks equal y_p.
+    """
+    n, m, s = dataset.n, dataset.m, dataset.s
+    x = np.r_[1.0, 1.0, np.zeros(n + m), point_y]
+    columns = np.r_[n + 2 + np.arange(m + s), 1]
+    columns[int(np.argmax(point_x))] = 0
+    return vertex_start(columns, x)
+
+
 def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
                      cfg: SolverConfig = SolverConfig()) -> RtsBounds:
     """Two-stage intercept range at a frontier point, statuses read by LP duality.
@@ -84,13 +99,14 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
     label and stage 2 is skipped.  An unbounded dual means that no hyperplane
     supports the point, so it is off the frontier.  An infeasible stage-1 dual
     reads as upper = +inf; a point without support also gives one, and stage
-    2 then finds it.  Stage 2 is feasible at lambda=0, mu=1, u0=1: lower >= -1.
+    2 then finds it.  Stage 2 is feasible at lambda=0, mu=1, u0=1, so lower >= -1,
+    and it starts from that vertex; stage 1 starts cold.
     """
     point_x = np.asarray(point_x, dtype=float)
     point_y = np.asarray(point_y, dtype=float)
 
-    def solve(sense: str, stage: str):
-        sol = solve_lp(_intercept_program(dataset, point_x, point_y, sense), cfg)
+    def solve(sense: str, stage: str, *start: Solution):
+        sol = solve_lp(_intercept_program(dataset, point_x, point_y, sense), cfg, *start)
         if sol.status is SolveStatus.ITERATION_LIMIT:
             raise SolverLimitError(f"intercept {stage} hit the iteration limit")
         if sol.status is SolveStatus.UNBOUNDED:
@@ -102,7 +118,7 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
     upper = np.inf if hi.status is SolveStatus.INFEASIBLE else float(hi.objective)
     if upper < -cfg.zero_tol:
         return RtsBounds(upper, -np.inf, 1)
-    lo = solve("min", "minimization")
+    lo = solve("min", "minimization", _unit_multipliers(dataset, point_x, point_y))
     if lo.status is SolveStatus.INFEASIBLE:
         raise AnalysisError("intercept minimization returned infeasible")
     return RtsBounds(upper, float(lo.objective), 2)

@@ -2,7 +2,7 @@
 
 from .branch_and_bound import solve_milp
 from .model import LinearProgram, Solution, SolveStatus, SolverConfig
-from .simplex import solve_lp
+from .simplex import solve_lp, vertex_start
 
 __all__ = [
     "LinearProgram",
@@ -11,4 +11,5 @@ __all__ = [
     "SolverConfig",
     "solve_lp",
     "solve_milp",
+    "vertex_start",
 ]

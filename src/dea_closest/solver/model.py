@@ -146,10 +146,22 @@ class Basis:
     i, and ``x`` is the full standardized point at that basis.  A solve that
     resumes from the record places each nonbasic column by its value against
     its own bounds, so the record stays meaningful when bounds change.
+
+    ``inverse`` is the factorized inverse of ``matrix``, the basic columns
+    in row order.  A resuming solve whose own basic columns equal ``matrix``
+    starts from a copy of it instead of factorizing.  Two branch-and-bound
+    children resume from one parent record, so its arrays are read-only.
     """
 
     columns: np.ndarray
     x: np.ndarray
+    matrix: np.ndarray | None = None
+    inverse: np.ndarray | None = None
+
+    def __post_init__(self):
+        for arr in (self.columns, self.x, self.matrix, self.inverse):
+            if arr is not None:
+                arr.flags.writeable = False
 
 
 @dataclass

@@ -13,7 +13,10 @@ feasible for phase 1.
 
 A warm solve resumes from the final basis of a related program with the same
 rows and columns (a branch-and-bound parent, the previous lexicographic
-stage, the first phase of a two-phase model).  Each nonbasic column is
+stage, the first phase of a two-phase model), or from a known basic feasible
+point that the caller names with ``vertex_start`` (the BCC score starts at
+theta=1, lambda_o=1 and the lower returns-to-scale intercept at lambda=0,
+mu=1, u0=1, so neither runs an artificial phase).  Each nonbasic column is
 placed by its old value against its new bounds.  If the basic solution is
 then primal feasible, primal phase 2 runs alone; if it is only dual
 feasible (a parent basis after one bound changed), a bounded dual simplex
@@ -32,9 +35,19 @@ Bland's rule after a run of degenerate pivots so that no solve can cycle.
 The primal pivots on whatever row its ratio test picks; a basis that this
 leaves too ill-conditioned to reproduce its right-hand side, or whose final
 point breaks a bound, is reported as a solver limit, never as an optimum.
-The basic solution is recomputed from the basis factorization at every
-iteration (no tableau updates), which keeps residual drift at machine
-noise for the desk-scale systems this package targets.
+
+The inverse of the basis matrix is kept across pivots in product form
+(Dantzig & Orchard-Hays 1954): each pivot applies a rank-one eta update, and
+the inverse passes unchanged across bound flips, from the dual to the primal,
+from phase 1 to phase 2 and, inside the ``Basis`` record, to the solve that
+resumes from it.  The basic solution and the prices are recomputed from the
+inverse at every iteration.  The inverse is factorized from scratch every
+``_REFACTOR_PERIOD`` updates, whenever the residual guard fires on an
+updated inverse, before an updated inverse certifies an unbounded ray or an
+infeasible row, and before an optimal point is read off.  Every returned
+point is therefore solved from a fresh factorization that passed the
+residual guard, then refined by one step of iterative refinement before the
+bound check.
 """
 
 from __future__ import annotations
@@ -56,6 +69,9 @@ _DEGEN_STEP = 1e-11
 _RATIO_TIE = 1e-12
 _PIVOT_FLOOR = 1e-7  # smallest pivot that may move a basic artificial onto a structural column
 _BOUND_TOL = 1e-7  # relative bound violation past which a final point is rejected
+_REFACTOR_PERIOD = 32  # eta updates after which the basis inverse is factorized from scratch
+# per state, the sign that turns a reduced cost into the gain of a step off the bound
+_GAIN_SIGN = np.array([-1.0, 1.0, 0.0, 0.0])
 
 
 @dataclass
@@ -66,7 +82,7 @@ class StandardizedLP:
     inequality slacks.  ``slack_of_row[i]`` is the column of row i's slack,
     or -1 for an equality row.  ``sense_sign`` is +1 when the original
     program was a minimization, -1 otherwise (objective values are mapped
-    back on exit).
+    back on exit).  ``a_abs`` is ``|a|``, which scales the pricing threshold.
     """
 
     a: np.ndarray
@@ -77,6 +93,7 @@ class StandardizedLP:
     n_struct: int
     sense_sign: float
     slack_of_row: np.ndarray
+    a_abs: np.ndarray
 
 
 def standardize(lp: LinearProgram) -> StandardizedLP:
@@ -99,7 +116,7 @@ def standardize(lp: LinearProgram) -> StandardizedLP:
     c[:n] = sign * lp.c
     lower = np.concatenate([lp.lower, np.zeros(len(ineq))])
     upper = np.concatenate([lp.upper, np.full(len(ineq), np.inf)])
-    return StandardizedLP(a, lp.b.copy(), c, lower, upper, n, sign, slack_of_row)
+    return StandardizedLP(a, lp.b.copy(), c, lower, upper, n, sign, slack_of_row, np.abs(a))
 
 
 def _nonbasic_status(lower: np.ndarray, upper: np.ndarray,
@@ -124,8 +141,14 @@ def _nonbasic_status(lower: np.ndarray, upper: np.ndarray,
     return status
 
 
-def _nonbasic_values(status: np.ndarray, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
-    return np.where(status == _AT_LOWER, lo, np.where(status == _AT_UPPER, up, 0.0))
+def _resting(lo: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Table whose entry [state, j] is where column j sits in that state: at
+    its lower or upper bound, else at zero (free, or basic and not yet
+    solved for)."""
+    table = np.zeros((4, lo.size))
+    table[_AT_LOWER] = lo
+    table[_AT_UPPER] = up
+    return table
 
 
 class _Simplex:
@@ -134,6 +157,7 @@ class _Simplex:
     def __init__(self, std: StandardizedLP, cfg: SolverConfig,
                  lower: np.ndarray | None = None, upper: np.ndarray | None = None):
         self.a = std.a
+        self.a_abs = std.a_abs
         self.b = std.b
         self.slack_of_row = std.slack_of_row
         self.cfg = cfg
@@ -141,7 +165,11 @@ class _Simplex:
         self.upper = std.upper if upper is None else upper
         self.n = std.a.shape[1]
         self.rows = std.a.shape[0]
+        self._cols = np.arange(self.n + self.rows)  # column indices, artificials included
         self.iterations = 0
+        self.b_inv: np.ndarray | None = None  # inverse of the current basis matrix; None if singular
+        self.updates = 0  # eta updates applied to it since its last factorization
+        self._priced = None  # (x, d, dtol) the dual simplex hands on to the primal
         self._restart()
 
     def _restart(self):
@@ -165,7 +193,7 @@ class _Simplex:
         """Two phases from the slack basis."""
         rows, n = self.rows, self.n
         status = _nonbasic_status(self.lower, self.upper)
-        resid = self.b - self.a @ _nonbasic_values(status, self.lower, self.upper)
+        resid = self.b - self.a @ _resting(self.lower, self.upper)[status, self._cols[:n]]
 
         # phase 1 starts from a slack basis: a row whose slack (coefficient
         # +-1, resting at 0, bounds [0, inf)) can take up the residual starts
@@ -180,6 +208,7 @@ class _Simplex:
         art = np.zeros((rows, k))
         art[need, np.arange(k)] = np.where(resid[need] >= 0, 1.0, -1.0)
         a_ext = np.hstack([self.a, art])
+        a_abs = np.hstack([self.a_abs, np.abs(art)])
         lo_ext = np.concatenate([self.lower, np.zeros(k)])
         up_ext = np.concatenate([self.upper, np.full(k, np.inf)])
         c1 = np.zeros(n + k)
@@ -188,8 +217,9 @@ class _Simplex:
         basis[need] = np.arange(n, n + k)
         vstatus = np.concatenate([status, np.full(k, _BASIC, dtype=np.int8)])
         vstatus[basis] = _BASIC
+        self.b_inv, self.updates = a_ext[:, basis], 0  # a signed identity is its own inverse
 
-        state = (a_ext, lo_ext, up_ext, basis, vstatus)
+        state = (a_ext, a_abs, lo_ext, up_ext, basis, vstatus)
         outcome, x = self._iterate(c1, *state)
         if outcome is not None:
             # phase 1 is bounded below by zero, so only the iteration limit can stop it
@@ -220,13 +250,18 @@ class _Simplex:
             return None  # another system's basis, or one holding an artificial
         vstatus = _nonbasic_status(self.lower, self.upper, start.x)
         vstatus[basis] = _BASIC
+        b_mat = self.a[:, basis]
+        if start.inverse is not None and np.array_equal(start.matrix, b_mat):
+            self.b_inv, self.updates = start.inverse.copy(), 0  # the record is shared; never update it
+        else:
+            self._refactor(b_mat)
 
         outcome = self._dual_loop(c, basis, vstatus)
         if outcome is SolveStatus.INFEASIBLE:
             return outcome, None, None
         if outcome is not None:
             return None
-        outcome, x = self._iterate(c, self.a, self.lower, self.upper, basis, vstatus)
+        outcome, x = self._iterate(c, self.a, self.a_abs, self.lower, self.upper, basis, vstatus)
         if outcome is SolveStatus.UNBOUNDED:
             return outcome, None, None
         if outcome is not None or not self._holds_bounds(x):
@@ -245,61 +280,82 @@ class _Simplex:
     def _evict_artificials(self, a_ext, basis, vstatus, n):
         """Pivot basic artificials onto structural columns where possible."""
         for r in range(self.rows):
-            if basis[r] < n:
+            if basis[r] < n or self.b_inv is None:
                 continue
-            b_mat = a_ext[:, basis]
-            e_r = np.zeros(self.rows)
-            e_r[r] = 1.0
-            try:
-                z = np.linalg.solve(b_mat.T, e_r)
-            except np.linalg.LinAlgError:
-                continue
-            row_vals = z @ a_ext[:, :n]
+            row_vals = self.b_inv[r] @ a_ext[:, :n]  # row r of the tableau
             row_vals[vstatus[:n] == _BASIC] = 0.0
             j = int(np.argmax(np.abs(row_vals)))
             if abs(row_vals[j]) < _PIVOT_FLOOR:
                 continue  # redundant row; the artificial stays basic at zero
-            art = basis[r]
-            basis[r] = j
+            vstatus[basis[r]] = _AT_LOWER
             vstatus[j] = _BASIC
-            vstatus[art] = _AT_LOWER
+            self._exchange(a_ext, basis, r, j, self.b_inv @ a_ext[:, j])
 
-    def _factor(self, c, a_ext, a_abs, lo, up, basis, vstatus, x):
-        """Factorize the current basis and fill ``x`` with its basic solution.
-
-        Returns (B^-1, reduced costs, per-column reduced-cost zero threshold),
-        or None when the basis is numerically singular or too ill-conditioned
-        to reproduce its own right-hand side.
-        """
-        nb = vstatus != _BASIC
-        x[nb] = _nonbasic_values(vstatus[nb], lo[nb], up[nb])
-        x[basis] = 0.0
-        b_mat = a_ext[:, basis]
-        rhs = self.b - a_ext @ x
+    def _refactor(self, b_mat: np.ndarray):
+        """Invert the basis matrix from scratch."""
         try:
-            b_inv = np.linalg.inv(b_mat)
+            self.b_inv = np.linalg.inv(b_mat)
         except np.linalg.LinAlgError:
-            return None
-        x[basis] = b_inv @ rhs
-        if np.abs(b_mat @ x[basis] - rhs).max(initial=0.0) > 1e-6 * (1.0 + np.abs(rhs).max(initial=0.0)):
-            return None
-        y = b_inv.T @ c[basis]
+            self.b_inv = None
+        self.updates = 0
+
+    def _exchange(self, a_ext, basis, r, q, col):
+        """Make column ``q`` basic in row ``r``; ``col`` is B^-1 a_q.
+
+        The inverse takes the product-form update B'^-1 = E B^-1, where the
+        eta matrix E differs from the identity in column r only, or is
+        factorized afresh once the updates reach ``_REFACTOR_PERIOD``.
+        """
+        basis[r] = q
+        if self.updates + 1 >= _REFACTOR_PERIOD:
+            self._refactor(a_ext[:, basis])
+            return
+        row = self.b_inv[r] / col[r]
+        self.b_inv -= col[:, None] * row
+        self.b_inv[r] = row
+        self.updates += 1
+
+    def _basic_solution(self, a_ext, rest, basis, vstatus) -> np.ndarray | None:
+        """The point of the current basis: nonbasic columns at their resting
+        values, basic ones solved for with the current inverse.
+
+        None when the basis is numerically singular or too ill-conditioned
+        to reproduce its own right-hand side.  Only a fresh factorization is
+        judged so: when the residual guard fires on an updated inverse, the
+        basis is factorized again and solved anew.
+        """
+        x = rest[vstatus, self._cols[:vstatus.size]]  # zero at the basic columns
+        rhs = self.b - a_ext @ x
+        tol = 1e-6 * (1.0 + np.abs(rhs).max(initial=0.0))
+        while self.b_inv is not None:
+            x[basis] = self.b_inv @ rhs
+            if not np.abs(a_ext @ x - self.b).max(initial=0.0) > tol:
+                return x
+            if not self.updates:
+                break
+            self._refactor(a_ext[:, basis])
+        return None
+
+    def _reduced_costs(self, c, a_ext, a_abs, basis):
+        """Reduced costs at the current inverse and their per-column zero
+        threshold."""
+        y = self.b_inv.T @ c[basis]
         d = c - a_ext.T @ y
         d[basis] = 0.0
         # reduced-cost noise grows with the dual magnitudes, so the zero
         # threshold is scaled per column; an absolute cutoff would let
         # noise-level "improvements" drive pivots on degenerate cones
         dtol = PIVOT_TOL * (1.0 + a_abs.T @ np.abs(y))
-        return b_inv, d, dtol
+        return d, dtol
 
     @staticmethod
     def _improving(d, dtol, vstatus, fixed) -> np.ndarray:
         """Nonbasic columns whose reduced cost would lower the objective."""
-        elig = (((vstatus == _AT_LOWER) & (d < -dtol))
-                | ((vstatus == _AT_UPPER) & (d > dtol))
-                | ((vstatus == _FREE) & (np.abs(d) > dtol)))
-        elig[fixed] = False
-        return elig
+        gain = d * _GAIN_SIGN[vstatus]
+        free = vstatus == _FREE
+        gain[free] = np.abs(d[free])
+        gain[fixed] = 0.0
+        return gain > dtol
 
     def _count_step(self, step: float):
         """Book one pivot of length ``step``; a long enough run of degenerate
@@ -311,27 +367,35 @@ class _Simplex:
         else:
             self._degen_run = 0
 
-    def _iterate(self, c, a_ext, lo, up, basis, vstatus):
+    def _iterate(self, c, a_ext, a_abs, lo, up, basis, vstatus):
         """Primal simplex until optimal; returns (early_status_or_None, x)."""
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            return self._pivot_loop(c, a_ext, lo, up, basis, vstatus)
+            return self._pivot_loop(c, a_ext, a_abs, lo, up, basis, vstatus)
 
-    def _pivot_loop(self, c, a_ext, lo, up, basis, vstatus):
+    def _pivot_loop(self, c, a_ext, a_abs, lo, up, basis, vstatus):
         fixed = lo == up
-        x = np.zeros(a_ext.shape[1])
-        a_abs = np.abs(a_ext)
+        rest = _resting(lo, up)
+        # the dual simplex hands on the point and prices of its final basis
+        x, d, dtol = self._priced or (None, None, None)
+        self._priced = None
         while True:
-            factors = self._factor(c, a_ext, a_abs, lo, up, basis, vstatus, x)
-            if factors is None:
-                return SolveStatus.ITERATION_LIMIT, None  # basis singular or untrustworthy
-            b_inv, d, dtol = factors
+            if x is None:
+                x = self._basic_solution(a_ext, rest, basis, vstatus)
+                if x is None:
+                    return SolveStatus.ITERATION_LIMIT, None  # basis singular or untrustworthy
+                d, dtol = self._reduced_costs(c, a_ext, a_abs, basis)
             elig = self._improving(d, dtol, vstatus, fixed)
             if not elig.any():
+                if self.updates:  # the optimal point is read from a fresh factorization
+                    self._refactor(a_ext[:, basis])
+                    x = self._basic_solution(a_ext, rest, basis, vstatus)
+                    if x is None:
+                        return SolveStatus.ITERATION_LIMIT, None
+                x[basis] += self.b_inv @ (self.b - a_ext @ x)  # one step of iterative refinement
                 return None, x
 
             if self.iterations >= self._limit:
                 return SolveStatus.ITERATION_LIMIT, None
-            self.iterations += 1
 
             if self.bland:
                 q = int(np.flatnonzero(elig)[0])
@@ -343,21 +407,25 @@ class _Simplex:
                 sigma = -1.0
             else:
                 sigma = 1.0 if d[q] < 0 else -1.0
-            delta = -sigma * (b_inv @ a_ext[:, q])  # basic change per unit step of the entering variable
+            col = self.b_inv @ a_ext[:, q]
+            delta = -sigma * col  # basic change per unit step of the entering variable
 
-            xb = x[basis]
-            t = np.full(self.rows, np.inf)
-            pos = delta > PIVOT_TOL
-            neg = delta < -PIVOT_TOL
-            t[pos] = (up[basis[pos]] - xb[pos]) / delta[pos]
-            t[neg] = (lo[basis[neg]] - xb[neg]) / delta[neg]
+            # steps to the bound each basic variable moves toward
+            t = (np.where(delta > 0.0, up[basis], lo[basis]) - x[basis]) / delta
+            t[np.abs(delta) <= PIVOT_TOL] = np.inf
             t[np.isnan(t)] = np.inf
             np.maximum(t, 0.0, out=t)
             t_row = t.min(initial=np.inf)
             t_flip = up[q] - lo[q]
 
+            x = None  # priced afresh after the step
             if min(t_row, t_flip) == np.inf:
+                if self.updates:  # an unbounded ray is certified on a fresh factorization only
+                    self._refactor(a_ext[:, basis])
+                    continue
+                self.iterations += 1
                 return SolveStatus.UNBOUNDED, None
+            self.iterations += 1
 
             if t_flip <= t_row:
                 vstatus[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
@@ -369,8 +437,8 @@ class _Simplex:
             else:
                 r = int(ties[np.argmax(np.abs(delta[ties]))])
             vstatus[basis[r]] = _AT_UPPER if delta[r] > 0 else _AT_LOWER
-            basis[r] = q
             vstatus[q] = _BASIC
+            self._exchange(a_ext, basis, r, q, col)
             self._count_step(t_row)
 
     def _dual_loop(self, c, basis, vstatus):
@@ -385,20 +453,20 @@ class _Simplex:
         """
         a, lo, up = self.a, self.lower, self.upper
         fixed = lo == up
-        a_abs = np.abs(a)
-        x = np.zeros(self.n)
+        rest = _resting(lo, up)
         first = True
         while True:
-            factors = self._factor(c, a, a_abs, lo, up, basis, vstatus, x)
-            if factors is None:
+            x = self._basic_solution(a, rest, basis, vstatus)
+            if x is None:
                 return SolveStatus.ITERATION_LIMIT
-            b_inv, d, dtol = factors
+            d, dtol = self._reduced_costs(c, a, self.a_abs, basis)
             xb = x[basis]
             below = lo[basis] - xb
             above = xb - up[basis]
             excess = np.maximum(below, above)
             violated = excess > FEAS_TOL * (1.0 + np.abs(xb))
             if not violated.any():
+                self._priced = x, d, dtol
                 return None
             if first and self._improving(d, dtol, vstatus, fixed).any():
                 return SolveStatus.ITERATION_LIMIT  # neither primal nor dual feasible
@@ -414,11 +482,15 @@ class _Simplex:
             raise_r = below[r] > above[r]  # the leaving variable climbs to its lower bound
 
             # row r of the tableau: x_r = beta_r - sum over nonbasic j of alpha_j x_j
+            b_inv = self.b_inv
             alpha = b_inv[r] @ a
             alpha[basis] = 0.0
             signed = alpha if raise_r else -alpha
             cand = self._improving(signed, PIVOT_TOL, vstatus, fixed)
             if not cand.any():
+                if self.updates:  # a row is read as a certificate on a fresh factorization only
+                    self._refactor(a[:, basis])
+                    continue
                 return (SolveStatus.INFEASIBLE if self._row_certifies(b_inv[r], alpha, basis[r], raise_r)
                         else SolveStatus.ITERATION_LIMIT)
 
@@ -429,8 +501,8 @@ class _Simplex:
 
             self.iterations += 1
             vstatus[basis[r]] = _AT_LOWER if raise_r else _AT_UPPER
-            basis[r] = q
             vstatus[q] = _BASIC
+            self._exchange(a, basis, r, q, b_inv @ a[:, q])
             self._count_step(step)
 
     def _row_certifies(self, z: np.ndarray, alpha: np.ndarray, leaving: int, raise_r: bool) -> bool:
@@ -465,7 +537,25 @@ def solve_standardized(std: StandardizedLP, cfg: SolverConfig,
     if status is not SolveStatus.OPTIMAL:
         return status, None, np.nan, sx.iterations, None
     obj = float(std.c[: std.n_struct] @ x[: std.n_struct])
-    return status, x[: std.n_struct].copy(), obj, sx.iterations, Basis(basis, x)
+    if basis.max(initial=-1) < sx.n:  # no artificial left basic: hand the inverse on
+        record = Basis(basis, x, std.a[:, basis], sx.b_inv)
+    else:
+        record = Basis(basis, x)
+    return status, x[: std.n_struct].copy(), obj, sx.iterations, record
+
+
+def vertex_start(columns: np.ndarray, x: np.ndarray) -> Solution:
+    """Warm start at a known basic feasible point of a program.
+
+    ``columns[i]`` is the column basic in row i and ``x`` the full point,
+    both over the standardized system (the structural variables, then one
+    slack per inequality row, in row order).  Passed as ``warm_start``, it
+    lets the solve skip its artificial phase; only the basis is read, and a
+    basis that is singular or breaks a bound sends the solve back to the
+    cold start.
+    """
+    x = np.asarray(x, dtype=float)
+    return Solution(SolveStatus.OPTIMAL, np.nan, None, basis=Basis(np.asarray(columns), x))
 
 
 def check_warm_start(warm_start) -> None:

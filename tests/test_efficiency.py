@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from dea_closest import efficient_set, evaluate_all, evaluate_bcc, load_dataset
+from dea_closest import efficiency, efficient_set, evaluate_all, evaluate_bcc, load_dataset, solve_lp
 
 from conftest import make_dataset, multiplier_score, random_dataset
 
@@ -140,3 +140,54 @@ def test_bcc_scores_match_highs_on_rescaled_columns(cfg):
                       bounds=[(0, None)] * (1 + ds.n), method="highs")
         assert res.status == 0
         assert abs(evaluate_bcc(ds, o, cfg).theta - res.fun) <= 1e-6, ds.names[o]
+
+
+def test_bcc_slacks_match_highs_on_rescaled_columns(cfg):
+    # phase 2 from the phase-1 basis: the largest total slack at the optimal
+    # theta agrees with HiGHS on the same rescaled data
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ds = load_dataset(io.StringIO(RESCALED_BCC_CSV))
+    n, m, s = ds.n, ds.m, ds.s
+    for o in range(ds.n):
+        r = evaluate_bcc(ds, o, cfg)
+        # max total slack over [lambda, s_in, s_out]: X lambda + s_in = theta x_o,
+        # Y lambda - s_out = y_o, sum lambda = 1
+        a_eq = np.vstack([np.hstack([ds.x.T, np.eye(m), np.zeros((m, s))]),
+                          np.hstack([ds.y.T, np.zeros((s, m)), -np.eye(s)]),
+                          np.r_[np.ones(n), np.zeros(m + s)][None, :]])
+        b_eq = np.r_[r.theta * ds.x[o], ds.y[o], 1.0]
+        c = -np.r_[np.zeros(n), np.ones(m + s)]
+        res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * (n + m + s), method="highs")
+        assert res.status == 0
+        assert abs(r.slacks.sum() + res.fun) <= 1e-6 * (1.0 + abs(res.fun)), ds.names[o]
+        assert np.all(r.slacks >= -1e-9 * (1.0 + np.abs(np.r_[ds.x[o], ds.y[o]])))
+
+
+def test_bcc_phase1_starts_at_the_unit_vertex(monkeypatch, cfg):
+    # evaluate_all took 281 pivots on this dataset with phase 1 solved cold,
+    # an artificial variable in every row; starting at theta=1, lambda_o=1
+    # skips that phase and must take at most half as many
+    rng = np.random.default_rng(7)
+    ds = random_dataset(rng)
+    pivots = []
+
+    def counting(lp, cfg, warm_start=None):
+        sol = solve_lp(lp, cfg, warm_start=warm_start)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(efficiency, "solve_lp", counting)
+    results = evaluate_all(ds, cfg)
+    assert sum(pivots) <= 281 // 2
+    for r in results:
+        assert r.theta == pytest.approx(multiplier_score(ds, r.dmu, cfg), abs=1e-7)
+
+
+def test_singular_unit_vertex_falls_back_to_a_cold_start(cfg):
+    # with x_o all zero, theta has no pivot in the starting basis; the solve
+    # starts cold instead, and any theta >= 0 is optimal at lambda_o = 1
+    ds = make_dataset(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]]),
+                      np.array([[1.0], [2.0], [2.0]]))
+    r = evaluate_bcc(ds, 0, cfg)
+    assert r.theta == pytest.approx(0.0, abs=1e-12)
+    assert r.is_efficient is False

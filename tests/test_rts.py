@@ -5,6 +5,8 @@ from dea_closest import (AnalysisError, RtsBounds, RtsLabel, Solution, SolverLim
                          SolveStatus, classify_rts, closest_projection, closest_rts,
                          default_priority, efficient_set, intercept_bounds, returns_to_scale)
 from dea_closest.report import RunConfig, analyze
+from dea_closest.solver import solve_lp
+from dea_closest.solver.simplex import standardize
 
 from conftest import make_dataset, multiplier_intercept_program, random_dataset
 
@@ -226,3 +228,33 @@ def test_bounds_match_highs_on_the_multiplier_form(eight_dmu, four_dmu, cfg):
                     assert abs(got - want) <= 1e-9 * (1 + abs(want))
             checked += 1
     assert checked > 100 and raised > 10
+
+
+def test_lower_stage_starts_at_unit_multipliers(monkeypatch, cfg):
+    # lambda=0, mu=1, u0=1 is a vertex of the minimizing stage; starting there
+    # ends at the cold solve's bound; over these sets it took 53 pivots
+    # against 91 cold
+    lower_stages = []
+
+    def recording(lp, cfg, *start):
+        sol = solve_lp(lp, cfg, *start)
+        if lp.sense == "max":  # the minimizing stage, in its dual form
+            lower_stages.append((lp, start, sol))
+        return sol
+
+    monkeypatch.setattr(returns_to_scale, "solve_lp", recording)
+    warm_pivots = cold_pivots = 0
+    for seed in (7, 11, 2024):
+        ds = random_dataset(np.random.default_rng(seed))
+        for o in efficient_set(ds, cfg).indices:
+            lower_stages.clear()
+            intercept_bounds(ds, ds.x[o], ds.y[o], cfg)
+            for lp, (start,), warm in lower_stages:
+                assert np.abs(standardize(lp).a @ start.basis.x - lp.b).max() == 0.0
+                cold = solve_lp(lp, cfg)
+                assert warm.status is cold.status is SolveStatus.OPTIMAL
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+                warm_pivots += warm.iterations
+                cold_pivots += cold.iterations
+    assert cold_pivots > 0
+    assert warm_pivots <= 2 * cold_pivots // 3

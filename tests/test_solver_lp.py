@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from dea_closest import LinearProgram, SolverConfig, SolveStatus, solve_lp, solve_milp
-from dea_closest.solver import simplex
+from dea_closest.solver import branch_and_bound, simplex
 from dea_closest.solver.model import FEAS_TOL, PIVOT_TOL
 from dea_closest.solver.simplex import standardize
 
 from dea_closest.returns_to_scale import _intercept_program
 
-from conftest import enumerate_lp_optimum, equality_twin, random_box_lp, random_inequality_lp
+from conftest import (enumerate_lp_optimum, equality_twin, random_binary_lp, random_box_lp,
+                      random_complementarity_lp, random_inequality_lp)
 
 
 def test_unit_simplex_corner(cfg):
@@ -363,3 +364,166 @@ def test_determinism(cfg):
         if a.status is SolveStatus.OPTIMAL:
             assert np.array_equal(a.x, b.x)
             assert a.objective == b.objective
+
+
+def long_box_lp(rng: np.random.Generator, rows: int = 20, cols: int = 40) -> LinearProgram:
+    """Feasible equality-form LP with finite box bounds, large enough that
+    one solve takes more basis exchanges than the refactorization period."""
+    a = np.round(rng.uniform(-3, 3, (rows, cols)), 2)
+    lower = np.round(rng.uniform(-5, 0, cols), 2)
+    upper = lower + np.round(rng.uniform(0.5, 6, cols), 2)
+    b = a @ (lower + rng.uniform(0, 1, cols) * (upper - lower))
+    c = np.round(rng.uniform(-5, 5, cols), 2)
+    return LinearProgram("min", c, a, ("=",) * rows, b, lower, upper)
+
+
+def record_updates(monkeypatch) -> list[int]:
+    """Eta updates held by the inverse before each basis exchange."""
+    held = []
+    original = simplex._Simplex._exchange
+
+    def exchange(self, *args):
+        held.append(self.updates)
+        return original(self, *args)
+
+    monkeypatch.setattr(simplex._Simplex, "_exchange", exchange)
+    return held
+
+
+def test_updated_inverse_crosses_the_refactorization_period(monkeypatch, cfg):
+    # the same optima as HiGHS and as a solve that factorizes every basis
+    # from scratch, on programs long enough to refactorize on schedule
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    held = record_updates(monkeypatch)
+    rng = np.random.default_rng(2718)
+    programs = [long_box_lp(rng) for _ in range(6)]
+    updated = [solve_lp(lp, cfg) for lp in programs]
+    assert max(held) == simplex._REFACTOR_PERIOD - 1  # refactorized on schedule, never later
+    monkeypatch.setattr(simplex, "_REFACTOR_PERIOD", 1)
+    held.clear()
+    for lp, sol in zip(programs, updated):
+        fresh = solve_lp(lp, cfg)
+        res = linprog(lp.c, A_eq=lp.a, b_eq=lp.b, bounds=list(zip(lp.lower, lp.upper)),
+                      method="highs")
+        assert sol.status is fresh.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
+        assert sol.objective == pytest.approx(res.fun, rel=1e-7, abs=1e-7)
+        assert np.abs(lp.a @ sol.x - lp.b).max() < 1e-9 * (1.0 + np.abs(lp.b).max())
+        # the inverse handed on is a fresh factorization, not an updated one
+        assert np.array_equal(sol.basis.inverse, np.linalg.inv(sol.basis.matrix))
+    assert set(held) == {0}
+
+
+def test_short_refactorization_period_matches_enumeration(monkeypatch, cfg):
+    # with a period of two, nearly every solve refactorizes on schedule
+    held = record_updates(monkeypatch)
+    monkeypatch.setattr(simplex, "_REFACTOR_PERIOD", 2)
+    rng = np.random.default_rng(4242)
+    feasible = 0
+    for _ in range(60):
+        lp = random_box_lp(rng)
+        sol = solve_lp(lp, cfg)
+        expected = enumerate_lp_optimum(lp)
+        if expected is None:
+            assert sol.status is SolveStatus.INFEASIBLE
+        else:
+            feasible += 1
+            assert sol.status is SolveStatus.OPTIMAL
+            assert sol.objective == pytest.approx(expected, abs=1e-7)
+    assert feasible > 20
+    assert max(held) == 1
+
+
+def drift_updates(monkeypatch, factor: float) -> list[int]:
+    """Scale the inverse by ``factor`` after every eta update, as rounding
+    drift would if it were far worse; returns the list the updates are
+    counted in."""
+    drifted = []
+    original = simplex._Simplex._exchange
+
+    def drifting(self, *args):
+        original(self, *args)
+        if self.updates:
+            self.b_inv *= factor
+            drifted.append(1)
+
+    monkeypatch.setattr(simplex._Simplex, "_exchange", drifting)
+    return drifted
+
+
+def test_residual_guard_on_an_updated_inverse_refactorizes(monkeypatch, cfg):
+    # every updated inverse is off by 0.1%, far past the 1e-6 residual guard;
+    # each guard that fires on one factorizes the basis afresh, so cold and
+    # warm solves still end at the optimum
+    rng = np.random.default_rng(99)
+    programs = [random_box_lp(rng) for _ in range(40)]
+    milps = [random_binary_lp(rng) for _ in range(20)]
+    expected = [solve_lp(lp, cfg) for lp in programs] + [solve_milp(lp, cfg) for lp in milps]
+
+    guarded = []
+    original = simplex._Simplex._refactor
+
+    def refactor(self, b_mat):
+        guarded.append(self.updates)
+        original(self, b_mat)
+
+    drift_updates(monkeypatch, 1.0 + 1e-3)
+    monkeypatch.setattr(simplex._Simplex, "_refactor", refactor)
+    got = [solve_lp(lp, cfg) for lp in programs] + [solve_milp(lp, cfg) for lp in milps]
+    assert any(guarded)
+    for sol, want in zip(got, expected):
+        assert sol.status is want.status
+        if want.status is SolveStatus.OPTIMAL:
+            assert sol.objective == pytest.approx(want.objective, abs=1e-9)
+
+
+def test_drift_that_survives_a_fresh_factorization_is_a_solver_limit(monkeypatch, cfg):
+    # a fresh factorization as far off as the updated one: the guard fires
+    # again, and the solve reports ITERATION_LIMIT, never a point
+    original = simplex._Simplex._refactor
+
+    def refactor(self, b_mat):
+        original(self, b_mat)
+        if self.b_inv is not None:
+            self.b_inv *= 1.0 + 1e-3
+
+    drifted = drift_updates(monkeypatch, 1.0 + 1e-3)
+    monkeypatch.setattr(simplex._Simplex, "_refactor", refactor)
+    rng = np.random.default_rng(4242)
+    limited = 0
+    for _ in range(40):
+        drifted.clear()
+        sol = solve_lp(random_box_lp(rng), cfg)
+        if drifted:  # bound flips alone leave the exact starting inverse in place
+            assert sol.status is SolveStatus.ITERATION_LIMIT
+            limited += 1
+    assert limited > 20
+
+
+def test_shared_parent_basis_is_never_mutated(monkeypatch, cfg):
+    # both children of a node resume from one parent record and copy its
+    # inverse; the record's arrays are read-only
+    starts = []
+    original = branch_and_bound.solve_standardized
+
+    def recording(std, cfg, lo, up, start):
+        if start is not None:
+            starts.append((start, start.columns.copy(), start.x.copy(), start.matrix.copy(),
+                           start.inverse.copy()))
+        return original(std, cfg, lo, up, start)
+
+    monkeypatch.setattr(branch_and_bound, "solve_standardized", recording)
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        solve_milp(random_complementarity_lp(rng), cfg)
+    uses = {}
+    for start, *_ in starts:
+        uses[id(start)] = uses.get(id(start), 0) + 1
+    assert max(uses.values()) == 2
+    for start, columns, x, matrix, inverse in starts:
+        assert np.array_equal(start.columns, columns)
+        assert np.array_equal(start.x, x)
+        assert np.array_equal(start.matrix, matrix)
+        assert np.array_equal(start.inverse, inverse)
+        with pytest.raises(ValueError):
+            start.inverse[0, 0] = 0.0

@@ -7,18 +7,25 @@ efficient frontier: intensity weights over the efficient DMUs describe the
 target, a supporting hyperplane with multipliers >= 1 certifies strong
 efficiency, and a complementarity pair per efficient DMU lets it carry
 weight only if it lies on that hyperplane (lambda_k * d_k = 0).
+
+The stage-1 programs of all DMUs share their matrix, objective and bounds
+and differ only in the DMU's own values on the right-hand side, so the
+optimal root basis of one DMU's stage 1 stays dual feasible for the next
+one's.  A caller that projects several DMUs hands each projection's
+``stage1_root`` to the next call, whose stage-1 root then re-optimizes from
+it with the dual simplex instead of solving cold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, PriorityRanking
 from .efficiency import EfficientSet
 from .errors import AnalysisError, SolverLimitError
-from .solver import LinearProgram, Solution, SolveStatus, SolverConfig, solve_milp
+from .solver import Basis, LinearProgram, Solution, SolveStatus, SolverConfig, solve_milp
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,11 @@ class StageSolution:
 
 @dataclass(frozen=True)
 class Projection:
-    """Closest efficient target of one DMU with its stage audit trail."""
+    """Closest efficient target of one DMU with its stage audit trail.
+
+    ``stage1_root`` is the final basis of stage 1's root relaxation, which
+    the next DMU's stage 1 can start from; None for an efficient DMU.
+    """
 
     dmu: int
     target_inputs: np.ndarray
@@ -52,6 +63,7 @@ class Projection:
     slacks: np.ndarray
     stages: tuple[StageSolution, ...]
     priority: PriorityRanking
+    stage1_root: Basis | None = field(default=None, repr=False, compare=False)
 
 
 def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
@@ -105,13 +117,18 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
 
 def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
                        priority: PriorityRanking,
-                       cfg: SolverConfig = SolverConfig()) -> Projection:
+                       cfg: SolverConfig = SolverConfig(),
+                       stage1_root: Basis | None = None) -> Projection:
     """Lexicographically minimal slack vector and the target it induces.
 
     The target is unique: whichever optimal intensities/multipliers each
     stage solver happens to report, the slack optima are the same, and the
     target is the DMU moved by exactly those slacks (inputs down, outputs
     up).  Efficient DMUs short-circuit to a zero-slack projection.
+
+    ``stage1_root`` is the ``stage1_root`` of another DMU's projection over
+    the same efficient set and priority; stage 1 starts its root from it.
+    It never changes the result, and without it stage 1 starts cold.
     """
     m, s = dataset.m, dataset.s
     if priority.m != m or priority.s != s:
@@ -126,7 +143,11 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
     stages: list[StageSolution] = []
     t = j_e.size
     n_slack = m + s
-    warm: Solution | None = None  # the previous stage: incumbent and starting basis
+    # the previous stage: incumbent and starting basis; for stage 1 another
+    # DMU's root basis alone, which seeds no incumbent
+    warm: Solution | None = None
+    if stage1_root is not None:
+        warm = Solution(SolveStatus.OPTIMAL, np.nan, None, basis=stage1_root)
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):
         lp = build_stage_program(dataset, j_e, o, pinned, slack_idx)
@@ -156,9 +177,12 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
             deviations=sol.x[c_d:c_d + t].copy(),
         ))
         pinned.append((slack_idx, value))
+        if stage_no == 1:
+            root = sol.root_basis
         warm = sol
 
     # the final stage's joint solution is the projection: its slack vector
     # satisfies every pin and its intensities reproduce the target exactly
     s_star = stages[-1].slacks.copy()
-    return Projection(o, xo - s_star[:m], yo + s_star[m:], s_star, tuple(stages), priority)
+    return Projection(o, xo - s_star[:m], yo + s_star[m:], s_star, tuple(stages), priority,
+                      root)

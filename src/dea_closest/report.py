@@ -222,10 +222,13 @@ def analyze(dataset: Dataset, config: RunConfig, priority: PriorityRanking | Non
     j_e = EfficientSet(tuple(r.dmu for r in eff if r.is_efficient))
 
     records: list[DmuAnalysis] = []
+    stage1_root = None  # stage-1 root basis of the last DMU that solved one
     for o in range(dataset.n):
         rec = DmuAnalysis(dataset.names[o], eff[o])
         if need_projection:
-            rec.projection = closest_projection(dataset, j_e, o, priority, cfg)
+            rec.projection = closest_projection(dataset, j_e, o, priority, cfg, stage1_root)
+            if rec.projection.stage1_root is not None:
+                stage1_root = rec.projection.stage1_root
         if level >= 2:
             rec.mcrs = identify_mcrs(dataset, j_e, rec.projection, cfg)
         if level >= 3:

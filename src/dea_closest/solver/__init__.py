@@ -1,10 +1,11 @@
 """Embedded LP/MILP solver: bounded-variable primal simplex plus branch and bound."""
 
 from .branch_and_bound import solve_milp
-from .model import LinearProgram, Solution, SolveStatus, SolverConfig
+from .model import Basis, LinearProgram, Solution, SolveStatus, SolverConfig
 from .simplex import solve_lp, vertex_start
 
 __all__ = [
+    "Basis",
     "LinearProgram",
     "Solution",
     "SolveStatus",

@@ -175,6 +175,11 @@ class Solution:
     when there is no ``x``, and for a MILP incumbent that came from a warm
     start without one.  Passing the Solution as ``warm_start`` to a solve of
     a program with the same rows and columns starts it from that basis.
+
+    ``root_basis`` is, for a MILP, the final basis of its root relaxation:
+    a program that differs only in its right-hand side can start its own
+    root from it.  It is None for an LP, and when the root was not solved
+    to optimality or not solved at all.
     """
 
     status: SolveStatus
@@ -183,3 +188,4 @@ class Solution:
     iterations: int = 0
     nodes: int = 0
     basis: Basis | None = None
+    root_basis: Basis | None = None

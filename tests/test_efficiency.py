@@ -123,23 +123,45 @@ U12,5.6604,0.8921,8069.499999999999,63920.0
 """
 
 
+def highs_bcc_theta(ds, o, linprog):
+    """Radial BCC score of DMU ``o`` solved by HiGHS."""
+    # min theta over [theta, lambda]: X lambda <= theta x_o, Y lambda >= y_o,
+    # sum lambda = 1
+    c = np.concatenate([[1.0], np.zeros(ds.n)])
+    a_ub = np.vstack([np.column_stack([-ds.x[o], ds.x.T]),
+                      np.column_stack([np.zeros(ds.s), -ds.y.T])])
+    b_ub = np.concatenate([np.zeros(ds.m), -ds.y[o]])
+    a_eq = np.concatenate([[0.0], np.ones(ds.n)])[None, :]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+                  bounds=[(0, None)] * (1 + ds.n), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def highs_bcc_slacks(ds, o, theta, linprog):
+    """Slacks of a largest-total-slack point at the radial score ``theta``,
+    solved by HiGHS."""
+    n, m, s = ds.n, ds.m, ds.s
+    # max total slack over [lambda, s_in, s_out]: X lambda + s_in = theta x_o,
+    # Y lambda - s_out = y_o, sum lambda = 1
+    a_eq = np.vstack([np.hstack([ds.x.T, np.eye(m), np.zeros((m, s))]),
+                      np.hstack([ds.y.T, np.zeros((s, m)), -np.eye(s)]),
+                      np.r_[np.ones(n), np.zeros(m + s)][None, :]])
+    b_eq = np.r_[theta * ds.x[o], ds.y[o], 1.0]
+    c = -np.r_[np.zeros(n), np.ones(m + s)]
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * (n + m + s), method="highs")
+    assert res.status == 0
+    return res.x[n:]
+
+
 def test_bcc_scores_match_highs_on_rescaled_columns(cfg):
     # theta=1, lambda_o=1 is always feasible, yet phase 1 once stopped at a
     # vertex it took for optimal and reported U6's program "infeasible"
     linprog = pytest.importorskip("scipy.optimize").linprog
     ds = load_dataset(io.StringIO(RESCALED_BCC_CSV))
     for o in range(ds.n):
-        # min theta over [theta, lambda]: X lambda <= theta x_o, Y lambda >= y_o,
-        # sum lambda = 1
-        c = np.concatenate([[1.0], np.zeros(ds.n)])
-        a_ub = np.vstack([np.column_stack([-ds.x[o], ds.x.T]),
-                          np.column_stack([np.zeros(ds.s), -ds.y.T])])
-        b_ub = np.concatenate([np.zeros(ds.m), -ds.y[o]])
-        a_eq = np.concatenate([[0.0], np.ones(ds.n)])[None, :]
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                      bounds=[(0, None)] * (1 + ds.n), method="highs")
-        assert res.status == 0
-        assert abs(evaluate_bcc(ds, o, cfg).theta - res.fun) <= 1e-6, ds.names[o]
+        assert abs(evaluate_bcc(ds, o, cfg).theta - highs_bcc_theta(ds, o, linprog)) <= 1e-6, (
+            ds.names[o])
 
 
 def test_bcc_slacks_match_highs_on_rescaled_columns(cfg):
@@ -147,20 +169,45 @@ def test_bcc_slacks_match_highs_on_rescaled_columns(cfg):
     # theta agrees with HiGHS on the same rescaled data
     linprog = pytest.importorskip("scipy.optimize").linprog
     ds = load_dataset(io.StringIO(RESCALED_BCC_CSV))
-    n, m, s = ds.n, ds.m, ds.s
     for o in range(ds.n):
         r = evaluate_bcc(ds, o, cfg)
-        # max total slack over [lambda, s_in, s_out]: X lambda + s_in = theta x_o,
-        # Y lambda - s_out = y_o, sum lambda = 1
-        a_eq = np.vstack([np.hstack([ds.x.T, np.eye(m), np.zeros((m, s))]),
-                          np.hstack([ds.y.T, np.zeros((s, m)), -np.eye(s)]),
-                          np.r_[np.ones(n), np.zeros(m + s)][None, :]])
-        b_eq = np.r_[r.theta * ds.x[o], ds.y[o], 1.0]
-        c = -np.r_[np.zeros(n), np.ones(m + s)]
-        res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * (n + m + s), method="highs")
-        assert res.status == 0
-        assert abs(r.slacks.sum() + res.fun) <= 1e-6 * (1.0 + abs(res.fun)), ds.names[o]
+        total = highs_bcc_slacks(ds, o, r.theta, linprog).sum()
+        assert abs(r.slacks.sum() - total) <= 1e-6 * (1.0 + total), ds.names[o]
         assert np.all(r.slacks >= -1e-9 * (1.0 + np.abs(np.r_[ds.x[o], ds.y[o]])))
+
+
+# 12 DMUs, 6 of them on a known frontier, with inputs near 5e3 and 8e5 and
+# outputs near 5e3 and 1
+THETA_PIN_CSV = """dmu,in:x1,in:x2,out:y1,out:y2
+U1,7974.299999999999,757420.0,3907.5000000000005,0.6687000000000001
+U2,8856.1,913680.0,2597.6,0.7322
+U3,5086.0,818700.0,5988.6,0.9842100000000001
+U4,230.7,961240.0,9063.0,0.40364
+U5,7092.1,479370.0,1623.9,1.07806
+U6,6991.200000000001,31840.0,3095.2999999999997,0.79696
+U7,8194.0,1135640.0,3792.4,0.71488
+U8,6221.200000000001,764250.0,5537.3,0.67403
+U9,5587.599999999999,952680.0,3662.8999999999996,0.55638
+U10,5698.2,784820.0,5472.0,1.02723
+U11,7637.4,879010.0,4789.7,0.46975
+U12,5997.4,599770.0,9100.1,0.60942
+"""
+
+
+def test_bcc_phase2_holds_at_a_pinned_theta_on_rescaled_columns(cfg):
+    # phase 2 pins theta at exactly the phase-1 objective.  U10's phase 1 once
+    # read theta = 1 - 2.6e-13 from its optimal basis in another row order,
+    # which left phase 2 infeasible by 2.6e-13 * x_io, past the bound
+    # tolerance on a zero slack: the iteration limit, warm and cold.  U10 is
+    # efficient, so every slack is 0 and they compare one by one
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ds = load_dataset(io.StringIO(THETA_PIN_CSV))
+    o = ds.names.index("U10")
+    r = evaluate_bcc(ds, o, cfg)
+    theta = highs_bcc_theta(ds, o, linprog)
+    assert abs(r.theta - theta) <= 1e-9
+    expected = highs_bcc_slacks(ds, o, theta, linprog)
+    assert np.all(np.abs(r.slacks - expected) <= 1e-9 * (1.0 + np.r_[ds.x[o], ds.y[o]]))
 
 
 def test_bcc_phase1_starts_at_the_unit_vertex(monkeypatch, cfg):

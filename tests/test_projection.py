@@ -7,7 +7,8 @@ import pytest
 from dea_closest import (LinearProgram, PriorityRanking, SolveStatus, build_stage_program,
                          closest_projection, default_priority, efficient_set, evaluate_bcc,
                          load_dataset, projection, solve_lp, solve_milp)
-from dea_closest.solver import simplex
+from dea_closest.report import RunConfig, analyze
+from dea_closest.solver import branch_and_bound, simplex
 
 from conftest import make_dataset, random_dataset
 
@@ -279,6 +280,87 @@ def test_warm_start_prunes_stage_nodes(monkeypatch, cfg):
     assert np.abs(warm_slacks - cold_slacks).max() < 1e-9
 
 
+def test_stage_at_its_box_minimum_skips_the_root(monkeypatch, cfg):
+    # a stage whose target slack is already 0 at the previous stage's optimum
+    # cannot improve on that incumbent: the root is not solved, and the
+    # result is the one a solve of the root, pruned at once, returns
+    ds = random_dataset(np.random.default_rng(7), max_n=12, max_dim=2)
+    je = efficient_set(ds, cfg)
+    pri = default_priority(ds.m, ds.s)
+    skipped = []
+
+    def recording(lp, cfg, warm_start=None):
+        sol = solve_milp(lp, cfg, warm_start=warm_start)
+        if sol.nodes == 0:
+            skipped.append((lp, warm_start, sol))
+        return sol
+
+    monkeypatch.setattr(projection, "solve_milp", recording)
+    for o in range(ds.n):
+        closest_projection(ds, je, o, pri, cfg)
+    assert skipped
+
+    monkeypatch.setattr(branch_and_bound, "_box_minimum", lambda std: -np.inf)
+    for lp, warm_start, sol in skipped:
+        assert sol.status is SolveStatus.OPTIMAL and sol.iterations == 0
+        solved = solve_milp(lp, cfg, warm_start=warm_start)
+        assert solved.status is SolveStatus.OPTIMAL and solved.nodes == 1
+        assert np.array_equal(solved.x, sol.x) and solved.objective == sol.objective
+        assert solved.basis is sol.basis
+
+
+def chained_projections(ds, pri):
+    """Every DMU's projection as ``report.analyze`` computes them, each
+    stage-1 root starting from the previous projected DMU's root basis."""
+    report = analyze(ds, RunConfig("chained.csv", command="project"), pri)
+    return [rec.projection for rec in report.records]
+
+
+def test_stage1_roots_start_from_the_previous_dmus_root(monkeypatch, cfg):
+    # the stage-1 programs of all DMUs differ only in the DMU's own values,
+    # so each starts from the previous one's root basis: only the first
+    # inefficient DMU's stage-1 root is solved cold, and the targets and
+    # slacks are those of independent calls
+    ds = random_dataset(np.random.default_rng(7), max_n=12, max_dim=2)
+    je = efficient_set(ds, cfg)
+    pri = default_priority(ds.m, ds.s)
+    alone = [closest_projection(ds, je, o, pri, cfg) for o in range(ds.n)]
+
+    cold_runs = []
+    run_cold = simplex._Simplex._run_cold
+
+    def counting_cold(self, c):
+        cold_runs.append(self)
+        return run_cold(self, c)
+
+    root_cold = []  # per MILP, whether its root ran a cold solve
+    solve_node = branch_and_bound.solve_standardized
+
+    def node(std, cfg, lower=None, upper=None, start=None):
+        before = len(cold_runs)
+        out = solve_node(std, cfg, lower, upper, start)
+        if root_cold[-1] is None:
+            root_cold[-1] = len(cold_runs) > before
+        return out
+
+    def milp(lp, cfg, warm_start=None):
+        root_cold.append(None)
+        return solve_milp(lp, cfg, warm_start=warm_start)
+
+    monkeypatch.setattr(simplex._Simplex, "_run_cold", counting_cold)
+    monkeypatch.setattr(branch_and_bound, "solve_standardized", node)
+    monkeypatch.setattr(projection, "solve_milp", milp)
+    chained = chained_projections(ds, pri)
+
+    inefficient = ds.n - je.size
+    assert inefficient >= 3 and len(root_cold) == inefficient * (ds.m + ds.s)
+    assert root_cold[::ds.m + ds.s] == [True] + [False] * (inefficient - 1)
+    for p, q in zip(chained, alone):
+        assert np.abs(p.target_inputs - q.target_inputs).max() <= 1e-9
+        assert np.abs(p.target_outputs - q.target_outputs).max() <= 1e-9
+        assert np.abs(p.slacks - q.slacks).max() <= 1e-9
+
+
 def test_warm_started_stages_stay_within_five_pivots_per_node(monkeypatch, cfg):
     # every node resumes from its parent's basis and every stage root from
     # the previous stage's; cold-starting every node took about 15 pivots per
@@ -373,20 +455,13 @@ def highs_stage_optimum(lp, linprog):
     return best
 
 
-def test_stage_optima_match_highs_on_rescaled_columns(cfg):
-    # every stage optimum of every inefficient DMU against an independent
-    # enumeration.  A branch-and-bound node relaxation that stopped short of
-    # its optimum once pruned the branch holding U5's stage-1 optimum (slack
-    # out:y1): 58.98 came back where HiGHS finds 0
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    ds = load_dataset(io.StringIO(RESCALED_UNITS_CSV))
-    je = efficient_set(ds, cfg)
-    pri = default_priority(ds.m, ds.s)
+def check_stage_optima_against_highs(ds, je, projections, linprog):
+    """Compare every stage optimum of every inefficient DMU with the HiGHS
+    enumeration; returns the names of the DMUs checked at every stage."""
     checked = []
-    for o in range(ds.n):
+    for o, p in enumerate(projections):
         if o in je:
             continue
-        p = closest_projection(ds, je, o, pri, cfg)
         own = np.concatenate([ds.x[o], ds.y[o]])
         pinned = []
         for st in p.stages:
@@ -401,6 +476,32 @@ def test_stage_optima_match_highs_on_rescaled_columns(cfg):
             pinned.append((st.slack_index, st.value))
         else:
             checked.append(ds.names[o])
+    return checked
+
+
+def test_stage_optima_match_highs_on_rescaled_columns(cfg):
+    # every stage optimum of every inefficient DMU against an independent
+    # enumeration.  A branch-and-bound node relaxation that stopped short of
+    # its optimum once pruned the branch holding U5's stage-1 optimum (slack
+    # out:y1): 58.98 came back where HiGHS finds 0
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ds = load_dataset(io.StringIO(RESCALED_UNITS_CSV))
+    je = efficient_set(ds, cfg)
+    pri = default_priority(ds.m, ds.s)
+    projections = [closest_projection(ds, je, o, pri, cfg) for o in range(ds.n)]
+    checked = check_stage_optima_against_highs(ds, je, projections, linprog)
+    assert "U5" in checked and len(checked) >= 5
+
+
+def test_chained_stage_optima_match_highs_on_rescaled_columns(cfg):
+    # the same enumeration with the DMUs projected as report.analyze chains
+    # them: on these badly scaled columns each stage-1 root re-optimizes from
+    # another DMU's root basis instead of starting cold
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ds = load_dataset(io.StringIO(RESCALED_UNITS_CSV))
+    je = efficient_set(ds, cfg)
+    projections = chained_projections(ds, default_priority(ds.m, ds.s))
+    checked = check_stage_optima_against_highs(ds, je, projections, linprog)
     assert "U5" in checked and len(checked) >= 5
 
 

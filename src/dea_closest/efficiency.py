@@ -5,6 +5,12 @@ allows; phase 2 pins theta at that optimum and maximizes the total slack.
 A DMU is efficient exactly when theta is 1 and every slack is zero, which
 realizes the non-Archimedean objective without ever instantiating an
 epsilon coefficient.
+
+Phase 2 runs only when a slack can be positive on the phase-1 optimal face
+(Ali & Seiford 1993).  The phase-1 basis prices every slack column; when
+each is nonbasic with a reduced cost above the solver's pricing threshold,
+every phase-1 optimum has zero slacks, phase 2 could not move the point,
+and the phase-1 point is the answer.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import AnalysisError, SolverLimitError
-from .solver import LinearProgram, Solution, SolveStatus, SolverConfig, solve_lp, vertex_start
+from .solver import (Basis, LinearProgram, Solution, SolveStatus, SolverConfig, solve_lp,
+                     vertex_start)
+from .solver.model import PIVOT_TOL
 
 
 @dataclass(frozen=True)
@@ -24,7 +32,8 @@ class EfficiencyResult:
 
     ``slacks`` holds the m input slacks followed by the s output slacks.
     ``lambdas`` is the intensity vector over the full dataset from the
-    phase-2 solution.
+    phase-2 solution, or from the phase-1 solution when the phase-1 prices
+    rule out every slack (phase 2 would start and stop at that point).
     """
 
     dmu: int
@@ -97,14 +106,37 @@ def _unit_vertex(dataset: Dataset, o: int) -> Solution:
     return vertex_start(columns, x)
 
 
+def _slacks_ruled_out(lp: LinearProgram, basis: Basis | None, slacks: slice) -> bool:
+    """Whether the optimal phase-1 ``basis`` of ``lp`` proves that every
+    phase-1 optimum has all ``slacks`` at zero.
+
+    The program minimizes over equality rows, so its columns are those of
+    the solver's standardized system.  With prices y = B^-T c_B and reduced
+    costs d = c - a^T y, every feasible point has c.x = y.b + sum_j d_j x_j,
+    and d is nonnegative on the nonbasic columns at the optimum.  A nonbasic
+    slack whose d_j clears the solver's own pricing threshold therefore
+    raises the objective wherever it is positive.  False when the basis
+    record carries no inverse.
+    """
+    if basis is None or basis.inverse is None:
+        return False
+    cols = np.arange(lp.n_vars)[slacks]
+    if np.isin(cols, basis.columns).any():
+        return False
+    y = basis.inverse.T @ lp.c[basis.columns]
+    a = lp.a[:, cols]
+    d = lp.c[cols] - a.T @ y
+    return bool(np.all(d > PIVOT_TOL * (1.0 + np.abs(a).T @ np.abs(y))))
+
+
 def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig()) -> EfficiencyResult:
     """Radial score, max-slack completion, and efficiency flag for DMU ``o``."""
     name = dataset.names[o]
     n, m, s = dataset.n, dataset.m, dataset.s
 
     # the feasible vertex theta = 1, lambda_o = 1 spares phase 1 its artificial phase
-    phase1 = solve_lp(_bcc_program(dataset, o, (0.0, np.inf), phase2=False), cfg,
-                      warm_start=_unit_vertex(dataset, o))
+    lp1 = _bcc_program(dataset, o, (0.0, np.inf), phase2=False)
+    phase1 = solve_lp(lp1, cfg, warm_start=_unit_vertex(dataset, o))
     if phase1.status is SolveStatus.ITERATION_LIMIT:
         raise SolverLimitError(f"BCC phase 1 for DMU {name!r} hit the iteration limit")
     if phase1.status is not SolveStatus.OPTIMAL:
@@ -112,17 +144,22 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig()) -
         raise AnalysisError(f"BCC phase 1 for DMU {name!r} returned {phase1.status.value}")
     theta = float(phase1.objective)
 
-    # same rows and columns with theta pinned at its optimum, so the phase-1
-    # basis stays feasible and phase 2 resumes from it
-    phase2 = solve_lp(_bcc_program(dataset, o, (theta, theta), phase2=True), cfg,
-                      warm_start=phase1)
-    if phase2.status is SolveStatus.ITERATION_LIMIT:
-        raise SolverLimitError(f"BCC phase 2 for DMU {name!r} hit the iteration limit")
-    if phase2.status is not SolveStatus.OPTIMAL:
-        raise AnalysisError(f"BCC phase 2 for DMU {name!r} returned {phase2.status.value}")
+    slack_cols = slice(1 + n, 1 + n + m + s)
+    if _slacks_ruled_out(lp1, phase1.basis, slack_cols):
+        final = phase1  # phase 2 could not move the point
+        slacks = np.zeros(m + s)
+    else:
+        # same rows and columns with theta pinned at its optimum, so the
+        # phase-1 basis stays feasible and phase 2 resumes from it
+        final = solve_lp(_bcc_program(dataset, o, (theta, theta), phase2=True), cfg,
+                         warm_start=phase1)
+        if final.status is SolveStatus.ITERATION_LIMIT:
+            raise SolverLimitError(f"BCC phase 2 for DMU {name!r} hit the iteration limit")
+        if final.status is not SolveStatus.OPTIMAL:
+            raise AnalysisError(f"BCC phase 2 for DMU {name!r} returned {final.status.value}")
+        slacks = final.x[slack_cols].copy()
 
-    slacks = phase2.x[1 + n: 1 + n + m + s].copy()
-    lambdas = phase2.x[1: 1 + n].copy()
+    lambdas = final.x[1: 1 + n].copy()
     efficient = theta >= 1.0 - cfg.zero_tol and float(np.abs(slacks).max()) <= cfg.zero_tol
     return EfficiencyResult(o, theta, slacks, lambdas, efficient)
 

@@ -89,7 +89,7 @@ def solve_max_support_lp(dataset: Dataset, j_e: EfficientSet, projection: Projec
                               name)
 
 
-def maximal_weights(sol: MaxSupportSolution, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
+def maximal_weights(sol: MaxSupportSolution) -> np.ndarray:
     """Intensity vector with maximal support, scaled back to a convex combination."""
     t = sol.alpha.size - 1
     denom = float(sol.alpha[t] + sol.beta[t])
@@ -103,7 +103,7 @@ def identify_mcrs(dataset: Dataset, j_e: EfficientSet, projection: Projection,
                   cfg: SolverConfig = SolverConfig()) -> McrsResult:
     """MCRS membership plus the maximal intensity weights behind it."""
     sol = solve_max_support_lp(dataset, j_e, projection, cfg)
-    lam = maximal_weights(sol, cfg)
+    lam = maximal_weights(sol)
 
     members = []
     for k, j in enumerate(j_e.indices):

@@ -67,16 +67,11 @@ def _warm_objective(lp: LinearProgram, std, x: np.ndarray | None) -> float | Non
     tol = 1e-6
     if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
         return None
-    lhs = lp.a @ x
-    for i, rel in enumerate(lp.relations):
-        r = lhs[i] - lp.b[i]
-        if rel == "=" and abs(r) > tol:
-            return None
-        if rel == "<=" and r > tol:
-            return None
-        if rel == ">=" and r < -tol:
-            return None
-    if _branching(x, lp):
+    r = lp.a @ x - lp.b
+    rel = np.asarray(lp.relations)
+    broken = (((rel == "=") & (np.abs(r) > tol)) | ((rel == "<=") & (r > tol))
+              | ((rel == ">=") & (r < -tol)))
+    if broken.any() or _branching(x, lp):
         return None
     return float(std.c[: lp.n_vars] @ x)
 

@@ -9,7 +9,10 @@ A cold solve runs two primal phases.  Phase 1 starts from a slack basis: an
 inequality row whose own slack can absorb the row's residual at the resting
 point starts with that slack basic, and only the remaining rows get an
 artificial variable, so the starting basis is a signed identity and exactly
-feasible for phase 1.
+feasible for phase 1.  When every artificial starts at exactly zero (a
+homogeneous system with every column resting at zero, such as the MCRS
+support LP), that start already attains the phase-1 optimum: phase 1 takes
+no pivot, and the artificials are evicted and phase 2 begins at once.
 
 A warm solve resumes from the final basis of a related program with the same
 rows and columns (a branch-and-bound parent, the previous lexicographic
@@ -220,12 +223,13 @@ class _Simplex:
         self.b_inv, self.updates = a_ext[:, basis], 0  # a signed identity is its own inverse
 
         state = (a_ext, a_abs, lo_ext, up_ext, basis, vstatus)
-        outcome, x = self._iterate(c1, *state)
-        if outcome is not None:
-            # phase 1 is bounded below by zero, so only the iteration limit can stop it
-            return outcome, None, None
-        if x[n:].sum() > self._infeasibility_cut():
-            return SolveStatus.INFEASIBLE, None, None
+        if np.any(resid[need] != 0.0):  # otherwise phase 1 starts at its optimum, zero
+            outcome, x = self._iterate(c1, *state)
+            if outcome is not None:
+                # phase 1 is bounded below by zero, so only the iteration limit can stop it
+                return outcome, None, None
+            if x[n:].sum() > self._infeasibility_cut():
+                return SolveStatus.INFEASIBLE, None, None
 
         self._evict_artificials(a_ext, basis, vstatus, n)
         lo_ext[n:] = 0.0

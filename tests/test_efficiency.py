@@ -238,3 +238,60 @@ def test_singular_unit_vertex_falls_back_to_a_cold_start(cfg):
     r = evaluate_bcc(ds, 0, cfg)
     assert r.theta == pytest.approx(0.0, abs=1e-12)
     assert r.is_efficient is False
+
+
+def test_skipped_phase2_agrees_with_a_forced_one(monkeypatch, cfg):
+    # a DMU whose phase-1 prices rule out every slack keeps its theta and
+    # efficiency flag when phase 2 is forced, and the forced slacks, like
+    # HiGHS's largest-total-slack point, are zero
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(1993)
+    sets = [random_dataset(rng) for _ in range(30)] + [load_dataset(io.StringIO(RESCALED_BCC_CSV))]
+    skips = []
+    ruled_out = efficiency._slacks_ruled_out
+
+    def recording(*args):
+        skips.append(ruled_out(*args))
+        return skips[-1]
+
+    monkeypatch.setattr(efficiency, "_slacks_ruled_out", recording)
+    skipped = solved = 0
+    for ds in sets:
+        for o in range(ds.n):
+            r = evaluate_bcc(ds, o, cfg)
+            if not skips[-1]:
+                solved += 1
+                continue
+            skipped += 1
+            with monkeypatch.context() as forcing:
+                forcing.setattr(efficiency, "_slacks_ruled_out", lambda *args: False)
+                forced = evaluate_bcc(ds, o, cfg)
+            assert forced.theta == r.theta and forced.is_efficient == r.is_efficient
+            assert np.array_equal(r.slacks, np.zeros(ds.m + ds.s))
+            tol = 1e-9 * (1.0 + np.abs(np.r_[ds.x[o], ds.y[o]]))
+            assert np.all(np.abs(forced.slacks) <= tol), ds.names[o]
+            assert np.all(np.abs(highs_bcc_slacks(ds, o, r.theta, linprog)) <= tol), ds.names[o]
+            assert np.abs(forced.lambdas - r.lambdas).max() <= 1e-9
+    assert skipped > 30 and solved > 30
+
+
+def test_weakly_efficient_dmu_still_solves_phase2(monkeypatch, cfg):
+    # U2 reaches theta = 1 only with one unit of slack on its first input (U5
+    # uses one unit less of it).  Phase 1 ends with every slack nonbasic, but
+    # that slack's price is zero: the certificate cannot rule it out, so
+    # phase 2 runs and finds it, and U2 reads inefficient
+    ds = make_dataset(np.array([[3.0, 2.0], [3.0, 1.0], [2.0, 3.0], [3.0, 2.0], [2.0, 1.0]]),
+                      np.array([[1.0], [1.0], [2.0], [2.0], [1.0]]))
+    bases = []
+    ruled_out = efficiency._slacks_ruled_out
+
+    def recording(lp, basis, slacks):
+        bases.append(basis.columns)
+        return ruled_out(lp, basis, slacks)
+
+    monkeypatch.setattr(efficiency, "_slacks_ruled_out", recording)
+    r = evaluate_bcc(ds, 1, cfg)
+    assert len(bases) == 1 and not np.isin(np.arange(6, 9), bases[0]).any()
+    assert r.theta == pytest.approx(1.0, abs=1e-12)
+    assert r.slacks == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+    assert not r.is_efficient

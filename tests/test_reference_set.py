@@ -3,10 +3,10 @@ import pytest
 
 from dea_closest import (AnalysisError, LinearProgram, SolveStatus, closest_projection,
                          default_priority, efficient_set, identify_mcrs, maximal_weights,
-                         solve_lp, solve_max_support_lp)
+                         reference_set, solve_lp, solve_max_support_lp)
 from dea_closest.projection import Projection
 
-from conftest import random_dataset
+from conftest import make_dataset, random_dataset
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ def test_support_lp_solution_structure(eight_dmu, je8, cfg):
     assert x[idx].T @ mass == pytest.approx(agg * p.target_inputs, abs=1e-7)
     assert y[idx].T @ mass == pytest.approx(agg * p.target_outputs, abs=1e-7)
     assert mass.sum() == pytest.approx(agg, abs=1e-7)
-    lam = maximal_weights(sol, cfg)
+    lam = maximal_weights(sol)
     assert lam.sum() == pytest.approx(1.0, abs=1e-7)
 
 
@@ -86,7 +86,7 @@ def test_projection_at_isolated_extreme_unit(eight_dmu, je8, cfg):
     # DMU5's projection is the extreme unit DMU4: only that column carries weight
     p = project(eight_dmu, je8, 4, cfg)
     sol = solve_max_support_lp(eight_dmu, je8, p, cfg)
-    lam = maximal_weights(sol, cfg)
+    lam = maximal_weights(sol)
     assert lam == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-7)
 
 
@@ -158,3 +158,27 @@ def test_unrepresentable_target_is_internal_error(eight_dmu, je8, cfg):
     bogus = point_projection(0, [0.5], [1.0], pri)
     with pytest.raises(AnalysisError):
         identify_mcrs(eight_dmu, je8, bogus, cfg)
+
+
+def test_support_lps_pivot_budget(monkeypatch, cfg):
+    # 20 DMUs on a strictly concave (3,3) frontier, every one efficient: the
+    # support LPs took 253 pivots with phase 1 iterated, although b = 0
+    # starts every artificial at zero; skipping that phase must halve them
+    rng = np.random.default_rng(2)
+    x = np.round(rng.uniform(1, 100, (20, 3)), 3)
+    d = rng.uniform(0.05, 1, (20, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    ds = make_dataset(x, np.round(d * (10 * np.sqrt(x.sum(axis=1)))[:, None], 3))
+    je = efficient_set(ds, cfg)
+    assert je.size == ds.n
+    pivots = []
+
+    def counting(lp, cfg):
+        sol = solve_lp(lp, cfg)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(reference_set, "solve_lp", counting)
+    for o in range(ds.n):
+        assert identify_mcrs(ds, je, project(ds, je, o, cfg), cfg).members == (o,)
+    assert sum(pivots) <= 253 // 2

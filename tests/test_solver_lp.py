@@ -294,6 +294,40 @@ def test_slack_start_needs_no_pivot(cfg):
     assert sol.x == pytest.approx(np.zeros(4))
 
 
+def test_homogeneous_programs_take_no_phase_1_pivot(monkeypatch, cfg):
+    # b = 0 with every column resting at zero (boxed at [0, u] or pinned at
+    # 0) starts each artificial at zero, which is already the phase-1
+    # optimum: the cold solve iterates phase 2 alone and still finds the optimum
+    rng = np.random.default_rng(7070)
+    costs = []
+    iterate = simplex._Simplex._iterate
+
+    def recording(self, c, *state):
+        costs.append(c)
+        return iterate(self, c, *state)
+
+    monkeypatch.setattr(simplex._Simplex, "_iterate", recording)
+    equality_rows = 0
+    for _ in range(40):
+        n = int(rng.integers(3, 8))
+        m = int(rng.integers(1, min(4, n - 1) + 1))
+        a = np.round(rng.uniform(-3, 3, (m, n)), 2)
+        upper = np.round(rng.uniform(0.5, 6, n), 2)
+        upper[rng.uniform(size=n) < 0.2] = 0.0
+        rels = tuple(str(rng.choice(["=", "=", "<=", ">="])) for _ in range(m))
+        c = np.round(rng.uniform(-5, 5, n), 2)
+        lp = LinearProgram(str(rng.choice(["min", "max"])), c, a, rels, np.zeros(m),
+                           np.zeros(n), upper)
+        equality_rows += rels.count("=")
+        costs.clear()
+        sol = solve_lp(lp, cfg)
+        std = standardize(lp)
+        assert len(costs) == 1 and np.array_equal(costs[0][:std.c.size], std.c)  # phase 2's
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(enumerate_lp_optimum(equality_twin(lp)), abs=1e-7)
+    assert equality_rows > 20
+
+
 def test_intercept_programs_pivot_budget(eight_dmu, cfg):
     # the n+2-row multiplier form with one artificial per row cost 172 pivots
     # over these 16 programs; the m+s+1-row dual, its ">=" rows started from

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from dea_closest import LinearProgram, Solution, SolverConfig, SolveStatus, solve_lp, solve_milp
+from dea_closest.solver.branch_and_bound import _branching, _warm_objective
 from dea_closest.solver.model import INT_TOL
+from dea_closest.solver.simplex import standardize
 
 from conftest import enumerate_milp_optimum, random_binary_lp, random_complementarity_lp
 
@@ -138,3 +140,56 @@ def test_determinism(cfg):
         assert a.nodes == b.nodes
         if a.status is SolveStatus.OPTIMAL:
             assert np.array_equal(a.x, b.x)
+
+
+def loop_warm_objective(lp, std, x):
+    """The warm-start screen as a per-row loop, the reference for the
+    vectorized one."""
+    if x is None or len(x) != lp.n_vars:
+        return None
+    tol = 1e-6
+    if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
+        return None
+    lhs = lp.a @ x
+    for i, rel in enumerate(lp.relations):
+        r = lhs[i] - lp.b[i]
+        if rel == "=" and abs(r) > tol:
+            return None
+        if rel == "<=" and r > tol:
+            return None
+        if rel == ">=" and r < -tol:
+            return None
+    if _branching(x, lp):
+        return None
+    return float(std.c[: lp.n_vars] @ x)
+
+
+def test_warm_screen_matches_the_row_loop():
+    # every row sits at its rhs plus an offset inside or past the 1e-6
+    # screen tolerance on either side, and one point in four also leaves
+    # its box by as much, so each relation and the bounds get broken both ways
+    rng = np.random.default_rng(606)
+    offsets = np.array([-2e-6, -5e-7, 0.0, 5e-7, 2e-6])
+    broken = {"=": 0, "<=": 0, ">=": 0, "bound": 0}
+    accepted = 0
+    for k in range(120):
+        lp = random_binary_lp(rng) if k % 2 else random_complementarity_lp(rng)
+        x = lp.lower + rng.uniform(0, 1, lp.n_vars) * (lp.upper - lp.lower)
+        x[lp.binary] = np.round(x[lp.binary])
+        pairs = lp.complements
+        x[pairs[np.arange(len(pairs)), rng.integers(0, 2, len(pairs))]] = 0.0
+        off = rng.choice(offsets, lp.n_rows)
+        lp = LinearProgram(lp.sense, lp.c, lp.a, lp.relations, lp.a @ x - off, lp.lower,
+                           lp.upper, lp.binary, lp.complements)
+        if rng.integers(4) == 0:
+            j = int(rng.integers(lp.n_vars))
+            x[j] = lp.lower[j] - 2e-6 if rng.integers(2) else lp.upper[j] + 2e-6
+            broken["bound"] += 1
+        for rel, r in zip(lp.relations, off):
+            if {"=": abs(r), "<=": r, ">=": -r}[rel] > 1e-6:
+                broken[rel] += 1
+        std = standardize(lp)
+        expected = loop_warm_objective(lp, std, x)
+        assert _warm_objective(lp, std, x) == expected
+        accepted += expected is not None
+    assert min(broken.values()) > 5 and accepted > 5

@@ -3,12 +3,15 @@
 A ``Dataset`` holds its values as two read-only float64 arrays, inputs ``x``
 (n, m) and outputs ``y`` (n, s), with one row per DMU in ``names`` order, so
 every model builder takes its blocks by slicing.  Construction validates the
-whole table at once and names the first offending DMU.
+whole table at once and names the first offending DMU or measure.
 
 The CSV contract: header ``dmu,in:<name>[,in:<name>...],out:<name>[,out:<name>...]``,
-one row per DMU, UTF-8, plain decimal numbers.  Input columns come before
-output columns and there is at least one of each.  Row order is preserved
-everywhere downstream — it is the canonical tie-break order.
+one row per DMU, UTF-8 (a byte-order mark is allowed), plain decimal
+numbers.  Input columns come before output columns and there is at least
+one of each; no two input or two output columns share a name, although an
+input and an output may (their slack labels ``in:a`` and ``out:a`` differ).
+Row order is preserved everywhere downstream — it is the canonical
+tie-break order.
 """
 
 from __future__ import annotations
@@ -52,11 +55,15 @@ class Dataset:
             raise ValidationError("dataset contains no DMUs")
         if not self.input_names or not self.output_names:
             raise ValidationError("dataset needs at least one input and one output measure")
-        seen: set[str] = set()
-        for name in names:
-            if name in seen:
-                raise ValidationError(f"duplicate DMU name {name!r}")
-            seen.add(name)
+        for kind, labels in (("DMU", names), ("input", self.input_names),
+                             ("output", self.output_names)):
+            seen: set[str] = set()
+            for name in labels:
+                if not str(name).strip():
+                    raise ValidationError(f"empty {kind} name")
+                if name in seen:
+                    raise ValidationError(f"duplicate {kind} name {name!r}")
+                seen.add(name)
         if x.shape != (self.n, self.m) or y.shape != (self.n, self.s):
             raise ValidationError(f"inconsistent dimensions: inputs {x.shape} and outputs "
                                   f"{y.shape} for {self.n} DMUs, {self.m} inputs and "
@@ -156,12 +163,16 @@ def _parse_header(fields: list[str]) -> tuple[list[str], list[str]]:
             if output_names:
                 raise ValidationError("input columns must precede output columns",
                                       row=1, column=col)
-            input_names.append(token[3:])
+            group, name = input_names, token[3:]
         elif token.startswith("out:"):
-            output_names.append(token[4:])
+            group, name = output_names, token[4:]
         else:
             raise ValidationError(f"column header {token!r} must start with 'in:' or 'out:'",
                                   row=1, column=col)
+        if not name.strip() or name in group:
+            problem = "repeats an earlier column" if name.strip() else "names no measure"
+            raise ValidationError(f"column header {token!r} {problem}", row=1, column=col)
+        group.append(name)
     if not input_names:
         raise ValidationError("no input columns declared", row=1)
     if not output_names:
@@ -170,13 +181,21 @@ def _parse_header(fields: list[str]) -> tuple[list[str], list[str]]:
 
 
 def load_dataset(source: str | Path | TextIO) -> Dataset:
-    """Read and validate a dataset from a CSV path, CSV text, or open stream.
+    """Read and validate a dataset from a CSV file path (``str`` or ``Path``)
+    or an open text stream.
 
-    Every malformed cell is reported with its 1-based row/column coordinates;
-    a partially constructed dataset is never returned.
+    A file is decoded as UTF-8, with or without a byte-order mark; a byte
+    that is not UTF-8 is reported with its row.  Every malformed cell is
+    reported with its 1-based row/column coordinates; a partially
+    constructed dataset is never returned.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
+        raw = Path(source).read_bytes()
+        try:
+            text = raw.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"byte 0x{raw[exc.start]:02x} is not UTF-8 text",
+                                  row=raw.count(b"\n", 0, exc.start) + 1) from None
     else:
         text = source.read()
 

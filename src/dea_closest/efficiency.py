@@ -21,8 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import AnalysisError, SolverLimitError
-from .solver import (Basis, LinearProgram, Solution, SolveStatus, SolverConfig, solve_lp,
-                     vertex_start)
+from .solver import Basis, LinearProgram, SolveStatus, SolverConfig, solve_lp
 from .solver.model import PIVOT_TOL
 
 
@@ -89,7 +88,7 @@ def _bcc_program(dataset: Dataset, o: int, theta_bounds: tuple[float, float],
     return LinearProgram(sense, c, a, ("=",) * (m + s + 1), b, lower, upper)
 
 
-def _unit_vertex(dataset: Dataset, o: int) -> Solution:
+def _unit_vertex(dataset: Dataset, o: int) -> Basis:
     """Phase-1 start at theta = 1, lambda_o = 1 with every slack zero.
 
     The basic columns are the slacks of their own rows, lambda_o in the
@@ -103,7 +102,7 @@ def _unit_vertex(dataset: Dataset, o: int) -> Solution:
     x[0] = x[1 + o] = 1.0
     columns = np.r_[1 + n + np.arange(m + s), 1 + o]
     columns[int(np.argmax(dataset.x[o]))] = 0
-    return vertex_start(columns, x)
+    return Basis(columns, x)
 
 
 def _slacks_ruled_out(lp: LinearProgram, basis: Basis | None, slacks: slice) -> bool:
@@ -152,7 +151,7 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig()) -
         # same rows and columns with theta pinned at its optimum, so the
         # phase-1 basis stays feasible and phase 2 resumes from it
         final = solve_lp(_bcc_program(dataset, o, (theta, theta), phase2=True), cfg,
-                         warm_start=phase1)
+                         warm_start=phase1.basis)
         if final.status is SolveStatus.ITERATION_LIMIT:
             raise SolverLimitError(f"BCC phase 2 for DMU {name!r} hit the iteration limit")
         if final.status is not SolveStatus.OPTIMAL:

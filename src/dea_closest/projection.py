@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset, PriorityRanking
 from .efficiency import EfficientSet
 from .errors import AnalysisError, SolverLimitError
-from .solver import Basis, LinearProgram, Solution, SolveStatus, SolverConfig, solve_milp
+from .solver import Basis, LinearProgram, SolveStatus, SolverConfig, solve_milp
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,8 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
     target is the DMU moved by exactly those slacks (inputs down, outputs
     up).  Efficient DMUs short-circuit to a zero-slack projection.
 
+    Each stage after the first starts its root from the previous stage's
+    final basis; that basis is the only thing one stage hands the next.
     ``stage1_root`` is the ``stage1_root`` of another DMU's projection over
     the same efficient set and priority; stage 1 starts its root from it.
     It never changes the result, and without it stage 1 starts cold.
@@ -143,15 +145,11 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
     stages: list[StageSolution] = []
     t = j_e.size
     n_slack = m + s
-    # the previous stage: incumbent and starting basis; for stage 1 another
-    # DMU's root basis alone, which seeds no incumbent
-    warm: Solution | None = None
-    if stage1_root is not None:
-        warm = Solution(SolveStatus.OPTIMAL, np.nan, None, basis=stage1_root)
+    start = stage1_root
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):
         lp = build_stage_program(dataset, j_e, o, pinned, slack_idx)
-        sol = solve_milp(lp, cfg, warm_start=warm)
+        sol = solve_milp(lp, cfg, warm_start=start)
         if sol.status in (SolveStatus.NODE_LIMIT, SolveStatus.ITERATION_LIMIT):
             raise SolverLimitError(
                 f"projection of DMU {name!r} stage {stage_no} "
@@ -179,7 +177,7 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
         pinned.append((slack_idx, value))
         if stage_no == 1:
             root = sol.root_basis
-        warm = sol
+        start = sol.basis
 
     # the final stage's joint solution is the projection: its slack vector
     # satisfies every pin and its intensities reproduce the target exactly

@@ -20,7 +20,7 @@ from .data import Dataset, PriorityRanking
 from .efficiency import EfficientSet
 from .errors import AnalysisError, SolverLimitError, failure_context
 from .projection import Projection, closest_projection
-from .solver import LinearProgram, Solution, SolveStatus, SolverConfig, solve_lp, vertex_start
+from .solver import Basis, LinearProgram, SolveStatus, SolverConfig, solve_lp
 
 
 class RtsLabel(Enum):
@@ -76,7 +76,7 @@ def _intercept_program(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarra
                          np.r_[-np.inf, -np.inf, np.zeros(n)], np.full(n + 2, np.inf))
 
 
-def _unit_multipliers(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray) -> Solution:
+def _unit_multipliers(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray) -> Basis:
     """Start of the minimizing stage at lambda = 0, mu = 1, u0 = 1.
 
     Over the standardized columns [u0, mu, lambda (n), row slacks (m+s)],
@@ -88,7 +88,7 @@ def _unit_multipliers(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray
     x = np.r_[1.0, 1.0, np.zeros(n + m), point_y]
     columns = np.r_[n + 2 + np.arange(m + s), 1]
     columns[int(np.argmax(point_x))] = 0
-    return vertex_start(columns, x)
+    return Basis(columns, x)
 
 
 def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
@@ -105,7 +105,7 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
     point_x = np.asarray(point_x, dtype=float)
     point_y = np.asarray(point_y, dtype=float)
 
-    def solve(sense: str, stage: str, *start: Solution):
+    def solve(sense: str, stage: str, *start: Basis):
         sol = solve_lp(_intercept_program(dataset, point_x, point_y, sense), cfg, *start)
         if sol.status is SolveStatus.ITERATION_LIMIT:
             raise SolverLimitError(f"intercept {stage} hit the iteration limit")

@@ -2,7 +2,7 @@
 
 from .branch_and_bound import solve_milp
 from .model import Basis, LinearProgram, Solution, SolveStatus, SolverConfig
-from .simplex import solve_lp, vertex_start
+from .simplex import solve_lp
 
 __all__ = [
     "Basis",
@@ -12,5 +12,4 @@ __all__ = [
     "SolverConfig",
     "solve_lp",
     "solve_milp",
-    "vertex_start",
 ]

@@ -13,12 +13,11 @@ cannot beat the incumbent.
 Every node carries its parent's final basis.  A child differs from its
 parent in one bound, so that basis stays dual feasible and the simplex
 resumes from it with a few dual pivots instead of a cold two-phase solve;
-the root starts from the basis of a caller-supplied warm start (the
-previous lexicographic stage, or the root of a program that differs only
-in its right-hand side).  A root that cannot improve on a warm-start
-incumbent, because the incumbent already attains the objective's minimum
-over the variable box, is not solved at all.  With the deterministic
-simplex underneath, identical programs always produce identical solutions.
+the root starts from a caller-supplied basis (the previous lexicographic
+stage's, or the root basis of a program that differs only in its
+right-hand side).  The incumbent always starts empty.  With the
+deterministic simplex underneath, identical programs always produce
+identical solutions.
 """
 
 from __future__ import annotations
@@ -59,78 +58,34 @@ def _branching(x: np.ndarray, lp: LinearProgram) -> tuple[tuple[int, float], ...
     return (large, 0.0), (small, 0.0)
 
 
-def _warm_objective(lp: LinearProgram, std, x: np.ndarray | None) -> float | None:
-    """Min-sense objective of a caller-supplied feasible point, or None if the
-    point fails a feasibility screen (then the hint is silently dropped)."""
-    if x is None or len(x) != lp.n_vars:
-        return None
-    tol = 1e-6
-    if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
-        return None
-    r = lp.a @ x - lp.b
-    rel = np.asarray(lp.relations)
-    broken = (((rel == "=") & (np.abs(r) > tol)) | ((rel == "<=") & (r > tol))
-              | ((rel == ">=") & (r < -tol)))
-    if broken.any() or _branching(x, lp):
-        return None
-    return float(std.c[: lp.n_vars] @ x)
-
-
-def _box_minimum(std) -> float:
-    """Smallest objective (min sense) over the variable box, ignoring the
-    rows; -inf when an unbounded column can lower it without limit."""
-    c = std.c
-    nz = c != 0.0
-    return float(np.minimum(c[nz] * std.lower[nz], c[nz] * std.upper[nz]).sum())
-
-
-def _cannot_improve(bound: float, inc_obj: float) -> bool:
-    """Whether a node whose objective is at least ``bound`` is pruned by an
-    incumbent of objective ``inc_obj`` (both in the min sense)."""
-    return bound >= inc_obj - 1e-9 * max(1.0, abs(inc_obj))
-
-
 def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
-               warm_start: Solution | None = None) -> Solution:
+               warm_start: Basis | None = None) -> Solution:
     """Solve a program with binaries and complementarity pairs to proven
     optimality.
 
-    ``warm_start`` may carry the Solution of a program with the same rows
-    and columns (typically the previous stage of a lexicographic sequence).
-    A point of it that is feasible here seeds the incumbent, and its basis
-    starts the root relaxation; neither affects which solutions are optimal.
-    An incumbent that the root could not improve on is returned with
-    ``nodes == 0``.  A warm start with ``x=None`` (the ``root_basis`` of a
-    program that differs only in ``b``) starts the root and seeds nothing.
+    ``warm_start`` is a basis of a program with the same rows and columns
+    (the ``basis`` of the previous stage of a lexicographic sequence, or the
+    ``root_basis`` of a program that differs only in ``b``); the root
+    relaxation starts from it.  It seeds no incumbent and never changes
+    which solutions are optimal.
 
     An unbounded relaxation is reported as UNBOUNDED; exhausting
     ``cfg.max_nodes`` returns NODE_LIMIT with the best incumbent found so
     far, if any.  The returned ``basis`` is that of the node that found the
-    incumbent, or the warm start's own when no node improved on it, and
-    ``root_basis`` that of the root relaxation.  A ``warm_start`` that is
-    not a Solution raises TypeError.
+    incumbent, and ``root_basis`` that of the root relaxation.  A
+    ``warm_start`` that is not a Basis raises TypeError.
     """
     check_warm_start(warm_start)
     if not lp.is_mixed:
         return solve_lp(lp, cfg, warm_start)
 
     std = standardize(lp)
-
     inc_x: np.ndarray | None = None
     inc_obj = np.inf
     inc_basis: Basis | None = None
-    root_start = warm_start.basis if warm_start is not None else None
-    warm = _warm_objective(lp, std, warm_start.x if warm_start is not None else None)
-    if warm is not None:
-        inc_x = np.asarray(warm_start.x, dtype=float).copy()
-        inc_obj = warm
-        inc_basis = root_start
-        if _cannot_improve(_box_minimum(std), inc_obj):
-            return Solution(SolveStatus.OPTIMAL, std.sense_sign * inc_obj,
-                            inc_x[: lp.n_vars].copy(), 0, 0, inc_basis)
 
     # each entry: node bounds and the parent's final basis to resume from
-    stack = [(std.lower.copy(), std.upper.copy(), root_start)]
+    stack = [(std.lower.copy(), std.upper.copy(), warm_start)]
     nodes = 0
     total_iters = 0
     root_basis: Basis | None = None
@@ -153,8 +108,8 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
             return Solution(status, -std.sense_sign * np.inf, None, total_iters, nodes)
         if status is SolveStatus.ITERATION_LIMIT:
             return Solution(status, np.nan, None, total_iters, nodes)
-        if _cannot_improve(obj, inc_obj):
-            continue
+        if obj >= inc_obj - 1e-9 * max(1.0, abs(inc_obj)):
+            continue  # cannot improve on the incumbent
 
         alternatives = _branching(x, lp)
         if not alternatives:
@@ -171,5 +126,5 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
         status = SolveStatus.NODE_LIMIT if hit_node_limit else SolveStatus.INFEASIBLE
         return Solution(status, np.nan, None, total_iters, nodes)
     status = SolveStatus.NODE_LIMIT if hit_node_limit else SolveStatus.OPTIMAL
-    return Solution(status, std.sense_sign * inc_obj, inc_x[: lp.n_vars].copy(),
-                    total_iters, nodes, inc_basis, root_basis)
+    return Solution(status, std.sense_sign * inc_obj, inc_x, total_iters, nodes,
+                    inc_basis, root_basis)

@@ -139,13 +139,16 @@ class LinearProgram:
 @dataclass(frozen=True)
 class Basis:
     """Final basis of a simplex solve, kept so that a related program can
-    resume from it.
+    resume from it; the one thing a ``warm_start`` carries.
 
     ``columns[i]`` is the column of the internal standardized system
     (structural variables, then one slack per inequality row) basic in row
     i, and ``x`` is the full standardized point at that basis.  A solve that
     resumes from the record places each nonbasic column by its value against
-    its own bounds, so the record stays meaningful when bounds change.
+    its own bounds, so the record stays meaningful when bounds change.  A
+    caller that knows a basic feasible point of a program builds the record
+    itself as ``Basis(columns, x)``.  A basis the solve cannot resume from
+    (a singular one, or one of another system) sends it to its cold start.
 
     ``inverse`` is the factorized inverse of ``matrix``, the basic columns
     in row order.  A resuming solve whose own basic columns equal ``matrix``
@@ -172,14 +175,13 @@ class Solution:
     (or NODE_LIMIT with an incumbent), otherwise None.  ``basis`` is the
     final basis of the solve that produced ``x``: the LP's own, or for a
     MILP the branch-and-bound node that found the incumbent.  It is None
-    when there is no ``x``, and for a MILP incumbent that came from a warm
-    start without one.  Passing the Solution as ``warm_start`` to a solve of
-    a program with the same rows and columns starts it from that basis.
+    when there is no ``x``.  Passing it as ``warm_start`` to a solve of a
+    program with the same rows and columns starts it from that basis.
 
     ``root_basis`` is, for a MILP, the final basis of its root relaxation:
     a program that differs only in its right-hand side can start its own
     root from it.  It is None for an LP, and when the root was not solved
-    to optimality or not solved at all.
+    to optimality.
     """
 
     status: SolveStatus

@@ -17,8 +17,8 @@ no pivot, and the artificials are evicted and phase 2 begins at once.
 A warm solve resumes from the final basis of a related program with the same
 rows and columns (a branch-and-bound parent, the previous lexicographic
 stage, the first phase of a two-phase model), or from a known basic feasible
-point that the caller names with ``vertex_start`` (the BCC score starts at
-theta=1, lambda_o=1 and the lower returns-to-scale intercept at lambda=0,
+point that the caller builds as a ``Basis`` of its own (the BCC score starts
+at theta=1, lambda_o=1 and the lower returns-to-scale intercept at lambda=0,
 mu=1, u0=1, so neither runs an artificial phase).  Each nonbasic column is
 placed by its old value against its new bounds.  If the basic solution is
 then primal feasible, primal phase 2 runs alone; if it is only dual
@@ -548,48 +548,34 @@ def solve_standardized(std: StandardizedLP, cfg: SolverConfig,
     return status, x[: std.n_struct].copy(), obj, sx.iterations, record
 
 
-def vertex_start(columns: np.ndarray, x: np.ndarray) -> Solution:
-    """Warm start at a known basic feasible point of a program.
-
-    ``columns[i]`` is the column basic in row i and ``x`` the full point,
-    both over the standardized system (the structural variables, then one
-    slack per inequality row, in row order).  Passed as ``warm_start``, it
-    lets the solve skip its artificial phase; only the basis is read, and a
-    basis that is singular or breaks a bound sends the solve back to the
-    cold start.
-    """
-    x = np.asarray(x, dtype=float)
-    return Solution(SolveStatus.OPTIMAL, np.nan, None, basis=Basis(np.asarray(columns), x))
-
-
 def check_warm_start(warm_start) -> None:
-    """Reject a warm start that is not a Solution (or None)."""
-    if warm_start is not None and not isinstance(warm_start, Solution):
-        raise TypeError("warm_start must be a Solution of an earlier solve, "
-                        f"not {type(warm_start).__name__}")
+    """Reject a warm start that is not a Basis (or None)."""
+    if warm_start is not None and not isinstance(warm_start, Basis):
+        raise TypeError("warm_start must be a Basis (such as an earlier solve's "
+                        f"Solution.basis), not {type(warm_start).__name__}")
 
 
 def solve_lp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
-             warm_start: Solution | None = None) -> Solution:
+             warm_start: Basis | None = None) -> Solution:
     """Solve a linear program without binaries or complementarity pairs.
 
-    ``warm_start`` may carry the Solution of a program with the same rows
-    and columns (for instance the same model under other bounds or another
-    objective); the solve starts from its basis.  It never changes which
-    solutions are optimal.
+    ``warm_start`` is a basis of a program with the same rows and columns:
+    the ``basis`` of an earlier solve (for instance the same model under
+    other bounds or another objective), or a known basic feasible point
+    built by hand (``Basis(columns, x)``).  The solve starts from it; it
+    never changes which solutions are optimal.
 
     Infeasibility and unboundedness are detected and reported as statuses;
     hitting ``max_iterations`` (cycling or severe ill-conditioning) is
     reported as ITERATION_LIMIT.  Dimension errors are raised when the
     ``LinearProgram`` itself is constructed, never here; a ``warm_start``
-    that is not a Solution raises TypeError.
+    that is not a Basis raises TypeError.
     """
     if lp.is_mixed:
         raise ValueError("program has binaries or complementarity pairs; use solve_milp")
     check_warm_start(warm_start)
     std = standardize(lp)
-    start = warm_start.basis if warm_start is not None else None
-    status, x, obj, iters, basis = solve_standardized(std, cfg, start=start)
+    status, x, obj, iters, basis = solve_standardized(std, cfg, start=warm_start)
     if status is SolveStatus.OPTIMAL:
         return Solution(status, std.sense_sign * obj, x, iters, 0, basis)
     if status is SolveStatus.UNBOUNDED:

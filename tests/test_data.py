@@ -51,6 +51,10 @@ def test_load_from_path(tmp_path):
     ("dmu,in:a,out:b\nu,0,0\n", "identically zero"),
     ("dmu,in:a,out:b\nu,inf,2\n", "row 2, column 2"),
     ("dmu,in:a,out:b\n", "no DMU rows"),
+    ("dmu,in:a,in:a,out:b\nC,1,2,3\n", "row 1, column 3: column header 'in:a' repeats"),
+    ("dmu,in:a,out:b,out:b\nu,1,2,3\n", "row 1, column 4: column header 'out:b' repeats"),
+    ("dmu,in:,out:b\nu,1,2\n", "row 1, column 2: column header 'in:' names no measure"),
+    ("dmu,in:a,out:\nu,1,2\n", "row 1, column 3: column header 'out:' names no measure"),
 ])
 def test_malformed_inputs_report_coordinates(text, frag):
     with pytest.raises(ValidationError) as err:
@@ -168,6 +172,17 @@ def test_priority_spec_errors(spec, frag):
 def test_duplicate_names_rejected_programmatically():
     with pytest.raises(ValidationError):
         Dataset(("u", "u"), [[1.0], [2.0]], [[1.0], [2.0]], ("a",), ("b",))
+
+
+def test_measure_names_checked_programmatically():
+    with pytest.raises(ValidationError, match="duplicate input name 'a'"):
+        Dataset(("u",), [[1.0, 2.0]], [[1.0]], ("a", "a"), ("b",))
+    with pytest.raises(ValidationError, match="empty output name"):
+        Dataset(("u",), [[1.0]], [[1.0]], ("a",), ("",))
+    # an input and an output may share a name: their slack labels differ
+    ds = Dataset(("u",), [[1.0]], [[1.0]], ("a",), ("a",))
+    assert ds.slack_labels() == ("in:a", "out:a")
+    assert load_dataset(io.StringIO("dmu,in:a,out:a\nu,1,2\n")).slack_labels() == ("in:a", "out:a")
 
 
 def test_reordered_and_append():

@@ -254,9 +254,9 @@ def test_stage_points_satisfy_rows_and_bounds(uniform15_projections, factor):
 
 
 def test_warm_start_prunes_stage_nodes(monkeypatch, cfg):
-    # seeding each stage's incumbent with the previous stage's optimum must
+    # starting each stage's root from the previous stage's final basis must
     # prune branch-and-bound nodes; on this dataset (n=12, m=s=2, 6 efficient)
-    # the stages of the inefficient DMUs took 126 nodes warm and 162 cold
+    # the stages of the inefficient DMUs took 132 nodes warm and 146 cold
     ds = random_dataset(np.random.default_rng(7), max_n=12, max_dim=2)
     je = efficient_set(ds, cfg)
     pri = default_priority(ds.m, ds.s)
@@ -278,35 +278,6 @@ def test_warm_start_prunes_stage_nodes(monkeypatch, cfg):
     cold, cold_slacks = stage_nodes(False)
     assert warm < cold
     assert np.abs(warm_slacks - cold_slacks).max() < 1e-9
-
-
-def test_stage_at_its_box_minimum_skips_the_root(monkeypatch, cfg):
-    # a stage whose target slack is already 0 at the previous stage's optimum
-    # cannot improve on that incumbent: the root is not solved, and the
-    # result is the one a solve of the root, pruned at once, returns
-    ds = random_dataset(np.random.default_rng(7), max_n=12, max_dim=2)
-    je = efficient_set(ds, cfg)
-    pri = default_priority(ds.m, ds.s)
-    skipped = []
-
-    def recording(lp, cfg, warm_start=None):
-        sol = solve_milp(lp, cfg, warm_start=warm_start)
-        if sol.nodes == 0:
-            skipped.append((lp, warm_start, sol))
-        return sol
-
-    monkeypatch.setattr(projection, "solve_milp", recording)
-    for o in range(ds.n):
-        closest_projection(ds, je, o, pri, cfg)
-    assert skipped
-
-    monkeypatch.setattr(branch_and_bound, "_box_minimum", lambda std: -np.inf)
-    for lp, warm_start, sol in skipped:
-        assert sol.status is SolveStatus.OPTIMAL and sol.iterations == 0
-        solved = solve_milp(lp, cfg, warm_start=warm_start)
-        assert solved.status is SolveStatus.OPTIMAL and solved.nodes == 1
-        assert np.array_equal(solved.x, sol.x) and solved.objective == sol.objective
-        assert solved.basis is sol.basis
 
 
 def chained_projections(ds, pri):

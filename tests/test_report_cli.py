@@ -191,6 +191,21 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
     assert main(["report", "--input", str(empty), "--priority", "out:nope"]) == 2
 
 
+def test_cli_reports_a_byte_that_is_not_utf8(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"dmu,in:a,out:b\nu,1,2\nCaf\xe9,2,3\n")
+    assert main(["efficiency", "--input", str(latin1)]) == 2
+    assert capsys.readouterr().err == "error: row 3: byte 0xe9 is not UTF-8 text\n"
+
+
+def test_cli_reads_a_utf8_byte_order_mark(tmp_path, capsys):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + EIGHT_DMU_CSV.encode("utf-8"))
+    assert main(["efficiency", "--input", str(bom)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["name"] for r in doc["results"]] == [f"DMU{k}" for k in range(1, 9)]
+
+
 @pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
                                          ("--tol", "inf"), ("--max-iterations", "0"),
                                          ("--max-nodes", "-3")])

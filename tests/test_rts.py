@@ -250,7 +250,7 @@ def test_lower_stage_starts_at_unit_multipliers(monkeypatch, cfg):
             lower_stages.clear()
             intercept_bounds(ds, ds.x[o], ds.y[o], cfg)
             for lp, (start,), warm in lower_stages:
-                assert np.abs(standardize(lp).a @ start.basis.x - lp.b).max() == 0.0
+                assert np.abs(standardize(lp).a @ start.x - lp.b).max() == 0.0
                 cold = solve_lp(lp, cfg)
                 assert warm.status is cold.status is SolveStatus.OPTIMAL
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-9)

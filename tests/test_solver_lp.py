@@ -267,7 +267,7 @@ def test_warm_start_after_tightening_a_basic_bound(monkeypatch, cfg):
             child = LinearProgram(lp.sense, lp.c, lp.a, lp.relations, lp.b, lower, upper)
 
             paths.clear()
-            warm = solve_lp(child, cfg, warm_start=parent)
+            warm = solve_lp(child, cfg, warm_start=parent.basis)
             assert paths and paths[-1] != "cold", "the warm start fell back to a cold solve"
             seen.add(paths[0])
             cold_sol = solve_lp(child, cfg)

@@ -7,12 +7,14 @@ Exit codes: 0 success, 2 validation error, 3 solver limit, 4 I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import AnalysisError, SolverLimitError, ValidationError
 from .report import COMMANDS, RunConfig, run
 
 
+@functools.cache  # parsing leaves a parser unchanged, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dea-closest",

@@ -26,6 +26,7 @@ from .data import Dataset, PriorityRanking
 from .efficiency import EfficientSet
 from .errors import AnalysisError, SolverLimitError
 from .solver import Basis, LinearProgram, SolveStatus, SolverConfig, solve_milp
+from .solver.model import FEAS_TOL
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,10 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
         start = sol.basis
 
     # the final stage's joint solution is the projection: its slack vector
-    # satisfies every pin and its intensities reproduce the target exactly
+    # satisfies every pin and its intensities reproduce the target exactly.
+    # A slack within the feasibility tolerance of the DMU's own value is
+    # solver noise around a zero optimum and is reported as exactly 0.
     s_star = stages[-1].slacks.copy()
+    s_star[s_star <= FEAS_TOL * (1.0 + np.abs(np.concatenate([xo, yo])))] = 0.0
     return Projection(o, xo - s_star[:m], yo + s_star[m:], s_star, tuple(stages), priority,
                       root)

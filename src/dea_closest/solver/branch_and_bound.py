@@ -8,7 +8,11 @@ members positive gets ``x_a = 0`` in one child and ``x_b = 0`` in the other
 bound-fix alternatives, so one routine chooses them.  Search is
 depth-first, diving first into the child the relaxation already leans
 toward, and prunes on infeasibility and on relaxation objectives that
-cannot beat the incumbent.
+cannot beat the incumbent.  A child's relaxation is never better than its
+parent's, so each stacked child carries its parent's objective as a bound:
+a child whose inherited bound no longer beats the incumbent (one found
+after the child was stacked, typically by its sibling's dive) is discarded
+without being solved.
 
 Every node carries its parent's final basis.  A child differs from its
 parent in one bound, so that basis stays dual feasible and the simplex
@@ -69,7 +73,9 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
     relaxation starts from it.  It seeds no incumbent and never changes
     which solutions are optimal.
 
-    An unbounded relaxation is reported as UNBOUNDED; exhausting
+    A child whose parent's relaxation objective cannot beat the incumbent
+    is discarded before it is solved; only solved relaxations count as
+    nodes.  An unbounded relaxation is reported as UNBOUNDED; exhausting
     ``cfg.max_nodes`` returns NODE_LIMIT with the best incumbent found so
     far, if any.  The returned ``basis`` is that of the node that found the
     incumbent, and ``root_basis`` that of the root relaxation.  A
@@ -83,19 +89,23 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
     inc_x: np.ndarray | None = None
     inc_obj = np.inf
     inc_basis: Basis | None = None
+    cutoff = np.inf  # a bound at or above this cannot improve on the incumbent
 
-    # each entry: node bounds and the parent's final basis to resume from
-    stack = [(std.lower.copy(), std.upper.copy(), warm_start)]
+    # each entry: node bounds, the parent's relaxation objective (a lower
+    # bound on the node's) and the parent's final basis to resume from
+    stack = [(std.lower.copy(), std.upper.copy(), -np.inf, warm_start)]
     nodes = 0
     total_iters = 0
     root_basis: Basis | None = None
     hit_node_limit = False
 
     while stack:
+        lo, up, bound, start = stack.pop()
+        if bound >= cutoff:
+            continue  # the incumbent was found after this node was pushed
         if nodes >= cfg.max_nodes:
             hit_node_limit = True
             break
-        lo, up, start = stack.pop()
         status, x, obj, iters, basis = solve_standardized(std, cfg, lo, up, start)
         nodes += 1
         total_iters += iters
@@ -108,19 +118,20 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
             return Solution(status, -std.sense_sign * np.inf, None, total_iters, nodes)
         if status is SolveStatus.ITERATION_LIMIT:
             return Solution(status, np.nan, None, total_iters, nodes)
-        if obj >= inc_obj - 1e-9 * max(1.0, abs(inc_obj)):
+        if obj >= cutoff:
             continue  # cannot improve on the incumbent
 
         alternatives = _branching(x, lp)
         if not alternatives:
             inc_x, inc_obj, inc_basis = x, obj, basis
+            cutoff = obj - 1e-9 * max(1.0, abs(obj))
             continue
         for j, value in alternatives:  # the preferred child is pushed last, so it pops first
             if not lo[j] <= value <= up[j]:
                 continue  # the fix contradicts a bound already in force
             lo_c, up_c = lo.copy(), up.copy()
             lo_c[j] = up_c[j] = value
-            stack.append((lo_c, up_c, basis))
+            stack.append((lo_c, up_c, obj, basis))
 
     if inc_x is None:
         status = SolveStatus.NODE_LIMIT if hit_node_limit else SolveStatus.INFEASIBLE

@@ -8,6 +8,7 @@ import pytest
 
 from dea_closest import (Solution, SolveStatus, ValidationError, load_dataset, reference_set,
                          returns_to_scale)
+from dea_closest import cli
 from dea_closest.cli import main
 from dea_closest.report import RunConfig, analyze, emit_plot_data, run
 
@@ -180,6 +181,18 @@ def test_cli_priority_spec(table_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["priority"] == ["in:input", "out:output"]
+
+
+def test_cli_parser_is_built_once_and_keeps_no_options_between_calls(table_path, capsys):
+    # the parser is cached per process; options of one call must not leak
+    # into the next
+    assert main(["project", "--input", table_path, "--priority", "in:input,out:output",
+                 "--format", "csv"]) == 0
+    capsys.readouterr()
+    assert main(["project", "--input", table_path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["priority"] == ["out:output", "in:input"]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_cli_validation_exit_codes(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dea_closest import LinearProgram, SolverConfig, SolveStatus, solve_lp, solve_milp
-from dea_closest.solver import Basis
+from dea_closest.solver import Basis, branch_and_bound
 from dea_closest.solver.model import INT_TOL
 
 from conftest import enumerate_milp_optimum, random_binary_lp, random_complementarity_lp
@@ -67,6 +67,34 @@ def test_node_limit(cfg):
                        [0.0] * 3, [1.0] * 3, binary=[True] * 3)
     sol = solve_milp(lp, SolverConfig(max_nodes=1))
     assert sol.status is SolveStatus.NODE_LIMIT
+
+
+def test_child_tied_with_the_incumbent_is_not_solved(monkeypatch, cfg):
+    # every feasible point costs a + b + e = 1, and the root relaxation rests
+    # at a = 0.6, b = 0.4 with the pair (a, b) violated; the dive into b = 0
+    # finds an incumbent of 1, which the sibling a = 0 inherits as its bound
+    lp = LinearProgram("min", [1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], ("=",), [1.0],
+                       [0.0] * 3, [0.6, 0.6, 1.0], complements=[[0, 1]])
+    solved = []
+    original = branch_and_bound.solve_standardized
+
+    def counting(std, cfg, lower, upper, start):
+        outcome = original(std, cfg, lower, upper, start)
+        solved.append((lower.copy(), upper.copy(), outcome[1]))
+        return outcome
+
+    monkeypatch.setattr(branch_and_bound, "solve_standardized", counting)
+    sol = solve_milp(lp, cfg)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(1.0)
+    assert sol.nodes == len(solved) == 2
+    root_x = solved[0][2]
+    assert root_x[:2] == pytest.approx([0.6, 0.4])
+    assert solved[1][1][1] == 0.0  # the dive zeroed b
+    assert all(up[0] > 0.0 for _, up, _ in solved)  # the sibling a = 0 never ran
+
+    # a discarded entry does not count toward the node limit
+    assert solve_milp(lp, SolverConfig(max_nodes=2)).status is SolveStatus.OPTIMAL
 
 
 def relaxation(lp: LinearProgram) -> LinearProgram:

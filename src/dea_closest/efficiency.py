@@ -11,11 +11,23 @@ Phase 2 runs only when a slack can be positive on the phase-1 optimal face
 each is nonbasic with a reduced cost above the solver's pricing threshold,
 every phase-1 optimum has zero slacks, phase 2 could not move the point,
 and the phase-1 point is the answer.
+
+``evaluate_all`` starts each DMU's phase 1 from the previous DMU's optimal
+phase-1 basis.  The two programs differ only in the theta column (-x_o) and
+in the right-hand side.  Of the price equations B^T y = c_B only theta's
+changes; the others fix y up to scale, and the scale stays positive while
+x_o.v > 0 for the input prices v = -y_in >= 0.  Every reduced cost keeps its
+sign, so the dual simplex resumes from a dual feasible basis; the first DMU
+starts at theta = 1, lambda_o = 1.
+
+The optimal phase-1 prices of an efficient DMU are a hyperplane that
+supports every DMU and passes through it (a ``Support``); the maximal
+closest reference set reads them to rule out DMUs without solving an LP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +45,8 @@ class EfficiencyResult:
     ``lambdas`` is the intensity vector over the full dataset from the
     phase-2 solution, or from the phase-1 solution when the phase-1 prices
     rule out every slack (phase 2 would start and stop at that point).
+    ``basis`` is the optimal phase-1 basis, which the next DMU's phase 1
+    starts from and ``support`` reads its prices from.
     """
 
     dmu: int
@@ -40,6 +54,28 @@ class EfficiencyResult:
     slacks: np.ndarray
     lambdas: np.ndarray
     is_efficient: bool
+    basis: Basis | None = field(default=None, repr=False, compare=False)
+
+    def support(self) -> Support | None:
+        """The hyperplane the phase-1 prices prove (theta is the objective
+        column, the DMU columns are [x_j; y_j; 1]); None without an inverse."""
+        return basis_support(self.basis, 0, 1 + np.arange(self.lambdas.size))
+
+
+@dataclass(frozen=True)
+class Support:
+    """A hyperplane that supports every DMU at a frontier point, read off an
+    optimal basis.
+
+    ``prices`` are row prices over the envelopment rows [inputs; outputs;
+    convexity], oriented so that DMU j's reduced cost is
+    -(x_j, y_j, 1).prices, nonnegative for every DMU and zero at the point.
+    ``basic`` flags the DMUs whose column was basic: their reduced cost is
+    zero by construction and proves nothing.
+    """
+
+    prices: np.ndarray
+    basic: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -105,17 +141,44 @@ def _unit_vertex(dataset: Dataset, o: int) -> Basis:
     return Basis(columns, x)
 
 
+def priced_out(a: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Which columns ``a`` with costs ``c`` the row prices ``y`` of an
+    optimal basis of a minimization price strictly above zero.
+
+    Every feasible point has c.x = y.b + sum_j d_j x_j with reduced costs
+    d = c - a^T y, nonnegative on the nonbasic columns at the optimum.  A
+    nonbasic column whose d_j clears the solver's own pricing threshold
+    therefore raises the objective wherever it is positive, so it is zero at
+    every optimum.  The caller rules out basic columns.
+    """
+    return c - a.T @ y > PIVOT_TOL * (1.0 + np.abs(a).T @ np.abs(y))
+
+
+def basis_support(basis: Basis | None, objective: int, dmu_columns: np.ndarray,
+                  row_signs: np.ndarray | float = 1.0) -> Support | None:
+    """The supporting hyperplane an optimal ``basis`` proves, or None.
+
+    The basis must be optimal for a minimization over the envelopment rows
+    whose cost vector is the unit vector of column ``objective`` and whose
+    DMU columns ``dmu_columns`` are row_signs * [x_j; y_j; 1] at zero cost.
+    Then c_B is a unit vector and the prices y = B^-T c_B are the row of
+    B^-1 where ``objective`` is basic.  None when the record carries no
+    inverse or ``objective`` is nonbasic.
+    """
+    if basis is None or basis.inverse is None:
+        return None
+    at = np.flatnonzero(basis.columns == objective)
+    if not at.size:
+        return None
+    return Support(row_signs * basis.inverse[at[0]], np.isin(dmu_columns, basis.columns))
+
+
 def _slacks_ruled_out(lp: LinearProgram, basis: Basis | None, slacks: slice) -> bool:
     """Whether the optimal phase-1 ``basis`` of ``lp`` proves that every
-    phase-1 optimum has all ``slacks`` at zero.
-
-    The program minimizes over equality rows, so its columns are those of
-    the solver's standardized system.  With prices y = B^-T c_B and reduced
-    costs d = c - a^T y, every feasible point has c.x = y.b + sum_j d_j x_j,
-    and d is nonnegative on the nonbasic columns at the optimum.  A nonbasic
-    slack whose d_j clears the solver's own pricing threshold therefore
-    raises the objective wherever it is positive.  False when the basis
-    record carries no inverse.
+    phase-1 optimum has all ``slacks`` at zero: each is nonbasic and priced
+    out.  The program minimizes over equality rows, so its columns are those
+    of the solver's standardized system.  False when the basis record carries
+    no inverse.
     """
     if basis is None or basis.inverse is None:
         return False
@@ -123,19 +186,23 @@ def _slacks_ruled_out(lp: LinearProgram, basis: Basis | None, slacks: slice) -> 
     if np.isin(cols, basis.columns).any():
         return False
     y = basis.inverse.T @ lp.c[basis.columns]
-    a = lp.a[:, cols]
-    d = lp.c[cols] - a.T @ y
-    return bool(np.all(d > PIVOT_TOL * (1.0 + np.abs(a).T @ np.abs(y))))
+    return bool(priced_out(lp.a[:, cols], lp.c[cols], y).all())
 
 
-def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig()) -> EfficiencyResult:
-    """Radial score, max-slack completion, and efficiency flag for DMU ``o``."""
+def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
+                 start: Basis | None = None) -> EfficiencyResult:
+    """Radial score, max-slack completion, and efficiency flag for DMU ``o``.
+
+    ``start`` is another DMU's optimal phase-1 basis, which phase 1 resumes
+    from; without it phase 1 starts at the feasible vertex theta = 1,
+    lambda_o = 1, which spares it an artificial phase.  Neither changes
+    which points are optimal.
+    """
     name = dataset.names[o]
     n, m, s = dataset.n, dataset.m, dataset.s
 
-    # the feasible vertex theta = 1, lambda_o = 1 spares phase 1 its artificial phase
     lp1 = _bcc_program(dataset, o, (0.0, np.inf), phase2=False)
-    phase1 = solve_lp(lp1, cfg, warm_start=_unit_vertex(dataset, o))
+    phase1 = solve_lp(lp1, cfg, warm_start=start if start is not None else _unit_vertex(dataset, o))
     if phase1.status is SolveStatus.ITERATION_LIMIT:
         raise SolverLimitError(f"BCC phase 1 for DMU {name!r} hit the iteration limit")
     if phase1.status is not SolveStatus.OPTIMAL:
@@ -160,11 +227,21 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig()) -
 
     lambdas = final.x[1: 1 + n].copy()
     efficient = theta >= 1.0 - cfg.zero_tol and float(np.abs(slacks).max()) <= cfg.zero_tol
-    return EfficiencyResult(o, theta, slacks, lambdas, efficient)
+    return EfficiencyResult(o, theta, slacks, lambdas, efficient, phase1.basis)
 
 
 def evaluate_all(dataset: Dataset, cfg: SolverConfig = SolverConfig()) -> list[EfficiencyResult]:
-    return [evaluate_bcc(dataset, o, cfg) for o in range(dataset.n)]
+    """Every DMU in dataset order, each phase 1 after the first resuming from
+    the previous optimal phase-1 basis."""
+    results: list[EfficiencyResult] = []
+    start = None
+    for o in range(dataset.n):
+        results.append(evaluate_bcc(dataset, o, cfg, start))
+        basis = results[-1].basis
+        if basis is not None:
+            # the theta column changes with the DMU, so the inverse does not carry over
+            start = Basis(basis.columns, basis.x)
+    return results
 
 
 def efficient_set(dataset: Dataset, cfg: SolverConfig = SolverConfig()) -> EfficientSet:

@@ -229,13 +229,17 @@ def analyze(dataset: Dataset, config: RunConfig, priority: PriorityRanking | Non
             rec.projection = closest_projection(dataset, j_e, o, priority, cfg, stage1_root)
             if rec.projection.stage1_root is not None:
                 stage1_root = rec.projection.stage1_root
-        if level >= 2:
-            rec.mcrs = identify_mcrs(dataset, j_e, rec.projection, cfg)
         if level >= 3:
             with failure_context(f"returns to scale of DMU {rec.name!r}"):
                 rec.rts_bounds = intercept_bounds(dataset, rec.projection.target_inputs,
                                                   rec.projection.target_outputs, cfg)
             rec.rts_label = classify_rts(rec.rts_bounds, cfg)
+        if level >= 2:
+            # with the intercept LPs solved, their prices and the BCC prices at
+            # an efficient DMU can spare the support LP
+            supports = (eff[o].support(), *rec.rts_bounds.supports) if level >= 3 else ()
+            rec.mcrs = identify_mcrs(dataset, j_e, rec.projection, cfg,
+                                     supports=tuple(filter(None, supports)))
         records.append(rec)
 
     report = AnalysisReport(config.command, dataset, priority, config, records)

@@ -7,17 +7,19 @@ returns, strictly positive means decreasing, and a range straddling zero
 means constant.  For an inefficient DMU the classification is performed at
 its unique closest projection (closest RTS).  Each end of the range is an
 LP in envelopment form (Banker & Thrall 1992), with m+s+1 rows for any n.
+The optimal prices of each one are a hyperplane that supports every DMU at
+the point, kept as a ``Support`` for the maximal closest reference set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .data import Dataset, PriorityRanking
-from .efficiency import EfficientSet
+from .efficiency import EfficientSet, Support, basis_support
 from .errors import AnalysisError, SolverLimitError, failure_context
 from .projection import Projection, closest_projection
 from .solver import Basis, LinearProgram, SolveStatus, SolverConfig, solve_lp
@@ -36,12 +38,14 @@ class RtsBounds:
     ``upper`` may be +inf (endpoint points admit vertical supporting
     families); ``lower`` is at least -1.  ``stage_count`` records whether the
     minimizing stage was solved; when the maximizing stage already forces the
-    label (upper < 0), ``lower`` is reported as -inf unsolved.
+    label (upper < 0), ``lower`` is reported as -inf unsolved.  ``supports``
+    holds the supporting hyperplane each solved stage's optimal basis proves.
     """
 
     upper: float
     lower: float
     stage_count: int
+    supports: tuple[Support, ...] = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,11 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
     """
     point_x = np.asarray(point_x, dtype=float)
     point_y = np.asarray(point_y, dtype=float)
+    m, s = dataset.m, dataset.s
+    # u0 is the objective column at unit cost in either stage's minimization
+    # form, and DMU j's column is [-x_j; y_j; -1]
+    signs = np.r_[-np.ones(m), np.ones(s), -1.0]
+    dmu_columns = 2 + np.arange(dataset.n)
 
     def solve(sense: str, stage: str, *start: Basis):
         sol = solve_lp(_intercept_program(dataset, point_x, point_y, sense), cfg, *start)
@@ -114,14 +123,18 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
                                 "on the efficient frontier")
         return sol
 
+    def supports(*solved) -> tuple[Support, ...]:
+        return tuple(filter(None, (basis_support(sol.basis, 0, dmu_columns, signs)
+                                   for sol in solved)))
+
     hi = solve("max", "maximization")
     upper = np.inf if hi.status is SolveStatus.INFEASIBLE else float(hi.objective)
     if upper < -cfg.zero_tol:
-        return RtsBounds(upper, -np.inf, 1)
+        return RtsBounds(upper, -np.inf, 1, supports(hi))
     lo = solve("min", "minimization", _unit_multipliers(dataset, point_x, point_y))
     if lo.status is SolveStatus.INFEASIBLE:
         raise AnalysisError("intercept minimization returned infeasible")
-    return RtsBounds(upper, float(lo.objective), 2)
+    return RtsBounds(upper, float(lo.objective), 2, supports(hi, lo))
 
 
 def classify_rts(bounds: RtsBounds, cfg: SolverConfig = SolverConfig()) -> RtsLabel:

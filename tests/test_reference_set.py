@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dea_closest import (AnalysisError, LinearProgram, SolveStatus, closest_projection,
-                         default_priority, efficient_set, identify_mcrs, maximal_weights,
-                         reference_set, solve_lp, solve_max_support_lp)
+from dea_closest import (AnalysisError, EfficientSet, LinearProgram, SolveStatus, Support,
+                         closest_projection, default_priority, efficient_set, evaluate_all,
+                         identify_mcrs, intercept_bounds, maximal_weights, reference_set,
+                         solve_lp, solve_max_support_lp)
 from dea_closest.projection import Projection
 
 from conftest import make_dataset, random_dataset
@@ -160,15 +161,19 @@ def test_unrepresentable_target_is_internal_error(eight_dmu, je8, cfg):
         identify_mcrs(eight_dmu, je8, bogus, cfg)
 
 
+def concave_frontier(rng, n):
+    """n DMUs on a strictly concave (3,3) frontier, every one efficient."""
+    x = np.round(rng.uniform(1, 100, (n, 3)), 3)
+    d = rng.uniform(0.05, 1, (n, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    return make_dataset(x, np.round(d * (10 * np.sqrt(x.sum(axis=1)))[:, None], 3))
+
+
 def test_support_lps_pivot_budget(monkeypatch, cfg):
     # 20 DMUs on a strictly concave (3,3) frontier, every one efficient: the
     # support LPs took 253 pivots with phase 1 iterated, although b = 0
     # starts every artificial at zero; skipping that phase must halve them
-    rng = np.random.default_rng(2)
-    x = np.round(rng.uniform(1, 100, (20, 3)), 3)
-    d = rng.uniform(0.05, 1, (20, 3))
-    d /= np.linalg.norm(d, axis=1)[:, None]
-    ds = make_dataset(x, np.round(d * (10 * np.sqrt(x.sum(axis=1)))[:, None], 3))
+    ds = concave_frontier(np.random.default_rng(2), 20)
     je = efficient_set(ds, cfg)
     assert je.size == ds.n
     pivots = []
@@ -182,3 +187,87 @@ def test_support_lps_pivot_budget(monkeypatch, cfg):
     for o in range(ds.n):
         assert identify_mcrs(ds, je, project(ds, je, o, cfg), cfg).members == (o,)
     assert sum(pivots) <= 253 // 2
+
+
+def supports_at(ds, eff, o, cfg):
+    """The hyperplanes the BCC and intercept bases prove at DMU ``o``'s own point."""
+    bounds = intercept_bounds(ds, ds.x[o], ds.y[o], cfg)
+    return tuple(filter(None, (eff[o].support(), *bounds.supports)))
+
+
+def counting_support_lps(monkeypatch):
+    solves = []
+
+    def counting(lp, cfg):
+        solves.append(lp)
+        return solve_lp(lp, cfg)
+
+    monkeypatch.setattr(reference_set, "solve_lp", counting)
+    return solves
+
+
+def test_certified_mcrs_equals_the_support_lp(monkeypatch, cfg):
+    # where the BCC and intercept prices rule out every other efficient DMU,
+    # identify_mcrs solves no LP, and its result is the LP's
+    rng = np.random.default_rng(2)
+    sets = [concave_frontier(rng, 20) for _ in range(2)] + [random_dataset(rng) for _ in range(10)]
+    solves = counting_support_lps(monkeypatch)
+    certified = solved = 0
+    for ds in sets:
+        eff = evaluate_all(ds, cfg)
+        je = EfficientSet(tuple(r.dmu for r in eff if r.is_efficient))
+        for o in je.indices:
+            p = project(ds, je, o, cfg)
+            before = len(solves)
+            got = identify_mcrs(ds, je, p, cfg, supports=supports_at(ds, eff, o, cfg))
+            if len(solves) > before:
+                solved += 1
+                continue
+            certified += 1
+            want = identify_mcrs(ds, je, p, cfg)
+            assert len(solves) == before + 1
+            assert (got.dmu, got.columns, got.members, got.ucrs) == (
+                want.dmu, want.columns, want.members, want.ucrs)
+            assert np.abs(got.lambda_max - want.lambda_max).max() <= 1e-9
+    assert certified >= 20 and solved >= 5
+
+
+def test_duplicate_of_an_efficient_dmu_blocks_the_certificate(monkeypatch, cfg):
+    # U1 alone is certified; its twin lies on every hyperplane through U1, at
+    # a zero reduced cost, so no price rules it out: the LP runs and finds both
+    base = concave_frontier(np.random.default_rng(2), 20)
+    twin = base.with_dmu("twin", base.x[0], base.y[0])
+    solves = counting_support_lps(monkeypatch)
+    for ds, members, lps in ((base, (0,), 0), (twin, (0, 20), 1)):
+        eff = evaluate_all(ds, cfg)
+        je = EfficientSet(tuple(r.dmu for r in eff if r.is_efficient))
+        assert je.size == ds.n
+        solves.clear()
+        mc = identify_mcrs(ds, je, project(ds, je, 0, cfg), cfg,
+                           supports=supports_at(ds, eff, 0, cfg))
+        assert mc.members == members
+        assert len(solves) == lps
+    assert mc.lambda_max[[0, 20]].sum() == pytest.approx(1.0, abs=1e-9)
+    assert mc.lambda_max[[0, 20]].min() > cfg.zero_tol
+
+
+@pytest.mark.parametrize("coefs, basic", [
+    # tilted by -+1e-12 about DMU3 on the face x - y + 3 = 0: DMU2 and DMU4
+    # price within the threshold, which proves nothing
+    ([(1.0, -1.0 - 1e-12, 3.0 + 6e-12), (1.0, -1.0 + 1e-12, 3.0 - 6e-12)], ()),
+    # tilted by -+1e-6: DMU2 and DMU4 price clear of it, but on basic columns
+    ([(1.0, -1.0 - 1e-6, 3.0 + 6e-6), (1.0, -1.0 + 1e-6, 3.0 - 6e-6)], (1, 3)),
+    # the line through DMU1 and DMU2 prices DMU4 off, but misses DMU3 itself
+    ([(3.0, -1.0, -1.0), (1.0, -1.0 - 1e-6, 3.0 + 6e-6)], ()),
+])
+def test_prices_that_prove_nothing_leave_the_support_lp(eight_dmu, je8, cfg, monkeypatch,
+                                                         coefs, basic):
+    # DMU3 lies inside the face DMU2-DMU4, so both belong to its MCRS and no
+    # valid price can rule them out.  Each Support makes DMU j's reduced cost
+    # coef . (x_j, y_j, 1); together these would rule out every other DMU
+    solves = counting_support_lps(monkeypatch)
+    flags = np.isin(np.arange(eight_dmu.n), basic)
+    supports = [Support(-np.array(coef), flags) for coef in coefs]
+    p = project(eight_dmu, je8, 2, cfg)
+    mc = identify_mcrs(eight_dmu, je8, p, cfg, supports=supports)
+    assert mc.members == (1, 2, 3) and len(solves) == 1

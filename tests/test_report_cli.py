@@ -8,7 +8,7 @@ import pytest
 
 from dea_closest import (Solution, SolveStatus, ValidationError, load_dataset, reference_set,
                          returns_to_scale)
-from dea_closest import cli
+from dea_closest import cli, report
 from dea_closest.cli import main
 from dea_closest.report import RunConfig, analyze, emit_plot_data, run
 
@@ -253,6 +253,40 @@ def test_cli_rts_solver_limit_names_dmu_and_stage(table_path, capsys, monkeypatc
     assert main(["report", "--input", table_path]) == 3
     assert capsys.readouterr().err == ("error: solver limit: returns to scale of DMU 'DMU1': "
                                        "intercept maximization hit the iteration limit\n")
+
+
+def test_only_report_hands_bases_to_the_mcrs(table_path, monkeypatch):
+    # the mcrs command solves no intercept LP, so its MCRS gets no supports;
+    # report hands over the BCC prices and those of at least one intercept LP
+    handed = []
+    identify = report.identify_mcrs
+
+    def recording(*args, supports=()):
+        handed.append(len(supports))
+        return identify(*args, supports=supports)
+
+    monkeypatch.setattr(report, "identify_mcrs", recording)
+    mcrs = run(RunConfig(input_path=table_path, command="mcrs")).to_dict()
+    assert handed == [0] * 8
+    handed.clear()
+    full = run(RunConfig(input_path=table_path, command="report")).to_dict()
+    assert len(handed) == 8 and min(handed) >= 2
+    assert [r["mcrs"] for r in full["results"]] == [r["mcrs"] for r in mcrs["results"]]
+
+
+def test_rts_failure_is_reported_before_an_mcrs_failure(table_path, capsys, monkeypatch):
+    # returns to scale runs before the MCRS for each DMU, so when both would
+    # fail for DMU1, the returns-to-scale failure is the one reported
+    def limit(lp, cfg, *start):
+        return Solution(SolveStatus.ITERATION_LIMIT, np.nan, None)
+
+    def zero_solution(lp, cfg):
+        return Solution(SolveStatus.OPTIMAL, 0.0, np.zeros(lp.n_vars))
+
+    monkeypatch.setattr(returns_to_scale, "solve_lp", limit)
+    monkeypatch.setattr(reference_set, "solve_lp", zero_solution)
+    assert main(["report", "--input", table_path]) == 3
+    assert "returns to scale of DMU 'DMU1'" in capsys.readouterr().err
 
 
 def test_cli_has_no_big_m_flag(table_path, capsys):

@@ -1,7 +1,8 @@
 """Command-line front door.
 
-Exit codes: 0 success, 2 validation error, 3 solver limit, 4 I/O error,
-5 analysis error (a model that is feasible by construction was not).
+Exit codes: 0 success, 2 validation error, 3 solver limit (a pivot or node
+budget ran out), 4 I/O error, 5 analysis error (a model that is feasible by
+construction was not).  Each error class in ``errors`` carries its code.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import functools
 import sys
 
-from .errors import AnalysisError, SolverLimitError, ValidationError
+from .errors import DeaError
 from .report import COMMANDS, RunConfig, run
 
 
@@ -61,18 +62,12 @@ def main(argv: list[str] | None = None) -> int:
             plot_data_path=args.plot_data,
         )
         report = run(config)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SolverLimitError as exc:
-        print(f"error: solver limit: {exc}", file=sys.stderr)
-        return 3
+    except DeaError as exc:
+        print(f"error: {exc.label}{exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except AnalysisError as exc:
-        print(f"error: analysis: {exc}", file=sys.stderr)
-        return 5
 
     text = report.to_json() if config.output_format == "json" else report.to_csv()
     sys.stdout.write(text)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -25,6 +26,9 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .errors import ValidationError
+
+# a plain decimal number; float() would also take "1_0" and non-ASCII digits
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,12 +230,16 @@ def load_dataset(source: str | Path | TextIO) -> Dataset:
         names_seen[name] = r
         values: list[float] = []
         for c, cell in enumerate(row[1:], start=2):
+            text = cell.strip()
             try:
-                v = float(cell)
+                v = float(text)
             except ValueError:
-                raise ValidationError(f"non-numeric cell {cell.strip()!r}", row=r, column=c) from None
+                v = None
+            if v is None or (np.isfinite(v) and not _DECIMAL.fullmatch(text)):
+                raise ValidationError(f"cell {text!r} is not a plain decimal number",
+                                      row=r, column=c)
             if not np.isfinite(v):
-                raise ValidationError(f"non-finite cell {cell.strip()!r}", row=r, column=c)
+                raise ValidationError(f"non-finite cell {text!r}", row=r, column=c)
             if v < 0:
                 raise ValidationError(f"negative value {v}", row=r, column=c)
             values.append(v)

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import AnalysisError, SolverLimitError
-from .solver import Basis, LinearProgram, SolveStatus, SolverConfig, solve_lp
+from .errors import require_optimal
+from .solver import Basis, LinearProgram, SolverConfig, solve_lp
 from .solver.model import PIVOT_TOL
 
 
@@ -176,17 +176,15 @@ def basis_support(basis: Basis | None, objective: int, dmu_columns: np.ndarray,
 def _slacks_ruled_out(lp: LinearProgram, basis: Basis | None, slacks: slice) -> bool:
     """Whether the optimal phase-1 ``basis`` of ``lp`` proves that every
     phase-1 optimum has all ``slacks`` at zero: each is nonbasic and priced
-    out.  The program minimizes over equality rows, so its columns are those
-    of the solver's standardized system.  False when the basis record carries
-    no inverse.
+    out at the prices ``basis_support`` reads off theta's row of B^-1.  The
+    program minimizes theta over equality rows, so its columns are those of
+    the solver's standardized system.  False when the record has no inverse.
     """
-    if basis is None or basis.inverse is None:
-        return False
     cols = np.arange(lp.n_vars)[slacks]
-    if np.isin(cols, basis.columns).any():
+    support = basis_support(basis, 0, cols)
+    if support is None or support.basic.any():
         return False
-    y = basis.inverse.T @ lp.c[basis.columns]
-    return bool(priced_out(lp.a[:, cols], lp.c[cols], y).all())
+    return bool(priced_out(lp.a[:, cols], lp.c[cols], support.prices).all())
 
 
 def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
@@ -202,12 +200,9 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
     n, m, s = dataset.n, dataset.m, dataset.s
 
     lp1 = _bcc_program(dataset, o, (0.0, np.inf), phase2=False)
-    phase1 = solve_lp(lp1, cfg, warm_start=start if start is not None else _unit_vertex(dataset, o))
-    if phase1.status is SolveStatus.ITERATION_LIMIT:
-        raise SolverLimitError(f"BCC phase 1 for DMU {name!r} hit the iteration limit")
-    if phase1.status is not SolveStatus.OPTIMAL:
-        # lambda_o = 1, theta = 1 is always feasible, so this is a solver bug
-        raise AnalysisError(f"BCC phase 1 for DMU {name!r} returned {phase1.status.value}")
+    # lambda_o = 1, theta = 1 is always feasible, and theta >= 0 bounds it
+    phase1 = require_optimal(solve_lp(lp1, cfg, warm_start=start or _unit_vertex(dataset, o)),
+                             f"BCC phase 1 for DMU {name!r}")
     theta = float(phase1.objective)
 
     slack_cols = slice(1 + n, 1 + n + m + s)
@@ -217,12 +212,9 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
     else:
         # same rows and columns with theta pinned at its optimum, so the
         # phase-1 basis stays feasible and phase 2 resumes from it
-        final = solve_lp(_bcc_program(dataset, o, (theta, theta), phase2=True), cfg,
-                         warm_start=phase1.basis)
-        if final.status is SolveStatus.ITERATION_LIMIT:
-            raise SolverLimitError(f"BCC phase 2 for DMU {name!r} hit the iteration limit")
-        if final.status is not SolveStatus.OPTIMAL:
-            raise AnalysisError(f"BCC phase 2 for DMU {name!r} returned {final.status.value}")
+        lp2 = _bcc_program(dataset, o, (theta, theta), phase2=True)
+        final = require_optimal(solve_lp(lp2, cfg, warm_start=phase1.basis),
+                                f"BCC phase 2 for DMU {name!r}")
         slacks = final.x[slack_cols].copy()
 
     lambdas = final.x[1: 1 + n].copy()
@@ -237,10 +229,7 @@ def evaluate_all(dataset: Dataset, cfg: SolverConfig = SolverConfig()) -> list[E
     start = None
     for o in range(dataset.n):
         results.append(evaluate_bcc(dataset, o, cfg, start))
-        basis = results[-1].basis
-        if basis is not None:
-            # the theta column changes with the DMU, so the inverse does not carry over
-            start = Basis(basis.columns, basis.x)
+        start = results[-1].basis
     return results
 
 

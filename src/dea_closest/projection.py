@@ -24,8 +24,8 @@ import numpy as np
 
 from .data import Dataset, PriorityRanking
 from .efficiency import EfficientSet
-from .errors import AnalysisError, SolverLimitError
-from .solver import Basis, LinearProgram, SolveStatus, SolverConfig, solve_milp
+from .errors import require_optimal
+from .solver import Basis, LinearProgram, SolverConfig, solve_milp
 from .solver.model import FEAS_TOL
 
 
@@ -150,15 +150,9 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):
         lp = build_stage_program(dataset, j_e, o, pinned, slack_idx)
-        sol = solve_milp(lp, cfg, warm_start=start)
-        if sol.status in (SolveStatus.NODE_LIMIT, SolveStatus.ITERATION_LIMIT):
-            raise SolverLimitError(
-                f"projection of DMU {name!r} stage {stage_no} "
-                f"(slack {slack_idx}): {sol.status.value}")
-        if sol.status is not SolveStatus.OPTIMAL:
-            # the frontier dominates every DMU, so each stage is feasible
-            raise AnalysisError(
-                f"projection of DMU {name!r} stage {stage_no} returned {sol.status.value}")
+        # the frontier dominates every DMU, so each stage is feasible
+        sol = require_optimal(solve_milp(lp, cfg, warm_start=start),
+                              f"projection of DMU {name!r} stage {stage_no} (slack {slack_idx})")
 
         c_s = t
         c_w = t + n_slack

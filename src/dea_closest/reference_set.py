@@ -29,9 +29,9 @@ import numpy as np
 
 from .data import Dataset
 from .efficiency import EfficientSet, Support, priced_out
-from .errors import AnalysisError
+from .errors import AnalysisError, require_optimal
 from .projection import Projection
-from .solver import LinearProgram, SolveStatus, SolverConfig, solve_lp
+from .solver import LinearProgram, SolverConfig, solve_lp
 from .solver.model import FEAS_TOL
 
 BORDERLINE_WEIGHT = 1e-9
@@ -88,11 +88,10 @@ def solve_max_support_lp(dataset: Dataset, j_e: EfficientSet, projection: Projec
     upper = np.full(nv, np.inf)
     upper[:t + 1] = 1.0
 
-    sol = solve_lp(LinearProgram("max", c, a, ("=",) * (m + s + 1), b, lower, upper), cfg)
     name = dataset.names[projection.dmu]
-    if sol.status is not SolveStatus.OPTIMAL:
-        # zero is feasible and alpha is boxed, so anything else is a bug
-        raise AnalysisError(f"support LP for DMU {name!r} returned {sol.status.value}")
+    lp = LinearProgram("max", c, a, ("=",) * (m + s + 1), b, lower, upper)
+    # zero is feasible and alpha is boxed, so the LP has an optimum
+    sol = require_optimal(solve_lp(lp, cfg), f"support LP for DMU {name!r}")
     return MaxSupportSolution(sol.x[:t + 1].copy(), sol.x[t + 1:].copy(), float(sol.objective),
                               name)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset, PriorityRanking
 from .efficiency import EfficientSet, Support, basis_support
-from .errors import AnalysisError, SolverLimitError, failure_context
+from .errors import AnalysisError, failure_context, require_optimal
 from .projection import Projection, closest_projection
 from .solver import Basis, LinearProgram, SolveStatus, SolverConfig, solve_lp
 
@@ -116,12 +116,12 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
 
     def solve(sense: str, stage: str, *start: Basis):
         sol = solve_lp(_intercept_program(dataset, point_x, point_y, sense), cfg, *start)
-        if sol.status is SolveStatus.ITERATION_LIMIT:
-            raise SolverLimitError(f"intercept {stage} hit the iteration limit")
         if sol.status is SolveStatus.UNBOUNDED:
             raise AnalysisError("intercept bounds requested at a point that is not "
                                 "on the efficient frontier")
-        return sol
+        if sense == "max" and sol.status is SolveStatus.INFEASIBLE:
+            return sol  # no finite upper bound
+        return require_optimal(sol, f"intercept {stage}")
 
     def supports(*solved) -> tuple[Support, ...]:
         return tuple(filter(None, (basis_support(sol.basis, 0, dmu_columns, signs)
@@ -132,8 +132,6 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
     if upper < -cfg.zero_tol:
         return RtsBounds(upper, -np.inf, 1, supports(hi))
     lo = solve("min", "minimization", _unit_multipliers(dataset, point_x, point_y))
-    if lo.status is SolveStatus.INFEASIBLE:
-        raise AnalysisError("intercept minimization returned infeasible")
     return RtsBounds(upper, float(lo.objective), 2, supports(hi, lo))
 
 

@@ -50,6 +50,10 @@ def test_load_from_path(tmp_path):
     ("dmu,in:a,out:b\nu,1,2\nu,3,4\n", "row 3, column 1"),
     ("dmu,in:a,out:b\nu,0,0\n", "identically zero"),
     ("dmu,in:a,out:b\nu,inf,2\n", "row 2, column 2"),
+    ("dmu,in:a,out:b\nu,nan,2\n", "row 2, column 2: non-finite cell 'nan'"),
+    # float() reads "1_0" as 10 and a fullwidth digit as its ASCII value
+    ("dmu,in:a,out:b\nu,1_0,2\n", "row 2, column 2: cell '1_0' is not a plain decimal number"),
+    ("dmu,in:a,out:b\nu,1,１\n", "row 2, column 3: cell '１' is not a plain decimal number"),
     ("dmu,in:a,out:b\n", "no DMU rows"),
     ("dmu,in:a,in:a,out:b\nC,1,2,3\n", "row 1, column 3: column header 'in:a' repeats"),
     ("dmu,in:a,out:b,out:b\nu,1,2,3\n", "row 1, column 4: column header 'out:b' repeats"),
@@ -60,6 +64,11 @@ def test_malformed_inputs_report_coordinates(text, frag):
     with pytest.raises(ValidationError) as err:
         load_dataset(io.StringIO(text))
     assert frag in str(err.value)
+
+
+def test_plain_decimal_spellings_load():
+    ds = load_dataset(io.StringIO("dmu,in:a,in:b,out:c,out:d\nu,1e3,+5,.5, 2.5 \n"))
+    assert ds.x[0].tolist() == [1000.0, 5.0] and ds.y[0].tolist() == [0.5, 2.5]
 
 
 def test_zero_components_allowed_when_not_all_zero():

@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .data import (Dataset, PriorityRanking, default_priority, dump_dataset, load_dataset,
                    priority_from_labels)
-from .efficiency import (EfficiencyResult, EfficientSet, Support, efficient_set, evaluate_all,
-                         evaluate_bcc)
+from .efficiency import EfficiencyResult, EfficientSet, efficient_set, evaluate_all, evaluate_bcc
 from .errors import AnalysisError, DeaError, SolverLimitError, ValidationError
 from .projection import Projection, StageSolution, build_stage_program, closest_projection
 from .reference_set import (MaxSupportSolution, McrsResult, identify_mcrs, maximal_weights,
@@ -27,7 +26,7 @@ __all__ = [
     "AnalysisError", "DeaError", "SolverLimitError", "ValidationError",
     "Dataset", "PriorityRanking", "default_priority", "dump_dataset",
     "load_dataset", "priority_from_labels",
-    "EfficiencyResult", "EfficientSet", "Support", "efficient_set", "evaluate_all", "evaluate_bcc",
+    "EfficiencyResult", "EfficientSet", "efficient_set", "evaluate_all", "evaluate_bcc",
     "Projection", "StageSolution", "build_stage_program", "closest_projection",
     "MaxSupportSolution", "McrsResult", "identify_mcrs", "maximal_weights",
     "solve_max_support_lp",

@@ -189,9 +189,10 @@ def load_dataset(source: str | Path | TextIO) -> Dataset:
     or an open text stream.
 
     A file is decoded as UTF-8, with or without a byte-order mark; a byte
-    that is not UTF-8 is reported with its row.  Every malformed cell is
-    reported with its 1-based row/column coordinates; a partially
-    constructed dataset is never returned.
+    that is not UTF-8 is reported with its row.  A stream's text may start
+    with one byte-order mark too.  Every malformed cell is reported with
+    its 1-based row/column coordinates; a partially constructed dataset is
+    never returned.
     """
     if isinstance(source, (str, Path)):
         raw = Path(source).read_bytes()
@@ -201,7 +202,7 @@ def load_dataset(source: str | Path | TextIO) -> Dataset:
             raise ValidationError(f"byte 0x{raw[exc.start]:02x} is not UTF-8 text",
                                   row=raw.count(b"\n", 0, exc.start) + 1) from None
     else:
-        text = source.read()
+        text = source.read().removeprefix("\ufeff")
 
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader]

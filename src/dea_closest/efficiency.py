@@ -7,10 +7,9 @@ realizes the non-Archimedean objective without ever instantiating an
 epsilon coefficient.
 
 Phase 2 runs only when a slack can be positive on the phase-1 optimal face
-(Ali & Seiford 1993).  The phase-1 basis prices every slack column; when
-each is nonbasic with a reduced cost above the solver's pricing threshold,
-every phase-1 optimum has zero slacks, phase 2 could not move the point,
-and the phase-1 point is the answer.
+(Ali & Seiford 1993).  When the phase-1 solve reports every slack column as
+priced out, every phase-1 optimum has zero slacks, phase 2 could not move
+the point, and the phase-1 point is the answer.
 
 ``evaluate_all`` starts each DMU's phase 1 from the previous DMU's optimal
 phase-1 basis.  The two programs differ only in the theta column (-x_o) and
@@ -21,8 +20,9 @@ sign, so the dual simplex resumes from a dual feasible basis; the first DMU
 starts at theta = 1, lambda_o = 1.
 
 The optimal phase-1 prices of an efficient DMU are a hyperplane that
-supports every DMU and passes through it (a ``Support``); the maximal
-closest reference set reads them to rule out DMUs without solving an LP.
+supports every DMU and passes through it.  The DMUs whose lambda column
+they price out lie strictly off it; the maximal closest reference set reads
+that mask to rule them out without solving an LP.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import numpy as np
 from .data import Dataset
 from .errors import require_optimal
 from .solver import Basis, LinearProgram, SolverConfig, solve_lp
-from .solver.model import PIVOT_TOL
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,8 @@ class EfficiencyResult:
     phase-2 solution, or from the phase-1 solution when the phase-1 prices
     rule out every slack (phase 2 would start and stop at that point).
     ``basis`` is the optimal phase-1 basis, which the next DMU's phase 1
-    starts from and ``support`` reads its prices from.
+    starts from.  ``priced_out`` flags the DMUs whose lambda column that
+    basis prices out: they carry zero weight in every phase-1 optimum.
     """
 
     dmu: int
@@ -55,27 +55,7 @@ class EfficiencyResult:
     lambdas: np.ndarray
     is_efficient: bool
     basis: Basis | None = field(default=None, repr=False, compare=False)
-
-    def support(self) -> Support | None:
-        """The hyperplane the phase-1 prices prove (theta is the objective
-        column, the DMU columns are [x_j; y_j; 1]); None without an inverse."""
-        return basis_support(self.basis, 0, 1 + np.arange(self.lambdas.size))
-
-
-@dataclass(frozen=True)
-class Support:
-    """A hyperplane that supports every DMU at a frontier point, read off an
-    optimal basis.
-
-    ``prices`` are row prices over the envelopment rows [inputs; outputs;
-    convexity], oriented so that DMU j's reduced cost is
-    -(x_j, y_j, 1).prices, nonnegative for every DMU and zero at the point.
-    ``basic`` flags the DMUs whose column was basic: their reduced cost is
-    zero by construction and proves nothing.
-    """
-
-    prices: np.ndarray
-    basic: np.ndarray
+    priced_out: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -141,52 +121,6 @@ def _unit_vertex(dataset: Dataset, o: int) -> Basis:
     return Basis(columns, x)
 
 
-def priced_out(a: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Which columns ``a`` with costs ``c`` the row prices ``y`` of an
-    optimal basis of a minimization price strictly above zero.
-
-    Every feasible point has c.x = y.b + sum_j d_j x_j with reduced costs
-    d = c - a^T y, nonnegative on the nonbasic columns at the optimum.  A
-    nonbasic column whose d_j clears the solver's own pricing threshold
-    therefore raises the objective wherever it is positive, so it is zero at
-    every optimum.  The caller rules out basic columns.
-    """
-    return c - a.T @ y > PIVOT_TOL * (1.0 + np.abs(a).T @ np.abs(y))
-
-
-def basis_support(basis: Basis | None, objective: int, dmu_columns: np.ndarray,
-                  row_signs: np.ndarray | float = 1.0) -> Support | None:
-    """The supporting hyperplane an optimal ``basis`` proves, or None.
-
-    The basis must be optimal for a minimization over the envelopment rows
-    whose cost vector is the unit vector of column ``objective`` and whose
-    DMU columns ``dmu_columns`` are row_signs * [x_j; y_j; 1] at zero cost.
-    Then c_B is a unit vector and the prices y = B^-T c_B are the row of
-    B^-1 where ``objective`` is basic.  None when the record carries no
-    inverse or ``objective`` is nonbasic.
-    """
-    if basis is None or basis.inverse is None:
-        return None
-    at = np.flatnonzero(basis.columns == objective)
-    if not at.size:
-        return None
-    return Support(row_signs * basis.inverse[at[0]], np.isin(dmu_columns, basis.columns))
-
-
-def _slacks_ruled_out(lp: LinearProgram, basis: Basis | None, slacks: slice) -> bool:
-    """Whether the optimal phase-1 ``basis`` of ``lp`` proves that every
-    phase-1 optimum has all ``slacks`` at zero: each is nonbasic and priced
-    out at the prices ``basis_support`` reads off theta's row of B^-1.  The
-    program minimizes theta over equality rows, so its columns are those of
-    the solver's standardized system.  False when the record has no inverse.
-    """
-    cols = np.arange(lp.n_vars)[slacks]
-    support = basis_support(basis, 0, cols)
-    if support is None or support.basic.any():
-        return False
-    return bool(priced_out(lp.a[:, cols], lp.c[cols], support.prices).all())
-
-
 def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
                  start: Basis | None = None) -> EfficiencyResult:
     """Radial score, max-slack completion, and efficiency flag for DMU ``o``.
@@ -205,8 +139,11 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
                              f"BCC phase 1 for DMU {name!r}")
     theta = float(phase1.objective)
 
+    # without an inverse the phase-1 solve prices nothing out
+    priced_out = (phase1.priced_out if phase1.priced_out is not None
+                  else np.zeros(lp1.n_vars, dtype=bool))
     slack_cols = slice(1 + n, 1 + n + m + s)
-    if _slacks_ruled_out(lp1, phase1.basis, slack_cols):
+    if priced_out[slack_cols].all():
         final = phase1  # phase 2 could not move the point
         slacks = np.zeros(m + s)
     else:
@@ -219,7 +156,8 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
 
     lambdas = final.x[1: 1 + n].copy()
     efficient = theta >= 1.0 - cfg.zero_tol and float(np.abs(slacks).max()) <= cfg.zero_tol
-    return EfficiencyResult(o, theta, slacks, lambdas, efficient, phase1.basis)
+    return EfficiencyResult(o, theta, slacks, lambdas, efficient, phase1.basis,
+                            priced_out[1: 1 + n])
 
 
 def evaluate_all(dataset: Dataset, cfg: SolverConfig = SolverConfig()) -> list[EfficiencyResult]:

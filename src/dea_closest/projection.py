@@ -67,6 +67,13 @@ class Projection:
     stage1_root: Basis | None = field(default=None, repr=False, compare=False)
 
 
+def _layout(t: int, n_slack: int) -> tuple[int, int, int, int]:
+    """First columns of the slacks, multipliers, intercept and deviations in
+    a stage program over t efficient DMUs; the t lambdas come first."""
+    c_w = t + n_slack
+    return t, c_w, c_w + n_slack, c_w + n_slack + 1
+
+
 def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
                         pinned: list[tuple[int, float]], target: int) -> LinearProgram:
     """Program for one stage: minimize slack ``target`` with ``pinned`` slacks fixed.
@@ -86,8 +93,7 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
     xe, ye = dataset.x[idx], dataset.y[idx]
 
     n_slack = m + s
-    # column offsets
-    c_lam, c_s, c_w, c_w0, c_d = 0, t, t + n_slack, t + 2 * n_slack, t + 2 * n_slack + 1
+    c_s, c_w, c_w0, c_d = _layout(t, n_slack)
     nv = c_d + t
 
     # envelopment rows (sum lambda x + s_in = x_o, sum lambda y - s_out = y_o,
@@ -95,7 +101,7 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
     # efficient DMU
     rows = m + s + 1 + t
     a = np.zeros((rows, nv))
-    a[:m + s + 1, c_lam:c_lam + t] = np.vstack([xe.T, ye.T, np.ones(t)])
+    a[:m + s + 1, :t] = np.vstack([xe.T, ye.T, np.ones(t)])
     a[:m + s, c_s:c_s + n_slack] = np.diag(np.concatenate([np.ones(m), -np.ones(s)]))
     a[m + s + 1:, c_w:c_w0 + 1] = np.hstack([-xe, ye, -np.ones((t, 1))])
     a[m + s + 1:, c_d:] = np.eye(t)
@@ -103,7 +109,7 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
 
     lower = np.zeros(nv)
     upper = np.full(nv, np.inf)
-    upper[c_lam:c_lam + t] = 1.0
+    upper[:t] = 1.0
     lower[c_w:c_w + n_slack] = 1.0
     lower[c_w0] = -np.inf
     for slack_idx, value in pinned:
@@ -111,7 +117,7 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
 
     c = np.zeros(nv)
     c[c_s + target] = 1.0
-    complements = np.column_stack([np.arange(c_lam, c_lam + t), np.arange(c_d, c_d + t)])
+    complements = np.column_stack([np.arange(t), np.arange(c_d, c_d + t)])
     return LinearProgram("min", c, a, ("=",) * rows, b, lower, upper,
                          complements=complements)
 
@@ -146,6 +152,7 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
     stages: list[StageSolution] = []
     t = j_e.size
     n_slack = m + s
+    c_s, c_w, c_w0, c_d = _layout(t, n_slack)
     start = stage1_root
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):
@@ -154,10 +161,6 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
         sol = require_optimal(solve_milp(lp, cfg, warm_start=start),
                               f"projection of DMU {name!r} stage {stage_no} (slack {slack_idx})")
 
-        c_s = t
-        c_w = t + n_slack
-        c_w0 = t + 2 * n_slack
-        c_d = c_w0 + 1
         value = max(float(sol.x[c_s + slack_idx]), 0.0)
         stages.append(StageSolution(
             stage=stage_no,

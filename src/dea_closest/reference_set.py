@@ -13,10 +13,11 @@ structure the bounded-variable simplex handles without extra rows.
 
 An efficient DMU often needs no LP.  Every optimal basis of its BCC phase 1
 and of its intercept LPs prices a hyperplane that supports every DMU and
-passes through it (a ``Support``).  In any convex representation of the
-DMU, a DMU priced strictly off such a hyperplane carries zero weight, so
-when the supports together price out every other efficient DMU, the DMU is
-its own maximal closest reference set with weight 1 (Ali & Seiford 1993).
+passes through it, and the solver reports which DMU columns it prices out.
+In any convex representation of the DMU, a DMU priced strictly off such a
+hyperplane carries zero weight, so when those masks together cover every
+other efficient DMU, the DMU is its own maximal closest reference set with
+weight 1 (Ali & Seiford 1993).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .efficiency import EfficientSet, Support, priced_out
+from .efficiency import EfficientSet
 from .errors import AnalysisError, require_optimal
 from .projection import Projection
 from .solver import LinearProgram, SolverConfig, solve_lp
@@ -107,37 +108,34 @@ def maximal_weights(sol: MaxSupportSolution) -> np.ndarray:
 
 
 def _alone_on_supports(dataset: Dataset, j_e: EfficientSet, projection: Projection,
-                       supports: Sequence[Support]) -> bool:
+                       supports: Sequence[np.ndarray]) -> bool:
     """Whether ``supports`` prove that the projection's DMU is the only
     efficient DMU in any convex representation of it.
 
-    Only an efficient DMU's own point qualifies.  A support that prices the
-    DMU itself off does not pass through it and is ignored.
+    Only an efficient DMU's own point qualifies.  A mask that prices the DMU
+    itself off belongs to a hyperplane that misses it and is ignored.
     """
     p = projection.dmu
     if (not supports or projection.stages or p not in j_e
             or not np.array_equal(projection.target_inputs, dataset.x[p])
             or not np.array_equal(projection.target_outputs, dataset.y[p])):
         return False
-    idx = np.array(j_e.indices)
-    own = idx == p
-    a = np.vstack([dataset.x[idx].T, dataset.y[idx].T, np.ones(idx.size)])
-    ruled_out = own.copy()
-    for sup in supports:
-        off = priced_out(a, np.zeros(idx.size), sup.prices) & ~sup.basic[idx]
-        if not off[own].any():
+    ruled_out = np.arange(dataset.n) == p
+    for off in supports:
+        if not off[p]:
             ruled_out |= off
-    return bool(ruled_out.all())
+    return bool(ruled_out[list(j_e.indices)].all())
 
 
 def identify_mcrs(dataset: Dataset, j_e: EfficientSet, projection: Projection,
                   cfg: SolverConfig = SolverConfig(),
-                  supports: Sequence[Support] = ()) -> McrsResult:
+                  supports: Sequence[np.ndarray] = ()) -> McrsResult:
     """MCRS membership plus the maximal intensity weights behind it.
 
-    ``supports`` are hyperplanes proved by optimal bases at an efficient
-    DMU's own point (``EfficiencyResult.support()``, ``RtsBounds.supports``);
-    when they rule out every other efficient DMU, no LP is solved.
+    ``supports`` are masks over the DMUs, each flagging the DMUs an optimal
+    basis at an efficient DMU's own point prices out
+    (``EfficiencyResult.priced_out``, ``RtsBounds.supports``); when they rule
+    out every other efficient DMU, no LP is solved.
     """
     if _alone_on_supports(dataset, j_e, projection, supports):
         lam = (np.array(j_e.indices) == projection.dmu).astype(float)

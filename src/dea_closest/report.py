@@ -133,10 +133,9 @@ class AnalysisReport:
                            for i in range(ds.m + ds.s)},
             }
         if rec.mcrs is not None:
-            weights = dict(zip(rec.mcrs.columns, rec.mcrs.lambda_max))
             out["mcrs"] = {
-                "members": [{"name": ds.names[j], "weight": _num(weights[j])}
-                            for j in rec.mcrs.members],
+                "members": [{"name": ds.names[j], "weight": _num(w)}
+                            for j, w in zip(rec.mcrs.members, _member_weights(rec.mcrs))],
             }
         if rec.rts_label is not None:
             out["rts"] = {
@@ -189,23 +188,23 @@ class AnalysisReport:
 
 
 def _member_weights(mcrs: McrsResult) -> list[float]:
+    """The weight of each MCRS member, in member order."""
     by_index = dict(zip(mcrs.columns, mcrs.lambda_max))
     return [float(by_index[j]) for j in mcrs.members]
 
 
-def _num(v) -> float | str:
-    """JSON-ready number: 9 significant digits; infinities become strings."""
-    v = float(v)
-    if np.isinf(v):
-        return "+inf" if v > 0 else "-inf"
-    return float(f"{v:.9g}")
-
-
 def _text(v) -> str:
+    """9 significant digits; infinities spelled "+inf" and "-inf"."""
     v = float(v)
     if np.isinf(v):
         return "+inf" if v > 0 else "-inf"
     return f"{v:.9g}"
+
+
+def _num(v) -> float | str:
+    """JSON-ready number: 9 significant digits; infinities become strings."""
+    text = _text(v)
+    return text if text.endswith("inf") else float(text)
 
 
 def analyze(dataset: Dataset, config: RunConfig, priority: PriorityRanking | None = None,
@@ -237,9 +236,8 @@ def analyze(dataset: Dataset, config: RunConfig, priority: PriorityRanking | Non
         if level >= 2:
             # with the intercept LPs solved, their prices and the BCC prices at
             # an efficient DMU can spare the support LP
-            supports = (eff[o].support(), *rec.rts_bounds.supports) if level >= 3 else ()
-            rec.mcrs = identify_mcrs(dataset, j_e, rec.projection, cfg,
-                                     supports=tuple(filter(None, supports)))
+            supports = (eff[o].priced_out, *rec.rts_bounds.supports) if level >= 3 else ()
+            rec.mcrs = identify_mcrs(dataset, j_e, rec.projection, cfg, supports=supports)
         records.append(rec)
 
     report = AnalysisReport(config.command, dataset, priority, config, records)

@@ -8,7 +8,8 @@ means constant.  For an inefficient DMU the classification is performed at
 its unique closest projection (closest RTS).  Each end of the range is an
 LP in envelopment form (Banker & Thrall 1992), with m+s+1 rows for any n.
 The optimal prices of each one are a hyperplane that supports every DMU at
-the point, kept as a ``Support`` for the maximal closest reference set.
+the point; the DMUs whose lambda column they price out lie strictly off it,
+and that mask is kept for the maximal closest reference set.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset, PriorityRanking
-from .efficiency import EfficientSet, Support, basis_support
+from .efficiency import EfficientSet
 from .errors import AnalysisError, failure_context, require_optimal
 from .projection import Projection, closest_projection
 from .solver import Basis, LinearProgram, SolveStatus, SolverConfig, solve_lp
@@ -39,13 +40,14 @@ class RtsBounds:
     families); ``lower`` is at least -1.  ``stage_count`` records whether the
     minimizing stage was solved; when the maximizing stage already forces the
     label (upper < 0), ``lower`` is reported as -inf unsolved.  ``supports``
-    holds the supporting hyperplane each solved stage's optimal basis proves.
+    holds, per solved stage, the mask of the DMUs whose lambda column its
+    optimal basis prices out, strictly off that stage's supporting hyperplane.
     """
 
     upper: float
     lower: float
     stage_count: int
-    supports: tuple[Support, ...] = field(default=(), repr=False, compare=False)
+    supports: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -108,11 +110,6 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
     """
     point_x = np.asarray(point_x, dtype=float)
     point_y = np.asarray(point_y, dtype=float)
-    m, s = dataset.m, dataset.s
-    # u0 is the objective column at unit cost in either stage's minimization
-    # form, and DMU j's column is [-x_j; y_j; -1]
-    signs = np.r_[-np.ones(m), np.ones(s), -1.0]
-    dmu_columns = 2 + np.arange(dataset.n)
 
     def solve(sense: str, stage: str, *start: Basis):
         sol = solve_lp(_intercept_program(dataset, point_x, point_y, sense), cfg, *start)
@@ -123,9 +120,8 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
             return sol  # no finite upper bound
         return require_optimal(sol, f"intercept {stage}")
 
-    def supports(*solved) -> tuple[Support, ...]:
-        return tuple(filter(None, (basis_support(sol.basis, 0, dmu_columns, signs)
-                                   for sol in solved)))
+    def supports(*solved) -> tuple[np.ndarray, ...]:
+        return tuple(sol.priced_out[2:] for sol in solved if sol.priced_out is not None)
 
     hi = solve("max", "maximization")
     upper = np.inf if hi.status is SolveStatus.INFEASIBLE else float(hi.objective)

@@ -182,6 +182,13 @@ class Solution:
     a program that differs only in its right-hand side can start its own
     root from it.  It is None for an LP, and when the root was not solved
     to optimality.
+
+    ``priced_out`` is, for an optimal LP, a mask over the structural
+    columns: True where the column is nonbasic and its reduced cost at the
+    final basis holds it at its bound by more than the simplex's pricing
+    threshold.  Moving such a column off its bound strictly worsens the
+    objective, so it sits at that bound in every optimal solution.  It is
+    None for a MILP and when an artificial variable stayed basic.
     """
 
     status: SolveStatus
@@ -191,3 +198,4 @@ class Solution:
     nodes: int = 0
     basis: Basis | None = None
     root_basis: Basis | None = None
+    priced_out: np.ndarray | None = None

@@ -50,7 +50,8 @@ updated inverse, before an updated inverse certifies an unbounded ray or an
 infeasible row, and before an optimal point is read off.  Every returned
 point is therefore solved from a fresh factorization that passed the
 residual guard, then refined by one step of iterative refinement before the
-bound check.
+bound check.  The same fresh inverse prices the optimal basis once more to
+report, by the pricing's own threshold, which columns it holds at a bound.
 """
 
 from __future__ import annotations
@@ -152,6 +153,19 @@ def _resting(lo: np.ndarray, up: np.ndarray) -> np.ndarray:
     table[_AT_LOWER] = lo
     table[_AT_UPPER] = up
     return table
+
+
+def _reduced_costs(b_inv, c, a, a_abs, basis):
+    """Reduced costs at the basis whose inverse is ``b_inv`` and their
+    per-column zero threshold."""
+    y = b_inv.T @ c[basis]
+    d = c - a.T @ y
+    d[basis] = 0.0
+    # reduced-cost noise grows with the dual magnitudes, so the zero
+    # threshold is scaled per column; an absolute cutoff would let
+    # noise-level "improvements" drive pivots on degenerate cones
+    dtol = PIVOT_TOL * (1.0 + a_abs.T @ np.abs(y))
+    return d, dtol
 
 
 class _Simplex:
@@ -340,18 +354,6 @@ class _Simplex:
             self._refactor(a_ext[:, basis])
         return None
 
-    def _reduced_costs(self, c, a_ext, a_abs, basis):
-        """Reduced costs at the current inverse and their per-column zero
-        threshold."""
-        y = self.b_inv.T @ c[basis]
-        d = c - a_ext.T @ y
-        d[basis] = 0.0
-        # reduced-cost noise grows with the dual magnitudes, so the zero
-        # threshold is scaled per column; an absolute cutoff would let
-        # noise-level "improvements" drive pivots on degenerate cones
-        dtol = PIVOT_TOL * (1.0 + a_abs.T @ np.abs(y))
-        return d, dtol
-
     @staticmethod
     def _improving(d, dtol, vstatus, fixed) -> np.ndarray:
         """Nonbasic columns whose reduced cost would lower the objective."""
@@ -387,7 +389,7 @@ class _Simplex:
                 x = self._basic_solution(a_ext, rest, basis, vstatus)
                 if x is None:
                     return SolveStatus.ITERATION_LIMIT, None  # basis singular or untrustworthy
-                d, dtol = self._reduced_costs(c, a_ext, a_abs, basis)
+                d, dtol = _reduced_costs(self.b_inv, c, a_ext, a_abs, basis)
             elig = self._improving(d, dtol, vstatus, fixed)
             if not elig.any():
                 if self.updates:  # the optimal point is read from a fresh factorization
@@ -463,7 +465,7 @@ class _Simplex:
             x = self._basic_solution(a, rest, basis, vstatus)
             if x is None:
                 return SolveStatus.ITERATION_LIMIT
-            d, dtol = self._reduced_costs(c, a, self.a_abs, basis)
+            d, dtol = _reduced_costs(self.b_inv, c, a, self.a_abs, basis)
             xb = x[basis]
             below = lo[basis] - xb
             above = xb - up[basis]
@@ -548,6 +550,20 @@ def solve_standardized(std: StandardizedLP, cfg: SolverConfig,
     return status, x[: std.n_struct].copy(), obj, sx.iterations, record
 
 
+def _priced_out(std: StandardizedLP, record: Basis) -> np.ndarray | None:
+    """Which structural columns an optimal ``record`` prices out: those whose
+    reduced cost holds them at the bound they rest on by more than the
+    pricing threshold, the mirror of ``_Simplex._improving``.  A basic
+    column's reduced cost is zero and a free column rests on no bound, so
+    neither counts; a fixed column rests at its lower bound.  None when the
+    record carries no inverse (an artificial stayed basic)."""
+    if record.inverse is None:
+        return None
+    d, dtol = _reduced_costs(record.inverse, std.c, std.a, std.a_abs, record.columns)
+    state = _nonbasic_status(std.lower, std.upper, record.x)
+    return (-d * _GAIN_SIGN[state] > dtol)[: std.n_struct]
+
+
 def check_warm_start(warm_start) -> None:
     """Reject a warm start that is not a Basis (or None)."""
     if warm_start is not None and not isinstance(warm_start, Basis):
@@ -577,7 +593,8 @@ def solve_lp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
     std = standardize(lp)
     status, x, obj, iters, basis = solve_standardized(std, cfg, start=warm_start)
     if status is SolveStatus.OPTIMAL:
-        return Solution(status, std.sense_sign * obj, x, iters, 0, basis)
+        return Solution(status, std.sense_sign * obj, x, iters, 0, basis,
+                        priced_out=_priced_out(std, basis))
     if status is SolveStatus.UNBOUNDED:
         return Solution(status, -std.sense_sign * np.inf, None, iters)
     return Solution(status, np.nan, None, iters)

@@ -253,24 +253,30 @@ def test_skipped_phase2_agrees_with_a_forced_one(monkeypatch, cfg):
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(1993)
     sets = [random_dataset(rng) for _ in range(30)] + [load_dataset(io.StringIO(RESCALED_BCC_CSV))]
-    skips = []
-    ruled_out = efficiency._slacks_ruled_out
+    solves = []
 
-    def recording(*args):
-        skips.append(ruled_out(*args))
-        return skips[-1]
+    def counting(*args, **kwargs):
+        solves.append(solve_lp(*args, **kwargs))
+        return solves[-1]
 
-    monkeypatch.setattr(efficiency, "_slacks_ruled_out", recording)
+    def pricing_nothing_out(*args, **kwargs):
+        sol = solve_lp(*args, **kwargs)
+        sol.priced_out = None
+        return sol
+
+    monkeypatch.setattr(efficiency, "solve_lp", counting)
     skipped = solved = 0
     for ds in sets:
         for o in range(ds.n):
+            solves.clear()
             r = evaluate_bcc(ds, o, cfg)
-            if not skips[-1]:
+            if len(solves) == 2:
                 solved += 1
                 continue
             skipped += 1
+            assert solves[0].priced_out[1 + ds.n:].all()
             with monkeypatch.context() as forcing:
-                forcing.setattr(efficiency, "_slacks_ruled_out", lambda *args: False)
+                forcing.setattr(efficiency, "solve_lp", pricing_nothing_out)
                 forced = evaluate_bcc(ds, o, cfg)
             assert forced.theta == r.theta and forced.is_efficient == r.is_efficient
             assert np.array_equal(r.slacks, np.zeros(ds.m + ds.s))
@@ -284,20 +290,21 @@ def test_skipped_phase2_agrees_with_a_forced_one(monkeypatch, cfg):
 def test_weakly_efficient_dmu_still_solves_phase2(monkeypatch, cfg):
     # U2 reaches theta = 1 only with one unit of slack on its first input (U5
     # uses one unit less of it).  Phase 1 ends with every slack nonbasic, but
-    # that slack's price is zero: the certificate cannot rule it out, so
+    # that slack's price is zero: the phase-1 solve does not price it out, so
     # phase 2 runs and finds it, and U2 reads inefficient
     ds = make_dataset(np.array([[3.0, 2.0], [3.0, 1.0], [2.0, 3.0], [3.0, 2.0], [2.0, 1.0]]),
                       np.array([[1.0], [1.0], [2.0], [2.0], [1.0]]))
-    bases = []
-    ruled_out = efficiency._slacks_ruled_out
+    solves = []
 
-    def recording(lp, basis, slacks):
-        bases.append(basis.columns)
-        return ruled_out(lp, basis, slacks)
+    def recording(*args, **kwargs):
+        solves.append(solve_lp(*args, **kwargs))
+        return solves[-1]
 
-    monkeypatch.setattr(efficiency, "_slacks_ruled_out", recording)
+    monkeypatch.setattr(efficiency, "solve_lp", recording)
     r = evaluate_bcc(ds, 1, cfg)
-    assert len(bases) == 1 and not np.isin(np.arange(6, 9), bases[0]).any()
+    phase1 = solves[0]
+    assert len(solves) == 2 and not np.isin(np.arange(6, 9), phase1.basis.columns).any()
+    assert not phase1.priced_out[6:9].all()
     assert r.theta == pytest.approx(1.0, abs=1e-12)
     assert r.slacks == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
     assert not r.is_efficient

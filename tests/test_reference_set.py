@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dea_closest import (AnalysisError, EfficientSet, LinearProgram, SolveStatus, Support,
+from dea_closest import (AnalysisError, EfficientSet, LinearProgram, SolveStatus,
                          closest_projection, default_priority, efficient_set, evaluate_all,
                          identify_mcrs, intercept_bounds, maximal_weights, reference_set,
                          solve_lp, solve_max_support_lp)
@@ -190,9 +190,10 @@ def test_support_lps_pivot_budget(monkeypatch, cfg):
 
 
 def supports_at(ds, eff, o, cfg):
-    """The hyperplanes the BCC and intercept bases prove at DMU ``o``'s own point."""
+    """The masks of the DMUs that the BCC and intercept bases at DMU ``o``'s
+    own point price out."""
     bounds = intercept_bounds(ds, ds.x[o], ds.y[o], cfg)
-    return tuple(filter(None, (eff[o].support(), *bounds.supports)))
+    return (eff[o].priced_out, *bounds.supports)
 
 
 def counting_support_lps(monkeypatch):
@@ -251,23 +252,19 @@ def test_duplicate_of_an_efficient_dmu_blocks_the_certificate(monkeypatch, cfg):
     assert mc.lambda_max[[0, 20]].min() > cfg.zero_tol
 
 
-@pytest.mark.parametrize("coefs, basic", [
-    # tilted by -+1e-12 about DMU3 on the face x - y + 3 = 0: DMU2 and DMU4
-    # price within the threshold, which proves nothing
-    ([(1.0, -1.0 - 1e-12, 3.0 + 6e-12), (1.0, -1.0 + 1e-12, 3.0 - 6e-12)], ()),
-    # tilted by -+1e-6: DMU2 and DMU4 price clear of it, but on basic columns
-    ([(1.0, -1.0 - 1e-6, 3.0 + 6e-6), (1.0, -1.0 + 1e-6, 3.0 - 6e-6)], (1, 3)),
-    # the line through DMU1 and DMU2 prices DMU4 off, but misses DMU3 itself
-    ([(3.0, -1.0, -1.0), (1.0, -1.0 - 1e-6, 3.0 + 6e-6)], ()),
+@pytest.mark.parametrize("flagged", [
+    # DMU2 and DMU4 are basic, or priced within the threshold, in every basis
+    [(0, 4, 5, 6, 7), (0, 4)],
+    # the line through DMU1 and DMU2 prices DMU4 off, but DMU3 itself too
+    [(2, 3, 4), (0, 1, 5)],
 ])
 def test_prices_that_prove_nothing_leave_the_support_lp(eight_dmu, je8, cfg, monkeypatch,
-                                                         coefs, basic):
+                                                         flagged):
     # DMU3 lies inside the face DMU2-DMU4, so both belong to its MCRS and no
-    # valid price can rule them out.  Each Support makes DMU j's reduced cost
-    # coef . (x_j, y_j, 1); together these would rule out every other DMU
+    # valid price can rule them out; a mask that flags DMU3 itself comes from
+    # a hyperplane that misses it, so its other flags are not read
     solves = counting_support_lps(monkeypatch)
-    flags = np.isin(np.arange(eight_dmu.n), basic)
-    supports = [Support(-np.array(coef), flags) for coef in coefs]
+    supports = [np.isin(np.arange(eight_dmu.n), f) for f in flagged]
     p = project(eight_dmu, je8, 2, cfg)
     mc = identify_mcrs(eight_dmu, je8, p, cfg, supports=supports)
     assert mc.members == (1, 2, 3) and len(solves) == 1

@@ -217,6 +217,9 @@ def test_cli_reads_a_utf8_byte_order_mark(tmp_path, capsys):
     assert main(["efficiency", "--input", str(bom)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [r["name"] for r in doc["results"]] == [f"DMU{k}" for k in range(1, 9)]
+    # a stream opened without "utf-8-sig" hands the mark on as U+FEFF
+    with open(bom, encoding="utf-8") as fh:
+        assert load_dataset(fh).names == load_dataset(bom).names
 
 
 @pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),

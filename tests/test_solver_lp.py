@@ -387,6 +387,81 @@ def test_optimality_certificate(cfg):
     assert checked > 10
 
 
+@pytest.mark.parametrize("tilt", [1e-12, -1e-12])
+def test_prices_within_the_threshold_price_nothing_out(eight_dmu, cfg, tilt):
+    # one convexity row over the eight_dmu columns, each costing
+    # coef . (x_j, y_j, 1) for the face x - y + 3 = 0 through DMU2, DMU3 and
+    # DMU4 tilted by 1e-12 about DMU3: one of those three is basic and the
+    # other two price within the threshold, so only the DMUs off the face
+    # are priced out
+    coef = np.array([1.0, -1.0 - tilt, 3.0 + 6.0 * tilt])
+    c = np.column_stack([eight_dmu.x, eight_dmu.y, np.ones(8)]) @ coef
+    lp = LinearProgram("min", c, np.ones((1, 8)), ("=",), [1.0], np.zeros(8), np.full(8, np.inf))
+    sol = solve_lp(lp, cfg)
+    assert sol.basis.columns[0] in (1, 2, 3)
+    assert sol.priced_out.tolist() == [True, False, False, False, True, True, True, True]
+
+
+@pytest.mark.parametrize("c1, flagged", [(1.0, True), (0.5, False), (-1.0, True)])
+def test_priced_out_reads_the_bound_a_column_rests_on(cfg, c1, flagged):
+    # max c1 x1 + x2 + c3 x3 over x1 + 2 x2 <= 10, x1 in [0, 2], x2 in
+    # [0, 100], x3 fixed at 1.  x2 is basic at the row price 1/2; x1 rests at
+    # its upper bound held by a negative reduced cost when c1 = 1, at its
+    # lower bound held by a positive one when c1 = -1, and is priced at zero
+    # when c1 = 1/2.  The fixed x3 rests at its lower bound: raising it would
+    # pay, so it is not priced out, and lowering c3 below zero prices it out
+    for c3, fixed_flag in ((1.0, False), (-1.0, True)):
+        lp = LinearProgram("max", [c1, 1.0, c3], [[1.0, 2.0, 0.0]], ("<=",), [10.0],
+                           [0.0, 0.0, 1.0], [2.0, 100.0, 1.0])
+        sol = solve_lp(lp, cfg)
+        assert 1 in sol.basis.columns
+        assert sol.priced_out.tolist() == [flagged, False, fixed_flag]
+        if c1 != 0.5:
+            assert sol.x[0] == (2.0 if c1 > 0 else 0.0)
+
+
+def test_priced_out_is_none_without_an_lp_inverse(cfg):
+    # a redundant row keeps its artificial basic, and a MILP reports no prices
+    lp = LinearProgram("min", [1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]], ("=", "="), [1.0, 1.0],
+                       [0.0, 0.0], [np.inf, np.inf])
+    sol = solve_lp(lp, cfg)
+    assert sol.status is SolveStatus.OPTIMAL and sol.priced_out is None
+    milp = solve_milp(random_binary_lp(np.random.default_rng(3)), cfg)
+    assert milp.basis is not None and milp.priced_out is None
+
+
+@pytest.mark.parametrize("make", [random_box_lp, random_inequality_lp])
+def test_forcing_a_priced_out_column_off_its_bound_worsens_the_optimum(cfg, make):
+    # every flagged column is nonbasic at a bound; moving it halfway into its
+    # box makes the program strictly worse (or infeasible), while basic
+    # columns are never flagged
+    rng = np.random.default_rng(2718)
+    flagged = 0
+    for _ in range(40):
+        lp = make(rng)
+        sol = solve_lp(lp, cfg)
+        if sol.status is not SolveStatus.OPTIMAL:
+            continue
+        sign = 1.0 if lp.sense == "min" else -1.0
+        basic = sol.basis.columns[sol.basis.columns < lp.n_vars]
+        assert not sol.priced_out[basic].any()
+        for j in np.flatnonzero(sol.priced_out):
+            lower, upper = lp.lower.copy(), lp.upper.copy()
+            half = 0.5 * (upper[j] - lower[j])
+            if sol.x[j] == lp.lower[j]:
+                lower[j] += half
+            else:
+                assert sol.x[j] == lp.upper[j]
+                upper[j] -= half
+            forced = solve_lp(LinearProgram(lp.sense, lp.c, lp.a, lp.relations, lp.b,
+                                            lower, upper), cfg)
+            assert forced.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
+            if forced.status is SolveStatus.OPTIMAL:
+                assert sign * (forced.objective - sol.objective) > 1e-9
+            flagged += 1
+    assert flagged > 40
+
+
 def test_determinism(cfg):
     rng = np.random.default_rng(7)
     for _ in range(10):

@@ -2,6 +2,8 @@
 
 Phase 1 shrinks the radial input factor theta as far as the technology
 allows; phase 2 pins theta at that optimum and maximizes the total slack.
+Phase 2 is derived from the phase-1 program: the same rows under a new
+objective and theta's pin.
 A DMU is efficient exactly when theta is 1 and every slack is zero, which
 realizes the non-Archimedean objective without ever instantiating an
 epsilon coefficient.
@@ -104,6 +106,18 @@ def _bcc_program(dataset: Dataset, o: int, theta_bounds: tuple[float, float],
     return LinearProgram(sense, c, a, ("=",) * (m + s + 1), b, lower, upper)
 
 
+def _phase2_program(phase1: LinearProgram, n: int, theta: float) -> LinearProgram:
+    """The program ``_bcc_program`` builds for phase 2 with theta pinned at
+    ``theta``, derived from the phase-1 program of the same DMU over ``n``
+    DMUs: the rows are shared, only the objective and theta's bounds are
+    new."""
+    c = np.zeros(phase1.n_vars)
+    c[1 + n:] = 1.0
+    lower, upper = phase1.lower.copy(), phase1.upper.copy()
+    lower[0] = upper[0] = theta
+    return phase1.derive("max", c, lower, upper)
+
+
 def _unit_vertex(dataset: Dataset, o: int) -> Basis:
     """Phase-1 start at theta = 1, lambda_o = 1 with every slack zero.
 
@@ -149,7 +163,7 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
     else:
         # same rows and columns with theta pinned at its optimum, so the
         # phase-1 basis stays feasible and phase 2 resumes from it
-        lp2 = _bcc_program(dataset, o, (theta, theta), phase2=True)
+        lp2 = _phase2_program(lp1, n, theta)
         final = require_optimal(solve_lp(lp2, cfg, warm_start=phase1.basis),
                                 f"BCC phase 2 for DMU {name!r}")
         slacks = final.x[slack_cols].copy()

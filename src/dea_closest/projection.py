@@ -13,7 +13,9 @@ and differ only in the DMU's own values on the right-hand side, so the
 optimal root basis of one DMU's stage 1 stays dual feasible for the next
 one's.  A caller that projects several DMUs hands each projection's
 ``stage1_root`` to the next call, whose stage-1 root then re-optimizes from
-it with the dual simplex instead of solving cold.
+it with the dual simplex instead of solving cold.  Within one DMU, stages
+2..m+s are derived from its stage-1 program: the same rows, a new objective
+and one more pin.
 """
 
 from __future__ import annotations
@@ -122,6 +124,26 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
                          complements=complements)
 
 
+def derive_stage_program(first: LinearProgram, pinned: list[tuple[int, float]],
+                         target: int) -> LinearProgram:
+    """The program ``build_stage_program`` builds for ``pinned`` and
+    ``target``, derived from the same DMU's stage-1 program ``first``.
+
+    Stages differ only in their objective and pins, so the matrix,
+    right-hand side and pairs are shared with ``first`` and only the new
+    objective and bounds are built and validated.
+    """
+    if target in {idx for idx, _ in pinned}:
+        raise ValueError("stage target is already pinned")
+    c_s = len(first.complements)  # the slacks follow the t lambdas
+    c = np.zeros(first.n_vars)
+    c[c_s + target] = 1.0
+    lower, upper = first.lower.copy(), first.upper.copy()
+    for slack_idx, value in pinned:
+        lower[c_s + slack_idx] = upper[c_s + slack_idx] = value
+    return first.derive("min", c, lower, upper)
+
+
 def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
                        priority: PriorityRanking,
                        cfg: SolverConfig = SolverConfig(),
@@ -133,8 +155,9 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
     target is the DMU moved by exactly those slacks (inputs down, outputs
     up).  Efficient DMUs short-circuit to a zero-slack projection.
 
-    Each stage after the first starts its root from the previous stage's
-    final basis; that basis is the only thing one stage hands the next.
+    Each stage after the first is derived from the stage-1 program (only
+    its objective and pins change) and starts its root from the previous
+    stage's final basis.
     ``stage1_root`` is the ``stage1_root`` of another DMU's projection over
     the same efficient set and priority; stage 1 starts its root from it.
     It never changes the result, and without it stage 1 starts cold.
@@ -156,7 +179,10 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
     start = stage1_root
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):
-        lp = build_stage_program(dataset, j_e, o, pinned, slack_idx)
+        if stage_no == 1:
+            lp = first = build_stage_program(dataset, j_e, o, pinned, slack_idx)
+        else:
+            lp = derive_stage_program(first, pinned, slack_idx)
         # the frontier dominates every DMU, so each stage is feasible
         sol = require_optimal(solve_milp(lp, cfg, warm_start=start),
                               f"projection of DMU {name!r} stage {stage_no} (slack {slack_idx})")

@@ -32,34 +32,40 @@ from .model import FEAS_TOL, INT_TOL, Basis, LinearProgram, Solution, SolveStatu
 from .simplex import check_warm_start, solve_lp, solve_standardized, standardize
 
 
-def _branching(x: np.ndarray, lp: LinearProgram) -> tuple[tuple[int, float], ...]:
-    """Bound-fix alternatives ``(column, value)`` that split the node at ``x``,
+def _branching(lp: LinearProgram):
+    """The branching rule of ``lp``: a function that maps a node's point
+    ``x`` to the bound-fix alternatives ``(column, value)`` that split it,
     the preferred one last, or () when ``x`` needs no branching.
 
     The most fractional binary goes first; with every binary integral, the
-    pair with the largest product is split, zeroing its smaller member first.
+    pair with the largest product is split, zeroing its smaller member
+    first.  The index arrays are taken from ``lp`` once, not per node.
     """
     bin_idx = np.flatnonzero(lp.binary)
-    vals = x[bin_idx]
-    frac = np.abs(vals - np.round(vals))
-    open_bins = np.flatnonzero(frac > INT_TOL)
-    if open_bins.size:
-        k = int(open_bins[np.argmin(np.abs(vals[open_bins] - 0.5))])
-        j = int(bin_idx[k])
-        preferred = 1.0 if vals[k] >= 0.5 else 0.0
-        return (j, 1.0 - preferred), (j, preferred)
+    first, second = lp.complements[:, 0].copy(), lp.complements[:, 1].copy()
 
-    pairs = lp.complements
-    if len(pairs) == 0:
-        return ()
-    xa, xb = x[pairs[:, 0]], x[pairs[:, 1]]
-    violated = np.minimum(xa, xb) > 10.0 * FEAS_TOL  # a smaller member below this is zero
-    if not violated.any():
-        return ()
-    k = int(np.argmax(np.where(violated, xa * xb, -np.inf)))
-    a, b = int(pairs[k, 0]), int(pairs[k, 1])
-    small, large = (a, b) if xa[k] <= xb[k] else (b, a)
-    return (large, 0.0), (small, 0.0)
+    def split(x: np.ndarray) -> tuple[tuple[int, float], ...]:
+        if bin_idx.size:
+            vals = x[bin_idx]
+            frac = np.abs(vals - np.round(vals))
+            open_bins = np.flatnonzero(frac > INT_TOL)
+            if open_bins.size:
+                k = int(open_bins[np.argmin(np.abs(vals[open_bins] - 0.5))])
+                j = int(bin_idx[k])
+                preferred = 1.0 if vals[k] >= 0.5 else 0.0
+                return (j, 1.0 - preferred), (j, preferred)
+        if not first.size:
+            return ()
+        xa, xb = x[first], x[second]
+        violated = np.minimum(xa, xb) > 10.0 * FEAS_TOL  # a smaller member below this is zero
+        k = int(np.where(violated, xa * xb, -np.inf).argmax())
+        if not violated[k]:
+            return ()
+        a, b = int(first[k]), int(second[k])
+        small, large = (a, b) if xa[k] <= xb[k] else (b, a)
+        return (large, 0.0), (small, 0.0)
+
+    return split
 
 
 def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
@@ -86,6 +92,7 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
         return solve_lp(lp, cfg, warm_start)
 
     std = standardize(lp)
+    branching = _branching(lp)
     inc_x: np.ndarray | None = None
     inc_obj = np.inf
     inc_basis: Basis | None = None
@@ -121,7 +128,7 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
         if obj >= cutoff:
             continue  # cannot improve on the incumbent
 
-        alternatives = _branching(x, lp)
+        alternatives = branching(x)
         if not alternatives:
             inc_x, inc_obj, inc_basis = x, obj, basis
             cutoff = obj - 1e-9 * max(1.0, abs(obj))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -49,6 +50,26 @@ class SolverConfig:
             raise ValueError("iteration and node limits must be positive")
 
 
+# what each array checked by ``LinearProgram._check_values`` may hold
+_ALLOWED = {
+    "c": "the objective must be finite",
+    "a": "the matrix must be finite",
+    "b": "the right-hand side must be finite",
+    "lower": "a lower bound may be -inf but not NaN or +inf",
+    "upper": "an upper bound may be +inf but not NaN or -inf",
+}
+
+
+def _check_sense(sense: str):
+    if sense not in ("min", "max"):
+        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+
+
+def _check_bound_sizes(lower: np.ndarray, upper: np.ndarray, n: int):
+    if lower.size != n or upper.size != n:
+        raise ValueError("bound vectors must match the number of variables")
+
+
 def _as_float_array(value, ndim: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != ndim:
@@ -64,8 +85,11 @@ class LinearProgram:
     ``a @ x  (relations)  b`` row-wise, ``lower <= x <= upper``, variables
     flagged in ``binary`` additionally restricted to {0, 1}, and for each row
     ``(i, j)`` of ``complements`` the nonnegative columns i and j may not both
-    be positive (``x_i * x_j = 0``).  Bounds may be ``-inf``/``+inf``; a pair
-    with ``lower == upper`` pins the variable.
+    be positive (``x_i * x_j = 0``).  A lower bound may be ``-inf`` and an
+    upper bound ``+inf``; a pair with ``lower == upper`` pins the variable.
+    Construction rejects any other NaN or infinity with a ValueError that
+    names the field.  The binary-bound checks run only when there are
+    binaries.
     """
 
     sense: str
@@ -79,8 +103,7 @@ class LinearProgram:
     complements: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
+        _check_sense(self.sense)
         self.c = _as_float_array(self.c, 1)
         self.a = _as_float_array(self.a, 2)
         self.b = _as_float_array(self.b, 1)
@@ -98,29 +121,76 @@ class LinearProgram:
             if rel not in RELATIONS:
                 raise ValueError(f"unknown row relation {rel!r}")
         self.relations = tuple(self.relations)
-        if self.lower.size != n or self.upper.size != n:
-            raise ValueError("bound vectors must match the number of variables")
-        if np.any(self.lower > self.upper):
-            bad = int(np.argmax(self.lower > self.upper))
-            raise ValueError(f"variable {bad}: lower bound exceeds upper bound")
+        _check_bound_sizes(self.lower, self.upper, n)
         if self.binary is None:
             self.binary = np.zeros(n, dtype=bool)
         else:
             self.binary = np.asarray(self.binary, dtype=bool)
             if self.binary.size != n:
                 raise ValueError("binary mask must match the number of variables")
-        if np.any(self.lower[self.binary] < -0.0) or np.any(self.upper[self.binary] > 1.0):
-            raise ValueError("binary variables must have bounds within [0, 1]")
         if self.complements is None:
             self.complements = np.zeros((0, 2), dtype=int)
         else:
             self.complements = np.asarray(self.complements, dtype=int).reshape(-1, 2)
-            if np.any(self.complements < 0) or np.any(self.complements >= n):
+            if len(self.complements) and (self.complements.min() < 0
+                                           or self.complements.max() >= n):
                 raise ValueError("complementarity pair refers to a missing variable")
-            if np.any(self.complements[:, 0] == self.complements[:, 1]):
+            if (self.complements[:, 0] == self.complements[:, 1]).any():
                 raise ValueError("complementarity pair joins a variable with itself")
-            if np.any(self.lower[self.complements] < 0.0):
-                raise ValueError("complementary variables must be nonnegative")
+        self._check_values((("a", self.a), ("b", self.b)))
+
+    def derive(self, sense: str, c, lower, upper) -> LinearProgram:
+        """This program's rows, binaries and pairs under another objective
+        and other bounds.
+
+        The matrix, right-hand side, relations, binary mask and pairs are
+        shared with this program, not copied, and are not validated again;
+        the new objective and bounds are validated as the constructor would.
+        """
+        _check_sense(sense)
+        lp = copy.copy(self)
+        lp.sense = sense
+        lp.c = _as_float_array(c, 1)
+        lp.lower = _as_float_array(lower, 1)
+        lp.upper = _as_float_array(upper, 1)
+        n = self.c.size
+        if lp.c.size != n:
+            raise ValueError(f"objective has {lp.c.size} entries, program has {n} variables")
+        _check_bound_sizes(lp.lower, lp.upper, n)
+        lp._check_values(())
+        return lp
+
+    def _check_values(self, row_arrays: tuple[tuple[str, np.ndarray], ...]):
+        """Reject a NaN or an infinity in the objective or in the named
+        ``row_arrays``, a NaN bound, a lower bound of +inf, an upper bound of
+        -inf, crossed bounds, binaries boxed outside [0, 1] and
+        complementary variables that may go negative.
+
+        A lower bound may be -inf and an upper bound +inf: clipping them at
+        zero from the side they may be infinite on maps both to finite
+        values and keeps every other entry's NaN or infinity, so one
+        ``isfinite`` pass over all arrays checks every value.
+        """
+        named = (("c", self.c), *row_arrays, ("lower", np.maximum(self.lower, 0.0)),
+                 ("upper", np.minimum(self.upper, 0.0)))
+        finite = np.isfinite(np.concatenate([arr.ravel() for _, arr in named]))
+        if not finite.all():
+            at = int(finite.argmin())
+            for name, arr in named:
+                if at < arr.size:
+                    value = arr.ravel()[at]
+                    raise ValueError(f"{name} holds {value} at flat index {at}; "
+                                     f"{_ALLOWED[name]}")
+                at -= arr.size
+        crossed = self.lower > self.upper
+        if crossed.any():
+            bad = int(crossed.argmax())
+            raise ValueError(f"variable {bad}: lower bound exceeds upper bound")
+        if self.binary.any() and ((self.lower[self.binary] < -0.0).any()
+                                  or (self.upper[self.binary] > 1.0).any()):
+            raise ValueError("binary variables must have bounds within [0, 1]")
+        if len(self.complements) and (self.lower[self.complements] < 0.0).any():
+            raise ValueError("complementary variables must be nonnegative")
 
     @property
     def is_mixed(self) -> bool:

@@ -52,6 +52,22 @@ point is therefore solved from a fresh factorization that passed the
 residual guard, then refined by one step of iterative refinement before the
 bound check.  The same fresh inverse prices the optimal basis once more to
 report, by the pricing's own threshold, which columns it holds at a bound.
+
+The programs are small, so a solve costs numpy calls more than arithmetic,
+and what does not change is set up once.  Per solve: one ``np.errstate``
+context, and one ``_Box`` of the bounds (fixed mask, free columns, resting
+table, nonbasic status) shared by the dual and the primal loop; the dual
+loop computes the pricing threshold only on its first iteration (the dual
+feasibility test) and its last (handed on to the primal).  Per
+branch-and-bound solve: the standardized system and the index arrays of the
+branching rule.  Per projected DMU and per BCC score: the first program,
+from which the later lexicographic stages and BCC phase 2 are derived
+(``LinearProgram.derive``).  None of this changes an operation that decides
+a pivot or a reported value: states are ``np.intp`` so that gathers by them
+need no conversion, products with a contiguous matrix call ``ndarray.dot``
+(the BLAS routine ``@`` calls, without its dispatch; a vector times a
+column slice stays ``@``, which the two round differently), and a maximum
+is read at its ``argmax``.
 """
 
 from __future__ import annotations
@@ -87,6 +103,8 @@ class StandardizedLP:
     or -1 for an equality row.  ``sense_sign`` is +1 when the original
     program was a minimization, -1 otherwise (objective values are mapped
     back on exit).  ``a_abs`` is ``|a|``, which scales the pricing threshold.
+    A program of equality rows only shares its matrix (when C-contiguous),
+    right-hand side and bounds with the system; nothing writes to them.
     """
 
     a: np.ndarray
@@ -105,67 +123,116 @@ def standardize(lp: LinearProgram) -> StandardizedLP:
     n = lp.n_vars
     rows = lp.n_rows
     ineq = [i for i, rel in enumerate(lp.relations) if rel != "="]
-    n_total = n + len(ineq)
+    sign = 1.0 if lp.sense == "min" else -1.0
+    slack_of_row = np.full(rows, -1)
+    if not ineq:  # the program's own arrays, contiguous as BLAS calls expect them
+        a = np.ascontiguousarray(lp.a)
+        return StandardizedLP(a, lp.b, sign * lp.c, lp.lower, lp.upper, n, sign,
+                              slack_of_row, np.abs(a))
 
+    n_total = n + len(ineq)
     a = np.zeros((rows, n_total))
     a[:, :n] = lp.a
-    slack_of_row = np.full(rows, -1)
     for k, i in enumerate(ineq):
         # a.x + s = b with s >= 0 for "<=", a.x - s = b for ">="
         a[i, n + k] = 1.0 if lp.relations[i] == "<=" else -1.0
         slack_of_row[i] = n + k
 
-    sign = 1.0 if lp.sense == "min" else -1.0
     c = np.zeros(n_total)
     c[:n] = sign * lp.c
     lower = np.concatenate([lp.lower, np.zeros(len(ineq))])
     upper = np.concatenate([lp.upper, np.full(len(ineq), np.inf)])
-    return StandardizedLP(a, lp.b.copy(), c, lower, upper, n, sign, slack_of_row, np.abs(a))
+    return StandardizedLP(a, lp.b, c, lower, upper, n, sign, slack_of_row, np.abs(a))
 
 
-def _nonbasic_status(lower: np.ndarray, upper: np.ndarray,
-                     x: np.ndarray | None = None) -> np.ndarray:
-    """Where each column rests while nonbasic: at a fixed column's single
-    value; at the bound ``x`` (a previous solve's point) already sits on;
-    otherwise at the finite lower bound if there is one, else at the finite
-    upper bound, else free at zero.
+def _nonbasic_status(lower: np.ndarray, upper: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """Where each column rests while nonbasic, by its bounds alone: at a fixed
+    column's single value, otherwise at the finite lower bound if there is
+    one, else at the finite upper bound, else free at zero.
+
+    States are ``np.intp``, the index type numpy gathers by without a
+    conversion.  ``fixed`` is ``lower == upper``.
+    """
+    status = np.empty(lower.size, dtype=np.intp)
+    status.fill(_FREE)
+    status[np.isfinite(upper)] = _AT_UPPER
+    status[np.isfinite(lower)] = _AT_LOWER
+    status[fixed] = _AT_LOWER
+    return status
+
+
+def _placed(status: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+            x: np.ndarray) -> np.ndarray:
+    """``status`` with every column that ``x`` (a previous solve's point)
+    holds at one of its bounds put at that bound; a fixed column stays at its
+    lower bound.
 
     Placing a column by its value rather than by its old state matters when
     bounds change between solves: a column that branching pinned at zero may
     have rested "at upper" then, which would read as its old upper bound
     once the pin is gone.
     """
-    status = np.full(lower.size, _FREE, dtype=np.int8)
-    status[np.isfinite(upper)] = _AT_UPPER
-    status[np.isfinite(lower)] = _AT_LOWER
-    if x is not None:
-        status[x == upper] = _AT_UPPER
-        status[x == lower] = _AT_LOWER
-    status[lower == upper] = _AT_LOWER
+    status = status.copy()
+    status[x == upper] = _AT_UPPER
+    status[x == lower] = _AT_LOWER
     return status
 
 
-def _resting(lo: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """Table whose entry [state, j] is where column j sits in that state: at
-    its lower or upper bound, else at zero (free, or basic and not yet
-    solved for)."""
-    table = np.zeros((4, lo.size))
-    table[_AT_LOWER] = lo
-    table[_AT_UPPER] = up
-    return table
+def _max_abs(v: np.ndarray):
+    """Largest |v_i|, 0 for an empty ``v`` (cheaper than ``np.abs(v).max()``)."""
+    if not v.size:
+        return 0.0
+    v = np.abs(v)
+    return v[v.argmax()]
 
 
-def _reduced_costs(b_inv, c, a, a_abs, basis):
-    """Reduced costs at the basis whose inverse is ``b_inv`` and their
-    per-column zero threshold."""
-    y = b_inv.T @ c[basis]
-    d = c - a.T @ y
+class _Box:
+    """The bounds of one system's columns and the tables read off them.
+
+    Built once per solve (and per phase of a cold solve, whose artificial
+    columns are pinned after phase 1); every loop of the solve reads it.
+    ``rest[state, j]`` is where column j sits in that state: at its lower or
+    upper bound, else at zero (free, or basic and not yet solved for).
+    ``status`` is where each column rests while nonbasic; ``free`` lists
+    the columns with no finite bound, which are only ever nonbasic at zero or
+    basic.
+    """
+
+    __slots__ = ("lo", "up", "fixed", "status", "free", "rest")
+
+    def __init__(self, lo: np.ndarray, up: np.ndarray):
+        self.lo, self.up = lo, up
+        self.fixed = lo == up
+        self.status = _nonbasic_status(lo, up, self.fixed)
+        self.free = (self.status == _FREE).nonzero()[0]
+        self.rest = np.zeros((4, lo.size))
+        self.rest[_AT_LOWER] = lo
+        self.rest[_AT_UPPER] = up
+
+    def pin_at_zero(self, first: int):
+        """Fix columns ``first`` onward at zero."""
+        self.lo[first:] = 0.0
+        self.up[first:] = 0.0
+        self.fixed[first:] = True
+        self.rest[_AT_UPPER, first:] = 0.0
+
+
+def _reduced_costs(b_inv, c, a, basis):
+    """Reduced costs and prices y at the basis whose inverse is ``b_inv``."""
+    y = b_inv.T.dot(c[basis])
+    d = c - a.T.dot(y)
     d[basis] = 0.0
-    # reduced-cost noise grows with the dual magnitudes, so the zero
-    # threshold is scaled per column; an absolute cutoff would let
-    # noise-level "improvements" drive pivots on degenerate cones
-    dtol = PIVOT_TOL * (1.0 + a_abs.T @ np.abs(y))
-    return d, dtol
+    return d, y
+
+
+def _zero_threshold(a_abs, y):
+    """Per-column threshold below which a reduced cost counts as zero.
+
+    Reduced-cost noise grows with the dual magnitudes, so the threshold is
+    scaled per column; an absolute cutoff would let noise-level
+    "improvements" drive pivots on degenerate cones.
+    """
+    return PIVOT_TOL * (1.0 + a_abs.T.dot(np.abs(y)))
 
 
 class _Simplex:
@@ -180,12 +247,14 @@ class _Simplex:
         self.cfg = cfg
         self.lower = std.lower if lower is None else lower
         self.upper = std.upper if upper is None else upper
+        self.box = _Box(self.lower, self.upper)
         self.n = std.a.shape[1]
         self.rows = std.a.shape[0]
         self._cols = np.arange(self.n + self.rows)  # column indices, artificials included
         self.iterations = 0
         self.b_inv: np.ndarray | None = None  # inverse of the current basis matrix; None if singular
-        self.updates = 0  # eta updates applied to it since its last factorization
+        self.b_mat: np.ndarray | None = None  # the matrix b_inv was last factorized from
+        self.updates = 0  # eta updates applied to b_inv since its last factorization
         self._priced = None  # (x, d, dtol) the dual simplex hands on to the primal
         self._restart()
 
@@ -198,19 +267,18 @@ class _Simplex:
     def run(self, c_struct: np.ndarray, start: Basis | None = None
             ) -> tuple[SolveStatus, np.ndarray | None, np.ndarray | None]:
         """Returns (status, x, basis) over the standardized columns."""
-        if start is not None:
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            if start is not None:
                 result = self._run_warm(c_struct, start)
-            if result is not None:
-                return result
-            self._restart()  # pivots of the abandoned attempt stay counted
-        return self._run_cold(c_struct)
+                if result is not None:
+                    return result
+                self._restart()  # pivots of the abandoned attempt stay counted
+            return self._run_cold(c_struct)
 
     def _run_cold(self, c_struct: np.ndarray):
         """Two phases from the slack basis."""
-        rows, n = self.rows, self.n
-        status = _nonbasic_status(self.lower, self.upper)
-        resid = self.b - self.a @ _resting(self.lower, self.upper)[status, self._cols[:n]]
+        rows, n, box = self.rows, self.n, self.box
+        resid = self.b - self.a.dot(box.rest[box.status, self._cols[:n]])
 
         # phase 1 starts from a slack basis: a row whose slack (coefficient
         # +-1, resting at 0, bounds [0, inf)) can take up the residual starts
@@ -226,17 +294,20 @@ class _Simplex:
         art[need, np.arange(k)] = np.where(resid[need] >= 0, 1.0, -1.0)
         a_ext = np.hstack([self.a, art])
         a_abs = np.hstack([self.a_abs, np.abs(art)])
-        lo_ext = np.concatenate([self.lower, np.zeros(k)])
-        up_ext = np.concatenate([self.upper, np.full(k, np.inf)])
+        ext = _Box(np.concatenate([self.lower, np.zeros(k)]),
+                   np.concatenate([self.upper, np.full(k, np.inf)]))
         c1 = np.zeros(n + k)
         c1[n:] = 1.0
         basis = np.where(crash, col, 0)
         basis[need] = np.arange(n, n + k)
-        vstatus = np.concatenate([status, np.full(k, _BASIC, dtype=np.int8)])
+        vstatus = np.concatenate([box.status, np.full(k, _BASIC, dtype=np.intp)])
         vstatus[basis] = _BASIC
-        self.b_inv, self.updates = a_ext[:, basis], 0  # a signed identity is its own inverse
+        self.b_mat, self.updates = a_ext[:, basis], 0
+        # a signed identity is its own inverse; the copy keeps the gathered
+        # matrix's memory order, which decides how BLAS rounds products with it
+        self.b_inv = self.b_mat.copy(order="K")
 
-        state = (a_ext, a_abs, lo_ext, up_ext, basis, vstatus)
+        state = (a_ext, a_abs, ext, basis, vstatus)
         if np.any(resid[need] != 0.0):  # otherwise phase 1 starts at its optimum, zero
             outcome, x = self._iterate(c1, *state)
             if outcome is not None:
@@ -246,8 +317,7 @@ class _Simplex:
                 return SolveStatus.INFEASIBLE, None, None
 
         self._evict_artificials(a_ext, basis, vstatus, n)
-        lo_ext[n:] = 0.0
-        up_ext[n:] = 0.0  # artificials pinned; redundant rows keep theirs basic at zero
+        ext.pin_at_zero(n)  # artificials pinned; redundant rows keep theirs basic at zero
 
         c2 = np.concatenate([c_struct, np.zeros(k)])
         outcome, x = self._iterate(c2, *state)
@@ -263,14 +333,17 @@ class _Simplex:
         """Resume from a previous basis; None when the answer cannot be
         certified this way and the program must be solved cold."""
         n = self.n
-        basis = np.array(start.columns, dtype=int)
-        if start.x.size != n or basis.size != self.rows or basis.max(initial=-1) >= n:
+        basis = np.array(start.columns, dtype=np.intp)
+        # read as unsigned, a negative column is past every column of the system
+        if (start.x.size != n or basis.size != self.rows
+                or basis.view(np.uintp).max(initial=0) >= n):
             return None  # another system's basis, or one holding an artificial
-        vstatus = _nonbasic_status(self.lower, self.upper, start.x)
+        vstatus = _placed(self.box.status, self.lower, self.upper, start.x)
         vstatus[basis] = _BASIC
         b_mat = self.a[:, basis]
         if start.inverse is not None and np.array_equal(start.matrix, b_mat):
-            self.b_inv, self.updates = start.inverse.copy(), 0  # the record is shared; never update it
+            # the record is shared; never update its inverse
+            self.b_inv, self.b_mat, self.updates = start.inverse.copy(), b_mat, 0
         else:
             self._refactor(b_mat)
 
@@ -279,7 +352,7 @@ class _Simplex:
             return outcome, None, None
         if outcome is not None:
             return None
-        outcome, x = self._iterate(c, self.a, self.a_abs, self.lower, self.upper, basis, vstatus)
+        outcome, x = self._iterate(c, self.a, self.a_abs, self.box, basis, vstatus)
         if outcome is SolveStatus.UNBOUNDED:
             return outcome, None, None
         if outcome is not None or not self._holds_bounds(x):
@@ -291,9 +364,10 @@ class _Simplex:
         return FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0)) * 10.0
 
     def _holds_bounds(self, x: np.ndarray) -> bool:
-        below = x < self.lower - _BOUND_TOL * (1.0 + np.abs(self.lower))
-        above = x > self.upper + _BOUND_TOL * (1.0 + np.abs(self.upper))
-        return not (below.any() or above.any())
+        """Whether ``x`` lies within ``_BOUND_TOL`` (relative) of every bound."""
+        bounds = self.box.rest[:2]  # the lower and the upper bounds
+        room = _BOUND_TOL * (1.0 + np.abs(bounds))
+        return not ((x < bounds[0] - room[0]) | (x > bounds[1] + room[1])).any()
 
     def _evict_artificials(self, a_ext, basis, vstatus, n):
         """Pivot basic artificials onto structural columns where possible."""
@@ -307,7 +381,7 @@ class _Simplex:
                 continue  # redundant row; the artificial stays basic at zero
             vstatus[basis[r]] = _AT_LOWER
             vstatus[j] = _BASIC
-            self._exchange(a_ext, basis, r, j, self.b_inv @ a_ext[:, j])
+            self._exchange(a_ext, basis, r, j, self.b_inv.dot(a_ext[:, j]))
 
     def _refactor(self, b_mat: np.ndarray):
         """Invert the basis matrix from scratch."""
@@ -315,7 +389,7 @@ class _Simplex:
             self.b_inv = np.linalg.inv(b_mat)
         except np.linalg.LinAlgError:
             self.b_inv = None
-        self.updates = 0
+        self.b_mat, self.updates = b_mat, 0
 
     def _exchange(self, a_ext, basis, r, q, col):
         """Make column ``q`` basic in row ``r``; ``col`` is B^-1 a_q.
@@ -333,7 +407,7 @@ class _Simplex:
         self.b_inv[r] = row
         self.updates += 1
 
-    def _basic_solution(self, a_ext, rest, basis, vstatus) -> np.ndarray | None:
+    def _basic_solution(self, a_ext, box, basis, vstatus) -> np.ndarray | None:
         """The point of the current basis: nonbasic columns at their resting
         values, basic ones solved for with the current inverse.
 
@@ -342,12 +416,12 @@ class _Simplex:
         judged so: when the residual guard fires on an updated inverse, the
         basis is factorized again and solved anew.
         """
-        x = rest[vstatus, self._cols[:vstatus.size]]  # zero at the basic columns
-        rhs = self.b - a_ext @ x
-        tol = 1e-6 * (1.0 + np.abs(rhs).max(initial=0.0))
+        x = box.rest[vstatus, self._cols[:vstatus.size]]  # zero at the basic columns
+        rhs = self.b - a_ext.dot(x)
+        tol = 1e-6 * (1.0 + _max_abs(rhs))
         while self.b_inv is not None:
-            x[basis] = self.b_inv @ rhs
-            if not np.abs(a_ext @ x - self.b).max(initial=0.0) > tol:
+            x[basis] = self.b_inv.dot(rhs)
+            if not _max_abs(a_ext.dot(x) - self.b) > tol:
                 return x
             if not self.updates:
                 break
@@ -355,12 +429,12 @@ class _Simplex:
         return None
 
     @staticmethod
-    def _improving(d, dtol, vstatus, fixed) -> np.ndarray:
+    def _improving(d, dtol, vstatus, box) -> np.ndarray:
         """Nonbasic columns whose reduced cost would lower the objective."""
         gain = d * _GAIN_SIGN[vstatus]
-        free = vstatus == _FREE
-        gain[free] = np.abs(d[free])
-        gain[fixed] = 0.0
+        if box.free.size:  # nonbasic at zero, or basic with d = 0
+            gain[box.free] = np.abs(d[box.free])
+        gain[box.fixed] = 0.0
         return gain > dtol
 
     def _count_step(self, step: float):
@@ -373,55 +447,52 @@ class _Simplex:
         else:
             self._degen_run = 0
 
-    def _iterate(self, c, a_ext, a_abs, lo, up, basis, vstatus):
+    def _iterate(self, c, a_ext, a_abs, box, basis, vstatus):
         """Primal simplex until optimal; returns (early_status_or_None, x)."""
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            return self._pivot_loop(c, a_ext, a_abs, lo, up, basis, vstatus)
-
-    def _pivot_loop(self, c, a_ext, a_abs, lo, up, basis, vstatus):
-        fixed = lo == up
-        rest = _resting(lo, up)
+        lo, up = box.lo, box.up
         # the dual simplex hands on the point and prices of its final basis
         x, d, dtol = self._priced or (None, None, None)
         self._priced = None
         while True:
             if x is None:
-                x = self._basic_solution(a_ext, rest, basis, vstatus)
+                x = self._basic_solution(a_ext, box, basis, vstatus)
                 if x is None:
                     return SolveStatus.ITERATION_LIMIT, None  # basis singular or untrustworthy
-                d, dtol = _reduced_costs(self.b_inv, c, a_ext, a_abs, basis)
-            elig = self._improving(d, dtol, vstatus, fixed)
+                d, y = _reduced_costs(self.b_inv, c, a_ext, basis)
+                dtol = _zero_threshold(a_abs, y)
+            elig = self._improving(d, dtol, vstatus, box)
             if not elig.any():
                 if self.updates:  # the optimal point is read from a fresh factorization
                     self._refactor(a_ext[:, basis])
-                    x = self._basic_solution(a_ext, rest, basis, vstatus)
+                    x = self._basic_solution(a_ext, box, basis, vstatus)
                     if x is None:
                         return SolveStatus.ITERATION_LIMIT, None
-                x[basis] += self.b_inv @ (self.b - a_ext @ x)  # one step of iterative refinement
+                x[basis] += self.b_inv.dot(self.b - a_ext.dot(x))  # one step of iterative refinement
                 return None, x
 
             if self.iterations >= self._limit:
                 return SolveStatus.ITERATION_LIMIT, None
 
             if self.bland:
-                q = int(np.flatnonzero(elig)[0])
+                q = int(elig.argmax())  # the first eligible column
             else:
-                q = int(np.argmax(np.where(elig, np.abs(d), -1.0)))
+                q = int(np.where(elig, np.abs(d), -1.0).argmax())
             if vstatus[q] == _AT_LOWER:
                 sigma = 1.0
             elif vstatus[q] == _AT_UPPER:
                 sigma = -1.0
             else:
                 sigma = 1.0 if d[q] < 0 else -1.0
-            col = self.b_inv @ a_ext[:, q]
+            col = self.b_inv.dot(a_ext[:, q])
             delta = -sigma * col  # basic change per unit step of the entering variable
 
-            # steps to the bound each basic variable moves toward
-            t = (np.where(delta > 0.0, up[basis], lo[basis]) - x[basis]) / delta
+            # steps to the bound each basic variable moves toward: the upper
+            # one (resting row _AT_UPPER = 1) where it rises, else the lower
+            t = (box.rest[(delta > 0.0).astype(np.intp), basis] - x[basis]) / delta
             t[np.abs(delta) <= PIVOT_TOL] = np.inf
             t[np.isnan(t)] = np.inf
             np.maximum(t, 0.0, out=t)
-            t_row = t.min(initial=np.inf)
+            t_row = t[t.argmin()] if t.size else np.inf
             t_flip = up[q] - lo[q]
 
             x = None  # priced afresh after the step
@@ -437,11 +508,11 @@ class _Simplex:
                 vstatus[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
                 self._count_step(t_flip)
                 continue
-            ties = np.flatnonzero(t <= t_row + _RATIO_TIE)
+            ties = (t <= t_row + _RATIO_TIE).nonzero()[0]
             if self.bland:
-                r = int(ties[np.argmin(basis[ties])])
+                r = int(ties[basis[ties].argmin()])
             else:
-                r = int(ties[np.argmax(np.abs(delta[ties]))])
+                r = int(ties[np.abs(delta[ties]).argmax()])
             vstatus[basis[r]] = _AT_UPPER if delta[r] > 0 else _AT_LOWER
             vstatus[q] = _BASIC
             self._exchange(a_ext, basis, r, q, col)
@@ -455,44 +526,44 @@ class _Simplex:
         that no point of the variable box satisfies it, and ITERATION_LIMIT
         when the basis cannot be resumed: it starts dual infeasible, a
         numerical guard fires, a row admits no entering column without
-        certifying infeasibility, or the budget runs out.
+        certifying infeasibility, or the budget runs out.  The pricing
+        threshold is read only on entry (dual feasibility) and on exit
+        (handed on to the primal), so only those iterations compute it.
         """
-        a, lo, up = self.a, self.lower, self.upper
-        fixed = lo == up
-        rest = _resting(lo, up)
+        a, box = self.a, self.box
+        lo, up = box.lo, box.up
         first = True
         while True:
-            x = self._basic_solution(a, rest, basis, vstatus)
+            x = self._basic_solution(a, box, basis, vstatus)
             if x is None:
                 return SolveStatus.ITERATION_LIMIT
-            d, dtol = _reduced_costs(self.b_inv, c, a, self.a_abs, basis)
+            d, y = _reduced_costs(self.b_inv, c, a, basis)
             xb = x[basis]
             below = lo[basis] - xb
             above = xb - up[basis]
             excess = np.maximum(below, above)
             violated = excess > FEAS_TOL * (1.0 + np.abs(xb))
             if not violated.any():
-                self._priced = x, d, dtol
+                self._priced = x, d, _zero_threshold(self.a_abs, y)
                 return None
-            if first and self._improving(d, dtol, vstatus, fixed).any():
+            if first and self._improving(d, _zero_threshold(self.a_abs, y), vstatus, box).any():
                 return SolveStatus.ITERATION_LIMIT  # neither primal nor dual feasible
             first = False
             if self.iterations >= self._limit:
                 return SolveStatus.ITERATION_LIMIT
 
-            rows = np.flatnonzero(violated)
             if self.bland:
-                r = int(rows[np.argmin(basis[rows])])
+                rows = violated.nonzero()[0]
+                r = int(rows[basis[rows].argmin()])
             else:
-                r = int(rows[np.argmax(excess[rows])])
+                r = int(np.where(violated, excess, -np.inf).argmax())
             raise_r = below[r] > above[r]  # the leaving variable climbs to its lower bound
 
             # row r of the tableau: x_r = beta_r - sum over nonbasic j of alpha_j x_j
             b_inv = self.b_inv
-            alpha = b_inv[r] @ a
+            alpha = b_inv[r].dot(a)
             alpha[basis] = 0.0
-            signed = alpha if raise_r else -alpha
-            cand = self._improving(signed, PIVOT_TOL, vstatus, fixed)
+            cand = self._improving(alpha if raise_r else -alpha, PIVOT_TOL, vstatus, box)
             if not cand.any():
                 if self.updates:  # a row is read as a certificate on a fresh factorization only
                     self._refactor(a[:, basis])
@@ -500,15 +571,15 @@ class _Simplex:
                 return (SolveStatus.INFEASIBLE if self._row_certifies(b_inv[r], alpha, basis[r], raise_r)
                         else SolveStatus.ITERATION_LIMIT)
 
-            ratio = np.where(cand, np.abs(d) / np.abs(alpha), np.inf)
-            step = float(ratio.min())
-            ties = np.flatnonzero(ratio <= step + _RATIO_TIE)
-            q = int(ties[0] if self.bland else ties[np.argmax(np.abs(alpha[ties]))])
+            ratio = np.where(cand, np.abs(d / alpha), np.inf)  # |d_j| / |alpha_j|, exactly
+            step = ratio[ratio.argmin()]
+            ties = (ratio <= step + _RATIO_TIE).nonzero()[0]
+            q = int(ties[0] if self.bland else ties[np.abs(alpha[ties]).argmax()])
 
             self.iterations += 1
             vstatus[basis[r]] = _AT_LOWER if raise_r else _AT_UPPER
             vstatus[q] = _BASIC
-            self._exchange(a, basis, r, q, b_inv @ a[:, q])
+            self._exchange(a, basis, r, q, b_inv.dot(a[:, q]))
             self._count_step(step)
 
     def _row_certifies(self, z: np.ndarray, alpha: np.ndarray, leaving: int, raise_r: bool) -> bool:
@@ -542,12 +613,14 @@ def solve_standardized(std: StandardizedLP, cfg: SolverConfig,
     status, x, basis = sx.run(std.c, start)
     if status is not SolveStatus.OPTIMAL:
         return status, None, np.nan, sx.iterations, None
-    obj = float(std.c[: std.n_struct] @ x[: std.n_struct])
-    if basis.max(initial=-1) < sx.n:  # no artificial left basic: hand the inverse on
-        record = Basis(basis, x, std.a[:, basis], sx.b_inv)
+    x_struct = x[: std.n_struct]
+    obj = float(std.c[: std.n_struct].dot(x_struct))
+    if basis.max(initial=-1) < sx.n:
+        # no artificial left basic: hand on the inverse the point was read with
+        record = Basis(basis, x, sx.b_mat, sx.b_inv)
     else:
         record = Basis(basis, x)
-    return status, x[: std.n_struct].copy(), obj, sx.iterations, record
+    return status, x_struct.copy(), obj, sx.iterations, record
 
 
 def _priced_out(std: StandardizedLP, record: Basis) -> np.ndarray | None:
@@ -559,8 +632,10 @@ def _priced_out(std: StandardizedLP, record: Basis) -> np.ndarray | None:
     record carries no inverse (an artificial stayed basic)."""
     if record.inverse is None:
         return None
-    d, dtol = _reduced_costs(record.inverse, std.c, std.a, std.a_abs, record.columns)
-    state = _nonbasic_status(std.lower, std.upper, record.x)
+    d, y = _reduced_costs(record.inverse, std.c, std.a, record.columns)
+    dtol = _zero_threshold(std.a_abs, y)
+    lo, up = std.lower, std.upper
+    state = _placed(_nonbasic_status(lo, up, lo == up), lo, up, record.x)
     return (-d * _GAIN_SIGN[state] > dtol)[: std.n_struct]
 
 

@@ -1,14 +1,16 @@
 """The DEA programs are assembled from array blocks; each is checked bit for
 bit (signed zeros included) against the per-row loop it replaced, so every
-entry and the row and column order stay exactly as the simplex saw them."""
+entry and the row and column order stay exactly as the simplex saw them.
+The programs derived from another one (later lexicographic stages, BCC
+phase 2) are checked bit for bit against a fresh build."""
 
 import numpy as np
 import pytest
 
 from dea_closest import (closest_projection, default_priority, efficient_set, reference_set,
                          solve_max_support_lp)
-from dea_closest.efficiency import _bcc_program
-from dea_closest.projection import build_stage_program
+from dea_closest.efficiency import _bcc_program, _phase2_program, evaluate_bcc
+from dea_closest.projection import build_stage_program, derive_stage_program
 from dea_closest.returns_to_scale import _intercept_program
 
 from conftest import make_dataset, random_dataset
@@ -128,3 +130,39 @@ def test_programs_match_loop_reference(ds, cfg, monkeypatch):
             a, b, relations = loop_intercept_rows(ds, p.target_inputs, p.target_outputs, sigma)
             assert_bitwise(lp, a, b)
             assert lp.relations == relations
+
+
+def assert_same_program(got, want):
+    """Every field equal bit for bit, dtypes and shapes included."""
+    assert got.sense == want.sense and got.relations == want.relations
+    for name in ("c", "a", "b", "lower", "upper", "binary", "complements"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("ds", list(datasets()), ids=lambda ds: f"n{ds.n}m{ds.m}s{ds.s}")
+def test_derived_stage_programs_equal_fresh_builds(ds, cfg):
+    # stages 2..m+s are derived from stage 1 by their objective and pins; the
+    # pins are the stage optima of the DMU's projection where it has stages
+    je = efficient_set(ds, cfg)
+    pri = default_priority(ds.m, ds.s)
+    for o in range(ds.n):
+        stages = closest_projection(ds, je, o, pri, cfg).stages
+        values = [st.value for st in stages] or [0.25 * (k + 1) for k in range(ds.m + ds.s)]
+        first = build_stage_program(ds, je, o, [], pri.order[0])
+        for k, target in enumerate(pri.order):
+            pinned = list(zip(pri.order[:k], values[:k]))
+            derived = derive_stage_program(first, pinned, target)
+            assert_same_program(derived, build_stage_program(ds, je, o, pinned, target))
+            assert derived.a is first.a and derived.b is first.b
+        with pytest.raises(ValueError, match="already pinned"):
+            derive_stage_program(first, [(pri.order[0], 0.0)], pri.order[0])
+
+
+@pytest.mark.parametrize("ds", list(datasets()), ids=lambda ds: f"n{ds.n}m{ds.m}s{ds.s}")
+def test_derived_phase2_programs_equal_fresh_builds(ds, cfg):
+    for o in range(ds.n):
+        theta = evaluate_bcc(ds, o, cfg).theta
+        phase1 = _bcc_program(ds, o, (0.0, np.inf), phase2=False)
+        assert_same_program(_phase2_program(phase1, ds.n, theta),
+                            _bcc_program(ds, o, (theta, theta), phase2=True))

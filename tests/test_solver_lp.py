@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dea_closest import LinearProgram, SolverConfig, SolveStatus, solve_lp, solve_milp
-from dea_closest.solver import branch_and_bound, simplex
+from dea_closest.solver import Basis, branch_and_bound, simplex
 from dea_closest.solver.model import FEAS_TOL, PIVOT_TOL
 from dea_closest.solver.simplex import standardize
 
@@ -173,6 +173,70 @@ def test_dimension_mismatch_is_construction_error():
         LinearProgram(*pair, [0.0, 0.0], [1.0, 1.0], complements=[(1, 1)])
     with pytest.raises(ValueError):
         LinearProgram(*pair, [-1.0, 0.0], [1.0, 1.0], complements=[(0, 1)])  # may go negative
+
+
+def one_row(**changes) -> LinearProgram:
+    """min x0 + 2 x1 s.t. x0 + x1 = 1, x >= 0, with any field replaced."""
+    fields = dict(sense="min", c=[1.0, 2.0], a=[[1.0, 1.0]], relations=("=",), b=[1.0],
+                  lower=[0.0, 0.0], upper=[np.inf, np.inf])
+    fields.update(changes)
+    return LinearProgram(**fields)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("c", [np.nan, 1.0]), ("c", [np.inf, 1.0]), ("c", [1.0, -np.inf]),
+    ("a", [[np.nan, 1.0]]), ("a", [[1.0, np.inf]]), ("a", [[-np.inf, 1.0]]),
+    ("b", [np.nan]), ("b", [np.inf]), ("b", [-np.inf]),
+    ("lower", [np.nan, 0.0]), ("lower", [0.0, np.inf]),
+    ("upper", [np.nan, np.inf]), ("upper", [-np.inf, np.inf]),
+])
+def test_nonfinite_values_are_rejected_by_name(field, value):
+    # without the check, c = [nan, 1] solved to OPTIMAL with a NaN objective,
+    # a NaN in a or b gave OPTIMAL with NaN in x, and b = [inf] read UNBOUNDED
+    with pytest.raises(ValueError, match=rf"^{field} holds"):
+        one_row(**{field: value})
+    if field in ("c", "lower", "upper"):  # the only arrays a derived program replaces
+        base = one_row()
+        new = {"c": base.c, "lower": base.lower, "upper": base.upper, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} holds"):
+            base.derive("min", new["c"], new["lower"], new["upper"])
+
+
+def test_infinite_bounds_on_their_own_side_are_accepted(cfg):
+    # min 2 x0 + x1 = 2 - x1 with x0 free: x1 climbs to its bound 5, x0 = -4
+    sol = solve_lp(one_row(c=[2.0, 1.0], lower=[-np.inf, 0.0], upper=[np.inf, 5.0]), cfg)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.x == pytest.approx([-4.0, 5.0]) and sol.objective == pytest.approx(-3.0)
+
+
+def test_derived_program_shares_rows_and_solves_like_a_fresh_one(cfg):
+    base = one_row()
+    fresh = one_row(sense="max", c=[3.0, 1.0], upper=[0.25, np.inf])
+    derived = base.derive("max", [3.0, 1.0], [0.0, 0.0], [0.25, np.inf])
+    assert derived.a is base.a and derived.b is base.b and derived.relations is base.relations
+    assert base.sense == "min" and base.upper[0] == np.inf  # the original is untouched
+    a, b = solve_lp(derived, cfg), solve_lp(fresh, cfg)
+    assert a.status is b.status is SolveStatus.OPTIMAL
+    assert a.objective == b.objective and np.array_equal(a.x, b.x)
+    with pytest.raises(ValueError):
+        base.derive("max", [1.0], [0.0, 0.0], [1.0, 1.0])  # objective of the wrong size
+    with pytest.raises(ValueError):
+        base.derive("max", [1.0, 1.0], [2.0, 0.0], [1.0, 1.0])  # crossed bounds
+    with pytest.raises(ValueError):
+        base.derive("maximize", [1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("column", [-2, -1, 2])
+def test_warm_start_from_a_column_outside_the_system_starts_cold(cfg, column):
+    # a negative column used to index the matrix from its end, so the solve
+    # returned that basis (Solution.basis.columns == [-2])
+    lp = one_row()
+    cold = solve_lp(lp, cfg)
+    warm = solve_lp(lp, cfg, warm_start=Basis(np.array([column]), np.zeros(2)))
+    assert warm.status is cold.status is SolveStatus.OPTIMAL
+    assert np.array_equal(warm.basis.columns, cold.basis.columns)
+    assert warm.basis.columns.min() >= 0
+    assert np.array_equal(warm.x, cold.x) and warm.iterations == cold.iterations
 
 
 def test_matches_enumeration_on_random_lps(cfg):

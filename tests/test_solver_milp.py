@@ -3,7 +3,7 @@ import pytest
 
 from dea_closest import LinearProgram, SolverConfig, SolveStatus, solve_lp, solve_milp
 from dea_closest.solver import Basis, branch_and_bound
-from dea_closest.solver.model import INT_TOL
+from dea_closest.solver.model import FEAS_TOL, INT_TOL
 
 from conftest import enumerate_milp_optimum, random_binary_lp, random_complementarity_lp
 
@@ -187,3 +187,87 @@ def test_determinism(cfg):
         assert a.nodes == b.nodes
         if a.status is SolveStatus.OPTIMAL:
             assert np.array_equal(a.x, b.x)
+
+
+def reference_branching(x: np.ndarray, lp: LinearProgram) -> tuple[tuple[int, float], ...]:
+    """The branching rule as it read when it took its index arrays from
+    ``lp`` at every node."""
+    bin_idx = np.flatnonzero(lp.binary)
+    vals = x[bin_idx]
+    frac = np.abs(vals - np.round(vals))
+    open_bins = np.flatnonzero(frac > INT_TOL)
+    if open_bins.size:
+        k = int(open_bins[np.argmin(np.abs(vals[open_bins] - 0.5))])
+        j = int(bin_idx[k])
+        preferred = 1.0 if vals[k] >= 0.5 else 0.0
+        return (j, 1.0 - preferred), (j, preferred)
+    pairs = lp.complements
+    if len(pairs) == 0:
+        return ()
+    xa, xb = x[pairs[:, 0]], x[pairs[:, 1]]
+    violated = np.minimum(xa, xb) > 10.0 * FEAS_TOL
+    if not violated.any():
+        return ()
+    k = int(np.argmax(np.where(violated, xa * xb, -np.inf)))
+    a, b = int(pairs[k, 0]), int(pairs[k, 1])
+    small, large = (a, b) if xa[k] <= xb[k] else (b, a)
+    return (large, 0.0), (small, 0.0)
+
+
+def mixed_program(rng: np.random.Generator) -> LinearProgram:
+    """A complementarity program with some of its columns binary as well."""
+    lp = random_complementarity_lp(rng, max_pairs=4)
+    binary = rng.random(lp.n_vars) < 0.4
+    binary[rng.integers(lp.n_vars)] = True
+    upper = lp.upper.copy()
+    upper[binary] = 1.0
+    return LinearProgram(lp.sense, lp.c, lp.a, lp.relations, lp.b, lp.lower, upper,
+                         binary=binary, complements=lp.complements)
+
+
+def test_per_program_index_arrays_branch_as_before(monkeypatch, cfg):
+    # the rule built once per program splits every node as the per-node rule
+    # did: on random points (binaries fractional or integral, pair members
+    # zero, tiny or positive) and on every node of solves that branch on both
+    # kinds, which still reach the enumerated optimum
+    rng = np.random.default_rng(1909)
+    kinds = set()
+    for _ in range(40):
+        lp = mixed_program(rng)
+        split = branch_and_bound._branching(lp)
+        for _ in range(25):
+            x = rng.uniform(0.0, 1.0, lp.n_vars) * rng.choice([1e-9, 1.0, 5.0], lp.n_vars)
+            if rng.integers(2):
+                x[lp.binary] = np.round(x[lp.binary])
+            want = reference_branching(x, lp)
+            assert split(x) == want
+            kinds.add("binary" if want and lp.binary[want[0][0]] and want[0][1] != 0.0
+                      else "pair" if want else "none")
+    assert kinds == {"binary", "pair", "none"}
+
+    original = branch_and_bound._branching
+    splits = []
+
+    def checking(lp):
+        split = original(lp)
+
+        def check(x):
+            got = split(x)
+            assert got == reference_branching(x, lp)
+            splits.append(got)
+            return got
+        return check
+
+    monkeypatch.setattr(branch_and_bound, "_branching", checking)
+    feasible = 0
+    for _ in range(25):
+        lp = mixed_program(rng)
+        expected = enumerate_milp_optimum(lp, cfg)
+        sol = solve_milp(lp, cfg)
+        if expected is None:
+            assert sol.status is SolveStatus.INFEASIBLE
+        else:
+            feasible += 1
+            assert sol.status is SolveStatus.OPTIMAL
+            assert sol.objective == pytest.approx(expected, abs=1e-7)
+    assert feasible > 8 and len([s for s in splits if s]) > 20

@@ -1,0 +1,114 @@
+"""Counter gates on traced benchmark runs, one table row per workload.
+
+    python3 .github/counter_gates.py proj-bnb
+
+Runs ``perfbench/run.py --trace 1`` on the named workload with the seed and
+seconds of its row and exits non-zero when a gated counter exceeds its gate.
+A row marked ``clean`` also fails unless every call succeeded and every
+output checked out.  Any row fails on a ``FAILED`` line with exit 5, an
+analysis error: on the units row, whose programs are all feasible by
+construction, that is numerical trouble reported as infeasibility.
+
+The traced counters depend only on the seed and ``--seconds``, not on the
+runner's speed.  Each gate sits at its traced value, so a change meant to
+cut only overhead cannot move a count unnoticed.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Row(NamedTuple):
+    seed: int
+    seconds: int
+    clean: bool  # every call must succeed and every output check out
+    gates: dict[str, float]  # metric -> largest value that passes
+
+
+GATES = {
+    # warm-started nodes and stage-1 roots (3.04 pivots per node with each
+    # DMU's stage-1 root cold, 1.81 from the previous DMU's root basis), the
+    # size of the search (184 nodes when every popped node is solved, 156 when
+    # a node whose parent's bound ties the incumbent is discarded unsolved)
+    # and the BCC phase-1 start (465 BCC pivots with phase 1 cold, 222 from
+    # theta=1, lambda_o=1, 133 from the previous DMU's optimal phase-1 basis)
+    "proj-bnb": Row(seed=1, seconds=10, clean=True, gates={
+        "solver.branch_and_bound.nodes": 156,
+        "solver.branch_and_bound.pivots_per_node": 1.76,
+        "efficiency.pivots": 133,
+    }),
+    # one dataset and 100 intercept LPs; the (m+s+1)-row envelopment form
+    # takes 755 pivots there (855 with the minimizing stage started cold), the
+    # n+2-row multiplier form took 2189.  BCC phase 2 runs only where the
+    # phase-1 prices leave a slack open (100 BCC solves with phase 2 always
+    # run, 59 with each phase 1 from theta=1, lambda_o=1, 50 and 324 BCC
+    # pivots with it from the previous DMU's basis, against 578), the b = 0
+    # support LPs skip their phase 1 (832 MCRS pivots with it iterated, 456
+    # without), and the BCC and intercept prices spare the support LP of most
+    # DMUs (11 MCRS solves and 93 pivots, against 50 and 456)
+    "frontier-rts": Row(seed=1, seconds=10, clean=True, gates={
+        "returns_to_scale.pivots": 755,
+        "efficiency.lp_solves": 50,
+        "efficiency.pivots": 324,
+        "reference_set.lp_solves": 11,
+        "reference_set.pivots": 93,
+    }),
+    # the only run of support LPs at the closest targets of inefficient DMUs,
+    # where no price certificate spares the LP: 28 support LPs and 116 pivots
+    "bnb-report": Row(seed=1, seconds=10, clean=True, gates={
+        "reference_set.lp_solves": 28,
+        "reference_set.pivots": 116,
+    }),
+    # rescaled columns, a fixed prefix of 36 datasets: calls may fail or run
+    # out of time, but every program is feasible by construction, so an
+    # "infeasible" solver status is numerical trouble reported as
+    # infeasibility
+    "units": Row(seed=1, seconds=120, clean=False, gates={
+        "solver.status.infeasible": 0,
+    }),
+}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or argv[0] not in GATES:
+        print(f"usage: counter_gates.py {{{','.join(GATES)}}}", file=sys.stderr)
+        return 2
+    workload = argv[0]
+    row = GATES[workload]
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(row.seed), "--seconds", str(row.seconds), "--trace", "1"],
+        capture_output=True, text=True, check=True)
+    sys.stderr.write(run.stderr)
+    result = json.loads(run.stdout.splitlines()[-1])
+    metrics = result["metrics"]
+
+    broken = []
+    print(f"correct {result['correct']}, failed {result['failed']}")
+    if row.clean and (result["correct"] is not True or result["failed"] != 0):
+        broken.append("not every call succeeded and checked out")
+    for name, gate in row.gates.items():
+        value = metrics[name]["value"]
+        print(f"{name} {value:g} (gate {gate:g})")
+        if value > gate:
+            broken.append(f"{name} {value:g} above {gate:g}")
+    exit5 = [ln for ln in run.stderr.splitlines()
+             if ln.startswith("FAILED ") and " exit 5," in ln]
+    print(f"exit-5 failures {len(exit5)}")
+    if exit5:
+        broken.append(f"{len(exit5)} exit-5 failures")
+    if broken:
+        print(f"{workload} counter gate failed: {'; '.join(broken)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -14,9 +14,9 @@ from .data import (Dataset, PriorityRanking, default_priority, dump_dataset, loa
                    priority_from_labels)
 from .efficiency import EfficiencyResult, EfficientSet, efficient_set, evaluate_all, evaluate_bcc
 from .errors import AnalysisError, DeaError, SolverLimitError, ValidationError
-from .projection import Projection, StageSolution, build_stage_program, closest_projection
-from .reference_set import (MaxSupportSolution, McrsResult, identify_mcrs, maximal_weights,
-                            solve_max_support_lp)
+from .projection import (Projection, StageSolution, build_stage_program, closest_projection,
+                         derive_stage_program)
+from .reference_set import McrsResult, identify_mcrs, solve_max_support_lp
 from .returns_to_scale import (CrtsResult, RtsBounds, RtsLabel, classify_rts, closest_rts,
                                intercept_bounds)
 from .solver import LinearProgram, Solution, SolveStatus, SolverConfig, solve_lp, solve_milp
@@ -27,9 +27,9 @@ __all__ = [
     "Dataset", "PriorityRanking", "default_priority", "dump_dataset",
     "load_dataset", "priority_from_labels",
     "EfficiencyResult", "EfficientSet", "efficient_set", "evaluate_all", "evaluate_bcc",
-    "Projection", "StageSolution", "build_stage_program", "closest_projection",
-    "MaxSupportSolution", "McrsResult", "identify_mcrs", "maximal_weights",
-    "solve_max_support_lp",
+    "Projection", "StageSolution", "build_stage_program", "derive_stage_program",
+    "closest_projection",
+    "McrsResult", "identify_mcrs", "solve_max_support_lp",
     "CrtsResult", "RtsBounds", "RtsLabel", "classify_rts", "closest_rts", "intercept_bounds",
     "LinearProgram", "Solution", "SolveStatus", "SolverConfig", "solve_lp", "solve_milp",
 ]

@@ -74,9 +74,9 @@ class EfficientSet:
         return o in self.indices
 
 
-def _bcc_program(dataset: Dataset, o: int, theta_bounds: tuple[float, float],
-                 phase2: bool) -> LinearProgram:
-    """Envelopment system over variables [theta, lambda (n), s_in (m), s_out (s)].
+def _bcc_program(dataset: Dataset, o: int) -> LinearProgram:
+    """Phase 1 of DMU ``o``: minimize theta >= 0 over variables
+    [theta, lambda (n), s_in (m), s_out (s)] subject to
 
     Input rows:   sum_j lambda_j x_ij + s_i - theta * x_io = 0
     Output rows:  sum_j lambda_j y_rj - s_{m+r} = y_ro
@@ -93,24 +93,15 @@ def _bcc_program(dataset: Dataset, o: int, theta_bounds: tuple[float, float],
     b = np.concatenate([np.zeros(m), y[o], [1.0]])
 
     c = np.zeros(nv)
-    if phase2:
-        c[1 + n:] = 1.0
-        sense = "max"
-    else:
-        c[0] = 1.0
-        sense = "min"
-
-    lower = np.zeros(nv)
-    upper = np.full(nv, np.inf)
-    lower[0], upper[0] = theta_bounds
-    return LinearProgram(sense, c, a, ("=",) * (m + s + 1), b, lower, upper)
+    c[0] = 1.0
+    return LinearProgram("min", c, a, ("=",) * (m + s + 1), b, np.zeros(nv), np.full(nv, np.inf))
 
 
 def _phase2_program(phase1: LinearProgram, n: int, theta: float) -> LinearProgram:
-    """The program ``_bcc_program`` builds for phase 2 with theta pinned at
-    ``theta``, derived from the phase-1 program of the same DMU over ``n``
-    DMUs: the rows are shared, only the objective and theta's bounds are
-    new."""
+    """Phase 2 of the DMU whose phase-1 program over ``n`` DMUs is
+    ``phase1``: maximize the total slack with theta pinned at ``theta``.
+    The rows are shared with phase 1; only the objective and theta's bounds
+    are new."""
     c = np.zeros(phase1.n_vars)
     c[1 + n:] = 1.0
     lower, upper = phase1.lower.copy(), phase1.upper.copy()
@@ -147,7 +138,7 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
     name = dataset.names[o]
     n, m, s = dataset.n, dataset.m, dataset.s
 
-    lp1 = _bcc_program(dataset, o, (0.0, np.inf), phase2=False)
+    lp1 = _bcc_program(dataset, o)
     # lambda_o = 1, theta = 1 is always feasible, and theta >= 0 bounds it
     phase1 = require_optimal(solve_lp(lp1, cfg, warm_start=start or _unit_vertex(dataset, o)),
                              f"BCC phase 1 for DMU {name!r}")

@@ -77,18 +77,14 @@ def _layout(t: int, n_slack: int) -> tuple[int, int, int, int]:
 
 
 def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
-                        pinned: list[tuple[int, float]], target: int) -> LinearProgram:
-    """Program for one stage: minimize slack ``target`` with ``pinned`` slacks fixed.
+                        target: int) -> LinearProgram:
+    """Stage 1 of DMU ``o``: minimize slack ``target`` with no slack pinned.
 
     Variables: [lambda (t), slacks (m+s), multipliers (m+s), intercept,
     deviations (t)].  Each pair (lambda_k, d_k) is complementary, so an
-    efficient DMU carries weight only when it lies on the hyperplane.  Each
-    pinned slack is fixed exactly at its earlier optimum; the previous
-    stage's point satisfies that, so every stage is feasible.
+    efficient DMU carries weight only when it lies on the hyperplane.
+    ``derive_stage_program`` builds the later stages from this program.
     """
-    pinned_idx = {idx for idx, _ in pinned}
-    if target in pinned_idx:
-        raise ValueError("stage target is already pinned")
     m, s = dataset.m, dataset.s
     t = j_e.size
     idx = list(j_e.indices)
@@ -114,8 +110,6 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
     upper[:t] = 1.0
     lower[c_w:c_w + n_slack] = 1.0
     lower[c_w0] = -np.inf
-    for slack_idx, value in pinned:
-        lower[c_s + slack_idx] = upper[c_s + slack_idx] = value
 
     c = np.zeros(nv)
     c[c_s + target] = 1.0
@@ -126,12 +120,15 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
 
 def derive_stage_program(first: LinearProgram, pinned: list[tuple[int, float]],
                          target: int) -> LinearProgram:
-    """The program ``build_stage_program`` builds for ``pinned`` and
-    ``target``, derived from the same DMU's stage-1 program ``first``.
+    """A later stage of the DMU whose stage-1 program is ``first``:
+    minimize slack ``target`` with each ``(slack, value)`` of ``pinned``
+    fixed exactly at that value.
 
-    Stages differ only in their objective and pins, so the matrix,
-    right-hand side and pairs are shared with ``first`` and only the new
-    objective and bounds are built and validated.
+    Each pinned slack is fixed at its earlier optimum, which the previous
+    stage's point satisfies, so every stage is feasible.  Stages differ only
+    in their objective and pins, so the matrix, right-hand side and pairs
+    are shared with ``first`` and only the new objective and bounds are
+    built and validated.
     """
     if target in {idx for idx, _ in pinned}:
         raise ValueError("stage target is already pinned")
@@ -180,7 +177,7 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):
         if stage_no == 1:
-            lp = first = build_stage_program(dataset, j_e, o, pinned, slack_idx)
+            lp = first = build_stage_program(dataset, j_e, o, slack_idx)
         else:
             lp = derive_stage_program(first, pinned, slack_idx)
         # the frontier dominates every DMU, so each stage is feasible

@@ -39,17 +39,6 @@ BORDERLINE_WEIGHT = 1e-9
 
 
 @dataclass(frozen=True)
-class MaxSupportSolution:
-    """Optimal capped/uncapped component pairs; index t is the target's pair.
-    ``dmu`` names the DMU whose target was represented."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    objective: float
-    dmu: str
-
-
-@dataclass(frozen=True)
 class McrsResult:
     """Maximal closest reference set of one DMU.
 
@@ -67,9 +56,10 @@ class McrsResult:
 
 
 def solve_max_support_lp(dataset: Dataset, j_e: EfficientSet, projection: Projection,
-                         cfg: SolverConfig = SolverConfig()) -> MaxSupportSolution:
-    """Maximize the number of efficient DMUs active in a representation of the
-    projection's target point."""
+                         cfg: SolverConfig = SolverConfig()) -> np.ndarray:
+    """Intensity vector over the efficient set (``j_e.indices`` order) that
+    represents the projection's target point with maximal support, scaled
+    back to a convex combination."""
     m, s = dataset.m, dataset.s
     t = j_e.size
     idx = list(j_e.indices)
@@ -92,19 +82,13 @@ def solve_max_support_lp(dataset: Dataset, j_e: EfficientSet, projection: Projec
     name = dataset.names[projection.dmu]
     lp = LinearProgram("max", c, a, ("=",) * (m + s + 1), b, lower, upper)
     # zero is feasible and alpha is boxed, so the LP has an optimum
-    sol = require_optimal(solve_lp(lp, cfg), f"support LP for DMU {name!r}")
-    return MaxSupportSolution(sol.x[:t + 1].copy(), sol.x[t + 1:].copy(), float(sol.objective),
-                              name)
-
-
-def maximal_weights(sol: MaxSupportSolution) -> np.ndarray:
-    """Intensity vector with maximal support, scaled back to a convex combination."""
-    t = sol.alpha.size - 1
-    denom = float(sol.alpha[t] + sol.beta[t])
+    x = require_optimal(solve_lp(lp, cfg), f"support LP for DMU {name!r}").x
+    alpha, beta = x[:t + 1], x[t + 1:]
+    denom = float(alpha[t] + beta[t])
     if denom < 1.0 - FEAS_TOL * 10:
         # any optimum can be rescaled so the target aggregate reaches 1
-        raise AnalysisError(f"support LP for DMU {sol.dmu!r}: target aggregate {denom} below 1")
-    return (sol.alpha[:t] + sol.beta[:t]) / denom
+        raise AnalysisError(f"support LP for DMU {name!r}: target aggregate {denom} below 1")
+    return (alpha[:t] + beta[:t]) / denom
 
 
 def _alone_on_supports(dataset: Dataset, j_e: EfficientSet, projection: Projection,
@@ -140,8 +124,7 @@ def identify_mcrs(dataset: Dataset, j_e: EfficientSet, projection: Projection,
     if _alone_on_supports(dataset, j_e, projection, supports):
         lam = (np.array(j_e.indices) == projection.dmu).astype(float)
         return McrsResult(projection.dmu, j_e.indices, lam, (projection.dmu,), (projection.dmu,))
-    sol = solve_max_support_lp(dataset, j_e, projection, cfg)
-    lam = maximal_weights(sol)
+    lam = solve_max_support_lp(dataset, j_e, projection, cfg)
 
     members = []
     for k, j in enumerate(j_e.indices):

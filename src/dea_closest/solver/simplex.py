@@ -60,14 +60,12 @@ table, nonbasic status) shared by the dual and the primal loop; the dual
 loop computes the pricing threshold only on its first iteration (the dual
 feasibility test) and its last (handed on to the primal).  Per
 branch-and-bound solve: the standardized system and the index arrays of the
-branching rule.  Per projected DMU and per BCC score: the first program,
-from which the later lexicographic stages and BCC phase 2 are derived
-(``LinearProgram.derive``).  None of this changes an operation that decides
-a pivot or a reported value: states are ``np.intp`` so that gathers by them
-need no conversion, products with a contiguous matrix call ``ndarray.dot``
-(the BLAS routine ``@`` calls, without its dispatch; a vector times a
-column slice stays ``@``, which the two round differently), and a maximum
-is read at its ``argmax``.
+branching rule.  None of this changes an operation that decides a pivot or
+a reported value: states are ``np.intp`` so that gathers by them need no
+conversion, products with a contiguous matrix call ``ndarray.dot`` (the
+BLAS routine ``@`` calls, without its dispatch; a vector times a column
+slice stays ``@``, which the two round differently), and a maximum is read
+at its ``argmax``.
 """
 
 from __future__ import annotations
@@ -367,7 +365,8 @@ class _Simplex:
         """Whether ``x`` lies within ``_BOUND_TOL`` (relative) of every bound."""
         bounds = self.box.rest[:2]  # the lower and the upper bounds
         room = _BOUND_TOL * (1.0 + np.abs(bounds))
-        return not ((x < bounds[0] - room[0]) | (x > bounds[1] + room[1])).any()
+        # written so that a NaN entry fails the check
+        return bool(((x >= bounds[0] - room[0]) & (x <= bounds[1] + room[1])).all())
 
     def _evict_artificials(self, a_ext, basis, vstatus, n):
         """Pivot basic artificials onto structural columns where possible."""
@@ -421,7 +420,7 @@ class _Simplex:
         tol = 1e-6 * (1.0 + _max_abs(rhs))
         while self.b_inv is not None:
             x[basis] = self.b_inv.dot(rhs)
-            if not _max_abs(a_ext.dot(x) - self.b) > tol:
+            if _max_abs(a_ext.dot(x) - self.b) <= tol:  # False for a NaN residual
                 return x
             if not self.updates:
                 break

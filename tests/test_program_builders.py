@@ -2,15 +2,16 @@
 bit (signed zeros included) against the per-row loop it replaced, so every
 entry and the row and column order stay exactly as the simplex saw them.
 The programs derived from another one (later lexicographic stages, BCC
-phase 2) are checked bit for bit against a fresh build."""
+phase 2) share its rows; their objective and bounds are checked bit for bit
+against arrays written out entry by entry here."""
 
 import numpy as np
 import pytest
 
-from dea_closest import (closest_projection, default_priority, efficient_set, reference_set,
+from dea_closest import (build_stage_program, closest_projection, default_priority,
+                         derive_stage_program, efficient_set, reference_set,
                          solve_max_support_lp)
 from dea_closest.efficiency import _bcc_program, _phase2_program, evaluate_bcc
-from dea_closest.projection import build_stage_program, derive_stage_program
 from dea_closest.returns_to_scale import _intercept_program
 
 from conftest import make_dataset, random_dataset
@@ -117,11 +118,8 @@ def test_programs_match_loop_reference(ds, cfg, monkeypatch):
 
     monkeypatch.setattr(reference_set, "solve_lp", recording)
     for o in range(ds.n):
-        for phase2 in (False, True):
-            assert_bitwise(_bcc_program(ds, o, (0.5, 1.0), phase2), *loop_bcc_rows(ds, o))
-        pinned = [(pri.order[0], 0.25)]
-        assert_bitwise(build_stage_program(ds, je, o, pinned, pri.order[1]),
-                       *loop_stage_rows(ds, je, o))
+        assert_bitwise(_bcc_program(ds, o), *loop_bcc_rows(ds, o))
+        assert_bitwise(build_stage_program(ds, je, o, pri.order[0]), *loop_stage_rows(ds, je, o))
         p = closest_projection(ds, je, o, pri, cfg)
         solve_max_support_lp(ds, je, p, cfg)
         assert_bitwise(supports[-1], *loop_support_rows(ds, je, p))
@@ -132,37 +130,85 @@ def test_programs_match_loop_reference(ds, cfg, monkeypatch):
             assert lp.relations == relations
 
 
-def assert_same_program(got, want):
-    """Every field equal bit for bit, dtypes and shapes included."""
-    assert got.sense == want.sense and got.relations == want.relations
-    for name in ("c", "a", "b", "lower", "upper", "binary", "complements"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), name
+def loop_bcc_bounds(ds, theta=None):
+    """Objective and bounds of BCC phase 1 (``theta`` None) or of phase 2
+    with theta pinned at ``theta``."""
+    nv = 1 + ds.n + ds.m + ds.s
+    c, lower, upper = np.zeros(nv), np.zeros(nv), np.zeros(nv)
+    for j in range(nv):
+        upper[j] = np.inf
+        if theta is None:
+            c[j] = 1.0 if j == 0 else 0.0
+        else:
+            c[j] = 1.0 if j > ds.n else 0.0
+    if theta is not None:
+        lower[0] = upper[0] = theta
+    return c, lower, upper
+
+
+def loop_stage_bounds(ds, je, pinned, target):
+    """Objective and bounds of the stage minimizing slack ``target`` with the
+    ``(slack, value)`` pairs of ``pinned`` fixed."""
+    t, k = je.size, ds.m + ds.s
+    nv = 2 * t + 2 * k + 1
+    c, lower, upper = np.zeros(nv), np.zeros(nv), np.zeros(nv)
+    fixed = dict(pinned)
+    for j in range(nv):
+        upper[j] = np.inf
+        if j < t:  # lambda
+            upper[j] = 1.0
+        elif j < t + k:  # slack
+            c[j] = 1.0 if j - t == target else 0.0
+            if j - t in fixed:
+                lower[j] = upper[j] = fixed[j - t]
+        elif j < t + 2 * k:  # multiplier
+            lower[j] = 1.0
+        elif j == t + 2 * k:  # intercept
+            lower[j] = -np.inf
+    return c, lower, upper
+
+
+def assert_objective_and_bounds(lp, sense, c, lower, upper):
+    assert lp.sense == sense
+    for name, want in (("c", c), ("lower", lower), ("upper", upper)):
+        got = getattr(lp, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("ds", list(datasets()), ids=lambda ds: f"n{ds.n}m{ds.m}s{ds.s}")
-def test_derived_stage_programs_equal_fresh_builds(ds, cfg):
-    # stages 2..m+s are derived from stage 1 by their objective and pins; the
-    # pins are the stage optima of the DMU's projection where it has stages
+def test_stage_programs_objective_and_bounds(ds, cfg):
+    # stage 1 is built, stages 2..m+s are derived from it by their objective
+    # and pins; the pins are the stage optima of the DMU's projection where
+    # it has stages
     je = efficient_set(ds, cfg)
     pri = default_priority(ds.m, ds.s)
+    t = je.size
+    pairs = np.column_stack([np.arange(t), np.arange(t + 2 * (ds.m + ds.s) + 1,
+                                                     2 * t + 2 * (ds.m + ds.s) + 1)])
     for o in range(ds.n):
         stages = closest_projection(ds, je, o, pri, cfg).stages
         values = [st.value for st in stages] or [0.25 * (k + 1) for k in range(ds.m + ds.s)]
-        first = build_stage_program(ds, je, o, [], pri.order[0])
+        first = build_stage_program(ds, je, o, pri.order[0])
         for k, target in enumerate(pri.order):
             pinned = list(zip(pri.order[:k], values[:k]))
-            derived = derive_stage_program(first, pinned, target)
-            assert_same_program(derived, build_stage_program(ds, je, o, pinned, target))
-            assert derived.a is first.a and derived.b is first.b
+            lp = derive_stage_program(first, pinned, target) if k else first
+            assert_objective_and_bounds(lp, "min", *loop_stage_bounds(ds, je, pinned, target))
+            assert lp.relations == ("=",) * (ds.m + ds.s + 1 + t)
+            assert not lp.binary.any() and np.array_equal(lp.complements, pairs)
+            assert lp.a is first.a and lp.b is first.b
         with pytest.raises(ValueError, match="already pinned"):
             derive_stage_program(first, [(pri.order[0], 0.0)], pri.order[0])
 
 
 @pytest.mark.parametrize("ds", list(datasets()), ids=lambda ds: f"n{ds.n}m{ds.m}s{ds.s}")
-def test_derived_phase2_programs_equal_fresh_builds(ds, cfg):
+def test_bcc_programs_objective_and_bounds(ds, cfg):
     for o in range(ds.n):
         theta = evaluate_bcc(ds, o, cfg).theta
-        phase1 = _bcc_program(ds, o, (0.0, np.inf), phase2=False)
-        assert_same_program(_phase2_program(phase1, ds.n, theta),
-                            _bcc_program(ds, o, (theta, theta), phase2=True))
+        phase1 = _bcc_program(ds, o)
+        phase2 = _phase2_program(phase1, ds.n, theta)
+        assert_objective_and_bounds(phase1, "min", *loop_bcc_bounds(ds))
+        assert_objective_and_bounds(phase2, "max", *loop_bcc_bounds(ds, theta))
+        for lp in (phase1, phase2):
+            assert lp.relations == ("=",) * (ds.m + ds.s + 1)
+            assert not lp.binary.any() and lp.complements.size == 0
+        assert phase2.a is phase1.a and phase2.b is phase1.b

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from dea_closest import (LinearProgram, PriorityRanking, SolveStatus, build_stage_program,
-                         closest_projection, default_priority, efficient_set, evaluate_bcc,
-                         load_dataset, projection, solve_lp, solve_milp)
+                         closest_projection, default_priority, derive_stage_program,
+                         efficient_set, evaluate_bcc, load_dataset, projection, solve_lp,
+                         solve_milp)
 from dea_closest.report import RunConfig, analyze
 from dea_closest.solver import branch_and_bound, simplex
 from dea_closest.solver.model import FEAS_TOL
@@ -55,7 +56,7 @@ def additive_max_slacks(ds, o, cfg):
 
 def test_stage_program_shape(eight_dmu, je8, cfg):
     # stage 1 for DMU7, output slack first: the objective touches only that slack
-    lp = build_stage_program(eight_dmu, je8, 6, [], target=1)
+    lp = build_stage_program(eight_dmu, je8, 6, target=1)
     t = je8.size
     assert lp.c[t + 1] == 1.0
     assert np.count_nonzero(lp.c) == 1
@@ -70,23 +71,24 @@ def test_stage_program_shape(eight_dmu, je8, cfg):
 
 
 def test_stage_program_pins_previous_optimum(eight_dmu, je8, cfg):
-    lp = build_stage_program(eight_dmu, je8, 6, [(1, 0.25)], target=0)
+    first = build_stage_program(eight_dmu, je8, 6, target=1)
+    lp = derive_stage_program(first, [(1, 0.25)], target=0)
     t = je8.size
     assert lp.lower[t + 1] == lp.upper[t + 1] == 0.25
     with pytest.raises(ValueError):
-        build_stage_program(eight_dmu, je8, 6, [(1, 0.0)], target=1)
+        derive_stage_program(first, [(1, 0.0)], target=1)
 
 
 def test_stage_one_output_slack_dmu7_is_zero(eight_dmu, je8, cfg):
     # frontier already reaches output level 3, so no shortfall is needed
-    lp = build_stage_program(eight_dmu, je8, 6, [], target=1)
+    lp = build_stage_program(eight_dmu, je8, 6, target=1)
     sol = solve_milp(lp, cfg)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_stage_milp_for_efficient_dmu_has_zero_optimum(eight_dmu, je8, cfg):
-    lp = build_stage_program(eight_dmu, je8, 1, [], target=1)
+    lp = build_stage_program(eight_dmu, je8, 1, target=1)
     sol = solve_milp(lp, cfg)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
@@ -240,9 +242,10 @@ def test_slacks_scale_with_uniformly_rescaled_data(uniform15, uniform15_projecti
 def test_stage_points_satisfy_rows_and_bounds(uniform15_projections, factor):
     ds, je, projections = uniform15_projections[factor]
     for p in projections:
+        first = build_stage_program(ds, je, p.dmu, p.priority.order[0])
         pinned = []
         for st in p.stages:
-            lp = build_stage_program(ds, je, p.dmu, pinned, st.slack_index)
+            lp = derive_stage_program(first, pinned, st.slack_index)
             z = np.concatenate([st.lambdas, st.slacks, st.weights, [st.intercept],
                                 st.deviations])
             scale = np.abs(lp.a) @ np.abs(z) + np.abs(lp.b)
@@ -470,11 +473,12 @@ def check_stage_optima_against_highs(ds, je, projections, linprog):
         if o in je:
             continue
         own = np.concatenate([ds.x[o], ds.y[o]])
+        first = build_stage_program(ds, je, o, p.priority.order[0])
         pinned = []
         for st in p.stages:
             # each stage is enumerated under the pins the solver itself found,
             # so a wrong stage fails here rather than in a later one
-            lp = build_stage_program(ds, je, o, pinned, st.slack_index)
+            lp = derive_stage_program(first, pinned, st.slack_index)
             expected = highs_stage_optimum(lp, linprog)
             if expected is None:
                 break  # HiGHS finds no feasible fixing: no reference for this DMU
@@ -522,7 +526,7 @@ def test_cold_node_relaxations_match_highs_on_rescaled_columns(cfg):
     je = efficient_set(ds, cfg)
     o = ds.names.index("U5")
     target = default_priority(ds.m, ds.s).order[0]
-    stage = build_stage_program(ds, je, o, [], target)
+    stage = build_stage_program(ds, je, o, target)
     own = np.concatenate([ds.x[o], ds.y[o]])[target]
     for k in range(je.size):
         lower, upper = stage.lower.copy(), stage.upper.copy()

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dea_closest import (AnalysisError, EfficientSet, LinearProgram, SolveStatus,
                          closest_projection, default_priority, efficient_set, evaluate_all,
-                         identify_mcrs, intercept_bounds, maximal_weights, reference_set,
-                         solve_lp, solve_max_support_lp)
+                         identify_mcrs, intercept_bounds, reference_set, solve_lp,
+                         solve_max_support_lp)
 from dea_closest.projection import Projection
 
 from conftest import make_dataset, random_dataset
@@ -63,32 +65,57 @@ def test_eight_dmu_reference_sets(eight_dmu, je8, cfg, o, members, weights):
 
 
 def test_support_lp_solution_structure(eight_dmu, je8, cfg):
-    p = project(eight_dmu, je8, 6, cfg)
-    sol = solve_max_support_lp(eight_dmu, je8, p, cfg)
-    t = je8.size
-    assert sol.alpha.size == t + 1 and sol.beta.size == t + 1
-    assert np.all(sol.alpha >= -1e-9) and np.all(sol.alpha <= 1 + 1e-9)
-    assert np.all(sol.beta >= -1e-9)
-    # the target's own aggregate reaches at least unit scale at the optimum
-    agg = sol.alpha[t] + sol.beta[t]
-    assert agg >= 1.0 - 1e-8
-    # the homogeneous balance rows hold at the solution
+    # one weight per efficient DMU, forming a convex combination that
+    # reproduces the target's inputs and outputs
     x, y = eight_dmu.x, eight_dmu.y
     idx = list(je8.indices)
-    mass = sol.alpha[:t] + sol.beta[:t]
-    assert x[idx].T @ mass == pytest.approx(agg * p.target_inputs, abs=1e-7)
-    assert y[idx].T @ mass == pytest.approx(agg * p.target_outputs, abs=1e-7)
-    assert mass.sum() == pytest.approx(agg, abs=1e-7)
-    lam = maximal_weights(sol)
-    assert lam.sum() == pytest.approx(1.0, abs=1e-7)
+    for o in (6, 7):
+        p = project(eight_dmu, je8, o, cfg)
+        lam = solve_max_support_lp(eight_dmu, je8, p, cfg)
+        assert lam.shape == (je8.size,)
+        assert np.all(lam >= -1e-9)
+        assert lam.sum() == pytest.approx(1.0, abs=1e-7)
+        assert x[idx].T @ lam == pytest.approx(p.target_inputs, abs=1e-7)
+        assert y[idx].T @ lam == pytest.approx(p.target_outputs, abs=1e-7)
 
 
 def test_projection_at_isolated_extreme_unit(eight_dmu, je8, cfg):
     # DMU5's projection is the extreme unit DMU4: only that column carries weight
     p = project(eight_dmu, je8, 4, cfg)
-    sol = solve_max_support_lp(eight_dmu, je8, p, cfg)
-    lam = maximal_weights(sol)
+    lam = solve_max_support_lp(eight_dmu, je8, p, cfg)
     assert lam == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-7)
+
+
+@pytest.mark.parametrize("weight,warned", [(5e-8, True), (5e-10, False)])
+def test_borderline_weight_is_excluded(eight_dmu, je8, cfg, monkeypatch, weight, warned):
+    # DMU7's target lies between DMU1 and DMU2; the support LP's solution is
+    # nudged so that DMU4 gets a normalized weight below the zero threshold.
+    # Above BORDERLINE_WEIGHT the exclusion is warned about, below it silent
+    t = je8.size
+    k = je8.indices.index(3)
+    solve = reference_set.solve_lp
+
+    def nudged(lp, cfg):
+        sol = solve(lp, cfg)
+        x = sol.x.copy()
+        x[k] = weight * (x[t] + x[2 * t + 1])  # alpha_k over the target aggregate
+        x[t + 1 + k] = 0.0
+        sol.x = x
+        return sol
+
+    monkeypatch.setattr(reference_set, "solve_lp", nudged)
+    p = project(eight_dmu, je8, 6, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mc = identify_mcrs(eight_dmu, je8, p, cfg)
+    assert mc.lambda_max[k] == pytest.approx(weight, rel=1e-9)
+    assert tuple(eight_dmu.names[j] for j in mc.members) == ("DMU1", "DMU2")
+    messages = [str(w.message) for w in caught]
+    if warned:
+        assert messages == ["DMU 'DMU7': reference weight for 'DMU4' is borderline "
+                            "(5.000e-08); excluded from the MCRS"]
+    else:
+        assert messages == []
 
 
 def test_non_extreme_point_collects_whole_face(eight_dmu, je8, cfg):

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 from importlib import resources
@@ -290,6 +291,44 @@ def test_rts_failure_is_reported_before_an_mcrs_failure(table_path, capsys, monk
     monkeypatch.setattr(reference_set, "solve_lp", zero_solution)
     assert main(["report", "--input", table_path]) == 3
     assert "returns to scale of DMU 'DMU1'" in capsys.readouterr().err
+
+
+# every (module[:class], name) binding the benchmark tracer wraps, with the
+# number of calls one ``report`` of the eight-DMU table makes through it; a
+# binding the pipeline stops calling would leave its traced counters at 0
+TRACED_CALLS = {
+    ("report", "load_dataset"): 1,
+    ("report", "analyze"): 1,
+    ("report:AnalysisReport", "to_json"): 1,
+    ("report", "evaluate_all"): 1,
+    ("report", "closest_projection"): 8,
+    ("report", "intercept_bounds"): 8,
+    ("report", "identify_mcrs"): 8,
+    ("projection", "build_stage_program"): 4,
+    ("projection", "solve_milp"): 8,
+    ("efficiency", "solve_lp"): 10,
+    ("returns_to_scale", "solve_lp"): 12,
+    ("reference_set", "solve_lp"): 6,
+}
+
+
+def test_cli_report_calls_every_traced_binding(table_path, capsys, monkeypatch):
+    calls = dict.fromkeys(TRACED_CALLS, 0)
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for key in TRACED_CALLS:
+        module, _, cls = key[0].partition(":")
+        owner = importlib.import_module(f"dea_closest.{module}")
+        owner = getattr(owner, cls) if cls else owner
+        monkeypatch.setattr(owner, key[1], counting(key, getattr(owner, key[1])))
+    assert main(["report", "--input", table_path]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]) == 8
+    assert calls == TRACED_CALLS
 
 
 def test_cli_has_no_big_m_flag(table_path, capsys):

@@ -700,3 +700,23 @@ def test_shared_parent_basis_is_never_mutated(monkeypatch, cfg):
         assert np.array_equal(start.inverse, inverse)
         with pytest.raises(ValueError):
             start.inverse[0, 0] = 0.0
+
+
+def test_nan_point_is_a_solver_limit(monkeypatch, cfg):
+    # a fresh inverse that comes back all NaN yields a NaN basic point; every
+    # comparison with NaN is False, so the residual and bound checks are
+    # written to fail on it, and the solve reports a limit, never that point
+    lp = LinearProgram("min", [1.0, 2.0], [[1.0, 1.0]], ("=",), [1.0],
+                       [0.0, 0.0], [np.inf, np.inf])
+    original = simplex._Simplex._refactor
+
+    def refactor(self, b_mat):
+        original(self, b_mat)
+        self.b_inv = np.full(b_mat.shape, np.nan)
+
+    monkeypatch.setattr(simplex._Simplex, "_refactor", refactor)
+    sol = solve_lp(lp, cfg)
+    assert sol.status is SolveStatus.ITERATION_LIMIT
+    solver = simplex._Simplex(standardize(lp), cfg)
+    assert not solver._holds_bounds(np.array([np.nan, 0.0]))
+    assert solver._holds_bounds(np.array([1.0, 0.0]))

@@ -75,7 +75,7 @@ class Dataset:
         vals = np.hstack([x, y])
         for bad, what in ((~np.isfinite(vals).all(axis=1), "has a non-finite value"),
                           ((vals < 0).any(axis=1), "has a negative value"),
-                          ((vals == 0).all(axis=1), "is identically zero")):
+                          (~(x > 0).any(axis=1), "has no positive input")):
             if bad.any():
                 raise ValidationError(f"DMU {names[int(np.argmax(bad))]!r} {what}")
 
@@ -244,8 +244,8 @@ def load_dataset(source: str | Path | TextIO) -> Dataset:
             if v < 0:
                 raise ValidationError(f"negative value {v}", row=r, column=c)
             values.append(v)
-        if all(v == 0 for v in values):
-            raise ValidationError(f"DMU {name!r} is identically zero", row=r)
+        if not any(v > 0 for v in values[:m]):
+            raise ValidationError(f"DMU {name!r} has no positive input", row=r)
         table.append(values)
 
     if not table:

@@ -8,10 +8,15 @@ A DMU is efficient exactly when theta is 1 and every slack is zero, which
 realizes the non-Archimedean objective without ever instantiating an
 epsilon coefficient.
 
-Phase 2 runs only when a slack can be positive on the phase-1 optimal face
-(Ali & Seiford 1993).  When the phase-1 solve reports every slack column as
-priced out, every phase-1 optimum has zero slacks, phase 2 could not move
-the point, and the phase-1 point is the answer.
+Phase 2 is needed only when a slack can be positive on the phase-1 optimal
+face (Ali & Seiford 1993).  When the phase-1 solve reports every slack
+column as priced out, every phase-1 optimum has zero slacks, phase 2 could
+not move the point, and the phase-1 point is the answer.  Otherwise phase 2
+runs at once only where it can change the efficiency flag, at theta = 1
+(within zero_tol).  A theta below that marks the DMU inefficient whatever
+its slacks are, so there phase 2 is solved, from the same phase-1 basis,
+when the result's slacks or lambdas are first read; the pipeline reads
+neither.
 
 ``evaluate_all`` starts each DMU's phase 1 from the previous DMU's optimal
 phase-1 basis.  The two programs differ only in the theta column (-x_o) and
@@ -30,6 +35,8 @@ that mask to rule them out without solving an LP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -46,18 +53,32 @@ class EfficiencyResult:
     ``lambdas`` is the intensity vector over the full dataset from the
     phase-2 solution, or from the phase-1 solution when the phase-1 prices
     rule out every slack (phase 2 would start and stop at that point).
-    ``basis`` is the optimal phase-1 basis, which the next DMU's phase 1
-    starts from.  ``priced_out`` flags the DMUs whose lambda column that
-    basis prices out: they carry zero weight in every phase-1 optimum.
+    ``completion`` returns both; where theta alone marks the DMU
+    inefficient, it solves phase 2, so the first read of either raises the
+    error a failed phase 2 means.  ``basis`` is the optimal phase-1 basis,
+    which the next DMU's phase 1 starts from.  ``priced_out`` flags the DMUs
+    whose lambda column that basis prices out: they carry zero weight in
+    every phase-1 optimum.
     """
 
     dmu: int
     theta: float
-    slacks: np.ndarray
-    lambdas: np.ndarray
     is_efficient: bool
+    completion: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False, compare=False)
     basis: Basis | None = field(default=None, repr=False, compare=False)
     priced_out: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _completed(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.completion()
+
+    @property
+    def slacks(self) -> np.ndarray:
+        return self._completed[0]
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        return self._completed[1]
 
 
 @dataclass(frozen=True)
@@ -116,7 +137,7 @@ def _unit_vertex(dataset: Dataset, o: int) -> Basis:
     convexity row, and theta in place of the slack of the input row with
     the largest x_io.  Up to row order the basis matrix is triangular with
     pivots +-1, 1 and -x_io, the largest theta can take, so it is
-    nonsingular whenever x_o is not all zero.
+    nonsingular: a ``Dataset`` has a positive input in every row.
     """
     n, m, s = dataset.n, dataset.m, dataset.s
     x = np.zeros(1 + n + m + s)
@@ -133,7 +154,9 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
     ``start`` is another DMU's optimal phase-1 basis, which phase 1 resumes
     from; without it phase 1 starts at the feasible vertex theta = 1,
     lambda_o = 1, which spares it an artificial phase.  Neither changes
-    which points are optimal.
+    which points are optimal.  Phase 2 of a DMU with theta below
+    1 - zero_tol is solved when the result's slacks or lambdas are first
+    read.
     """
     name = dataset.names[o]
     n, m, s = dataset.n, dataset.m, dataset.s
@@ -148,21 +171,26 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
     priced_out = (phase1.priced_out if phase1.priced_out is not None
                   else np.zeros(lp1.n_vars, dtype=bool))
     slack_cols = slice(1 + n, 1 + n + m + s)
-    if priced_out[slack_cols].all():
-        final = phase1  # phase 2 could not move the point
-        slacks = np.zeros(m + s)
-    else:
+
+    def phase2() -> tuple[np.ndarray, np.ndarray]:
         # same rows and columns with theta pinned at its optimum, so the
         # phase-1 basis stays feasible and phase 2 resumes from it
         lp2 = _phase2_program(lp1, n, theta)
         final = require_optimal(solve_lp(lp2, cfg, warm_start=phase1.basis),
                                 f"BCC phase 2 for DMU {name!r}")
-        slacks = final.x[slack_cols].copy()
+        return final.x[slack_cols].copy(), final.x[1: 1 + n].copy()
 
-    lambdas = final.x[1: 1 + n].copy()
-    efficient = theta >= 1.0 - cfg.zero_tol and float(np.abs(slacks).max()) <= cfg.zero_tol
-    return EfficiencyResult(o, theta, slacks, lambdas, efficient, phase1.basis,
-                            priced_out[1: 1 + n])
+    if priced_out[slack_cols].all():
+        completed = np.zeros(m + s), phase1.x[1: 1 + n].copy()  # phase 2 could not move the point
+    elif theta < 1.0 - cfg.zero_tol:
+        completed = None  # inefficient whatever the slacks; phase 2 waits for a reader
+    else:
+        completed = phase2()
+    efficient = (completed is not None and theta >= 1.0 - cfg.zero_tol
+                 and float(np.abs(completed[0]).max()) <= cfg.zero_tol)
+    return EfficiencyResult(o, theta, efficient,
+                            phase2 if completed is None else lambda: completed,
+                            phase1.basis, priced_out[1: 1 + n])
 
 
 def evaluate_all(dataset: Dataset, cfg: SolverConfig = SolverConfig()) -> list[EfficiencyResult]:

@@ -9,13 +9,13 @@ efficiency, and a complementarity pair per efficient DMU lets it carry
 weight only if it lies on that hyperplane (lambda_k * d_k = 0).
 
 The stage-1 programs of all DMUs share their matrix, objective and bounds
-and differ only in the DMU's own values on the right-hand side, so the
-optimal root basis of one DMU's stage 1 stays dual feasible for the next
-one's.  A caller that projects several DMUs hands each projection's
-``stage1_root`` to the next call, whose stage-1 root then re-optimizes from
-it with the dual simplex instead of solving cold.  Within one DMU, stages
-2..m+s are derived from its stage-1 program: the same rows, a new objective
-and one more pin.
+and differ only in the DMU's own values on the right-hand side.  A caller
+that projects several DMUs hands each projection's ``stage1`` to the next
+call, which derives its stage-1 program from that one by a new right-hand
+side instead of building it, and whose stage-1 root re-optimizes from that
+one's optimal root basis, still dual feasible, with the dual simplex
+instead of solving cold.  Within one DMU, stages 2..m+s are derived from its
+stage-1 program: the same rows, a new objective and one more pin.
 """
 
 from __future__ import annotations
@@ -53,11 +53,28 @@ class StageSolution:
 
 
 @dataclass(frozen=True)
+class Stage1:
+    """A DMU's stage-1 program over ``dataset`` and ``efficient``, minimizing
+    slack ``target``, and the final basis of its root relaxation: what the
+    next DMU's stage 1 over the same three derives its program from and
+    starts its root from."""
+
+    dataset: Dataset
+    efficient: EfficientSet
+    target: int
+    program: LinearProgram
+    root: Basis | None
+
+    def serves(self, dataset: Dataset, j_e: EfficientSet, target: int) -> bool:
+        return self.dataset is dataset and self.efficient == j_e and self.target == target
+
+
+@dataclass(frozen=True)
 class Projection:
     """Closest efficient target of one DMU with its stage audit trail.
 
-    ``stage1_root`` is the final basis of stage 1's root relaxation, which
-    the next DMU's stage 1 can start from; None for an efficient DMU.
+    ``stage1`` is its stage-1 program and root basis, which the next DMU's
+    stage 1 can derive from and start from; None for an efficient DMU.
     """
 
     dmu: int
@@ -66,7 +83,7 @@ class Projection:
     slacks: np.ndarray
     stages: tuple[StageSolution, ...]
     priority: PriorityRanking
-    stage1_root: Basis | None = field(default=None, repr=False, compare=False)
+    stage1: Stage1 | None = field(default=None, repr=False, compare=False)
 
 
 def _layout(t: int, n_slack: int) -> tuple[int, int, int, int]:
@@ -103,7 +120,7 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
     a[:m + s, c_s:c_s + n_slack] = np.diag(np.concatenate([np.ones(m), -np.ones(s)]))
     a[m + s + 1:, c_w:c_w0 + 1] = np.hstack([-xe, ye, -np.ones((t, 1))])
     a[m + s + 1:, c_d:] = np.eye(t)
-    b = np.concatenate([dataset.x[o], dataset.y[o], [1.0], np.zeros(t)])
+    b = _stage_rhs(dataset, o, t)
 
     lower = np.zeros(nv)
     upper = np.full(nv, np.inf)
@@ -116,6 +133,12 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
     complements = np.column_stack([np.arange(t), np.arange(c_d, c_d + t)])
     return LinearProgram("min", c, a, ("=",) * rows, b, lower, upper,
                          complements=complements)
+
+
+def _stage_rhs(dataset: Dataset, o: int, t: int) -> np.ndarray:
+    """The right-hand side of DMU ``o``'s stage programs over t efficient
+    DMUs, the only part that differs between DMUs."""
+    return np.concatenate([dataset.x[o], dataset.y[o], [1.0], np.zeros(t)])
 
 
 def derive_stage_program(first: LinearProgram, pinned: list[tuple[int, float]],
@@ -144,7 +167,7 @@ def derive_stage_program(first: LinearProgram, pinned: list[tuple[int, float]],
 def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
                        priority: PriorityRanking,
                        cfg: SolverConfig = SolverConfig(),
-                       stage1_root: Basis | None = None) -> Projection:
+                       stage1: Stage1 | None = None) -> Projection:
     """Lexicographically minimal slack vector and the target it induces.
 
     The target is unique: whichever optimal intensities/multipliers each
@@ -155,9 +178,11 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
     Each stage after the first is derived from the stage-1 program (only
     its objective and pins change) and starts its root from the previous
     stage's final basis.
-    ``stage1_root`` is the ``stage1_root`` of another DMU's projection over
-    the same efficient set and priority; stage 1 starts its root from it.
-    It never changes the result, and without it stage 1 starts cold.
+    ``stage1`` is the ``stage1`` of another DMU's projection.  When it
+    serves this dataset, efficient set and first slack, the stage-1 program
+    is derived from its program by this DMU's right-hand side and its root
+    starts from its root basis; otherwise the program is built and the root
+    starts cold.  It never changes the result.
     """
     m, s = dataset.m, dataset.s
     if priority.m != m or priority.s != s:
@@ -173,13 +198,14 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
     t = j_e.size
     n_slack = m + s
     c_s, c_w, c_w0, c_d = _layout(t, n_slack)
-    start = stage1_root
+    target = priority.order[0]
+    if stage1 is not None and stage1.serves(dataset, j_e, target):
+        first, start = stage1.program.with_rhs(_stage_rhs(dataset, o, t)), stage1.root
+    else:
+        first, start = build_stage_program(dataset, j_e, o, target), None
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):
-        if stage_no == 1:
-            lp = first = build_stage_program(dataset, j_e, o, slack_idx)
-        else:
-            lp = derive_stage_program(first, pinned, slack_idx)
+        lp = first if stage_no == 1 else derive_stage_program(first, pinned, slack_idx)
         # the frontier dominates every DMU, so each stage is feasible
         sol = require_optimal(solve_milp(lp, cfg, warm_start=start),
                               f"projection of DMU {name!r} stage {stage_no} (slack {slack_idx})")
@@ -197,7 +223,7 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
         ))
         pinned.append((slack_idx, value))
         if stage_no == 1:
-            root = sol.root_basis
+            handoff = Stage1(dataset, j_e, target, first, sol.root_basis)
         start = sol.basis
 
     # the final stage's joint solution is the projection: its slack vector
@@ -207,4 +233,4 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
     s_star = stages[-1].slacks.copy()
     s_star[s_star <= FEAS_TOL * (1.0 + np.abs(np.concatenate([xo, yo])))] = 0.0
     return Projection(o, xo - s_star[:m], yo + s_star[m:], s_star, tuple(stages), priority,
-                      root)
+                      handoff)

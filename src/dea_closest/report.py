@@ -221,13 +221,13 @@ def analyze(dataset: Dataset, config: RunConfig, priority: PriorityRanking | Non
     j_e = EfficientSet(tuple(r.dmu for r in eff if r.is_efficient))
 
     records: list[DmuAnalysis] = []
-    stage1_root = None  # stage-1 root basis of the last DMU that solved one
+    stage1 = None  # stage 1 of the last DMU that solved one
     for o in range(dataset.n):
         rec = DmuAnalysis(dataset.names[o], eff[o])
         if need_projection:
-            rec.projection = closest_projection(dataset, j_e, o, priority, cfg, stage1_root)
-            if rec.projection.stage1_root is not None:
-                stage1_root = rec.projection.stage1_root
+            rec.projection = closest_projection(dataset, j_e, o, priority, cfg, stage1)
+            if rec.projection.stage1 is not None:
+                stage1 = rec.projection.stage1
         if level >= 3:
             with failure_context(f"returns to scale of DMU {rec.name!r}"):
                 rec.rts_bounds = intercept_bounds(dataset, rec.projection.target_inputs,

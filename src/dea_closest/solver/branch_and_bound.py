@@ -14,9 +14,11 @@ a child whose inherited bound no longer beats the incumbent (one found
 after the child was stacked, typically by its sibling's dive) is discarded
 without being solved.
 
-Every node carries its parent's final basis.  A child differs from its
-parent in one bound, so that basis stays dual feasible and the simplex
-resumes from it with a few dual pivots instead of a cold two-phase solve;
+Every node carries its parent's final basis and bound table.  A child
+differs from its parent in one bound, so its bound table is the parent's
+patched at that column, and the parent's basis stays dual feasible: the
+simplex resumes from it with a few dual pivots instead of a cold two-phase
+solve;
 the root starts from a caller-supplied basis (the previous lexicographic
 stage's, or the root basis of a program that differs only in its
 right-hand side).  The incumbent always starts empty.  With the
@@ -29,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import FEAS_TOL, INT_TOL, Basis, LinearProgram, Solution, SolveStatus, SolverConfig
-from .simplex import check_warm_start, solve_lp, solve_standardized, standardize
+from .simplex import _Box, check_warm_start, quiet, solve_lp, solve_standardized, standardize
 
 
 def _branching(lp: LinearProgram):
@@ -98,47 +100,47 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
     inc_basis: Basis | None = None
     cutoff = np.inf  # a bound at or above this cannot improve on the incumbent
 
-    # each entry: node bounds, the parent's relaxation objective (a lower
-    # bound on the node's) and the parent's final basis to resume from
-    stack = [(std.lower.copy(), std.upper.copy(), -np.inf, warm_start)]
+    # each entry: the node's bound table, the parent's relaxation objective
+    # (a lower bound on the node's) and the parent's final basis to resume from
+    stack = [(_Box(std.lower, std.upper), -np.inf, warm_start)]
     nodes = 0
     total_iters = 0
     root_basis: Basis | None = None
     hit_node_limit = False
 
-    while stack:
-        lo, up, bound, start = stack.pop()
-        if bound >= cutoff:
-            continue  # the incumbent was found after this node was pushed
-        if nodes >= cfg.max_nodes:
-            hit_node_limit = True
-            break
-        status, x, obj, iters, basis = solve_standardized(std, cfg, lo, up, start)
-        nodes += 1
-        total_iters += iters
-        if nodes == 1:
-            root_basis = basis
+    with quiet():
+        while stack:
+            box, bound, start = stack.pop()
+            if bound >= cutoff:
+                continue  # the incumbent was found after this node was pushed
+            if nodes >= cfg.max_nodes:
+                hit_node_limit = True
+                break
+            status, x, obj, iters, basis = solve_standardized(std, cfg, box.lo, box.up, start,
+                                                              box=box)
+            nodes += 1
+            total_iters += iters
+            if nodes == 1:
+                root_basis = basis
 
-        if status is SolveStatus.INFEASIBLE:
-            continue
-        if status is SolveStatus.UNBOUNDED:
-            return Solution(status, -std.sense_sign * np.inf, None, total_iters, nodes)
-        if status is SolveStatus.ITERATION_LIMIT:
-            return Solution(status, np.nan, None, total_iters, nodes)
-        if obj >= cutoff:
-            continue  # cannot improve on the incumbent
+            if status is SolveStatus.INFEASIBLE:
+                continue
+            if status is SolveStatus.UNBOUNDED:
+                return Solution(status, -std.sense_sign * np.inf, None, total_iters, nodes)
+            if status is SolveStatus.ITERATION_LIMIT:
+                return Solution(status, np.nan, None, total_iters, nodes)
+            if obj >= cutoff:
+                continue  # cannot improve on the incumbent
 
-        alternatives = branching(x)
-        if not alternatives:
-            inc_x, inc_obj, inc_basis = x, obj, basis
-            cutoff = obj - 1e-9 * max(1.0, abs(obj))
-            continue
-        for j, value in alternatives:  # the preferred child is pushed last, so it pops first
-            if not lo[j] <= value <= up[j]:
-                continue  # the fix contradicts a bound already in force
-            lo_c, up_c = lo.copy(), up.copy()
-            lo_c[j] = up_c[j] = value
-            stack.append((lo_c, up_c, obj, basis))
+            alternatives = branching(x)
+            if not alternatives:
+                inc_x, inc_obj, inc_basis = x, obj, basis
+                cutoff = obj - 1e-9 * max(1.0, abs(obj))
+                continue
+            for j, value in alternatives:  # the preferred child is pushed last, so it pops first
+                if not box.lo[j] <= value <= box.up[j]:
+                    continue  # the fix contradicts a bound already in force
+                stack.append((box.fixed_at(j, value), obj, basis))
 
     if inc_x is None:
         status = SolveStatus.NODE_LIMIT if hit_node_limit else SolveStatus.INFEASIBLE

@@ -160,19 +160,36 @@ class LinearProgram:
         lp._check_values(())
         return lp
 
-    def _check_values(self, row_arrays: tuple[tuple[str, np.ndarray], ...]):
-        """Reject a NaN or an infinity in the objective or in the named
-        ``row_arrays``, a NaN bound, a lower bound of +inf, an upper bound of
-        -inf, crossed bounds, binaries boxed outside [0, 1] and
-        complementary variables that may go negative.
+    def with_rhs(self, b) -> LinearProgram:
+        """This program with right-hand side ``b``.
+
+        Everything else is shared with this program, not copied, and is not
+        validated again; only ``b`` is validated, as the constructor would.
+        """
+        lp = copy.copy(self)
+        lp.b = _as_float_array(b, 1)
+        if lp.b.size != self.n_rows:
+            raise ValueError(f"matrix has {self.n_rows} rows, rhs has {lp.b.size}")
+        lp._check_values((("b", lp.b),), objective_and_bounds=False)
+        return lp
+
+    def _check_values(self, row_arrays: tuple[tuple[str, np.ndarray], ...],
+                      objective_and_bounds: bool = True):
+        """Reject a NaN or an infinity in the named ``row_arrays`` and, with
+        ``objective_and_bounds``, in the objective, a NaN bound, a lower
+        bound of +inf, an upper bound of -inf, crossed bounds, binaries
+        boxed outside [0, 1] and complementary variables that may go
+        negative.
 
         A lower bound may be -inf and an upper bound +inf: clipping them at
         zero from the side they may be infinite on maps both to finite
         values and keeps every other entry's NaN or infinity, so one
         ``isfinite`` pass over all arrays checks every value.
         """
-        named = (("c", self.c), *row_arrays, ("lower", np.maximum(self.lower, 0.0)),
-                 ("upper", np.minimum(self.upper, 0.0)))
+        named = row_arrays
+        if objective_and_bounds:
+            named = (("c", self.c), *row_arrays, ("lower", np.maximum(self.lower, 0.0)),
+                     ("upper", np.minimum(self.upper, 0.0)))
         finite = np.isfinite(np.concatenate([arr.ravel() for _, arr in named]))
         if not finite.all():
             at = int(finite.argmin())
@@ -182,6 +199,8 @@ class LinearProgram:
                     raise ValueError(f"{name} holds {value} at flat index {at}; "
                                      f"{_ALLOWED[name]}")
                 at -= arr.size
+        if not objective_and_bounds:
+            return
         crossed = self.lower > self.upper
         if crossed.any():
             bad = int(crossed.argmax())
@@ -222,14 +241,19 @@ class Basis:
 
     ``inverse`` is the factorized inverse of ``matrix``, the basic columns
     in row order.  A resuming solve whose own basic columns equal ``matrix``
-    starts from a copy of it instead of factorizing.  Two branch-and-bound
-    children resume from one parent record, so its arrays are read-only.
+    starts from a copy of it instead of factorizing.  ``source`` is the
+    standardized matrix that ``matrix`` was gathered from; a solve over that
+    very array (programs derived from one another share it) knows its basic
+    columns equal ``matrix`` without gathering and comparing them.  Two
+    branch-and-bound children resume from one parent record, so its arrays
+    are read-only; ``source`` belongs to the program and is left as it is.
     """
 
     columns: np.ndarray
     x: np.ndarray
     matrix: np.ndarray | None = None
     inverse: np.ndarray | None = None
+    source: np.ndarray | None = None
 
     def __post_init__(self):
         for arr in (self.columns, self.x, self.matrix, self.inverse):

@@ -54,18 +54,23 @@ bound check.  The same fresh inverse prices the optimal basis once more to
 report, by the pricing's own threshold, which columns it holds at a bound.
 
 The programs are small, so a solve costs numpy calls more than arithmetic,
-and what does not change is set up once.  Per solve: one ``np.errstate``
-context, and one ``_Box`` of the bounds (fixed mask, free columns, resting
-table, nonbasic status) shared by the dual and the primal loop; the dual
-loop computes the pricing threshold only on its first iteration (the dual
-feasibility test) and its last (handed on to the primal).  Per
-branch-and-bound solve: the standardized system and the index arrays of the
-branching rule.  None of this changes an operation that decides a pivot or
-a reported value: states are ``np.intp`` so that gathers by them need no
-conversion, products with a contiguous matrix call ``ndarray.dot`` (the
-BLAS routine ``@`` calls, without its dispatch; a vector times a column
-slice stays ``@``, which the two round differently), and a maximum is read
-at its ``argmax``.
+and what does not change is set up once.  Per solve: one ``_Box`` of the
+bounds (fixed mask, free columns, resting table, nonbasic status) shared by
+the dual and the primal loop; the dual loop computes the pricing threshold
+only on its first iteration (the dual feasibility test) and its last
+(handed on to the primal).  A resumed ``Basis`` names the standardized
+matrix it was gathered from, so a solve over that same array (a
+branch-and-bound node, or a program derived from the one that produced the
+record) takes its basis matrix and inverse without gathering its columns
+again or comparing them.  Per LP solve: one ``np.errstate`` context.  Per
+branch-and-bound solve: the standardized system, the index arrays of the
+branching rule and one ``np.errstate`` context for the whole tree; each
+child's ``_Box`` is its parent's, patched at the fixed column.  None of this
+changes an operation that decides a pivot or a reported value: states are
+``np.intp`` so that gathers by them need no conversion, products with a
+contiguous matrix call ``ndarray.dot`` (the BLAS routine ``@`` calls,
+without its dispatch; a vector times a column slice stays ``@``, which the
+two round differently), and a maximum is read at its ``argmax``.
 """
 
 from __future__ import annotations
@@ -188,31 +193,47 @@ class _Box:
     """The bounds of one system's columns and the tables read off them.
 
     Built once per solve (and per phase of a cold solve, whose artificial
-    columns are pinned after phase 1); every loop of the solve reads it.
+    columns are pinned after phase 1), or patched from a branch-and-bound
+    parent's, which the patch leaves as it was; every loop of the solve
+    reads it, and only a cold solve's ``pin_at_zero`` writes to one, its
+    own extended table.
     ``rest[state, j]`` is where column j sits in that state: at its lower or
-    upper bound, else at zero (free, or basic and not yet solved for).
-    ``status`` is where each column rests while nonbasic; ``free`` lists
-    the columns with no finite bound, which are only ever nonbasic at zero or
-    basic.
+    upper bound, else at zero (free, or basic and not yet solved for);
+    ``lo`` and ``up`` are its first two rows.  ``status`` is where each
+    column rests while nonbasic; ``free`` lists the columns with no finite
+    bound, which are only ever nonbasic at zero or basic.
     """
 
     __slots__ = ("lo", "up", "fixed", "status", "free", "rest")
 
     def __init__(self, lo: np.ndarray, up: np.ndarray):
-        self.lo, self.up = lo, up
-        self.fixed = lo == up
-        self.status = _nonbasic_status(lo, up, self.fixed)
-        self.free = (self.status == _FREE).nonzero()[0]
         self.rest = np.zeros((4, lo.size))
         self.rest[_AT_LOWER] = lo
         self.rest[_AT_UPPER] = up
+        self.lo, self.up = self.rest[_AT_LOWER], self.rest[_AT_UPPER]
+        self.fixed = lo == up
+        self.status = _nonbasic_status(lo, up, self.fixed)
+        self.free = (self.status == _FREE).nonzero()[0]
+
+    def fixed_at(self, j: int, value: float) -> _Box:
+        """A new table for these bounds with column ``j`` fixed at
+        ``value``: this one's arrays, copied and changed at column j alone."""
+        box = object.__new__(_Box)
+        box.rest = self.rest.copy()
+        box.lo, box.up = box.rest[_AT_LOWER], box.rest[_AT_UPPER]
+        box.lo[j] = box.up[j] = value
+        box.fixed = self.fixed.copy()
+        box.fixed[j] = True
+        box.status = self.status.copy()
+        box.status[j] = _AT_LOWER
+        box.free = self.free[self.free != j] if self.status[j] == _FREE else self.free
+        return box
 
     def pin_at_zero(self, first: int):
         """Fix columns ``first`` onward at zero."""
         self.lo[first:] = 0.0
         self.up[first:] = 0.0
         self.fixed[first:] = True
-        self.rest[_AT_UPPER, first:] = 0.0
 
 
 def _reduced_costs(b_inv, c, a, basis):
@@ -236,16 +257,13 @@ def _zero_threshold(a_abs, y):
 class _Simplex:
     """One solve over the standardized system; holds the mutable state."""
 
-    def __init__(self, std: StandardizedLP, cfg: SolverConfig,
-                 lower: np.ndarray | None = None, upper: np.ndarray | None = None):
+    def __init__(self, std: StandardizedLP, cfg: SolverConfig, box: _Box | None = None):
         self.a = std.a
         self.a_abs = std.a_abs
         self.b = std.b
         self.slack_of_row = std.slack_of_row
         self.cfg = cfg
-        self.lower = std.lower if lower is None else lower
-        self.upper = std.upper if upper is None else upper
-        self.box = _Box(self.lower, self.upper)
+        self.box = _Box(std.lower, std.upper) if box is None else box
         self.n = std.a.shape[1]
         self.rows = std.a.shape[0]
         self._cols = np.arange(self.n + self.rows)  # column indices, artificials included
@@ -265,13 +283,12 @@ class _Simplex:
     def run(self, c_struct: np.ndarray, start: Basis | None = None
             ) -> tuple[SolveStatus, np.ndarray | None, np.ndarray | None]:
         """Returns (status, x, basis) over the standardized columns."""
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            if start is not None:
-                result = self._run_warm(c_struct, start)
-                if result is not None:
-                    return result
-                self._restart()  # pivots of the abandoned attempt stay counted
-            return self._run_cold(c_struct)
+        if start is not None:
+            result = self._run_warm(c_struct, start)
+            if result is not None:
+                return result
+            self._restart()  # pivots of the abandoned attempt stay counted
+        return self._run_cold(c_struct)
 
     def _run_cold(self, c_struct: np.ndarray):
         """Two phases from the slack basis."""
@@ -292,8 +309,8 @@ class _Simplex:
         art[need, np.arange(k)] = np.where(resid[need] >= 0, 1.0, -1.0)
         a_ext = np.hstack([self.a, art])
         a_abs = np.hstack([self.a_abs, np.abs(art)])
-        ext = _Box(np.concatenate([self.lower, np.zeros(k)]),
-                   np.concatenate([self.upper, np.full(k, np.inf)]))
+        ext = _Box(np.concatenate([box.lo, np.zeros(k)]),
+                   np.concatenate([box.up, np.full(k, np.inf)]))
         c1 = np.zeros(n + k)
         c1[n:] = 1.0
         basis = np.where(crash, col, 0)
@@ -336,10 +353,13 @@ class _Simplex:
         if (start.x.size != n or basis.size != self.rows
                 or basis.view(np.uintp).max(initial=0) >= n):
             return None  # another system's basis, or one holding an artificial
-        vstatus = _placed(self.box.status, self.lower, self.upper, start.x)
+        box = self.box
+        vstatus = _placed(box.status, box.lo, box.up, start.x)
         vstatus[basis] = _BASIC
-        b_mat = self.a[:, basis]
-        if start.inverse is not None and np.array_equal(start.matrix, b_mat):
+        # a record gathered from this very matrix holds its basic columns
+        same = start.inverse is not None and start.source is self.a
+        b_mat = start.matrix if same else self.a[:, basis]
+        if same or (start.inverse is not None and np.array_equal(start.matrix, b_mat)):
             # the record is shared; never update its inverse
             self.b_inv, self.b_mat, self.updates = start.inverse.copy(), b_mat, 0
         else:
@@ -585,7 +605,7 @@ class _Simplex:
         """Whether the tableau row ``x_r = z.b - alpha.x_N`` keeps the basic
         variable of that row short of its violated bound over the whole
         variable box, by more than the phase-1 infeasibility cut."""
-        lo, up = self.lower, self.upper
+        lo, up = self.box.lo, self.box.up
         nz = alpha != 0.0
         at_lo, at_up = alpha[nz] * lo[nz], alpha[nz] * up[nz]
         beta = float(z @ self.b)
@@ -595,20 +615,32 @@ class _Simplex:
         return beta - np.maximum(at_lo, at_up).sum() > up[leaving] + cut
 
 
+def quiet() -> np.errstate:
+    """The floating-point error state solves run under: a division by zero,
+    an overflow or a NaN in a ratio test or a residual is read by the
+    guards that follow it, not reported by numpy."""
+    return np.errstate(invalid="ignore", divide="ignore", over="ignore")
+
+
 def solve_standardized(std: StandardizedLP, cfg: SolverConfig,
                        lower: np.ndarray | None = None,
                        upper: np.ndarray | None = None,
-                       start: Basis | None = None,
+                       start: Basis | None = None, *,
+                       box: _Box | None = None,
                        ) -> tuple[SolveStatus, np.ndarray | None, float, int, Basis | None]:
     """Solve the standardized system, optionally with full-length bound overrides.
 
     Branch-and-bound passes them to fix binaries and pair members without
-    rebuilding the system.  ``start`` is the final basis of a related solve
-    over the same system; the solve resumes from it where it can and solves
-    cold otherwise.  Returns (status, structural x, objective in the min
-    sense, iterations, final basis).
+    rebuilding the system, with ``box``, their bound table, patched from the
+    parent node's; without ``box`` the solve builds the table itself.
+    ``start`` is the final basis of a related solve over the same system;
+    the solve resumes from it where it can and solves cold otherwise.  The
+    caller runs the solve under ``quiet()``.  Returns (status, structural x,
+    objective in the min sense, iterations, final basis).
     """
-    sx = _Simplex(std, cfg, lower, upper)
+    if box is None:
+        box = _Box(std.lower if lower is None else lower, std.upper if upper is None else upper)
+    sx = _Simplex(std, cfg, box)
     status, x, basis = sx.run(std.c, start)
     if status is not SolveStatus.OPTIMAL:
         return status, None, np.nan, sx.iterations, None
@@ -616,7 +648,7 @@ def solve_standardized(std: StandardizedLP, cfg: SolverConfig,
     obj = float(std.c[: std.n_struct].dot(x_struct))
     if basis.max(initial=-1) < sx.n:
         # no artificial left basic: hand on the inverse the point was read with
-        record = Basis(basis, x, sx.b_mat, sx.b_inv)
+        record = Basis(basis, x, sx.b_mat, sx.b_inv, std.a)
     else:
         record = Basis(basis, x)
     return status, x_struct.copy(), obj, sx.iterations, record
@@ -665,7 +697,8 @@ def solve_lp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
         raise ValueError("program has binaries or complementarity pairs; use solve_milp")
     check_warm_start(warm_start)
     std = standardize(lp)
-    status, x, obj, iters, basis = solve_standardized(std, cfg, start=warm_start)
+    with quiet():
+        status, x, obj, iters, basis = solve_standardized(std, cfg, start=warm_start)
     if status is SolveStatus.OPTIMAL:
         return Solution(status, std.sense_sign * obj, x, iters, 0, basis,
                         priced_out=_priced_out(std, basis))

@@ -48,7 +48,8 @@ def test_load_from_path(tmp_path):
     ("dmu,in:a,out:b\nu,1\n", "row 2"),
     ("dmu,in:a,out:b\nu,1,2,3\n", "row 2"),
     ("dmu,in:a,out:b\nu,1,2\nu,3,4\n", "row 3, column 1"),
-    ("dmu,in:a,out:b\nu,0,0\n", "identically zero"),
+    ("dmu,in:a,out:b\nu,0,0\n", "row 2: DMU 'u' has no positive input"),
+    ("dmu,in:a,in:b,out:y\nA,0,0,1\nB,2,3,4\n", "row 2: DMU 'A' has no positive input"),
     ("dmu,in:a,out:b\nu,inf,2\n", "row 2, column 2"),
     ("dmu,in:a,out:b\nu,nan,2\n", "row 2, column 2: non-finite cell 'nan'"),
     # float() reads "1_0" as 10 and a fullwidth digit as its ASCII value
@@ -72,8 +73,8 @@ def test_plain_decimal_spellings_load():
 
 
 def test_zero_components_allowed_when_not_all_zero():
-    ds = load_dataset(io.StringIO("dmu,in:a,in:b,out:c\nu,0,1,2\n"))
-    assert ds.x[0].tolist() == [0.0, 1.0]
+    ds = load_dataset(io.StringIO("dmu,in:a,in:b,out:c\nu,0,1,2\nv,3,0,0\n"))
+    assert ds.x.tolist() == [[0.0, 1.0], [3.0, 0.0]] and ds.y[1].tolist() == [0.0]
 
 
 def test_round_trip_bit_for_bit():
@@ -112,8 +113,15 @@ def test_negative_value_rejected_programmatically():
 
 
 def test_identically_zero_dmu_rejected_programmatically():
-    with pytest.raises(ValidationError, match="DMU 'v' is identically zero"):
+    with pytest.raises(ValidationError, match="DMU 'v' has no positive input"):
         Dataset(("u", "v"), [[1.0], [0.0]], [[1.0], [0.0]], ("a",), ("b",))
+
+
+def test_dmu_without_a_positive_input_rejected_programmatically():
+    # nothing dominates A, yet with every input zero it has no radial score
+    with pytest.raises(ValidationError, match="DMU 'A' has no positive input"):
+        Dataset(("A", "B", "C"), [[0.0, 0.0], [2.0, 3.0], [3.0, 1.0]], [[1.0], [4.0], [2.0]],
+                ("a", "b"), ("y",))
 
 
 def test_first_offending_dmu_is_named():

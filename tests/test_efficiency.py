@@ -3,7 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from dea_closest import efficiency, efficient_set, evaluate_all, evaluate_bcc, load_dataset, solve_lp
+from dea_closest import (ValidationError, efficiency, efficient_set, evaluate_all, evaluate_bcc,
+                         load_dataset, solve_lp)
+from dea_closest.efficiency import _bcc_program, _phase2_program
 
 from conftest import make_dataset, multiplier_score, random_dataset
 
@@ -236,20 +238,22 @@ def test_bcc_phase1_starts_at_the_unit_vertex(monkeypatch, cfg):
         assert r.theta == pytest.approx(multiplier_score(ds, r.dmu, cfg), abs=1e-7)
 
 
-def test_singular_unit_vertex_falls_back_to_a_cold_start(cfg):
-    # with x_o all zero, theta has no pivot in the starting basis; the solve
-    # starts cold instead, and any theta >= 0 is optimal at lambda_o = 1
-    ds = make_dataset(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]]),
-                      np.array([[1.0], [2.0], [2.0]]))
-    r = evaluate_bcc(ds, 0, cfg)
-    assert r.theta == pytest.approx(0.0, abs=1e-12)
-    assert r.is_efficient is False
+def test_dmu_without_a_positive_input_is_rejected():
+    # with x_o all zero, theta shrinks nothing and the unit vertex is
+    # singular; any theta >= 0 is optimal, so such a DMU would read theta = 0
+    # and inefficient although nothing dominates it
+    with pytest.raises(ValidationError, match="DMU 'U1' has no positive input"):
+        make_dataset(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]]),
+                     np.array([[1.0], [2.0], [2.0]]))
 
 
 def test_skipped_phase2_agrees_with_a_forced_one(monkeypatch, cfg):
     # a DMU whose phase-1 prices rule out every slack keeps its theta and
     # efficiency flag when phase 2 is forced, and the forced slacks, like
-    # HiGHS's largest-total-slack point, are zero
+    # HiGHS's largest-total-slack point, are zero.  Where the prices leave a
+    # slack open but theta < 1 - zero_tol decides the flag, phase 2 is
+    # deferred: the first read of the slacks solves the program phase 2
+    # would have solved, from the phase-1 basis, once
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(1993)
     sets = [random_dataset(rng) for _ in range(30)] + [load_dataset(io.StringIO(RESCALED_BCC_CSV))]
@@ -265,16 +269,27 @@ def test_skipped_phase2_agrees_with_a_forced_one(monkeypatch, cfg):
         return sol
 
     monkeypatch.setattr(efficiency, "solve_lp", counting)
-    skipped = solved = 0
+    skipped = solved = deferred = 0
     for ds in sets:
         for o in range(ds.n):
             solves.clear()
             r = evaluate_bcc(ds, o, cfg)
             if len(solves) == 2:
+                assert r.theta >= 1.0 - cfg.zero_tol
                 solved += 1
                 continue
+            phase1 = solves[0]
+            if not phase1.priced_out[1 + ds.n:].all():
+                assert r.theta < 1.0 - cfg.zero_tol and r.is_efficient is False
+                slacks, lambdas = r.slacks, r.lambdas
+                assert len(solves) == 2 and r.slacks is slacks and r.lambdas is lambdas
+                lp2 = _phase2_program(_bcc_program(ds, o), ds.n, r.theta)
+                final = solve_lp(lp2, cfg, warm_start=phase1.basis)
+                assert slacks.tobytes() == final.x[1 + ds.n:].tobytes()
+                assert lambdas.tobytes() == final.x[1:1 + ds.n].tobytes()
+                deferred += 1
+                continue
             skipped += 1
-            assert solves[0].priced_out[1 + ds.n:].all()
             with monkeypatch.context() as forcing:
                 forcing.setattr(efficiency, "solve_lp", pricing_nothing_out)
                 forced = evaluate_bcc(ds, o, cfg)
@@ -284,7 +299,7 @@ def test_skipped_phase2_agrees_with_a_forced_one(monkeypatch, cfg):
             assert np.all(np.abs(forced.slacks) <= tol), ds.names[o]
             assert np.all(np.abs(highs_bcc_slacks(ds, o, r.theta, linprog)) <= tol), ds.names[o]
             assert np.abs(forced.lambdas - r.lambdas).max() <= 1e-9
-    assert skipped > 30 and solved > 30
+    assert skipped > 30 and solved > 30 and deferred > 30
 
 
 def test_weakly_efficient_dmu_still_solves_phase2(monkeypatch, cfg):

@@ -2,11 +2,13 @@
 status means, named after the program, and the CLI exits with that error's
 code."""
 
+import json
+
 import numpy as np
 import pytest
 
 from dea_closest import (AnalysisError, Solution, SolveStatus, SolverLimitError, efficiency,
-                         projection, reference_set, returns_to_scale)
+                         evaluate_all, load_dataset, projection, reference_set, returns_to_scale)
 from dea_closest.cli import main
 from dea_closest.report import RunConfig, run
 
@@ -96,3 +98,33 @@ def test_support_lp_out_of_pivots_is_a_solver_limit(table_path, capsys):
     assert main(["mcrs", "--input", table_path, "--max-iterations", "2"]) == 3
     assert capsys.readouterr().err == ("error: solver limit: support LP for DMU 'DMU2' "
                                        "hit the iteration limit\n")
+
+
+def test_deferred_phase2_fails_only_when_its_results_are_read(table_path, capsys, monkeypatch):
+    # theta = 0.5 marks DMU6 inefficient whatever its slacks are, and no
+    # report reads them, so its phase 2 waits for a reader: failing every
+    # phase 2 pinned below theta = 1 - zero_tol leaves the report as it was,
+    # and the first read of DMU6's slacks or lambdas raises the solve's error
+    assert main(["report", "--input", table_path]) == 0
+    clean = json.loads(capsys.readouterr().out)
+    solve = efficiency.solve_lp
+
+    def failing(lp, cfg, *args, **kwargs):
+        if lp.sense == "max" and lp.lower[0] < 1.0 - cfg.zero_tol:
+            return Solution(ITERATION, np.nan, None)
+        return solve(lp, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(efficiency, "solve_lp", failing)
+    assert main(["report", "--input", table_path]) == 0
+    forced = json.loads(capsys.readouterr().out)
+    for doc in (clean, forced):
+        doc["meta"].pop("timings")
+    assert forced == clean
+
+    results = evaluate_all(load_dataset(table_path))
+    assert results[5].theta == 0.5 and results[5].is_efficient is False
+    for read in ("slacks", "lambdas", "slacks"):  # a failed solve is not kept as an answer
+        with pytest.raises(SolverLimitError) as raised:
+            getattr(results[5], read)
+        assert str(raised.value) == "BCC phase 2 for DMU 'DMU6' hit the iteration limit"
+    assert all(r.slacks.shape == (2,) for k, r in enumerate(results) if k != 5)

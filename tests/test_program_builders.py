@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from dea_closest import (build_stage_program, closest_projection, default_priority,
-                         derive_stage_program, efficient_set, reference_set,
+                         derive_stage_program, efficient_set, projection, reference_set,
                          solve_max_support_lp)
 from dea_closest.efficiency import _bcc_program, _phase2_program, evaluate_bcc
+from dea_closest.report import RunConfig, analyze
 from dea_closest.returns_to_scale import _intercept_program
 
 from conftest import make_dataset, random_dataset
@@ -198,6 +199,37 @@ def test_stage_programs_objective_and_bounds(ds, cfg):
             assert lp.a is first.a and lp.b is first.b
         with pytest.raises(ValueError, match="already pinned"):
             derive_stage_program(first, [(pri.order[0], 0.0)], pri.order[0])
+
+
+@pytest.mark.parametrize("ds", list(datasets()), ids=lambda ds: f"n{ds.n}m{ds.m}s{ds.s}")
+def test_chained_stage1_programs_match_loop_reference(ds, cfg, monkeypatch):
+    # one report builds one stage-1 program and derives every later DMU's
+    # from the one before by that DMU's right-hand side: each stage-1
+    # program solved is still the loop reference bit for bit, sharing the
+    # first one's matrix
+    je = efficient_set(ds, cfg)
+    pri = default_priority(ds.m, ds.s)
+    builds, solved = [], []
+    build, solve = projection.build_stage_program, projection.solve_milp
+
+    def building(*args):
+        builds.append(args)
+        return build(*args)
+
+    def solving(lp, cfg, warm_start=None):
+        solved.append(lp)
+        return solve(lp, cfg, warm_start=warm_start)
+
+    monkeypatch.setattr(projection, "build_stage_program", building)
+    monkeypatch.setattr(projection, "solve_milp", solving)
+    analyze(ds, RunConfig("chained.csv", command="project"), pri)
+    inefficient = [o for o in range(ds.n) if o not in je]
+    stage1 = solved[::ds.m + ds.s]
+    assert len(builds) == min(1, len(inefficient)) and len(stage1) == len(inefficient)
+    for o, lp in zip(inefficient, stage1):
+        assert_bitwise(lp, *loop_stage_rows(ds, je, o))
+        assert_objective_and_bounds(lp, "min", *loop_stage_bounds(ds, je, [], pri.order[0]))
+        assert lp.a is stage1[0].a
 
 
 @pytest.mark.parametrize("ds", list(datasets()), ids=lambda ds: f"n{ds.n}m{ds.m}s{ds.s}")

@@ -311,9 +311,9 @@ def test_stage1_roots_start_from_the_previous_dmus_root(monkeypatch, cfg):
     root_cold = []  # per MILP, whether its root ran a cold solve
     solve_node = branch_and_bound.solve_standardized
 
-    def node(std, cfg, lower=None, upper=None, start=None):
+    def node(std, cfg, lower=None, upper=None, start=None, **kw):
         before = len(cold_runs)
-        out = solve_node(std, cfg, lower, upper, start)
+        out = solve_node(std, cfg, lower, upper, start, **kw)
         if root_cold[-1] is None:
             root_cold[-1] = len(cold_runs) > before
         return out

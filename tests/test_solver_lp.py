@@ -239,6 +239,57 @@ def test_warm_start_from_a_column_outside_the_system_starts_cold(cfg, column):
     assert np.array_equal(warm.x, cold.x) and warm.iterations == cold.iterations
 
 
+def test_singular_warm_start_falls_back_to_a_cold_start(monkeypatch, cfg):
+    # columns 0 and 1 are equal, so a basis built by hand from both is
+    # singular: the warm attempt has no point to resume from, and the
+    # program is solved cold, to the cold solve's answer
+    lp = LinearProgram("min", [1.0, 2.0, 3.0], [[1.0, 1.0, 1.0], [2.0, 2.0, 1.0]], ("=", "="),
+                       [2.0, 3.0], [0.0] * 3, [np.inf] * 3)
+    cold = solve_lp(lp, cfg)
+    runs = []
+    run_cold = simplex._Simplex._run_cold
+
+    def counting(self, c):
+        runs.append(self)
+        return run_cold(self, c)
+
+    monkeypatch.setattr(simplex._Simplex, "_run_cold", counting)
+    warm = solve_lp(lp, cfg, warm_start=Basis(np.array([0, 1]), np.array([0.5, 0.5, 1.0])))
+    assert len(runs) == 1
+    assert warm.status is cold.status is SolveStatus.OPTIMAL and cold.objective == 4.0
+    assert np.array_equal(warm.x, cold.x) and warm.iterations == cold.iterations
+
+
+def test_record_from_another_matrix_is_gathered_and_compared(monkeypatch, cfg):
+    # a record names the standardized matrix it was gathered from.  A solve
+    # over that very array (a derived program shares it) takes the record's
+    # basis matrix as it is; one over another array of the same shape and
+    # values gathers its own basic columns and compares them with the
+    # record's.  Both reuse the record's inverse and reach the same point
+    lp = long_box_lp(np.random.default_rng(99))
+    record = solve_lp(lp, cfg).basis
+    assert record.source is lp.a and record.matrix is not None
+    compared = []
+    array_equal = np.array_equal
+
+    def spying(a1, a2, *args, **kwargs):
+        if a1 is record.matrix:
+            compared.append(a2)
+        return array_equal(a1, a2, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", spying)
+    c = -lp.c
+    same = solve_lp(lp.derive("min", c, lp.lower, lp.upper), cfg, warm_start=record)
+    assert compared == []
+    twin = LinearProgram("min", c, lp.a.copy(), lp.relations, lp.b, lp.lower, lp.upper)
+    other = solve_lp(twin, cfg, warm_start=record)
+    assert len(compared) == 1 and compared[0] is not record.matrix
+    assert array_equal(compared[0], record.matrix)
+    assert same.status is other.status is SolveStatus.OPTIMAL
+    assert same.iterations == other.iterations and np.array_equal(same.x, other.x)
+    assert same.basis.source is lp.a and other.basis.source is twin.a
+
+
 def test_matches_enumeration_on_random_lps(cfg):
     rng = np.random.default_rng(4242)
     feasible = 0
@@ -679,11 +730,11 @@ def test_shared_parent_basis_is_never_mutated(monkeypatch, cfg):
     starts = []
     original = branch_and_bound.solve_standardized
 
-    def recording(std, cfg, lo, up, start):
+    def recording(std, cfg, lo, up, start, **kw):
         if start is not None:
             starts.append((start, start.columns.copy(), start.x.copy(), start.matrix.copy(),
                            start.inverse.copy()))
-        return original(std, cfg, lo, up, start)
+        return original(std, cfg, lo, up, start, **kw)
 
     monkeypatch.setattr(branch_and_bound, "solve_standardized", recording)
     rng = np.random.default_rng(31)

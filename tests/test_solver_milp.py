@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from dea_closest import LinearProgram, SolverConfig, SolveStatus, solve_lp, solve_milp
-from dea_closest.solver import Basis, branch_and_bound
+from dea_closest import (LinearProgram, SolverConfig, SolveStatus, closest_projection,
+                         default_priority, efficient_set, solve_lp, solve_milp)
+from dea_closest.solver import Basis, branch_and_bound, simplex
 from dea_closest.solver.model import FEAS_TOL, INT_TOL
 
-from conftest import enumerate_milp_optimum, random_binary_lp, random_complementarity_lp
+from conftest import (enumerate_milp_optimum, random_binary_lp, random_complementarity_lp,
+                      random_dataset)
 
 
 def knapsack() -> LinearProgram:
@@ -78,8 +80,8 @@ def test_child_tied_with_the_incumbent_is_not_solved(monkeypatch, cfg):
     solved = []
     original = branch_and_bound.solve_standardized
 
-    def counting(std, cfg, lower, upper, start):
-        outcome = original(std, cfg, lower, upper, start)
+    def counting(std, cfg, lower, upper, start, **kw):
+        outcome = original(std, cfg, lower, upper, start, **kw)
         solved.append((lower.copy(), upper.copy(), outcome[1]))
         return outcome
 
@@ -271,3 +273,36 @@ def test_per_program_index_arrays_branch_as_before(monkeypatch, cfg):
             assert sol.status is SolveStatus.OPTIMAL
             assert sol.objective == pytest.approx(expected, abs=1e-7)
     assert feasible > 8 and len([s for s in splits if s]) > 20
+
+
+def test_patched_bound_tables_equal_fresh_ones(monkeypatch, cfg):
+    # each child's bound table is its parent's, patched at the fixed column;
+    # at every node of the stage programs of seeded datasets and of random
+    # programs with binaries and pairs it equals the table built from the
+    # node's bounds, array for array (signed zeros included)
+    original = branch_and_bound.solve_standardized
+    checked = []
+
+    def checking(std, cfg, lower, upper, start, *, box):
+        fresh = simplex._Box(lower, upper)
+        for name in simplex._Box.__slots__:
+            got, want = getattr(box, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        checked.append(box.fixed.sum())
+        return original(std, cfg, lower, upper, start, box=box)
+
+    monkeypatch.setattr(branch_and_bound, "solve_standardized", checking)
+    rng = np.random.default_rng(2113)
+    for _ in range(4):
+        ds = random_dataset(rng, max_n=12, max_dim=2)
+        je = efficient_set(ds, cfg)
+        pri = default_priority(ds.m, ds.s)
+        for o in range(ds.n):
+            closest_projection(ds, je, o, pri, cfg)
+    stage_nodes = len(checked)
+    for _ in range(20):
+        solve_milp(random_complementarity_lp(rng), cfg)
+        solve_milp(random_binary_lp(rng), cfg)
+    assert stage_nodes > 100 and len(checked) > stage_nodes + 100
+    assert len(set(checked)) > 3  # roots and children several fixes deep

@@ -42,34 +42,39 @@ GATES = {
     # BCC phase 2 runs at once only where theta = 1 leaves the flag open (58
     # BCC solves and 133 pivots with it run wherever a slack is not priced
     # out, 42 and 91 with it deferred below theta = 1 to a reader of the
-    # slacks, which project does not have)
+    # slacks, which project does not have; 28 and 72 when a DMU whose lambda
+    # column is basic in an earlier phase-1 basis that prices out every
+    # slack is certified efficient without an LP)
     "proj-bnb": Row(seed=1, seconds=10, clean=True, gates={
         "solver.branch_and_bound.nodes": 156,
         "solver.branch_and_bound.pivots_per_node": 1.76,
-        "efficiency.lp_solves": 42,
-        "efficiency.pivots": 91,
+        "efficiency.lp_solves": 28,
+        "efficiency.pivots": 72,
     }),
     # one dataset and 100 intercept LPs; the (m+s+1)-row envelopment form
     # takes 755 pivots there (855 with the minimizing stage started cold), the
     # n+2-row multiplier form took 2189.  BCC phase 2 runs only where the
     # phase-1 prices leave a slack open (100 BCC solves with phase 2 always
     # run, 59 with each phase 1 from theta=1, lambda_o=1, 50 and 324 BCC
-    # pivots with it from the previous DMU's basis, against 578), the b = 0
-    # support LPs skip their phase 1 (832 MCRS pivots with it iterated, 456
-    # without), and the BCC and intercept prices spare the support LP of most
-    # DMUs (11 MCRS solves and 93 pivots, against 50 and 456)
+    # pivots with it from the previous DMU's basis, against 578; 27 and 216
+    # with the DMUs an earlier phase-1 basis certifies efficient not solved),
+    # the b = 0 support LPs skip their phase 1 (832 MCRS pivots with it
+    # iterated, 456 without), and the BCC and intercept prices spare the
+    # support LP of most DMUs (11 MCRS solves and 93 pivots, against 50 and
+    # 456; 9 and 75 with a certified DMU reading its certifier's BCC prices)
     "frontier-rts": Row(seed=1, seconds=10, clean=True, gates={
         "returns_to_scale.pivots": 755,
-        "efficiency.lp_solves": 50,
-        "efficiency.pivots": 324,
-        "reference_set.lp_solves": 11,
-        "reference_set.pivots": 93,
+        "efficiency.lp_solves": 27,
+        "efficiency.pivots": 216,
+        "reference_set.lp_solves": 9,
+        "reference_set.pivots": 75,
     }),
     # the only run of support LPs at the closest targets of inefficient DMUs,
     # where no price certificate spares the LP: 28 support LPs and 116 pivots
+    # (27 and 113 with a certified DMU reading its certifier's BCC prices)
     "bnb-report": Row(seed=1, seconds=10, clean=True, gates={
-        "reference_set.lp_solves": 28,
-        "reference_set.pivots": 116,
+        "reference_set.lp_solves": 27,
+        "reference_set.pivots": 113,
     }),
     # rescaled columns, a fixed prefix of 36 datasets: calls may fail or run
     # out of time, but every program is feasible by construction, so an

@@ -18,18 +18,28 @@ its slacks are, so there phase 2 is solved, from the same phase-1 basis,
 when the result's slacks or lambdas are first read; the pipeline reads
 neither.
 
-``evaluate_all`` starts each DMU's phase 1 from the previous DMU's optimal
-phase-1 basis.  The two programs differ only in the theta column (-x_o) and
-in the right-hand side.  Of the price equations B^T y = c_B only theta's
-changes; the others fix y up to scale, and the scale stays positive while
-x_o.v > 0 for the input prices v = -y_in >= 0.  Every reduced cost keeps its
-sign, so the dual simplex resumes from a dual feasible basis; the first DMU
-starts at theta = 1, lambda_o = 1.
+``evaluate_all`` builds the first DMU's phase-1 program and derives every
+other DMU's from it: the programs differ only in the theta column (-x_o) and
+in the right-hand side.  Each DMU's phase 1 starts from the last solved
+DMU's optimal phase-1 basis.  Of the price equations B^T y = c_B only
+theta's changes; the others fix y up to scale, and the scale stays positive
+while x_o.v > 0 for the input prices v = -y_in >= 0.  Every reduced cost
+keeps its sign, so the dual simplex resumes from a dual feasible basis; the
+first DMU starts at theta = 1, lambda_o = 1.
 
-The optimal phase-1 prices of an efficient DMU are a hyperplane that
-supports every DMU and passes through it.  The DMUs whose lambda column
-they price out lie strictly off it; the maximal closest reference set reads
-that mask to rule them out without solving an LP.
+Every optimal phase-1 basis prices a hyperplane that supports every DMU.
+The DMUs whose lambda column it prices out lie strictly off it; where the
+hyperplane passes through an efficient DMU, the maximal closest reference
+set reads that mask to rule them out without solving an LP.  The DMUs whose
+lambda column is basic lie on it.  When the solve also prices out every
+slack column, every multiplier of the hyperplane is positive, and each DMU
+on it is strongly efficient (early identification, Ali 1993): the
+hyperplane, scaled by its input value, is a multiplier solution of that
+DMU's own BCC program with value 1, and no slack can be positive on it.
+``evaluate_all`` solves nothing for a later DMU so certified.  It reads
+theta = 1 exactly, zero slacks and itself as its reference point; it has no
+basis of its own and borrows the certifying solve's lambda mask, which
+belongs to a hyperplane through it.
 """
 
 from __future__ import annotations
@@ -56,9 +66,14 @@ class EfficiencyResult:
     ``completion`` returns both; where theta alone marks the DMU
     inefficient, it solves phase 2, so the first read of either raises the
     error a failed phase 2 means.  ``basis`` is the optimal phase-1 basis,
-    which the next DMU's phase 1 starts from.  ``priced_out`` flags the DMUs
-    whose lambda column that basis prices out: they carry zero weight in
-    every phase-1 optimum.
+    which the next solved DMU's phase 1 starts from.  ``priced_out`` flags
+    the DMUs whose lambda column that basis prices out: they carry zero
+    weight in every phase-1 optimum.
+
+    A DMU that ``evaluate_all`` certifies from an earlier DMU's phase-1
+    basis reads theta 1.0, zero slacks and lambdas e_o.  Its ``basis`` is
+    None, and ``priced_out`` is the certifying basis's mask: that basis
+    prices a hyperplane through this DMU, and the mask never flags it.
     """
 
     dmu: int
@@ -147,6 +162,20 @@ def _unit_vertex(dataset: Dataset, o: int) -> Basis:
     return Basis(columns, x)
 
 
+def _dmu_program(first: LinearProgram, dataset: Dataset, o: int) -> LinearProgram:
+    """Phase 1 of DMU ``o`` derived from another DMU's phase-1 program
+    ``first``: only theta's column (-x_o) and the right-hand side differ, and
+    only those two are validated.  The matrix is a copy: a basis names the
+    matrix it was gathered from, and one gathered from ``first``'s must not
+    pass for this program's."""
+    m = dataset.m
+    lp = first.with_rhs(np.concatenate([np.zeros(m), dataset.y[o], [1.0]]))
+    lp.a = first.a.copy()
+    lp.a[:m, 0] = -dataset.x[o]
+    lp._check_values((("a", lp.a[:, 0]),), objective_and_bounds=False)
+    return lp
+
+
 def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
                  start: Basis | None = None) -> EfficiencyResult:
     """Radial score, max-slack completion, and efficiency flag for DMU ``o``.
@@ -158,10 +187,16 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
     1 - zero_tol is solved when the result's slacks or lambdas are first
     read.
     """
+    return _solve_bcc(dataset, o, _bcc_program(dataset, o), cfg, start)[0]
+
+
+def _solve_bcc(dataset: Dataset, o: int, lp1: LinearProgram, cfg: SolverConfig,
+               start: Basis | None) -> tuple[EfficiencyResult, bool]:
+    """``evaluate_bcc`` over the phase-1 program ``lp1``, and whether the
+    phase-1 solve prices out every slack column."""
     name = dataset.names[o]
     n, m, s = dataset.n, dataset.m, dataset.s
 
-    lp1 = _bcc_program(dataset, o)
     # lambda_o = 1, theta = 1 is always feasible, and theta >= 0 bounds it
     phase1 = require_optimal(solve_lp(lp1, cfg, warm_start=start or _unit_vertex(dataset, o)),
                              f"BCC phase 1 for DMU {name!r}")
@@ -171,6 +206,7 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
     priced_out = (phase1.priced_out if phase1.priced_out is not None
                   else np.zeros(lp1.n_vars, dtype=bool))
     slack_cols = slice(1 + n, 1 + n + m + s)
+    slacks_priced_out = bool(priced_out[slack_cols].all())
 
     def phase2() -> tuple[np.ndarray, np.ndarray]:
         # same rows and columns with theta pinned at its optimum, so the
@@ -180,7 +216,7 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
                                 f"BCC phase 2 for DMU {name!r}")
         return final.x[slack_cols].copy(), final.x[1: 1 + n].copy()
 
-    if priced_out[slack_cols].all():
+    if slacks_priced_out:
         completed = np.zeros(m + s), phase1.x[1: 1 + n].copy()  # phase 2 could not move the point
     elif theta < 1.0 - cfg.zero_tol:
         completed = None  # inefficient whatever the slacks; phase 2 waits for a reader
@@ -188,19 +224,44 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
         completed = phase2()
     efficient = (completed is not None and theta >= 1.0 - cfg.zero_tol
                  and float(np.abs(completed[0]).max()) <= cfg.zero_tol)
-    return EfficiencyResult(o, theta, efficient,
-                            phase2 if completed is None else lambda: completed,
-                            phase1.basis, priced_out[1: 1 + n])
+    result = EfficiencyResult(o, theta, efficient,
+                              phase2 if completed is None else lambda: completed,
+                              phase1.basis, priced_out[1: 1 + n])
+    return result, slacks_priced_out
+
+
+def _certified(dataset: Dataset, o: int, priced_out: np.ndarray) -> EfficiencyResult:
+    """DMU ``o`` proved strongly efficient by another DMU's optimal phase-1
+    basis, whose lambda mask is ``priced_out``: theta = 1, no slack, and the
+    DMU as its own reference point."""
+    completed = np.zeros(dataset.m + dataset.s), (np.arange(dataset.n) == o).astype(float)
+    return EfficiencyResult(o, 1.0, True, lambda: completed, None, priced_out)
 
 
 def evaluate_all(dataset: Dataset, cfg: SolverConfig = SolverConfig()) -> list[EfficiencyResult]:
-    """Every DMU in dataset order, each phase 1 after the first resuming from
-    the previous optimal phase-1 basis."""
+    """Every DMU in dataset order.  Each phase-1 program is derived from the
+    first DMU's, and each phase 1 after the first resumes from the last
+    solved optimal phase-1 basis.  A DMU that an earlier such basis proves
+    efficient is not solved."""
+    n = dataset.n
+    first = _bcc_program(dataset, 0)
+    certifier: dict[int, np.ndarray] = {}  # DMU -> lambda mask of the basis that proves it
     results: list[EfficiencyResult] = []
     start = None
-    for o in range(dataset.n):
-        results.append(evaluate_bcc(dataset, o, cfg, start))
-        start = results[-1].basis
+    for o in range(n):
+        if o in certifier:
+            results.append(_certified(dataset, o, certifier[o]))
+            continue
+        lp1 = first if o == 0 else _dmu_program(first, dataset, o)
+        result, slacks_priced_out = _solve_bcc(dataset, o, lp1, cfg, start)
+        results.append(result)
+        start = result.basis
+        if slacks_priced_out:
+            # every later DMU whose lambda column is basic lies on the
+            # supporting hyperplane, whose multipliers are all positive
+            basic = start.columns - 1
+            for j in basic[(basic > o) & (basic < n)]:
+                certifier.setdefault(int(j), result.priced_out)
     return results
 
 

@@ -378,8 +378,9 @@ def test_theta_of_u1_within_the_fdh_bound_on_six_decades(cfg, seed):
 
 
 def test_chained_phase1_matches_each_dmu_alone(monkeypatch, cfg):
-    # evaluate_all resumes each phase 1 from the previous DMU's optimal
-    # phase-1 basis; the scores and flags are those of DMUs solved alone
+    # evaluate_all resumes each phase 1 from the last solved DMU's optimal
+    # phase-1 basis and solves nothing for a DMU an earlier basis certifies;
+    # the scores and flags are those of DMUs solved alone
     rng = np.random.default_rng(31)
     starts = []
 
@@ -388,16 +389,93 @@ def test_chained_phase1_matches_each_dmu_alone(monkeypatch, cfg):
             starts.append(warm_start)
         return solve_lp(lp, cfg, warm_start=warm_start)
 
+    certified = 0
     for _ in range(20):
         ds = random_dataset(rng)
         with monkeypatch.context() as patched:
             patched.setattr(efficiency, "solve_lp", recording)
             chained = evaluate_all(ds, cfg)
+        solved = [r for r in chained if r.basis is not None]
+        assert len(starts) == len(solved)
         assert np.array_equal(starts[0].columns, efficiency._unit_vertex(ds, 0).columns)
-        for prev, start in zip(chained, starts[1:]):
+        for prev, start in zip(solved, starts[1:]):
             assert start is prev.basis
         starts.clear()
         for r in chained:
             alone = evaluate_bcc(ds, r.dmu, cfg)
             assert abs(r.theta - alone.theta) <= 1e-12, ds.names[r.dmu]
             assert r.is_efficient == alone.is_efficient
+        certified += len(chained) - len(solved)
+    assert certified > 20
+
+
+def integer_table(rng):
+    """4 to 13 DMUs with 1 to 3 inputs and outputs in 1..9, about one table
+    in three with some rows copied onto others: ties and repeated points put
+    many DMUs on one face."""
+    n, m, s = int(rng.integers(4, 14)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    v = rng.integers(1, 10, (n, m + s)).astype(float)
+    if rng.integers(3) == 0:
+        copies = rng.integers(n, size=int(rng.integers(1, n // 2 + 1)))
+        v[rng.permutation(n)[:copies.size]] = v[copies]
+    return make_dataset(v[:, :m], v[:, m:])
+
+
+def test_certified_dmus_match_each_dmu_alone(cfg):
+    # a DMU whose lambda column is basic in an earlier optimal phase-1 basis
+    # that prices out every slack lies on a supporting hyperplane with all
+    # multipliers positive: theta = 1 and no slack, with no LP of its own.
+    # Its mask is that hyperplane's, which passes through it
+    rng = np.random.default_rng(1993)
+    certified = 0
+    for _ in range(400):
+        ds = integer_table(rng)
+        for r in evaluate_all(ds, cfg):
+            alone = evaluate_bcc(ds, r.dmu, cfg)
+            assert abs(r.theta - alone.theta) <= 1e-9, ds.names[r.dmu]
+            assert r.is_efficient == alone.is_efficient
+            assert abs(r.slacks.sum() - alone.slacks.sum()) <= 1e-9
+            if r.basis is None:
+                assert r.theta == 1.0 and r.is_efficient and not r.priced_out[r.dmu]
+                assert np.array_equal(r.slacks, np.zeros(ds.m + ds.s))
+                assert np.array_equal(r.lambdas, np.arange(ds.n) == r.dmu)
+                certified += 1
+    assert certified > 200
+
+
+def test_certified_dmus_have_a_unit_highs_score(cfg):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(1993)
+    certified = 0
+    for _ in range(400):
+        ds = integer_table(rng)
+        for r in evaluate_all(ds, cfg):
+            if r.basis is None:
+                assert abs(highs_bcc_theta(ds, r.dmu, linprog) - 1.0) <= 1e-9, ds.names[r.dmu]
+                certified += 1
+    assert certified > 200
+
+
+def test_dmu_on_a_face_with_an_open_slack_is_solved(monkeypatch, cfg):
+    # U1's optimal phase-1 basis holds U2's lambda column, but it leaves the
+    # output slack open: the hyperplane through U1 and U2 puts a zero price
+    # on the output, and U2 has an output slack of 1 against U4 on it.  U2 is
+    # solved, not certified, and reads inefficient at theta = 1
+    ds = make_dataset(np.array([[3.0, 1.0], [1.0, 3.0], [3.0, 1.0], [1.0, 3.0]]),
+                      np.array([[2.0], [2.0], [1.0], [3.0]]))
+    phase1 = []
+
+    def recording(lp, cfg, warm_start=None):
+        sol = solve_lp(lp, cfg, warm_start=warm_start)
+        if lp.sense == "min":
+            phase1.append(sol)
+        return sol
+
+    monkeypatch.setattr(efficiency, "solve_lp", recording)
+    results = evaluate_all(ds, cfg)
+    first = phase1[0]
+    assert 1 + 1 in first.basis.columns and not first.priced_out[1 + ds.n:].all()
+    assert results[0].is_efficient
+    assert results[1].basis is not None
+    assert results[1].theta == pytest.approx(1.0, abs=1e-12) and not results[1].is_efficient
+    assert results[1].slacks == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)

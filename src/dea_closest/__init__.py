@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .data import (Dataset, PriorityRanking, default_priority, dump_dataset, load_dataset,
                    priority_from_labels)
-from .efficiency import EfficiencyResult, EfficientSet, efficient_set, evaluate_all, evaluate_bcc
+from .efficiency import EfficiencyResult, Frontier, efficient_set, evaluate_all, evaluate_bcc
 from .errors import AnalysisError, DeaError, SolverLimitError, ValidationError
 from .projection import (Projection, StageSolution, build_stage_program, closest_projection,
                          derive_stage_program)
@@ -26,7 +26,7 @@ __all__ = [
     "AnalysisError", "DeaError", "SolverLimitError", "ValidationError",
     "Dataset", "PriorityRanking", "default_priority", "dump_dataset",
     "load_dataset", "priority_from_labels",
-    "EfficiencyResult", "EfficientSet", "efficient_set", "evaluate_all", "evaluate_bcc",
+    "EfficiencyResult", "Frontier", "efficient_set", "evaluate_all", "evaluate_bcc",
     "Projection", "StageSolution", "build_stage_program", "derive_stage_program",
     "closest_projection",
     "McrsResult", "identify_mcrs", "solve_max_support_lp",

@@ -21,7 +21,7 @@ import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -95,18 +95,6 @@ class Dataset:
         """The m input slack labels followed by the s output slack labels."""
         return tuple([f"in:{nm}" for nm in self.input_names]
                      + [f"out:{nm}" for nm in self.output_names])
-
-    def with_dmu(self, name: str, inputs: Iterable[float], outputs: Iterable[float]) -> "Dataset":
-        """New dataset with one extra DMU appended (used to test virtual points)."""
-        return Dataset(self.names + (name,), np.vstack([self.x, list(inputs)]),
-                       np.vstack([self.y, list(outputs)]), self.input_names, self.output_names)
-
-    def reordered(self, permutation: Iterable[int]) -> "Dataset":
-        perm = list(permutation)
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("not a permutation of the DMU indices")
-        return Dataset(tuple(self.names[i] for i in perm), self.x[perm], self.y[perm],
-                       self.input_names, self.output_names)
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,16 @@ DMU's own BCC program with value 1, and no slack can be positive on it.
 theta = 1 exactly, zero slacks and itself as its reference point; it has no
 basis of its own and borrows the certifying solve's lambda mask, which
 belongs to a hyperplane through it.
+
+``efficient_set`` returns the efficient DMUs as a ``Frontier``, the one
+record per dataset that the projection, reference-set and returns-to-scale
+programs are built over.  It slices the efficient rows once and keeps the
+stage-1 projection programs built over them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -96,11 +102,39 @@ class EfficiencyResult:
         return self._completed[1]
 
 
-@dataclass(frozen=True)
-class EfficientSet:
-    """Ordered index set of the efficient DMUs (dataset order)."""
+@dataclass(frozen=True, eq=False)
+class Frontier:
+    """The efficient set J_E of one dataset, which every closest projection,
+    reference-set and returns-to-scale program of the paper is built over.
 
+    ``indices`` are the efficient DMUs' dataset indices in dataset order;
+    ``x`` (t, m) and ``y`` (t, s) are their rows, read-only, the only slice
+    of them taken.  Construction raises ``ValueError`` for a negative,
+    out-of-range, repeated or decreasing index and ``TypeError`` for one
+    that is not an integer; an empty set is allowed.  ``stage_templates``
+    holds, per first slack, the stage-1 program ``closest_projection``
+    built for the first DMU it projected with that slack; every later
+    projection derives its own from it by a new right-hand side, so they
+    share one matrix.  Equality is identity.
+    """
+
+    dataset: Dataset = field(repr=False)
     indices: tuple[int, ...]
+    x: np.ndarray = field(init=False, repr=False)
+    y: np.ndarray = field(init=False, repr=False)
+    stage_templates: dict[int, LinearProgram] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        idx = tuple(map(operator.index, self.indices))
+        # each index lies at or above 0 and below the next one, the last below n
+        if any(not 0 <= j < above for j, above in zip(idx, idx[1:] + (self.dataset.n,))):
+            raise ValueError(f"frontier indices {idx} are not increasing DMU indices "
+                             f"of a dataset of {self.dataset.n} DMUs")
+        object.__setattr__(self, "indices", idx)
+        for name in ("x", "y"):
+            rows = getattr(self.dataset, name)[list(idx)]
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
 
     @property
     def size(self) -> int:
@@ -265,7 +299,8 @@ def evaluate_all(dataset: Dataset, cfg: SolverConfig = SolverConfig()) -> list[E
     return results
 
 
-def efficient_set(dataset: Dataset, cfg: SolverConfig = SolverConfig()) -> EfficientSet:
-    """Indices of every efficient DMU, including non-extreme frontier members."""
+def efficient_set(dataset: Dataset, cfg: SolverConfig = SolverConfig()) -> Frontier:
+    """Every efficient DMU, including non-extreme frontier members, as a
+    ``Frontier``."""
     results = evaluate_all(dataset, cfg)
-    return EfficientSet(tuple(r.dmu for r in results if r.is_efficient))
+    return Frontier(dataset, tuple(r.dmu for r in results if r.is_efficient))

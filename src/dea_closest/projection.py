@@ -8,14 +8,16 @@ target, a supporting hyperplane with multipliers >= 1 certifies strong
 efficiency, and a complementarity pair per efficient DMU lets it carry
 weight only if it lies on that hyperplane (lambda_k * d_k = 0).
 
-The stage-1 programs of all DMUs share their matrix, objective and bounds
-and differ only in the DMU's own values on the right-hand side.  A caller
-that projects several DMUs hands each projection's ``stage1`` to the next
-call, which derives its stage-1 program from that one by a new right-hand
-side instead of building it, and whose stage-1 root re-optimizes from that
-one's optimal root basis, still dual feasible, with the dual simplex
-instead of solving cold.  Within one DMU, stages 2..m+s are derived from its
-stage-1 program: the same rows, a new objective and one more pin.
+The stage-1 programs of all DMUs over one frontier and first slack share
+their matrix, objective and bounds and differ only in the DMU's own values
+on the right-hand side.  The first projection with a given first slack
+builds its stage-1 program and keeps it on the ``Frontier``; every later
+one derives its own from it by a new right-hand side.  A caller that
+projects several DMUs also hands each projection's ``root`` to the next
+call, whose stage-1 root re-optimizes from that optimal root basis, still
+dual feasible, with the dual simplex instead of solving cold.  Within one
+DMU, stages 2..m+s are derived from its stage-1 program: the same rows, a
+new objective and one more pin.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, PriorityRanking
-from .efficiency import EfficientSet
+from .data import PriorityRanking
+from .efficiency import Frontier
 from .errors import require_optimal
 from .solver import Basis, LinearProgram, SolverConfig, solve_milp
 from .solver.model import FEAS_TOL
@@ -53,28 +55,12 @@ class StageSolution:
 
 
 @dataclass(frozen=True)
-class Stage1:
-    """A DMU's stage-1 program over ``dataset`` and ``efficient``, minimizing
-    slack ``target``, and the final basis of its root relaxation: what the
-    next DMU's stage 1 over the same three derives its program from and
-    starts its root from."""
-
-    dataset: Dataset
-    efficient: EfficientSet
-    target: int
-    program: LinearProgram
-    root: Basis | None
-
-    def serves(self, dataset: Dataset, j_e: EfficientSet, target: int) -> bool:
-        return self.dataset is dataset and self.efficient == j_e and self.target == target
-
-
-@dataclass(frozen=True)
 class Projection:
     """Closest efficient target of one DMU with its stage audit trail.
 
-    ``stage1`` is its stage-1 program and root basis, which the next DMU's
-    stage 1 can derive from and start from; None for an efficient DMU.
+    ``root`` is the final basis of its stage-1 root relaxation, which the
+    next DMU's stage 1 over the same frontier and first slack can start
+    from; None for an efficient DMU.
     """
 
     dmu: int
@@ -83,7 +69,7 @@ class Projection:
     slacks: np.ndarray
     stages: tuple[StageSolution, ...]
     priority: PriorityRanking
-    stage1: Stage1 | None = field(default=None, repr=False, compare=False)
+    root: Basis | None = field(default=None, repr=False, compare=False)
 
 
 def _layout(t: int, n_slack: int) -> tuple[int, int, int, int]:
@@ -93,8 +79,7 @@ def _layout(t: int, n_slack: int) -> tuple[int, int, int, int]:
     return t, c_w, c_w + n_slack, c_w + n_slack + 1
 
 
-def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
-                        target: int) -> LinearProgram:
+def build_stage_program(frontier: Frontier, o: int, target: int) -> LinearProgram:
     """Stage 1 of DMU ``o``: minimize slack ``target`` with no slack pinned.
 
     Variables: [lambda (t), slacks (m+s), multipliers (m+s), intercept,
@@ -102,10 +87,8 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
     efficient DMU carries weight only when it lies on the hyperplane.
     ``derive_stage_program`` builds the later stages from this program.
     """
-    m, s = dataset.m, dataset.s
-    t = j_e.size
-    idx = list(j_e.indices)
-    xe, ye = dataset.x[idx], dataset.y[idx]
+    m, s = frontier.dataset.m, frontier.dataset.s
+    t = frontier.size
 
     n_slack = m + s
     c_s, c_w, c_w0, c_d = _layout(t, n_slack)
@@ -116,11 +99,11 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
     # efficient DMU
     rows = m + s + 1 + t
     a = np.zeros((rows, nv))
-    a[:m + s + 1, :t] = np.vstack([xe.T, ye.T, np.ones(t)])
+    a[:m + s + 1, :t] = np.vstack([frontier.x.T, frontier.y.T, np.ones(t)])
     a[:m + s, c_s:c_s + n_slack] = np.diag(np.concatenate([np.ones(m), -np.ones(s)]))
-    a[m + s + 1:, c_w:c_w0 + 1] = np.hstack([-xe, ye, -np.ones((t, 1))])
+    a[m + s + 1:, c_w:c_w0 + 1] = np.hstack([-frontier.x, frontier.y, -np.ones((t, 1))])
     a[m + s + 1:, c_d:] = np.eye(t)
-    b = _stage_rhs(dataset, o, t)
+    b = _stage_rhs(frontier, o)
 
     lower = np.zeros(nv)
     upper = np.full(nv, np.inf)
@@ -135,10 +118,11 @@ def build_stage_program(dataset: Dataset, j_e: EfficientSet, o: int,
                          complements=complements)
 
 
-def _stage_rhs(dataset: Dataset, o: int, t: int) -> np.ndarray:
-    """The right-hand side of DMU ``o``'s stage programs over t efficient
-    DMUs, the only part that differs between DMUs."""
-    return np.concatenate([dataset.x[o], dataset.y[o], [1.0], np.zeros(t)])
+def _stage_rhs(frontier: Frontier, o: int) -> np.ndarray:
+    """The right-hand side of DMU ``o``'s stage programs over ``frontier``,
+    the only part that differs between DMUs."""
+    ds = frontier.dataset
+    return np.concatenate([ds.x[o], ds.y[o], [1.0], np.zeros(frontier.size)])
 
 
 def derive_stage_program(first: LinearProgram, pinned: list[tuple[int, float]],
@@ -164,10 +148,9 @@ def derive_stage_program(first: LinearProgram, pinned: list[tuple[int, float]],
     return first.derive("min", c, lower, upper)
 
 
-def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
-                       priority: PriorityRanking,
+def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
                        cfg: SolverConfig = SolverConfig(),
-                       stage1: Stage1 | None = None) -> Projection:
+                       root: Basis | None = None) -> Projection:
     """Lexicographically minimal slack vector and the target it induces.
 
     The target is unique: whichever optimal intensities/multipliers each
@@ -175,34 +158,37 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
     target is the DMU moved by exactly those slacks (inputs down, outputs
     up).  Efficient DMUs short-circuit to a zero-slack projection.
 
-    Each stage after the first is derived from the stage-1 program (only
-    its objective and pins change) and starts its root from the previous
-    stage's final basis.
-    ``stage1`` is the ``stage1`` of another DMU's projection.  When it
-    serves this dataset, efficient set and first slack, the stage-1 program
-    is derived from its program by this DMU's right-hand side and its root
-    starts from its root basis; otherwise the program is built and the root
-    starts cold.  It never changes the result.
+    The stage-1 program is derived by this DMU's right-hand side from the
+    one ``frontier`` keeps for the first slack, which the first call with
+    that slack builds.  Each stage after the first is derived from the
+    stage-1 program (only its objective and pins change) and starts its
+    root from the previous stage's final basis.
+    ``root`` is the ``root`` of another DMU's projection over the same
+    frontier and first slack; stage 1 starts its root from it, and without
+    it starts cold.  It never changes the result.
     """
+    dataset = frontier.dataset
     m, s = dataset.m, dataset.s
     if priority.m != m or priority.s != s:
         raise ValueError("priority ranking dimensions do not match the dataset")
     name = dataset.names[o]
     xo, yo = dataset.x[o], dataset.y[o]
 
-    if o in j_e:
+    if o in frontier:
         return Projection(o, xo.copy(), yo.copy(), np.zeros(m + s), (), priority)
 
     pinned: list[tuple[int, float]] = []
     stages: list[StageSolution] = []
-    t = j_e.size
+    t = frontier.size
     n_slack = m + s
     c_s, c_w, c_w0, c_d = _layout(t, n_slack)
     target = priority.order[0]
-    if stage1 is not None and stage1.serves(dataset, j_e, target):
-        first, start = stage1.program.with_rhs(_stage_rhs(dataset, o, t)), stage1.root
+    template = frontier.stage_templates.get(target)
+    if template is None:
+        first = frontier.stage_templates[target] = build_stage_program(frontier, o, target)
     else:
-        first, start = build_stage_program(dataset, j_e, o, target), None
+        first = template.with_rhs(_stage_rhs(frontier, o))
+    start = root
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):
         lp = first if stage_no == 1 else derive_stage_program(first, pinned, slack_idx)
@@ -223,7 +209,7 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
         ))
         pinned.append((slack_idx, value))
         if stage_no == 1:
-            handoff = Stage1(dataset, j_e, target, first, sol.root_basis)
+            root = sol.root_basis  # this DMU's, for the next DMU's stage 1
         start = sol.basis
 
     # the final stage's joint solution is the projection: its slack vector
@@ -233,4 +219,4 @@ def closest_projection(dataset: Dataset, j_e: EfficientSet, o: int,
     s_star = stages[-1].slacks.copy()
     s_star[s_star <= FEAS_TOL * (1.0 + np.abs(np.concatenate([xo, yo])))] = 0.0
     return Projection(o, xo - s_star[:m], yo + s_star[m:], s_star, tuple(stages), priority,
-                      handoff)
+                      root)

@@ -1,11 +1,12 @@
 """Maximal closest reference set: every efficient DMU that can carry weight
 in some convex representation of a closest projection.
 
-A single envelopment-form LP finds a representation whose support is
-maximal.  Each efficient DMU gets a capped component (alpha, in [0, 1]) and
-an uncapped one (beta >= 0); the target point gets the same pair, and the
-whole system is homogeneous, so any convex representation can be scaled up
-until every DMU that can participate has a strictly positive alpha.
+A single envelopment-form LP over the rows of the dataset's ``Frontier``
+finds a representation whose support is maximal.  Each efficient DMU gets a
+capped component (alpha, in [0, 1]) and an uncapped one (beta >= 0); the
+target point gets the same pair, and the whole system is homogeneous, so
+any convex representation can be scaled up until every DMU that can
+participate has a strictly positive alpha.
 Maximizing the alpha total therefore exposes the union of all supports, and
 normalizing by the target's own aggregate recovers the maximal-support
 intensity vector.  The box bounds on alpha are exactly the kind of
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .efficiency import EfficientSet
+from .efficiency import Frontier
 from .errors import AnalysisError, require_optimal
 from .projection import Projection
 from .solver import LinearProgram, SolverConfig, solve_lp
@@ -43,7 +43,7 @@ class McrsResult:
     """Maximal closest reference set of one DMU.
 
     ``lambda_max`` is the maximal-support intensity vector aligned with
-    ``columns`` (the efficient-set dataset indices); ``members`` the dataset
+    ``columns`` (the frontier's dataset indices); ``members`` the dataset
     indices with weight above the zero threshold; ``ucrs`` the (sample)
     unary reference set read off the final projection stage.
     """
@@ -55,21 +55,19 @@ class McrsResult:
     ucrs: tuple[int, ...]
 
 
-def solve_max_support_lp(dataset: Dataset, j_e: EfficientSet, projection: Projection,
+def solve_max_support_lp(frontier: Frontier, projection: Projection,
                          cfg: SolverConfig = SolverConfig()) -> np.ndarray:
-    """Intensity vector over the efficient set (``j_e.indices`` order) that
+    """Intensity vector over the frontier (``frontier.indices`` order) that
     represents the projection's target point with maximal support, scaled
     back to a convex combination."""
-    m, s = dataset.m, dataset.s
-    t = j_e.size
-    idx = list(j_e.indices)
+    m, s = frontier.dataset.m, frontier.dataset.s
+    t = frontier.size
     nv = 2 * (t + 1)  # [alpha (t+1), beta (t+1)]
 
     # envelopment columns [x; y; 1] of the efficient DMUs and, negated, of the
     # target point; the alpha and the beta components share them
     target = np.concatenate([projection.target_inputs, projection.target_outputs, [1.0]])
-    block = np.column_stack([np.vstack([dataset.x[idx].T, dataset.y[idx].T, np.ones(t)]),
-                             -target])
+    block = np.column_stack([np.vstack([frontier.x.T, frontier.y.T, np.ones(t)]), -target])
     a = np.hstack([block, block])
     b = np.zeros(m + s + 1)
 
@@ -79,7 +77,7 @@ def solve_max_support_lp(dataset: Dataset, j_e: EfficientSet, projection: Projec
     upper = np.full(nv, np.inf)
     upper[:t + 1] = 1.0
 
-    name = dataset.names[projection.dmu]
+    name = frontier.dataset.names[projection.dmu]
     lp = LinearProgram("max", c, a, ("=",) * (m + s + 1), b, lower, upper)
     # zero is feasible and alpha is boxed, so the LP has an optimum
     x = require_optimal(solve_lp(lp, cfg), f"support LP for DMU {name!r}").x
@@ -91,7 +89,7 @@ def solve_max_support_lp(dataset: Dataset, j_e: EfficientSet, projection: Projec
     return (alpha[:t] + beta[:t]) / denom
 
 
-def _alone_on_supports(dataset: Dataset, j_e: EfficientSet, projection: Projection,
+def _alone_on_supports(frontier: Frontier, projection: Projection,
                        supports: Sequence[np.ndarray]) -> bool:
     """Whether ``supports`` prove that the projection's DMU is the only
     efficient DMU in any convex representation of it.
@@ -99,8 +97,8 @@ def _alone_on_supports(dataset: Dataset, j_e: EfficientSet, projection: Projecti
     Only an efficient DMU's own point qualifies.  A mask that prices the DMU
     itself off belongs to a hyperplane that misses it and is ignored.
     """
-    p = projection.dmu
-    if (not supports or projection.stages or p not in j_e
+    dataset, p = frontier.dataset, projection.dmu
+    if (not supports or projection.stages or p not in frontier
             or not np.array_equal(projection.target_inputs, dataset.x[p])
             or not np.array_equal(projection.target_outputs, dataset.y[p])):
         return False
@@ -108,10 +106,10 @@ def _alone_on_supports(dataset: Dataset, j_e: EfficientSet, projection: Projecti
     for off in supports:
         if not off[p]:
             ruled_out |= off
-    return bool(ruled_out[list(j_e.indices)].all())
+    return bool(ruled_out[list(frontier.indices)].all())
 
 
-def identify_mcrs(dataset: Dataset, j_e: EfficientSet, projection: Projection,
+def identify_mcrs(frontier: Frontier, projection: Projection,
                   cfg: SolverConfig = SolverConfig(),
                   supports: Sequence[np.ndarray] = ()) -> McrsResult:
     """MCRS membership plus the maximal intensity weights behind it.
@@ -121,24 +119,26 @@ def identify_mcrs(dataset: Dataset, j_e: EfficientSet, projection: Projection,
     (``EfficiencyResult.priced_out``, ``RtsBounds.supports``); when they rule
     out every other efficient DMU, no LP is solved.
     """
-    if _alone_on_supports(dataset, j_e, projection, supports):
-        lam = (np.array(j_e.indices) == projection.dmu).astype(float)
-        return McrsResult(projection.dmu, j_e.indices, lam, (projection.dmu,), (projection.dmu,))
-    lam = solve_max_support_lp(dataset, j_e, projection, cfg)
+    if _alone_on_supports(frontier, projection, supports):
+        lam = (np.array(frontier.indices) == projection.dmu).astype(float)
+        return McrsResult(projection.dmu, frontier.indices, lam, (projection.dmu,),
+                          (projection.dmu,))
+    lam = solve_max_support_lp(frontier, projection, cfg)
 
+    names = frontier.dataset.names
     members = []
-    for k, j in enumerate(j_e.indices):
+    for k, j in enumerate(frontier.indices):
         if lam[k] > cfg.zero_tol:
             members.append(j)
         elif lam[k] > BORDERLINE_WEIGHT:
             warnings.warn(
-                f"DMU {dataset.names[projection.dmu]!r}: reference weight for "
-                f"{dataset.names[j]!r} is borderline ({lam[k]:.3e}); excluded from the MCRS",
+                f"DMU {names[projection.dmu]!r}: reference weight for "
+                f"{names[j]!r} is borderline ({lam[k]:.3e}); excluded from the MCRS",
                 stacklevel=2)
 
     if projection.stages:
         final = projection.stages[-1].lambdas
-        ucrs = tuple(j for k, j in enumerate(j_e.indices) if final[k] > cfg.zero_tol)
+        ucrs = tuple(j for k, j in enumerate(frontier.indices) if final[k] > cfg.zero_tol)
     else:
         ucrs = (projection.dmu,)  # efficient DMU: it represents itself
-    return McrsResult(projection.dmu, j_e.indices, lam, tuple(members), ucrs)
+    return McrsResult(projection.dmu, frontier.indices, lam, tuple(members), ucrs)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, PriorityRanking, load_dataset, priority_from_labels
-from .efficiency import EfficiencyResult, EfficientSet, evaluate_all
+from .efficiency import EfficiencyResult, Frontier, evaluate_all
 from .errors import ValidationError, failure_context
 from .projection import Projection, closest_projection
 from .reference_set import McrsResult, identify_mcrs
@@ -218,16 +218,16 @@ def analyze(dataset: Dataset, config: RunConfig, priority: PriorityRanking | Non
 
     t0 = time.perf_counter()
     eff = evaluate_all(dataset, cfg)
-    j_e = EfficientSet(tuple(r.dmu for r in eff if r.is_efficient))
+    frontier = Frontier(dataset, tuple(r.dmu for r in eff if r.is_efficient))
 
     records: list[DmuAnalysis] = []
-    stage1 = None  # stage 1 of the last DMU that solved one
+    root = None  # stage-1 root basis of the last DMU that solved one
     for o in range(dataset.n):
         rec = DmuAnalysis(dataset.names[o], eff[o])
         if need_projection:
-            rec.projection = closest_projection(dataset, j_e, o, priority, cfg, stage1)
-            if rec.projection.stage1 is not None:
-                stage1 = rec.projection.stage1
+            rec.projection = closest_projection(frontier, o, priority, cfg, root)
+            if rec.projection.root is not None:
+                root = rec.projection.root
         if level >= 3:
             with failure_context(f"returns to scale of DMU {rec.name!r}"):
                 rec.rts_bounds = intercept_bounds(dataset, rec.projection.target_inputs,
@@ -237,7 +237,7 @@ def analyze(dataset: Dataset, config: RunConfig, priority: PriorityRanking | Non
             # with the intercept LPs solved, their prices and the BCC prices at
             # an efficient DMU can spare the support LP
             supports = (eff[o].priced_out, *rec.rts_bounds.supports) if level >= 3 else ()
-            rec.mcrs = identify_mcrs(dataset, j_e, rec.projection, cfg, supports=supports)
+            rec.mcrs = identify_mcrs(frontier, rec.projection, cfg, supports=supports)
         records.append(rec)
 
     report = AnalysisReport(config.command, dataset, priority, config, records)

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset, PriorityRanking
-from .efficiency import EfficientSet
+from .efficiency import Frontier
 from .errors import AnalysisError, failure_context, require_optimal
 from .projection import Projection, closest_projection
 from .solver import Basis, LinearProgram, SolveStatus, SolverConfig, solve_lp
@@ -140,12 +140,11 @@ def classify_rts(bounds: RtsBounds, cfg: SolverConfig = SolverConfig()) -> RtsLa
     return RtsLabel.CRS
 
 
-def closest_rts(dataset: Dataset, j_e: EfficientSet, o: int,
-                priority: PriorityRanking,
+def closest_rts(frontier: Frontier, o: int, priority: PriorityRanking,
                 cfg: SolverConfig = SolverConfig()) -> CrtsResult:
     """RTS of the DMU's unique closest projection (the DMU itself when efficient)."""
-    projection = closest_projection(dataset, j_e, o, priority, cfg)
-    with failure_context(f"returns to scale of DMU {dataset.names[o]!r}"):
-        bounds = intercept_bounds(dataset, projection.target_inputs,
+    projection = closest_projection(frontier, o, priority, cfg)
+    with failure_context(f"returns to scale of DMU {frontier.dataset.names[o]!r}"):
+        bounds = intercept_bounds(frontier.dataset, projection.target_inputs,
                                   projection.target_outputs, cfg)
     return CrtsResult(o, projection, bounds, classify_rts(bounds, cfg))

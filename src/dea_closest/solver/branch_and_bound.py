@@ -116,8 +116,7 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
             if nodes >= cfg.max_nodes:
                 hit_node_limit = True
                 break
-            status, x, obj, iters, basis = solve_standardized(std, cfg, box.lo, box.up, start,
-                                                              box=box)
+            status, x, obj, iters, basis = solve_standardized(std, cfg, start, box)
             nodes += 1
             total_iters += iters
             if nodes == 1:

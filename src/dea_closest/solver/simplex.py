@@ -622,24 +622,20 @@ def quiet() -> np.errstate:
     return np.errstate(invalid="ignore", divide="ignore", over="ignore")
 
 
-def solve_standardized(std: StandardizedLP, cfg: SolverConfig,
-                       lower: np.ndarray | None = None,
-                       upper: np.ndarray | None = None,
-                       start: Basis | None = None, *,
+def solve_standardized(std: StandardizedLP, cfg: SolverConfig, start: Basis | None = None,
                        box: _Box | None = None,
                        ) -> tuple[SolveStatus, np.ndarray | None, float, int, Basis | None]:
-    """Solve the standardized system, optionally with full-length bound overrides.
+    """Solve the standardized system, optionally under another bound table.
 
-    Branch-and-bound passes them to fix binaries and pair members without
-    rebuilding the system, with ``box``, their bound table, patched from the
-    parent node's; without ``box`` the solve builds the table itself.
-    ``start`` is the final basis of a related solve over the same system;
-    the solve resumes from it where it can and solves cold otherwise.  The
-    caller runs the solve under ``quiet()``.  Returns (status, structural x,
-    objective in the min sense, iterations, final basis).
+    Branch-and-bound passes ``box``, the node's bound table patched from
+    the parent node's, to fix binaries and pair members without rebuilding
+    the system; without it the solve builds the table of the system's own
+    bounds.  ``start`` is the final basis of a related solve over the same
+    system; the solve resumes from it where it can and solves cold
+    otherwise.  The caller runs the solve under ``quiet()``.  Returns
+    (status, structural x, objective in the min sense, iterations, final
+    basis).
     """
-    if box is None:
-        box = _Box(std.lower if lower is None else lower, std.upper if upper is None else upper)
     sx = _Simplex(std, cfg, box)
     status, x, basis = sx.run(std.c, start)
     if status is not SolveStatus.OPTIMAL:

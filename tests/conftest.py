@@ -38,6 +38,20 @@ def make_dataset(x: np.ndarray, y: np.ndarray, names=None) -> Dataset:
                    tuple(f"y{r + 1}" for r in range(y.shape[1])))
 
 
+def with_dmu(ds: Dataset, name: str, inputs, outputs) -> Dataset:
+    """``ds`` with one DMU appended, a virtual point to test against."""
+    return Dataset(ds.names + (name,), np.vstack([ds.x, list(inputs)]),
+                   np.vstack([ds.y, list(outputs)]), ds.input_names, ds.output_names)
+
+
+def reordered(ds: Dataset, permutation) -> Dataset:
+    """``ds`` with its DMUs in ``permutation`` order."""
+    perm = list(permutation)
+    assert sorted(perm) == list(range(ds.n)), "not a permutation of the DMU indices"
+    return Dataset(tuple(ds.names[i] for i in perm), ds.x[perm], ds.y[perm],
+                   ds.input_names, ds.output_names)
+
+
 @pytest.fixture(scope="session")
 def eight_dmu() -> Dataset:
     """One input, one output; frontier is DMU1-DMU2-DMU4 with DMU3 on the

@@ -11,7 +11,7 @@ from dea_closest import (RtsLabel, SolveStatus, classify_rts, closest_projection
                          identify_mcrs, intercept_bounds, solve_lp, solve_milp)
 
 from conftest import (enumerate_lp_optimum, enumerate_milp_optimum, random_binary_lp,
-                      random_box_lp, random_dataset)
+                      random_box_lp, random_dataset, reordered, with_dmu)
 
 
 @contextmanager
@@ -42,7 +42,7 @@ def test_criterion_2_closest_projections(eight_dmu, cfg):
         pri = default_priority(1, 1)
         expected = {4: (5.0, 8.0), 5: (1.0, 2.0), 6: (4 / 3, 3.0), 7: (5 / 3, 4.0)}
         start = time.perf_counter()
-        targets = {o: closest_projection(eight_dmu, je, o, pri, cfg) for o in expected}
+        targets = {o: closest_projection(je, o, pri, cfg) for o in expected}
         elapsed = time.perf_counter() - start
         for o, (tx, ty) in expected.items():
             assert abs(targets[o].target_inputs[0] - tx) < 1e-4
@@ -61,8 +61,8 @@ def test_criterion_3_mcrs_and_weights(eight_dmu, cfg):
             7: (("DMU1", "DMU2"), (1 / 3, 2 / 3)),
         }
         for o, (names, weights) in expected.items():
-            p = closest_projection(eight_dmu, je, o, pri, cfg)
-            mc = identify_mcrs(eight_dmu, je, p, cfg)
+            p = closest_projection(je, o, pri, cfg)
+            mc = identify_mcrs(je, p, cfg)
             assert tuple(eight_dmu.names[j] for j in mc.members) == names
             by_name = dict(zip((eight_dmu.names[j] for j in mc.columns),
                                mc.lambda_max))
@@ -76,7 +76,7 @@ def test_criterion_4_crts_labels(eight_dmu, cfg):
         pri = default_priority(1, 1)
         expected = {4: RtsLabel.DRS, 5: RtsLabel.IRS, 6: RtsLabel.IRS, 7: RtsLabel.IRS}
         for o, label in expected.items():
-            assert closest_rts(eight_dmu, je, o, pri, cfg).label is label
+            assert closest_rts(je, o, pri, cfg).label is label
 
 
 def test_criterion_5_rts_of_efficient_units(eight_dmu, four_dmu, cfg):
@@ -93,7 +93,7 @@ def test_criterion_5_rts_of_efficient_units(eight_dmu, four_dmu, cfg):
 def test_criterion_6_motivating_example(four_dmu, cfg):
     with criterion(6, "motivating example: D projects to (8/3, 4) with IRS"):
         je = efficient_set(four_dmu, cfg)
-        r = closest_rts(four_dmu, je, 3, default_priority(1, 1), cfg)
+        r = closest_rts(je, 3, default_priority(1, 1), cfg)
         assert abs(r.projection.target_inputs[0] - 8 / 3) < 1e-6
         assert abs(r.projection.target_outputs[0] - 4.0) < 1e-6
         assert r.label is RtsLabel.IRS
@@ -143,7 +143,7 @@ def test_criterion_8_property_suite(cfg):
 
             slacks_by_name = {}
             for o in range(ds.n):
-                p = closest_projection(ds, je, o, pri, cfg)
+                p = closest_projection(je, o, pri, cfg)
                 slacks_by_name[ds.names[o]] = p.slacks
 
                 # dominance
@@ -151,13 +151,13 @@ def test_criterion_8_property_suite(cfg):
                 assert np.all(p.target_outputs >= y[o] - 1e-9)
 
                 # frontier membership of the target
-                ext = ds.with_dmu("virtual-target", p.target_inputs, p.target_outputs)
+                ext = with_dmu(ds, "virtual-target", p.target_inputs, p.target_outputs)
                 r = evaluate_bcc(ext, ext.n - 1, cfg)
                 assert r.theta > 1.0 - 1e-6
                 assert np.abs(r.slacks).max() < 1e-6
 
                 # maximal weights reconstruct the target
-                mc = identify_mcrs(ds, je, p, cfg)
+                mc = identify_mcrs(je, p, cfg)
                 assert np.abs(x[idx].T @ mc.lambda_max - p.target_inputs).max() < 1e-6
                 assert np.abs(y[idx].T @ mc.lambda_max - p.target_outputs).max() < 1e-6
                 assert set(mc.ucrs) <= set(mc.members)
@@ -167,10 +167,10 @@ def test_criterion_8_property_suite(cfg):
                 assert classify_rts(b, cfg) in (RtsLabel.IRS, RtsLabel.CRS, RtsLabel.DRS)
 
             # slack vectors do not depend on dataset order
-            shuffled = ds.reordered(list(range(ds.n))[::-1])
+            shuffled = reordered(ds, list(range(ds.n))[::-1])
             je2 = efficient_set(shuffled, cfg)
             for o2 in range(shuffled.n):
-                p2 = closest_projection(shuffled, je2, o2, pri, cfg)
+                p2 = closest_projection(je2, o2, pri, cfg)
                 assert np.abs(p2.slacks - slacks_by_name[shuffled.names[o2]]).max() < 1e-6
         elapsed = time.perf_counter() - start
         assert elapsed < 300.0

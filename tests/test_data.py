@@ -200,16 +200,3 @@ def test_measure_names_checked_programmatically():
     ds = Dataset(("u",), [[1.0]], [[1.0]], ("a",), ("a",))
     assert ds.slack_labels() == ("in:a", "out:a")
     assert load_dataset(io.StringIO("dmu,in:a,out:a\nu,1,2\n")).slack_labels() == ("in:a", "out:a")
-
-
-def test_reordered_and_append():
-    ds = load_dataset(io.StringIO(FOUR_DMU_CSV))
-    rev = ds.reordered([3, 2, 1, 0])
-    assert rev.names == ("D", "C", "B", "A")
-    assert rev.x[:, 0].tolist() == [4, 6, 3, 2] and rev.y[:, 0].tolist() == [4, 6, 5, 2]
-    ext = ds.with_dmu("virtual", [1.5], [2.5])
-    assert ext.n == 5 and ext.names[-1] == "virtual"
-    assert ext.x[-1].tolist() == [1.5] and ext.y[-1].tolist() == [2.5]
-    assert ds.n == 4  # appending leaves the original untouched
-    with pytest.raises(ValueError):
-        ds.reordered([0, 0, 1, 2])

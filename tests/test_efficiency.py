@@ -3,11 +3,12 @@ import io
 import numpy as np
 import pytest
 
-from dea_closest import (ValidationError, efficiency, efficient_set, evaluate_all, evaluate_bcc,
+from dea_closest import (AnalysisError, Frontier, ValidationError, closest_projection,
+                         default_priority, efficiency, efficient_set, evaluate_all, evaluate_bcc,
                          load_dataset, solve_lp)
 from dea_closest.efficiency import _bcc_program, _phase2_program
 
-from conftest import make_dataset, multiplier_score, random_dataset
+from conftest import make_dataset, multiplier_score, random_dataset, with_dmu
 
 
 def test_eight_dmu_classification(eight_dmu, cfg):
@@ -15,6 +16,41 @@ def test_eight_dmu_classification(eight_dmu, cfg):
     flags = [r.is_efficient for r in results]
     assert flags == [True, True, True, True, False, False, False, False]
     assert efficient_set(eight_dmu, cfg).indices == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("indices", [(0, 1, 2, -5), (-1, 0), (0, 1, 8), (0, 99),
+                                     (0, 1, 1, 3), (0, 2, 1, 3), (3, 2)])
+def test_frontier_rejects_bad_indices(eight_dmu, indices):
+    # a negative index once read the last DMU's row and made an efficient
+    # DMU run its stage programs; an index past the end raised IndexError
+    with pytest.raises(ValueError, match="not increasing DMU indices of a dataset of 8 DMUs"):
+        Frontier(eight_dmu, indices)
+    with pytest.raises(TypeError):
+        Frontier(eight_dmu, (0, 1.0))
+
+
+def test_empty_frontier_is_an_analysis_error_not_a_crash(eight_dmu, cfg):
+    # no efficient DMU can only come from numerical trouble: the frontier is
+    # accepted and the projection reports its stage 1 as infeasible
+    frontier = Frontier(eight_dmu, ())
+    assert frontier.size == 0 and 0 not in frontier
+    assert frontier.x.shape == (0, 1) and frontier.y.shape == (0, 1)
+    with pytest.raises(AnalysisError, match="stage 1"):
+        closest_projection(frontier, 4, default_priority(1, 1), cfg)
+
+
+def test_frontier_rows_are_the_datasets_read_only(cfg):
+    ds = random_dataset(np.random.default_rng(7), max_n=12, max_dim=3)
+    frontier = efficient_set(ds, cfg)
+    idx = list(frontier.indices)
+    assert 0 < frontier.size < ds.n
+    assert frontier.x.tobytes() == ds.x[idx].tobytes() and frontier.x.shape == (len(idx), ds.m)
+    assert frontier.y.tobytes() == ds.y[idx].tobytes() and frontier.y.shape == (len(idx), ds.s)
+    for rows in (frontier.x, frontier.y):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
+    assert all(j in frontier for j in idx)
+    assert Frontier(ds, frontier.indices) != frontier  # equality is identity
 
 
 def test_eight_dmu_scores(eight_dmu, cfg):
@@ -94,7 +130,7 @@ def test_radial_projection_reevaluates_efficient(eight_dmu, cfg):
         r = evaluate_bcc(eight_dmu, o, cfg)
         px = r.lambdas @ eight_dmu.x
         py = r.lambdas @ eight_dmu.y
-        ext = eight_dmu.with_dmu("proj", px, py)
+        ext = with_dmu(eight_dmu, "proj", px, py)
         pr = evaluate_bcc(ext, ext.n - 1, cfg)
         assert pr.theta == pytest.approx(1.0, abs=1e-7)
         assert np.abs(pr.slacks).max() < 1e-6

@@ -120,9 +120,9 @@ def test_programs_match_loop_reference(ds, cfg, monkeypatch):
     monkeypatch.setattr(reference_set, "solve_lp", recording)
     for o in range(ds.n):
         assert_bitwise(_bcc_program(ds, o), *loop_bcc_rows(ds, o))
-        assert_bitwise(build_stage_program(ds, je, o, pri.order[0]), *loop_stage_rows(ds, je, o))
-        p = closest_projection(ds, je, o, pri, cfg)
-        solve_max_support_lp(ds, je, p, cfg)
+        assert_bitwise(build_stage_program(je, o, pri.order[0]), *loop_stage_rows(ds, je, o))
+        p = closest_projection(je, o, pri, cfg)
+        solve_max_support_lp(je, p, cfg)
         assert_bitwise(supports[-1], *loop_support_rows(ds, je, p))
         for sense, sigma in (("max", 1.0), ("min", -1.0)):
             lp = _intercept_program(ds, p.target_inputs, p.target_outputs, sense)
@@ -187,9 +187,9 @@ def test_stage_programs_objective_and_bounds(ds, cfg):
     pairs = np.column_stack([np.arange(t), np.arange(t + 2 * (ds.m + ds.s) + 1,
                                                      2 * t + 2 * (ds.m + ds.s) + 1)])
     for o in range(ds.n):
-        stages = closest_projection(ds, je, o, pri, cfg).stages
+        stages = closest_projection(je, o, pri, cfg).stages
         values = [st.value for st in stages] or [0.25 * (k + 1) for k in range(ds.m + ds.s)]
-        first = build_stage_program(ds, je, o, pri.order[0])
+        first = build_stage_program(je, o, pri.order[0])
         for k, target in enumerate(pri.order):
             pinned = list(zip(pri.order[:k], values[:k]))
             lp = derive_stage_program(first, pinned, target) if k else first

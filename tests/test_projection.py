@@ -4,15 +4,15 @@ import itertools
 import numpy as np
 import pytest
 
-from dea_closest import (LinearProgram, PriorityRanking, SolveStatus, build_stage_program,
-                         closest_projection, default_priority, derive_stage_program,
-                         efficient_set, evaluate_bcc, load_dataset, projection, solve_lp,
-                         solve_milp)
+from dea_closest import (Frontier, LinearProgram, PriorityRanking, SolveStatus,
+                         build_stage_program, closest_projection, default_priority,
+                         derive_stage_program, efficient_set, evaluate_bcc, load_dataset,
+                         projection, solve_lp, solve_milp)
 from dea_closest.report import RunConfig, analyze
 from dea_closest.solver import branch_and_bound, simplex
 from dea_closest.solver.model import FEAS_TOL
 
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, random_dataset, reordered, with_dmu
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ def additive_max_slacks(ds, o, cfg):
 
 def test_stage_program_shape(eight_dmu, je8, cfg):
     # stage 1 for DMU7, output slack first: the objective touches only that slack
-    lp = build_stage_program(eight_dmu, je8, 6, target=1)
+    lp = build_stage_program(je8, 6, target=1)
     t = je8.size
     assert lp.c[t + 1] == 1.0
     assert np.count_nonzero(lp.c) == 1
@@ -71,7 +71,7 @@ def test_stage_program_shape(eight_dmu, je8, cfg):
 
 
 def test_stage_program_pins_previous_optimum(eight_dmu, je8, cfg):
-    first = build_stage_program(eight_dmu, je8, 6, target=1)
+    first = build_stage_program(je8, 6, target=1)
     lp = derive_stage_program(first, [(1, 0.25)], target=0)
     t = je8.size
     assert lp.lower[t + 1] == lp.upper[t + 1] == 0.25
@@ -81,14 +81,14 @@ def test_stage_program_pins_previous_optimum(eight_dmu, je8, cfg):
 
 def test_stage_one_output_slack_dmu7_is_zero(eight_dmu, je8, cfg):
     # frontier already reaches output level 3, so no shortfall is needed
-    lp = build_stage_program(eight_dmu, je8, 6, target=1)
+    lp = build_stage_program(je8, 6, target=1)
     sol = solve_milp(lp, cfg)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_stage_milp_for_efficient_dmu_has_zero_optimum(eight_dmu, je8, cfg):
-    lp = build_stage_program(eight_dmu, je8, 1, target=1)
+    lp = build_stage_program(je8, 1, target=1)
     sol = solve_milp(lp, cfg)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
@@ -101,7 +101,7 @@ def test_stage_milp_for_efficient_dmu_has_zero_optimum(eight_dmu, je8, cfg):
     (7, (5 / 3, 4.0), (13 / 3, 0.0)),     # interior of DMU1-DMU2
 ])
 def test_eight_dmu_closest_targets(eight_dmu, je8, cfg, o, target, slacks):
-    p = closest_projection(eight_dmu, je8, o, out_first(eight_dmu), cfg)
+    p = closest_projection(je8, o, out_first(eight_dmu), cfg)
     assert p.target_inputs[0] == pytest.approx(target[0], abs=1e-6)
     assert p.target_outputs[0] == pytest.approx(target[1], abs=1e-6)
     assert p.slacks == pytest.approx(slacks, abs=1e-6)
@@ -111,13 +111,13 @@ def test_eight_dmu_closest_targets(eight_dmu, je8, cfg, o, target, slacks):
 
 def test_motivating_example_projection(four_dmu, je4, cfg):
     # intersect output level 4 with the segment A(2,2)-B(3,5): x = (4+4)/3
-    p = closest_projection(four_dmu, je4, 3, out_first(four_dmu), cfg)
+    p = closest_projection(je4, 3, out_first(four_dmu), cfg)
     assert p.target_inputs[0] == pytest.approx(8 / 3, abs=1e-6)
     assert p.target_outputs[0] == pytest.approx(4.0, abs=1e-6)
 
 
 def test_efficient_dmu_short_circuits(eight_dmu, je8, cfg):
-    p = closest_projection(eight_dmu, je8, 1, out_first(eight_dmu), cfg)
+    p = closest_projection(je8, 1, out_first(eight_dmu), cfg)
     assert p.stages == ()
     assert np.all(p.slacks == 0.0)
     assert p.target_inputs[0] == 2.0 and p.target_outputs[0] == 5.0
@@ -125,14 +125,14 @@ def test_efficient_dmu_short_circuits(eight_dmu, je8, cfg):
 
 def test_lexicographic_monotonicity(eight_dmu, je8, cfg):
     for o in (4, 5, 6, 7):
-        p = closest_projection(eight_dmu, je8, o, out_first(eight_dmu), cfg)
+        p = closest_projection(je8, o, out_first(eight_dmu), cfg)
         for earlier, later in zip(p.stages, p.stages[1:]):
             assert later.slacks[earlier.slack_index] == earlier.value
 
 
 def test_stage_complementarity(eight_dmu, je8, cfg):
     for o in (4, 5, 6, 7):
-        p = closest_projection(eight_dmu, je8, o, out_first(eight_dmu), cfg)
+        p = closest_projection(je8, o, out_first(eight_dmu), cfg)
         for st in p.stages:
             assert np.abs(st.lambdas * st.deviations).max() <= 1e-7
             assert st.lambdas.sum() == pytest.approx(1.0, abs=1e-9)
@@ -141,7 +141,7 @@ def test_stage_complementarity(eight_dmu, je8, cfg):
 
 def test_projection_dominates_dmu(eight_dmu, je8, cfg):
     for o in range(8):
-        p = closest_projection(eight_dmu, je8, o, out_first(eight_dmu), cfg)
+        p = closest_projection(je8, o, out_first(eight_dmu), cfg)
         assert np.all(p.target_inputs <= eight_dmu.x[o] + 1e-9)
         assert np.all(p.target_outputs >= eight_dmu.y[o] - 1e-9)
         assert np.all(p.slacks >= 0.0)
@@ -151,8 +151,8 @@ def test_target_on_frontier(eight_dmu, four_dmu, cfg):
     for ds in (eight_dmu, four_dmu):
         je = efficient_set(ds, cfg)
         for o in range(ds.n):
-            p = closest_projection(ds, je, o, out_first(ds), cfg)
-            ext = ds.with_dmu("target", p.target_inputs, p.target_outputs)
+            p = closest_projection(je, o, out_first(ds), cfg)
+            ext = with_dmu(ds, "target", p.target_inputs, p.target_outputs)
             r = evaluate_bcc(ext, ext.n - 1, cfg)
             assert r.theta == pytest.approx(1.0, abs=1e-6)
             assert np.abs(r.slacks).max() < 1e-6
@@ -161,13 +161,13 @@ def test_target_on_frontier(eight_dmu, four_dmu, cfg):
 def test_slack_vector_invariant_under_reordering(eight_dmu, cfg):
     je = efficient_set(eight_dmu, cfg)
     pri = out_first(eight_dmu)
-    base = {ds_name: closest_projection(eight_dmu, je, o, pri, cfg).slacks
+    base = {ds_name: closest_projection(je, o, pri, cfg).slacks
             for o, ds_name in enumerate(eight_dmu.names)}
     perm = [3, 6, 0, 7, 2, 5, 1, 4]
-    shuffled = eight_dmu.reordered(perm)
+    shuffled = reordered(eight_dmu, perm)
     je2 = efficient_set(shuffled, cfg)
     for o2, name in enumerate(shuffled.names):
-        p2 = closest_projection(shuffled, je2, o2, pri, cfg)
+        p2 = closest_projection(je2, o2, pri, cfg)
         assert np.abs(p2.slacks - base[name]).max() < 1e-6
 
 
@@ -175,7 +175,7 @@ def test_input_first_priority_changes_tradeoff(eight_dmu, je8, cfg):
     # with the input slack minimized first, DMU6 keeps its input level:
     # cheapest input move is zero, then the output must climb to the frontier
     pri_in_first = PriorityRanking((0, 1), 1, 1)
-    p = closest_projection(eight_dmu, je8, 5, pri_in_first, cfg)
+    p = closest_projection(je8, 5, pri_in_first, cfg)
     assert p.slacks[0] == pytest.approx(0.0, abs=1e-6)
     assert p.target_inputs[0] == pytest.approx(2.0, abs=1e-6)
     assert p.target_outputs[0] == pytest.approx(5.0, abs=1e-6)  # frontier at x=2
@@ -183,12 +183,12 @@ def test_input_first_priority_changes_tradeoff(eight_dmu, je8, cfg):
 
 def test_closest_no_longer_than_furthest(eight_dmu, je8, cfg):
     for o in (4, 5, 6, 7):
-        p = closest_projection(eight_dmu, je8, o, out_first(eight_dmu), cfg)
+        p = closest_projection(je8, o, out_first(eight_dmu), cfg)
         ram = additive_max_slacks(eight_dmu, o, cfg)
         assert p.slacks.sum() <= ram.sum() + 1e-7
     # strictly closer for the two interior projections
     for o in (6, 7):
-        p = closest_projection(eight_dmu, je8, o, out_first(eight_dmu), cfg)
+        p = closest_projection(je8, o, out_first(eight_dmu), cfg)
         ram = additive_max_slacks(eight_dmu, o, cfg)
         assert p.slacks.sum() < ram.sum() - 1e-6
 
@@ -200,9 +200,9 @@ def test_random_datasets_dominance_and_frontier(cfg):
         je = efficient_set(ds, cfg)
         pri = out_first(ds)
         for o in range(ds.n):
-            p = closest_projection(ds, je, o, pri, cfg)
+            p = closest_projection(je, o, pri, cfg)
             assert np.all(p.slacks >= -1e-9)
-            ext = ds.with_dmu("t", p.target_inputs, p.target_outputs)
+            ext = with_dmu(ds, "t", p.target_inputs, p.target_outputs)
             r = evaluate_bcc(ext, ext.n - 1, cfg)
             assert r.theta == pytest.approx(1.0, abs=1e-6)
             assert np.abs(r.slacks).max() < 1e-6
@@ -219,7 +219,7 @@ def project_all(x, y, cfg):
     ds = make_dataset(x, y)
     je = efficient_set(ds, cfg)
     pri = out_first(ds)
-    return ds, je, [closest_projection(ds, je, o, pri, cfg) for o in range(ds.n)]
+    return ds, je, [closest_projection(je, o, pri, cfg) for o in range(ds.n)]
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +242,7 @@ def test_slacks_scale_with_uniformly_rescaled_data(uniform15, uniform15_projecti
 def test_stage_points_satisfy_rows_and_bounds(uniform15_projections, factor):
     ds, je, projections = uniform15_projections[factor]
     for p in projections:
-        first = build_stage_program(ds, je, p.dmu, p.priority.order[0])
+        first = build_stage_program(je, p.dmu, p.priority.order[0])
         pinned = []
         for st in p.stages:
             lp = derive_stage_program(first, pinned, st.slack_index)
@@ -274,7 +274,7 @@ def test_warm_start_prunes_stage_nodes(monkeypatch, cfg):
             return sol
 
         monkeypatch.setattr(projection, "solve_milp", counting)
-        slacks = [closest_projection(ds, je, o, pri, cfg).slacks
+        slacks = [closest_projection(je, o, pri, cfg).slacks
                   for o in range(ds.n) if o not in je]
         return sum(nodes), np.array(slacks)
 
@@ -299,7 +299,7 @@ def test_stage1_roots_start_from_the_previous_dmus_root(monkeypatch, cfg):
     ds = random_dataset(np.random.default_rng(7), max_n=12, max_dim=2)
     je = efficient_set(ds, cfg)
     pri = default_priority(ds.m, ds.s)
-    alone = [closest_projection(ds, je, o, pri, cfg) for o in range(ds.n)]
+    alone = [closest_projection(je, o, pri, cfg) for o in range(ds.n)]
 
     cold_runs = []
     run_cold = simplex._Simplex._run_cold
@@ -311,9 +311,9 @@ def test_stage1_roots_start_from_the_previous_dmus_root(monkeypatch, cfg):
     root_cold = []  # per MILP, whether its root ran a cold solve
     solve_node = branch_and_bound.solve_standardized
 
-    def node(std, cfg, lower=None, upper=None, start=None, **kw):
+    def node(std, cfg, start=None, box=None):
         before = len(cold_runs)
-        out = solve_node(std, cfg, lower, upper, start, **kw)
+        out = solve_node(std, cfg, start, box)
         if root_cold[-1] is None:
             root_cold[-1] = len(cold_runs) > before
         return out
@@ -334,6 +334,43 @@ def test_stage1_roots_start_from_the_previous_dmus_root(monkeypatch, cfg):
         assert np.abs(p.target_inputs - q.target_inputs).max() <= 1e-9
         assert np.abs(p.target_outputs - q.target_outputs).max() <= 1e-9
         assert np.abs(p.slacks - q.slacks).max() <= 1e-9
+
+
+def test_one_stage1_build_per_frontier_and_first_slack(monkeypatch, cfg):
+    # a frontier builds one stage-1 program per first slack and derives every
+    # later call's from it; each projection equals, bit for bit, the one
+    # computed over a fresh frontier with the program built for it alone
+    ds = random_dataset(np.random.default_rng(7), max_n=12, max_dim=2)
+    frontier = efficient_set(ds, cfg)
+    slack_count = ds.m + ds.s
+    priorities = (default_priority(ds.m, ds.s),
+                  PriorityRanking(tuple(range(slack_count)), ds.m, ds.s))
+    assert priorities[0].order[0] != priorities[1].order[0]
+    targets = []
+    build = projection.build_stage_program
+
+    def building(frontier, o, target):
+        targets.append(target)
+        return build(frontier, o, target)
+
+    monkeypatch.setattr(projection, "build_stage_program", building)
+    calls = [(pri, o) for _ in range(2) for pri in priorities for o in range(ds.n)]
+    shared = [closest_projection(frontier, o, pri, cfg) for pri, o in calls]
+    assert targets == [pri.order[0] for pri in priorities]
+    assert sorted(frontier.stage_templates) == sorted(targets)
+
+    targets.clear()
+    fresh = [closest_projection(Frontier(ds, frontier.indices), o, pri, cfg) for pri, o in calls]
+    assert len(targets) == sum(o not in frontier for _, o in calls) > 2
+    for p, q in zip(shared, fresh):
+        assert p.dmu == q.dmu and len(p.stages) == len(q.stages)
+        for name in ("target_inputs", "target_outputs", "slacks"):
+            assert getattr(p, name).tobytes() == getattr(q, name).tobytes(), name
+        for st, su in zip(p.stages, q.stages):
+            assert (st.stage, st.slack_index, st.value, st.intercept) == (
+                su.stage, su.slack_index, su.value, su.intercept)
+            for name in ("lambdas", "slacks", "weights", "deviations"):
+                assert getattr(st, name).tobytes() == getattr(su, name).tobytes(), name
 
 
 # 12 DMUs, 6 of them on a known frontier: the final stage of U3 (priority
@@ -386,7 +423,7 @@ def test_warm_started_stages_stay_within_five_pivots_per_node(monkeypatch, cfg):
 
     monkeypatch.setattr(projection, "solve_milp", counting)
     for o in range(ds.n):
-        closest_projection(ds, je, o, pri, cfg)
+        closest_projection(je, o, pri, cfg)
     nodes = sum(sol.nodes for sol in solves)
     assert nodes > 0
     assert sum(sol.iterations for sol in solves) <= 5 * nodes
@@ -420,14 +457,14 @@ def test_degenerate_dual_pivots_switch_to_bland_and_finish(monkeypatch, cfg):
 
     monkeypatch.setattr(simplex._Simplex, "_dual_loop", watching)
     monkeypatch.setattr(projection, "solve_milp", solving)
-    warm = closest_projection(ds, je, 7, pri, cfg)
+    warm = closest_projection(je, 7, pri, cfg)
     assert any(switched)
     assert statuses and all(st is SolveStatus.OPTIMAL for st in statuses)
 
     # the same slacks as with every stage solved cold
     monkeypatch.setattr(projection, "solve_milp",
                         lambda lp, cfg, warm_start=None: solve_milp(lp, cfg))
-    cold = closest_projection(ds, je, 7, pri, cfg)
+    cold = closest_projection(je, 7, pri, cfg)
     assert np.abs(warm.slacks - cold.slacks).max() <= 1e-9 * (1.0 + np.abs(cold.slacks).max())
 
 
@@ -473,7 +510,7 @@ def check_stage_optima_against_highs(ds, je, projections, linprog):
         if o in je:
             continue
         own = np.concatenate([ds.x[o], ds.y[o]])
-        first = build_stage_program(ds, je, o, p.priority.order[0])
+        first = build_stage_program(je, o, p.priority.order[0])
         pinned = []
         for st in p.stages:
             # each stage is enumerated under the pins the solver itself found,
@@ -499,7 +536,7 @@ def test_stage_optima_match_highs_on_rescaled_columns(cfg):
     ds = load_dataset(io.StringIO(RESCALED_UNITS_CSV))
     je = efficient_set(ds, cfg)
     pri = default_priority(ds.m, ds.s)
-    projections = [closest_projection(ds, je, o, pri, cfg) for o in range(ds.n)]
+    projections = [closest_projection(je, o, pri, cfg) for o in range(ds.n)]
     checked = check_stage_optima_against_highs(ds, je, projections, linprog)
     assert "U5" in checked and len(checked) >= 5
 
@@ -526,7 +563,7 @@ def test_cold_node_relaxations_match_highs_on_rescaled_columns(cfg):
     je = efficient_set(ds, cfg)
     o = ds.names.index("U5")
     target = default_priority(ds.m, ds.s).order[0]
-    stage = build_stage_program(ds, je, o, target)
+    stage = build_stage_program(je, o, target)
     own = np.concatenate([ds.x[o], ds.y[o]])[target]
     for k in range(je.size):
         lower, upper = stage.lower.copy(), stage.upper.copy()

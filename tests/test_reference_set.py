@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from dea_closest import (AnalysisError, EfficientSet, LinearProgram, SolveStatus,
+from dea_closest import (AnalysisError, Frontier, LinearProgram, SolveStatus,
                          closest_projection, default_priority, efficient_set, evaluate_all,
                          identify_mcrs, intercept_bounds, reference_set, solve_lp,
                          solve_max_support_lp)
 from dea_closest.projection import Projection
 
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, random_dataset, with_dmu
 
 
 @pytest.fixture(scope="module")
@@ -17,8 +17,8 @@ def je8(eight_dmu, cfg):
     return efficient_set(eight_dmu, cfg)
 
 
-def project(ds, je, o, cfg):
-    return closest_projection(ds, je, o, default_priority(ds.m, ds.s), cfg)
+def project(je, o, cfg):
+    return closest_projection(je, o, default_priority(je.dataset.m, je.dataset.s), cfg)
 
 
 def point_projection(o, x, y, priority):
@@ -56,8 +56,8 @@ def reference_support_oracle(ds, je, target_x, target_y, cfg, tol=1e-7):
     (7, ("DMU1", "DMU2"), (1 / 3, 2 / 3)),
 ])
 def test_eight_dmu_reference_sets(eight_dmu, je8, cfg, o, members, weights):
-    p = project(eight_dmu, je8, o, cfg)
-    mc = identify_mcrs(eight_dmu, je8, p, cfg)
+    p = project(je8, o, cfg)
+    mc = identify_mcrs(je8, p, cfg)
     assert tuple(eight_dmu.names[j] for j in mc.members) == members
     by_name = dict(zip((eight_dmu.names[j] for j in mc.columns), mc.lambda_max))
     for name, w in zip(members, weights):
@@ -70,8 +70,8 @@ def test_support_lp_solution_structure(eight_dmu, je8, cfg):
     x, y = eight_dmu.x, eight_dmu.y
     idx = list(je8.indices)
     for o in (6, 7):
-        p = project(eight_dmu, je8, o, cfg)
-        lam = solve_max_support_lp(eight_dmu, je8, p, cfg)
+        p = project(je8, o, cfg)
+        lam = solve_max_support_lp(je8, p, cfg)
         assert lam.shape == (je8.size,)
         assert np.all(lam >= -1e-9)
         assert lam.sum() == pytest.approx(1.0, abs=1e-7)
@@ -81,8 +81,8 @@ def test_support_lp_solution_structure(eight_dmu, je8, cfg):
 
 def test_projection_at_isolated_extreme_unit(eight_dmu, je8, cfg):
     # DMU5's projection is the extreme unit DMU4: only that column carries weight
-    p = project(eight_dmu, je8, 4, cfg)
-    lam = solve_max_support_lp(eight_dmu, je8, p, cfg)
+    p = project(je8, 4, cfg)
+    lam = solve_max_support_lp(je8, p, cfg)
     assert lam == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-7)
 
 
@@ -104,10 +104,10 @@ def test_borderline_weight_is_excluded(eight_dmu, je8, cfg, monkeypatch, weight,
         return sol
 
     monkeypatch.setattr(reference_set, "solve_lp", nudged)
-    p = project(eight_dmu, je8, 6, cfg)
+    p = project(je8, 6, cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        mc = identify_mcrs(eight_dmu, je8, p, cfg)
+        mc = identify_mcrs(je8, p, cfg)
     assert mc.lambda_max[k] == pytest.approx(weight, rel=1e-9)
     assert tuple(eight_dmu.names[j] for j in mc.members) == ("DMU1", "DMU2")
     messages = [str(w.message) for w in caught]
@@ -123,7 +123,7 @@ def test_non_extreme_point_collects_whole_face(eight_dmu, je8, cfg):
     # DMU on that segment can participate in a representation
     pri = default_priority(1, 1)
     p = point_projection(2, [3.0], [6.0], pri)
-    mc = identify_mcrs(eight_dmu, je8, p, cfg)
+    mc = identify_mcrs(je8, p, cfg)
     names = tuple(eight_dmu.names[j] for j in mc.members)
     assert names == ("DMU2", "DMU3", "DMU4")
     oracle = reference_support_oracle(eight_dmu, je8, [3.0], [6.0], cfg)
@@ -134,16 +134,16 @@ def test_lambda_max_reconststructs_target(eight_dmu, je8, cfg):
     x, y = eight_dmu.x, eight_dmu.y
     idx = list(je8.indices)
     for o in range(8):
-        p = project(eight_dmu, je8, o, cfg)
-        mc = identify_mcrs(eight_dmu, je8, p, cfg)
+        p = project(je8, o, cfg)
+        mc = identify_mcrs(je8, p, cfg)
         assert x[idx].T @ mc.lambda_max == pytest.approx(p.target_inputs, abs=1e-6)
         assert y[idx].T @ mc.lambda_max == pytest.approx(p.target_outputs, abs=1e-6)
 
 
 def test_maximality_against_oracle(eight_dmu, je8, cfg):
     for o in range(8):
-        p = project(eight_dmu, je8, o, cfg)
-        mc = identify_mcrs(eight_dmu, je8, p, cfg)
+        p = project(je8, o, cfg)
+        mc = identify_mcrs(je8, p, cfg)
         oracle = reference_support_oracle(eight_dmu, je8,
                                           p.target_inputs, p.target_outputs, cfg)
         assert mc.members == oracle
@@ -155,8 +155,8 @@ def test_maximality_on_random_data(cfg):
         ds = random_dataset(rng, max_n=8)
         je = efficient_set(ds, cfg)
         for o in range(ds.n):
-            p = project(ds, je, o, cfg)
-            mc = identify_mcrs(ds, je, p, cfg)
+            p = project(je, o, cfg)
+            mc = identify_mcrs(je, p, cfg)
             oracle = reference_support_oracle(ds, je, p.target_inputs,
                                               p.target_outputs, cfg)
             assert mc.members == oracle
@@ -165,17 +165,17 @@ def test_maximality_on_random_data(cfg):
 
 def test_ucrs_subset_of_mcrs(eight_dmu, je8, cfg):
     for o in range(8):
-        p = project(eight_dmu, je8, o, cfg)
-        mc = identify_mcrs(eight_dmu, je8, p, cfg)
+        p = project(je8, o, cfg)
+        mc = identify_mcrs(je8, p, cfg)
         assert set(mc.ucrs) <= set(mc.members)
         if o in je8.indices:
             assert mc.ucrs == (o,)
 
 
 def test_idempotence(eight_dmu, je8, cfg):
-    p = project(eight_dmu, je8, 6, cfg)
-    a = identify_mcrs(eight_dmu, je8, p, cfg)
-    b = identify_mcrs(eight_dmu, je8, p, cfg)
+    p = project(je8, 6, cfg)
+    a = identify_mcrs(je8, p, cfg)
+    b = identify_mcrs(je8, p, cfg)
     assert a.members == b.members
     assert np.array_equal(a.lambda_max, b.lambda_max)
 
@@ -185,7 +185,7 @@ def test_unrepresentable_target_is_internal_error(eight_dmu, je8, cfg):
     pri = default_priority(1, 1)
     bogus = point_projection(0, [0.5], [1.0], pri)
     with pytest.raises(AnalysisError):
-        identify_mcrs(eight_dmu, je8, bogus, cfg)
+        identify_mcrs(je8, bogus, cfg)
 
 
 def concave_frontier(rng, n):
@@ -212,7 +212,7 @@ def test_support_lps_pivot_budget(monkeypatch, cfg):
 
     monkeypatch.setattr(reference_set, "solve_lp", counting)
     for o in range(ds.n):
-        assert identify_mcrs(ds, je, project(ds, je, o, cfg), cfg).members == (o,)
+        assert identify_mcrs(je, project(je, o, cfg), cfg).members == (o,)
     assert sum(pivots) <= 253 // 2
 
 
@@ -243,16 +243,16 @@ def test_certified_mcrs_equals_the_support_lp(monkeypatch, cfg):
     certified = solved = 0
     for ds in sets:
         eff = evaluate_all(ds, cfg)
-        je = EfficientSet(tuple(r.dmu for r in eff if r.is_efficient))
+        je = Frontier(ds, tuple(r.dmu for r in eff if r.is_efficient))
         for o in je.indices:
-            p = project(ds, je, o, cfg)
+            p = project(je, o, cfg)
             before = len(solves)
-            got = identify_mcrs(ds, je, p, cfg, supports=supports_at(ds, eff, o, cfg))
+            got = identify_mcrs(je, p, cfg, supports=supports_at(ds, eff, o, cfg))
             if len(solves) > before:
                 solved += 1
                 continue
             certified += 1
-            want = identify_mcrs(ds, je, p, cfg)
+            want = identify_mcrs(je, p, cfg)
             assert len(solves) == before + 1
             assert (got.dmu, got.columns, got.members, got.ucrs) == (
                 want.dmu, want.columns, want.members, want.ucrs)
@@ -264,14 +264,14 @@ def test_duplicate_of_an_efficient_dmu_blocks_the_certificate(monkeypatch, cfg):
     # U1 alone is certified; its twin lies on every hyperplane through U1, at
     # a zero reduced cost, so no price rules it out: the LP runs and finds both
     base = concave_frontier(np.random.default_rng(2), 20)
-    twin = base.with_dmu("twin", base.x[0], base.y[0])
+    twin = with_dmu(base, "twin", base.x[0], base.y[0])
     solves = counting_support_lps(monkeypatch)
     for ds, members, lps in ((base, (0,), 0), (twin, (0, 20), 1)):
         eff = evaluate_all(ds, cfg)
-        je = EfficientSet(tuple(r.dmu for r in eff if r.is_efficient))
+        je = Frontier(ds, tuple(r.dmu for r in eff if r.is_efficient))
         assert je.size == ds.n
         solves.clear()
-        mc = identify_mcrs(ds, je, project(ds, je, 0, cfg), cfg,
+        mc = identify_mcrs(je, project(je, 0, cfg), cfg,
                            supports=supports_at(ds, eff, 0, cfg))
         assert mc.members == members
         assert len(solves) == lps
@@ -292,6 +292,6 @@ def test_prices_that_prove_nothing_leave_the_support_lp(eight_dmu, je8, cfg, mon
     # a hyperplane that misses it, so its other flags are not read
     solves = counting_support_lps(monkeypatch)
     supports = [np.isin(np.arange(eight_dmu.n), f) for f in flagged]
-    p = project(eight_dmu, je8, 2, cfg)
-    mc = identify_mcrs(eight_dmu, je8, p, cfg, supports=supports)
+    p = project(je8, 2, cfg)
+    mc = identify_mcrs(je8, p, cfg, supports=supports)
     assert mc.members == (1, 2, 3) and len(solves) == 1

@@ -8,7 +8,7 @@ from dea_closest.report import RunConfig, analyze
 from dea_closest.solver import solve_lp
 from dea_closest.solver.simplex import standardize
 
-from conftest import make_dataset, multiplier_intercept_program, random_dataset
+from conftest import make_dataset, multiplier_intercept_program, random_dataset, with_dmu
 
 
 @pytest.fixture(scope="module")
@@ -86,21 +86,21 @@ def test_classify_sign_rules(cfg):
     (7, RtsLabel.IRS),
 ])
 def test_eight_dmu_crts(eight_dmu, je8, cfg, o, label):
-    r = closest_rts(eight_dmu, je8, o, default_priority(1, 1), cfg)
+    r = closest_rts(je8, o, default_priority(1, 1), cfg)
     assert r.label is label
     assert r.dmu == o
 
 
 def test_crts_of_efficient_unit_is_its_own_rts(eight_dmu, je8, cfg):
     for o in range(4):
-        r = closest_rts(eight_dmu, je8, o, default_priority(1, 1), cfg)
+        r = closest_rts(je8, o, default_priority(1, 1), cfg)
         direct = classify_rts(intercept_bounds(eight_dmu, *point(eight_dmu, o), cfg), cfg)
         assert r.label is direct
         assert r.projection.stages == ()
 
 
 def test_motivating_example_crts(four_dmu, je4, cfg):
-    r = closest_rts(four_dmu, je4, 3, default_priority(1, 1), cfg)
+    r = closest_rts(je4, 3, default_priority(1, 1), cfg)
     assert r.label is RtsLabel.IRS
     # supporting line through A and B: y = 3x - 4, normalized at x = 8/3
     assert r.bounds.upper == pytest.approx(-0.5, abs=1e-6)
@@ -118,9 +118,9 @@ def test_bounds_ordering_when_both_finite(eight_dmu, four_dmu, cfg):
 def test_virtual_point_equivalence(eight_dmu, je8, cfg):
     # appending the projection as a DMU must not change its classification
     for o in (4, 5, 6, 7):
-        r = closest_rts(eight_dmu, je8, o, default_priority(1, 1), cfg)
-        ext = eight_dmu.with_dmu("virtual", r.projection.target_inputs,
-                                 r.projection.target_outputs)
+        r = closest_rts(je8, o, default_priority(1, 1), cfg)
+        ext = with_dmu(eight_dmu, "virtual", r.projection.target_inputs,
+                       r.projection.target_outputs)
         b = intercept_bounds(ext, r.projection.target_inputs,
                              r.projection.target_outputs, cfg)
         assert classify_rts(b, cfg) is r.label
@@ -138,7 +138,7 @@ def test_every_frontier_point_gets_one_label(cfg):
     pri = default_priority(ds.m, ds.s)
     labels = set()
     for o in range(ds.n):
-        r = closest_rts(ds, je, o, pri, cfg)
+        r = closest_rts(je, o, pri, cfg)
         assert isinstance(r.label, RtsLabel)
         labels.add(r.label)
     assert labels  # at least one classification produced
@@ -165,7 +165,7 @@ def test_closest_rts_failure_names_the_dmu(eight_dmu, je8, cfg, monkeypatch):
     monkeypatch.setattr(returns_to_scale, "solve_lp", out_of_pivots)
     with pytest.raises(SolverLimitError, match="^returns to scale of DMU 'DMU6': intercept "
                                                "maximization hit the iteration limit$"):
-        closest_rts(eight_dmu, je8, 5, default_priority(1, 1), cfg)
+        closest_rts(je8, 5, default_priority(1, 1), cfg)
 
 
 def test_rts_labels_do_not_depend_on_data_magnitude():
@@ -206,7 +206,7 @@ def test_bounds_match_highs_on_the_multiplier_form(eight_dmu, four_dmu, cfg):
         pri = default_priority(ds.m, ds.s)
         points = [(ds.x[o], ds.y[o]) for o in range(ds.n)]
         for o in range(ds.n):
-            p = closest_projection(ds, je, o, pri, cfg)
+            p = closest_projection(je, o, pri, cfg)
             points.append((p.target_inputs, p.target_outputs))
         for px, py in points:
             upper = highs_intercept(multiplier_intercept_program(ds, px, py, "max"), linprog)

@@ -730,11 +730,11 @@ def test_shared_parent_basis_is_never_mutated(monkeypatch, cfg):
     starts = []
     original = branch_and_bound.solve_standardized
 
-    def recording(std, cfg, lo, up, start, **kw):
+    def recording(std, cfg, start, box):
         if start is not None:
             starts.append((start, start.columns.copy(), start.x.copy(), start.matrix.copy(),
                            start.inverse.copy()))
-        return original(std, cfg, lo, up, start, **kw)
+        return original(std, cfg, start, box)
 
     monkeypatch.setattr(branch_and_bound, "solve_standardized", recording)
     rng = np.random.default_rng(31)

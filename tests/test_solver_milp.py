@@ -80,9 +80,9 @@ def test_child_tied_with_the_incumbent_is_not_solved(monkeypatch, cfg):
     solved = []
     original = branch_and_bound.solve_standardized
 
-    def counting(std, cfg, lower, upper, start, **kw):
-        outcome = original(std, cfg, lower, upper, start, **kw)
-        solved.append((lower.copy(), upper.copy(), outcome[1]))
+    def counting(std, cfg, start, box):
+        outcome = original(std, cfg, start, box)
+        solved.append((box.lo.copy(), box.up.copy(), outcome[1]))
         return outcome
 
     monkeypatch.setattr(branch_and_bound, "solve_standardized", counting)
@@ -283,14 +283,14 @@ def test_patched_bound_tables_equal_fresh_ones(monkeypatch, cfg):
     original = branch_and_bound.solve_standardized
     checked = []
 
-    def checking(std, cfg, lower, upper, start, *, box):
-        fresh = simplex._Box(lower, upper)
+    def checking(std, cfg, start, box):
+        fresh = simplex._Box(box.lo, box.up)
         for name in simplex._Box.__slots__:
             got, want = getattr(box, name), getattr(fresh, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
         checked.append(box.fixed.sum())
-        return original(std, cfg, lower, upper, start, box=box)
+        return original(std, cfg, start, box)
 
     monkeypatch.setattr(branch_and_bound, "solve_standardized", checking)
     rng = np.random.default_rng(2113)
@@ -299,7 +299,7 @@ def test_patched_bound_tables_equal_fresh_ones(monkeypatch, cfg):
         je = efficient_set(ds, cfg)
         pri = default_priority(ds.m, ds.s)
         for o in range(ds.n):
-            closest_projection(ds, je, o, pri, cfg)
+            closest_projection(je, o, pri, cfg)
     stage_nodes = len(checked)
     for _ in range(20):
         solve_milp(random_complementarity_lp(rng), cfg)

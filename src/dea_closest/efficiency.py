@@ -2,8 +2,8 @@
 
 Phase 1 shrinks the radial input factor theta as far as the technology
 allows; phase 2 pins theta at that optimum and maximizes the total slack.
-Phase 2 is derived from the phase-1 program: the same rows under a new
-objective and theta's pin.
+Phase 2 is derived from the phase-1 program with ``dataclasses.replace``:
+the same rows under a new objective and theta's pin.
 A DMU is efficient exactly when theta is 1 and every slack is zero, which
 realizes the non-Archimedean objective without ever instantiating an
 epsilon coefficient.
@@ -18,14 +18,15 @@ its slacks are, so there phase 2 is solved, from the same phase-1 basis,
 when the result's slacks or lambdas are first read; the pipeline reads
 neither.
 
-``evaluate_all`` builds the first DMU's phase-1 program and derives every
-other DMU's from it: the programs differ only in the theta column (-x_o) and
-in the right-hand side.  Each DMU's phase 1 starts from the last solved
-DMU's optimal phase-1 basis.  Of the price equations B^T y = c_B only
-theta's changes; the others fix y up to scale, and the scale stays positive
-while x_o.v > 0 for the input prices v = -y_in >= 0.  Every reduced cost
-keeps its sign, so the dual simplex resumes from a dual feasible basis; the
-first DMU starts at theta = 1, lambda_o = 1.
+``evaluate_all`` builds each DMU's phase-1 program, and each DMU's phase 1
+starts from the last solved DMU's optimal phase-1 basis.  The programs
+differ only in the theta column (-x_o) and in the right-hand side, so they
+share no matrix, and each resumed basis is factorized afresh.  Of the price
+equations B^T y = c_B only theta's changes; the others fix y up to scale,
+and the scale stays positive while x_o.v > 0 for the input prices
+v = -y_in >= 0.  Every reduced cost keeps its sign, so the dual simplex
+resumes from a dual feasible basis; the first DMU starts at theta = 1,
+lambda_o = 1.
 
 Every optimal phase-1 basis prices a hyperplane that supports every DMU.
 The DMUs whose lambda column it prices out lie strictly off it; where the
@@ -50,7 +51,7 @@ stage-1 projection programs built over them.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -114,8 +115,8 @@ class Frontier:
     that is not an integer; an empty set is allowed.  ``stage_templates``
     holds, per first slack, the stage-1 program ``closest_projection``
     built for the first DMU it projected with that slack; every later
-    projection derives its own from it by a new right-hand side, so they
-    share one matrix.  Equality is identity.
+    projection derives its own from it with ``dataclasses.replace`` by a new
+    right-hand side, so they share one matrix.  Equality is identity.
     """
 
     dataset: Dataset = field(repr=False)
@@ -176,7 +177,7 @@ def _phase2_program(phase1: LinearProgram, n: int, theta: float) -> LinearProgra
     c[1 + n:] = 1.0
     lower, upper = phase1.lower.copy(), phase1.upper.copy()
     lower[0] = upper[0] = theta
-    return phase1.derive("max", c, lower, upper)
+    return replace(phase1, sense="max", c=c, lower=lower, upper=upper)
 
 
 def _unit_vertex(dataset: Dataset, o: int) -> Basis:
@@ -196,40 +197,26 @@ def _unit_vertex(dataset: Dataset, o: int) -> Basis:
     return Basis(columns, x)
 
 
-def _dmu_program(first: LinearProgram, dataset: Dataset, o: int) -> LinearProgram:
-    """Phase 1 of DMU ``o`` derived from another DMU's phase-1 program
-    ``first``: only theta's column (-x_o) and the right-hand side differ, and
-    only those two are validated.  The matrix is a copy: a basis names the
-    matrix it was gathered from, and one gathered from ``first``'s must not
-    pass for this program's."""
-    m = dataset.m
-    lp = first.with_rhs(np.concatenate([np.zeros(m), dataset.y[o], [1.0]]))
-    lp.a = first.a.copy()
-    lp.a[:m, 0] = -dataset.x[o]
-    lp._check_values((("a", lp.a[:, 0]),), objective_and_bounds=False)
-    return lp
-
-
-def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig(),
-                 start: Basis | None = None) -> EfficiencyResult:
+def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig()) -> EfficiencyResult:
     """Radial score, max-slack completion, and efficiency flag for DMU ``o``.
 
-    ``start`` is another DMU's optimal phase-1 basis, which phase 1 resumes
-    from; without it phase 1 starts at the feasible vertex theta = 1,
-    lambda_o = 1, which spares it an artificial phase.  Neither changes
-    which points are optimal.  Phase 2 of a DMU with theta below
+    Phase 1 starts at the feasible vertex theta = 1, lambda_o = 1, which
+    spares it an artificial phase.  Phase 2 of a DMU with theta below
     1 - zero_tol is solved when the result's slacks or lambdas are first
     read.
     """
-    return _solve_bcc(dataset, o, _bcc_program(dataset, o), cfg, start)[0]
+    return _solve_bcc(dataset, o, cfg, None)[0]
 
 
-def _solve_bcc(dataset: Dataset, o: int, lp1: LinearProgram, cfg: SolverConfig,
+def _solve_bcc(dataset: Dataset, o: int, cfg: SolverConfig,
                start: Basis | None) -> tuple[EfficiencyResult, bool]:
-    """``evaluate_bcc`` over the phase-1 program ``lp1``, and whether the
-    phase-1 solve prices out every slack column."""
+    """``evaluate_bcc`` with phase 1 resuming from ``start``, another DMU's
+    optimal phase-1 basis, where given, and whether the phase-1 solve prices
+    out every slack column.  The start never changes which points are
+    optimal."""
     name = dataset.names[o]
     n, m, s = dataset.n, dataset.m, dataset.s
+    lp1 = _bcc_program(dataset, o)
 
     # lambda_o = 1, theta = 1 is always feasible, and theta >= 0 bounds it
     phase1 = require_optimal(solve_lp(lp1, cfg, warm_start=start or _unit_vertex(dataset, o)),
@@ -273,12 +260,10 @@ def _certified(dataset: Dataset, o: int, priced_out: np.ndarray) -> EfficiencyRe
 
 
 def evaluate_all(dataset: Dataset, cfg: SolverConfig = SolverConfig()) -> list[EfficiencyResult]:
-    """Every DMU in dataset order.  Each phase-1 program is derived from the
-    first DMU's, and each phase 1 after the first resumes from the last
-    solved optimal phase-1 basis.  A DMU that an earlier such basis proves
-    efficient is not solved."""
+    """Every DMU in dataset order.  Each phase 1 after the first resumes
+    from the last solved optimal phase-1 basis.  A DMU that an earlier such
+    basis proves efficient is not solved."""
     n = dataset.n
-    first = _bcc_program(dataset, 0)
     certifier: dict[int, np.ndarray] = {}  # DMU -> lambda mask of the basis that proves it
     results: list[EfficiencyResult] = []
     start = None
@@ -286,8 +271,7 @@ def evaluate_all(dataset: Dataset, cfg: SolverConfig = SolverConfig()) -> list[E
         if o in certifier:
             results.append(_certified(dataset, o, certifier[o]))
             continue
-        lp1 = first if o == 0 else _dmu_program(first, dataset, o)
-        result, slacks_priced_out = _solve_bcc(dataset, o, lp1, cfg, start)
+        result, slacks_priced_out = _solve_bcc(dataset, o, cfg, start)
         results.append(result)
         start = result.basis
         if slacks_priced_out:

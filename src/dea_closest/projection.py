@@ -12,17 +12,19 @@ The stage-1 programs of all DMUs over one frontier and first slack share
 their matrix, objective and bounds and differ only in the DMU's own values
 on the right-hand side.  The first projection with a given first slack
 builds its stage-1 program and keeps it on the ``Frontier``; every later
-one derives its own from it by a new right-hand side.  A caller that
-projects several DMUs also hands each projection's ``root`` to the next
-call, whose stage-1 root re-optimizes from that optimal root basis, still
-dual feasible, with the dual simplex instead of solving cold.  Within one
-DMU, stages 2..m+s are derived from its stage-1 program: the same rows, a
-new objective and one more pin.
+one derives its own from it with ``dataclasses.replace`` by a new
+right-hand side.  A caller that projects several DMUs also hands each
+projection's ``root`` to the next call, whose stage-1 root re-optimizes
+from that optimal root basis, still dual feasible, with the dual simplex
+instead of solving cold.  Within one DMU, stages 2..m+s are derived from
+its stage-1 program the same way: the same rows, a new objective and one
+more pin.  Every derived program shares its parent's matrix, so a basis
+resumed across them keeps its inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -134,8 +136,7 @@ def derive_stage_program(first: LinearProgram, pinned: list[tuple[int, float]],
     Each pinned slack is fixed at its earlier optimum, which the previous
     stage's point satisfies, so every stage is feasible.  Stages differ only
     in their objective and pins, so the matrix, right-hand side and pairs
-    are shared with ``first`` and only the new objective and bounds are
-    built and validated.
+    are shared with ``first``, not copied.
     """
     if target in {idx for idx, _ in pinned}:
         raise ValueError("stage target is already pinned")
@@ -145,7 +146,7 @@ def derive_stage_program(first: LinearProgram, pinned: list[tuple[int, float]],
     lower, upper = first.lower.copy(), first.upper.copy()
     for slack_idx, value in pinned:
         lower[c_s + slack_idx] = upper[c_s + slack_idx] = value
-    return first.derive("min", c, lower, upper)
+    return replace(first, sense="min", c=c, lower=lower, upper=upper)
 
 
 def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
@@ -187,7 +188,7 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
     if template is None:
         first = frontier.stage_templates[target] = build_stage_program(frontier, o, target)
     else:
-        first = template.with_rhs(_stage_rhs(frontier, o))
+        first = replace(template, b=_stage_rhs(frontier, o))
     start = root
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):

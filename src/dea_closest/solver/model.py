@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,16 +59,6 @@ _ALLOWED = {
 }
 
 
-def _check_sense(sense: str):
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-
-
-def _check_bound_sizes(lower: np.ndarray, upper: np.ndarray, n: int):
-    if lower.size != n or upper.size != n:
-        raise ValueError("bound vectors must match the number of variables")
-
-
 def _as_float_array(value, ndim: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != ndim:
@@ -90,6 +79,10 @@ class LinearProgram:
     Construction rejects any other NaN or infinity with a ValueError that
     names the field.  The binary-bound checks run only when there are
     binaries.
+
+    A related program is derived with ``dataclasses.replace``, which runs
+    the whole validation again and shares with this program, not copies,
+    every array it is not given.
     """
 
     sense: str
@@ -103,7 +96,8 @@ class LinearProgram:
     complements: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        _check_sense(self.sense)
+        if self.sense not in ("min", "max"):
+            raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         self.c = _as_float_array(self.c, 1)
         self.a = _as_float_array(self.a, 2)
         self.b = _as_float_array(self.b, 1)
@@ -121,7 +115,8 @@ class LinearProgram:
             if rel not in RELATIONS:
                 raise ValueError(f"unknown row relation {rel!r}")
         self.relations = tuple(self.relations)
-        _check_bound_sizes(self.lower, self.upper, n)
+        if self.lower.size != n or self.upper.size != n:
+            raise ValueError("bound vectors must match the number of variables")
         if self.binary is None:
             self.binary = np.zeros(n, dtype=bool)
         else:
@@ -131,65 +126,29 @@ class LinearProgram:
         if self.complements is None:
             self.complements = np.zeros((0, 2), dtype=int)
         else:
-            self.complements = np.asarray(self.complements, dtype=int).reshape(-1, 2)
+            self.complements = np.asarray(self.complements, dtype=int)
+            if self.complements.shape[1:] != (2,):  # a (k, 2) array is shared as given
+                self.complements = self.complements.reshape(-1, 2)
             if len(self.complements) and (self.complements.min() < 0
                                            or self.complements.max() >= n):
                 raise ValueError("complementarity pair refers to a missing variable")
             if (self.complements[:, 0] == self.complements[:, 1]).any():
                 raise ValueError("complementarity pair joins a variable with itself")
-        self._check_values((("a", self.a), ("b", self.b)))
+        self._check_values()
 
-    def derive(self, sense: str, c, lower, upper) -> LinearProgram:
-        """This program's rows, binaries and pairs under another objective
-        and other bounds.
-
-        The matrix, right-hand side, relations, binary mask and pairs are
-        shared with this program, not copied, and are not validated again;
-        the new objective and bounds are validated as the constructor would.
-        """
-        _check_sense(sense)
-        lp = copy.copy(self)
-        lp.sense = sense
-        lp.c = _as_float_array(c, 1)
-        lp.lower = _as_float_array(lower, 1)
-        lp.upper = _as_float_array(upper, 1)
-        n = self.c.size
-        if lp.c.size != n:
-            raise ValueError(f"objective has {lp.c.size} entries, program has {n} variables")
-        _check_bound_sizes(lp.lower, lp.upper, n)
-        lp._check_values(())
-        return lp
-
-    def with_rhs(self, b) -> LinearProgram:
-        """This program with right-hand side ``b``.
-
-        Everything else is shared with this program, not copied, and is not
-        validated again; only ``b`` is validated, as the constructor would.
-        """
-        lp = copy.copy(self)
-        lp.b = _as_float_array(b, 1)
-        if lp.b.size != self.n_rows:
-            raise ValueError(f"matrix has {self.n_rows} rows, rhs has {lp.b.size}")
-        lp._check_values((("b", lp.b),), objective_and_bounds=False)
-        return lp
-
-    def _check_values(self, row_arrays: tuple[tuple[str, np.ndarray], ...],
-                      objective_and_bounds: bool = True):
-        """Reject a NaN or an infinity in the named ``row_arrays`` and, with
-        ``objective_and_bounds``, in the objective, a NaN bound, a lower
-        bound of +inf, an upper bound of -inf, crossed bounds, binaries
-        boxed outside [0, 1] and complementary variables that may go
-        negative.
+    def _check_values(self):
+        """Reject a NaN or an infinity in the objective, the matrix or the
+        right-hand side, a NaN bound, a lower bound of +inf, an upper bound
+        of -inf, crossed bounds, binaries boxed outside [0, 1] and
+        complementary variables that may go negative.
 
         A lower bound may be -inf and an upper bound +inf: clipping them at
         zero from the side they may be infinite on maps both to finite
         values and keeps every other entry's NaN or infinity, so one
         ``isfinite`` pass over all arrays checks every value.
         """
-        named = row_arrays
-        if objective_and_bounds:
-            named = (("c", self.c), *row_arrays, ("lower", np.maximum(self.lower, 0.0)),
-                     ("upper", np.minimum(self.upper, 0.0)))
+        named = (("c", self.c), ("a", self.a), ("b", self.b),
+                 ("lower", np.maximum(self.lower, 0.0)), ("upper", np.minimum(self.upper, 0.0)))
         finite = np.isfinite(np.concatenate([arr.ravel() for _, arr in named]))
         if not finite.all():
             at = int(finite.argmin())
@@ -199,8 +158,6 @@ class LinearProgram:
                     raise ValueError(f"{name} holds {value} at flat index {at}; "
                                      f"{_ALLOWED[name]}")
                 at -= arr.size
-        if not objective_and_bounds:
-            return
         crossed = self.lower > self.upper
         if crossed.any():
             bad = int(crossed.argmax())
@@ -240,13 +197,14 @@ class Basis:
     (a singular one, or one of another system) sends it to its cold start.
 
     ``inverse`` is the factorized inverse of ``matrix``, the basic columns
-    in row order.  A resuming solve whose own basic columns equal ``matrix``
-    starts from a copy of it instead of factorizing.  ``source`` is the
-    standardized matrix that ``matrix`` was gathered from; a solve over that
-    very array (programs derived from one another share it) knows its basic
-    columns equal ``matrix`` without gathering and comparing them.  Two
-    branch-and-bound children resume from one parent record, so its arrays
-    are read-only; ``source`` belongs to the program and is left as it is.
+    in row order, and ``source`` the standardized matrix that ``matrix`` was
+    gathered from.  A resuming solve over that very array (a
+    branch-and-bound node, or a program derived from another with
+    ``dataclasses.replace``, which shares it) starts from a copy of
+    ``inverse``; a solve over any other array, even one equal to it,
+    factorizes its own basic columns afresh.  Two branch-and-bound children
+    resume from one parent record, so its arrays are read-only; ``source``
+    belongs to the program and is left as it is.
     """
 
     columns: np.ndarray

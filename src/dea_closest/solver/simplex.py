@@ -60,9 +60,10 @@ the dual and the primal loop; the dual loop computes the pricing threshold
 only on its first iteration (the dual feasibility test) and its last
 (handed on to the primal).  A resumed ``Basis`` names the standardized
 matrix it was gathered from, so a solve over that same array (a
-branch-and-bound node, or a program derived from the one that produced the
-record) takes its basis matrix and inverse without gathering its columns
-again or comparing them.  Per LP solve: one ``np.errstate`` context.  Per
+branch-and-bound node, or a program derived with ``dataclasses.replace``
+from the one that produced the record) takes its basis matrix and inverse
+as they are; a solve over another array factorizes its basic columns
+afresh.  Per LP solve: one ``np.errstate`` context.  Per
 branch-and-bound solve: the standardized system, the index arrays of the
 branching rule and one ``np.errstate`` context for the whole tree; each
 child's ``_Box`` is its parent's, patched at the fixed column.  None of this
@@ -356,14 +357,12 @@ class _Simplex:
         box = self.box
         vstatus = _placed(box.status, box.lo, box.up, start.x)
         vstatus[basis] = _BASIC
-        # a record gathered from this very matrix holds its basic columns
-        same = start.inverse is not None and start.source is self.a
-        b_mat = start.matrix if same else self.a[:, basis]
-        if same or (start.inverse is not None and np.array_equal(start.matrix, b_mat)):
-            # the record is shared; never update its inverse
-            self.b_inv, self.b_mat, self.updates = start.inverse.copy(), b_mat, 0
+        if start.inverse is not None and start.source is self.a:
+            # gathered from this very matrix, so it holds these basic columns;
+            # the record is shared, so never update its inverse
+            self.b_inv, self.b_mat, self.updates = start.inverse.copy(), start.matrix, 0
         else:
-            self._refactor(b_mat)
+            self._refactor(self.a[:, basis])
 
         outcome = self._dual_loop(c, basis, vstatus)
         if outcome is SolveStatus.INFEASIBLE:

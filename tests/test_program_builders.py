@@ -196,7 +196,9 @@ def test_stage_programs_objective_and_bounds(ds, cfg):
             assert_objective_and_bounds(lp, "min", *loop_stage_bounds(ds, je, pinned, target))
             assert lp.relations == ("=",) * (ds.m + ds.s + 1 + t)
             assert not lp.binary.any() and np.array_equal(lp.complements, pairs)
+            # a basis resumes its inverse across stages only over the same matrix
             assert lp.a is first.a and lp.b is first.b
+            assert lp.relations is first.relations and lp.complements is first.complements
         with pytest.raises(ValueError, match="already pinned"):
             derive_stage_program(first, [(pri.order[0], 0.0)], pri.order[0])
 
@@ -229,7 +231,8 @@ def test_chained_stage1_programs_match_loop_reference(ds, cfg, monkeypatch):
     for o, lp in zip(inefficient, stage1):
         assert_bitwise(lp, *loop_stage_rows(ds, je, o))
         assert_objective_and_bounds(lp, "min", *loop_stage_bounds(ds, je, [], pri.order[0]))
-        assert lp.a is stage1[0].a
+        assert lp.a is stage1[0].a and lp.relations is stage1[0].relations
+        assert lp.complements is stage1[0].complements
 
 
 @pytest.mark.parametrize("ds", list(datasets()), ids=lambda ds: f"n{ds.n}m{ds.m}s{ds.s}")
@@ -244,3 +247,5 @@ def test_bcc_programs_objective_and_bounds(ds, cfg):
             assert lp.relations == ("=",) * (ds.m + ds.s + 1)
             assert not lp.binary.any() and lp.complements.size == 0
         assert phase2.a is phase1.a and phase2.b is phase1.b
+        assert phase2.relations is phase1.relations
+        assert phase2.complements is phase1.complements

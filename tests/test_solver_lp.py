@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -195,11 +197,8 @@ def test_nonfinite_values_are_rejected_by_name(field, value):
     # a NaN in a or b gave OPTIMAL with NaN in x, and b = [inf] read UNBOUNDED
     with pytest.raises(ValueError, match=rf"^{field} holds"):
         one_row(**{field: value})
-    if field in ("c", "lower", "upper"):  # the only arrays a derived program replaces
-        base = one_row()
-        new = {"c": base.c, "lower": base.lower, "upper": base.upper, field: value}
-        with pytest.raises(ValueError, match=rf"^{field} holds"):
-            base.derive("min", new["c"], new["lower"], new["upper"])
+    with pytest.raises(ValueError, match=rf"^{field} holds"):
+        replace(one_row(), **{field: value})  # a derived program is validated in full
 
 
 def test_infinite_bounds_on_their_own_side_are_accepted(cfg):
@@ -212,18 +211,22 @@ def test_infinite_bounds_on_their_own_side_are_accepted(cfg):
 def test_derived_program_shares_rows_and_solves_like_a_fresh_one(cfg):
     base = one_row()
     fresh = one_row(sense="max", c=[3.0, 1.0], upper=[0.25, np.inf])
-    derived = base.derive("max", [3.0, 1.0], [0.0, 0.0], [0.25, np.inf])
+    derived = replace(base, sense="max", c=[3.0, 1.0], upper=[0.25, np.inf])
     assert derived.a is base.a and derived.b is base.b and derived.relations is base.relations
+    assert derived.lower is base.lower and derived.binary is base.binary
+    assert derived.complements is base.complements
     assert base.sense == "min" and base.upper[0] == np.inf  # the original is untouched
     a, b = solve_lp(derived, cfg), solve_lp(fresh, cfg)
     assert a.status is b.status is SolveStatus.OPTIMAL
     assert a.objective == b.objective and np.array_equal(a.x, b.x)
-    with pytest.raises(ValueError):
-        base.derive("max", [1.0], [0.0, 0.0], [1.0, 1.0])  # objective of the wrong size
-    with pytest.raises(ValueError):
-        base.derive("max", [1.0, 1.0], [2.0, 0.0], [1.0, 1.0])  # crossed bounds
-    with pytest.raises(ValueError):
-        base.derive("maximize", [1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="2 columns, objective has 1"):
+        replace(base, c=[1.0])  # objective of the wrong size
+    with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
+        replace(base, lower=[2.0, 0.0], upper=[1.0, 1.0])
+    with pytest.raises(ValueError, match="sense must be"):
+        replace(base, sense="maximize")
+    with pytest.raises(ValueError, match="rhs has 2"):
+        replace(base, b=[1.0, 1.0])  # right-hand side of the wrong length
 
 
 @pytest.mark.parametrize("column", [-2, -1, 2])
@@ -260,31 +263,36 @@ def test_singular_warm_start_falls_back_to_a_cold_start(monkeypatch, cfg):
     assert np.array_equal(warm.x, cold.x) and warm.iterations == cold.iterations
 
 
-def test_record_from_another_matrix_is_gathered_and_compared(monkeypatch, cfg):
+def test_record_from_another_matrix_is_factorized_afresh(monkeypatch, cfg):
     # a record names the standardized matrix it was gathered from.  A solve
-    # over that very array (a derived program shares it) takes the record's
-    # basis matrix as it is; one over another array of the same shape and
-    # values gathers its own basic columns and compares them with the
-    # record's.  Both reuse the record's inverse and reach the same point
+    # over that very array (a derived program shares it) resumes from a copy
+    # of the record's inverse; one over another array of the same shape and
+    # values factorizes its own basic columns before its first pivot.  The
+    # record's inverse is the fresh factorization of its matrix, so both
+    # take the same pivots to the same point
     lp = long_box_lp(np.random.default_rng(99))
     record = solve_lp(lp, cfg).basis
     assert record.source is lp.a and record.matrix is not None
-    compared = []
-    array_equal = np.array_equal
+    events = []
+    refactor, exchange = simplex._Simplex._refactor, simplex._Simplex._exchange
 
-    def spying(a1, a2, *args, **kwargs):
-        if a1 is record.matrix:
-            compared.append(a2)
-        return array_equal(a1, a2, *args, **kwargs)
+    def refactoring(self, b_mat):
+        events.append("refactor")
+        return refactor(self, b_mat)
 
-    monkeypatch.setattr(np, "array_equal", spying)
+    def exchanging(self, *args):
+        events.append("pivot")
+        return exchange(self, *args)
+
+    monkeypatch.setattr(simplex._Simplex, "_refactor", refactoring)
+    monkeypatch.setattr(simplex._Simplex, "_exchange", exchanging)
     c = -lp.c
-    same = solve_lp(lp.derive("min", c, lp.lower, lp.upper), cfg, warm_start=record)
-    assert compared == []
+    same = solve_lp(replace(lp, c=c), cfg, warm_start=record)
+    assert "pivot" in events and "refactor" not in events[:events.index("pivot")]
+    events.clear()
     twin = LinearProgram("min", c, lp.a.copy(), lp.relations, lp.b, lp.lower, lp.upper)
     other = solve_lp(twin, cfg, warm_start=record)
-    assert len(compared) == 1 and compared[0] is not record.matrix
-    assert array_equal(compared[0], record.matrix)
+    assert events[0] == "refactor" and "pivot" in events
     assert same.status is other.status is SolveStatus.OPTIMAL
     assert same.iterations == other.iterations and np.array_equal(same.x, other.x)
     assert same.basis.source is lp.a and other.basis.source is twin.a

@@ -52,8 +52,10 @@ GATES = {
         "efficiency.pivots": 72,
     }),
     # one dataset and 100 intercept LPs; the (m+s+1)-row envelopment form
-    # takes 755 pivots there (855 with the minimizing stage started cold), the
-    # n+2-row multiplier form took 2189.  BCC phase 2 runs only where the
+    # takes 543 pivots there with each stage started at its best vertex with
+    # one positive lambda (755 with the maximizing stage cold and the
+    # minimizing one from lambda = 0, 855 with both cold), the n+2-row
+    # multiplier form took 2189.  BCC phase 2 runs only where the
     # phase-1 prices leave a slack open (100 BCC solves with phase 2 always
     # run, 59 with each phase 1 from theta=1, lambda_o=1, 50 and 324 BCC
     # pivots with it from the previous DMU's basis, against 578; 27 and 216
@@ -63,7 +65,7 @@ GATES = {
     # support LP of most DMUs (11 MCRS solves and 93 pivots, against 50 and
     # 456; 9 and 75 with a certified DMU reading its certifier's BCC prices)
     "frontier-rts": Row(seed=1, seconds=10, clean=True, gates={
-        "returns_to_scale.pivots": 755,
+        "returns_to_scale.pivots": 543,
         "efficiency.lp_solves": 27,
         "efficiency.pivots": 216,
         "reference_set.lp_solves": 9,
@@ -71,8 +73,12 @@ GATES = {
     }),
     # the only run of support LPs at the closest targets of inefficient DMUs,
     # where no price certificate spares the LP: 28 support LPs and 116 pivots
-    # (27 and 113 with a certified DMU reading its certifier's BCC prices)
+    # (27 and 113 with a certified DMU reading its certifier's BCC prices);
+    # the intercept LPs at those targets take 177 pivots with each stage
+    # started at its best vertex with one positive lambda (246 with the
+    # maximizing stage cold and the minimizing one from lambda = 0)
     "bnb-report": Row(seed=1, seconds=10, clean=True, gates={
+        "returns_to_scale.pivots": 177,
         "reference_set.lp_solves": 27,
         "reference_set.pivots": 113,
     }),

@@ -7,9 +7,11 @@ returns, strictly positive means decreasing, and a range straddling zero
 means constant.  For an inefficient DMU the classification is performed at
 its unique closest projection (closest RTS).  Each end of the range is an
 LP in envelopment form (Banker & Thrall 1992), with m+s+1 rows for any n.
-The optimal prices of each one are a hyperplane that supports every DMU at
-the point; the DMUs whose lambda column they price out lie strictly off it,
-and that mask is kept for the maximal closest reference set.
+Each LP starts at its best vertex with at most one positive lambda, so
+neither runs an artificial phase where some DMU gives it one.  The optimal
+prices of each one are a hyperplane that supports every DMU at the point;
+the DMUs whose lambda column they price out lie strictly off it, and that
+mask is kept for the maximal closest reference set.
 """
 
 from __future__ import annotations
@@ -77,23 +79,80 @@ def _intercept_program(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarra
     a[m:m + s, 1] = point_y
     a[m:m + s, 2:] = dataset.y.T
     a[m + s, 1:] = -1.0
-    return LinearProgram(dual_sense, np.r_[sigma, np.zeros(n + 1)], a,
-                         (">=",) * (m + s) + ("=",), np.r_[np.zeros(m + s), sigma],
-                         np.r_[-np.inf, -np.inf, np.zeros(n)], np.full(n + 2, np.inf))
+    c = np.zeros(n + 2)
+    c[0] = sigma
+    b = np.zeros(m + s + 1)
+    b[m + s] = sigma
+    lower = np.zeros(n + 2)
+    lower[:2] = -np.inf
+    return LinearProgram(dual_sense, c, a, (">=",) * (m + s) + ("=",), b, lower,
+                         np.full(n + 2, np.inf))
 
 
-def _unit_multipliers(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray) -> Basis:
-    """Start of the minimizing stage at lambda = 0, mu = 1, u0 = 1.
+def _single_dmu_vertex(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
+                       sigma: float) -> Basis | None:
+    """The vertex of the stage-``sigma`` intercept program with the lowest u0
+    among those with at most one positive lambda; None when there is none.
+
+    With lambda_j = L alone, the equality row gives mu = -sigma - L and the
+    input rows u0 = -sigma + L.(max_i x_ij/x_pi - 1), the maximum over the
+    point's positive inputs (a positive lambda_j needs x_ij = 0 wherever
+    x_pi = 0).  L is set by the output row that binds first: for sigma = +1
+    it is the smallest L with L.(y_rj - y_pr) >= y_pr on every row, so j
+    must exceed the point on each of its positive outputs; for sigma = -1,
+    where u0 falls with L only when j lies below the point in every input,
+    it is the largest L with L.(y_pr - y_rj) <= y_pr.  The DMU with the
+    lowest u0 is taken, ties to the lowest index.  Without one, the sigma =
+    -1 stage starts at L = 0 (lambda = 0, mu = 1, u0 = 1), its vertex for
+    every point, and the sigma = +1 stage, which has no such vertex, cold.
 
     Over the standardized columns [u0, mu, lambda (n), row slacks (m+s)],
-    the basic columns are the slacks of their own rows, mu in the equality
-    row, and u0 in place of the slack of the input row with the largest
-    x_p.  The input slacks are zero there and the output slacks equal y_p.
+    u0 is basic in place of the slack of the binding input row, lambda_j in
+    place of that of the binding output row, mu in the equality row, and
+    every other row's slack in its own row.  Only the nonbasic columns'
+    values matter to the solve, and they sit exactly at zero.
     """
     n, m, s = dataset.n, dataset.m, dataset.s
-    x = np.r_[1.0, 1.0, np.zeros(n + m), point_y]
-    columns = np.r_[n + 2 + np.arange(m + s), 1]
-    columns[int(np.argmax(point_x))] = 0
+    x = np.zeros(n + 2 + m + s)
+    columns = np.arange(n + 2, n + 3 + m + s)
+    columns[m + s] = 1  # mu in the equality row
+    i, rise = int(point_x.argmax()), 0.0  # the binding input row, and u0 + sigma
+    pos = point_x > 0
+    if pos.any():
+        ratio = dataset.x[:, pos] / point_x[pos]
+        top = ratio.max(axis=1)
+        fits = (dataset.x[:, ~pos] == 0).all(axis=1)
+        gap = dataset.y - point_y
+        if sigma > 0:
+            rows = point_y > 0
+            fits &= rows.any() & (gap > 0)[:, rows].all(axis=1)
+        else:
+            rows = gap < 0
+            fits &= (top < 1) & rows.any(axis=1)
+        idx = np.flatnonzero(fits)
+        if idx.size:
+            if sigma < 0:
+                rows = rows[idx]
+            limits = np.where(rows, point_y / np.where(rows, np.abs(gap[idx]), 1.0),
+                              0.0 if sigma > 0 else np.inf)
+            lams = limits.max(axis=1) if sigma > 0 else limits.min(axis=1)
+            rises = lams * (top[idx] - 1.0)
+            k = int(rises.argmin())
+            j, rise = int(idx[k]), rises[k]
+            r = int(limits[k].argmax() if sigma > 0 else limits[k].argmin())
+            i = int(np.flatnonzero(pos)[ratio[j].argmax()])
+            x[2 + j] = lams[k]
+            columns[m + r] = 2 + j
+    lam = x[2:n + 2]
+    if sigma > 0 and not lam.any():
+        return None
+    x[0] = -sigma + rise
+    x[1] = -sigma - lam.sum()
+    slacks = x[n + 2:]
+    slacks[:m] = point_x * (x[0] - x[1]) - dataset.x.T.dot(lam)
+    slacks[m:] = point_y * x[1] + dataset.y.T.dot(lam)
+    columns[i] = 0
+    slacks[columns[:m + s] < n + 2] = 0.0  # the rows whose slack left the basis
     return Basis(columns, x)
 
 
@@ -105,14 +164,17 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
     label and stage 2 is skipped.  An unbounded dual means that no hyperplane
     supports the point, so it is off the frontier.  An infeasible stage-1 dual
     reads as upper = +inf; a point without support also gives one, and stage
-    2 then finds it.  Stage 2 is feasible at lambda=0, mu=1, u0=1, so lower >= -1,
-    and it starts from that vertex; stage 1 starts cold.
+    2 then finds it.  Stage 2 is feasible at lambda=0, mu=1, u0=1, so lower >= -1.
+    Each stage starts from its best vertex with at most one positive lambda;
+    stage 1, which has no such vertex when no DMU exceeds the point in every
+    positive output, is then solved cold.
     """
     point_x = np.asarray(point_x, dtype=float)
     point_y = np.asarray(point_y, dtype=float)
 
-    def solve(sense: str, stage: str, *start: Basis):
-        sol = solve_lp(_intercept_program(dataset, point_x, point_y, sense), cfg, *start)
+    def solve(sense: str, stage: str):
+        start = _single_dmu_vertex(dataset, point_x, point_y, 1.0 if sense == "max" else -1.0)
+        sol = solve_lp(_intercept_program(dataset, point_x, point_y, sense), cfg, start)
         if sol.status is SolveStatus.UNBOUNDED:
             raise AnalysisError("intercept bounds requested at a point that is not "
                                 "on the efficient frontier")
@@ -127,7 +189,7 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
     upper = np.inf if hi.status is SolveStatus.INFEASIBLE else float(hi.objective)
     if upper < -cfg.zero_tol:
         return RtsBounds(upper, -np.inf, 1, supports(hi))
-    lo = solve("min", "minimization", _unit_multipliers(dataset, point_x, point_y))
+    lo = solve("min", "minimization")
     return RtsBounds(upper, float(lo.objective), 2, supports(hi, lo))
 
 

@@ -18,12 +18,12 @@ A warm solve resumes from the final basis of a related program with the same
 rows and columns (a branch-and-bound parent, the previous lexicographic
 stage, the first phase of a two-phase model), or from a known basic feasible
 point that the caller builds as a ``Basis`` of its own (the BCC score starts
-at theta=1, lambda_o=1 and the lower returns-to-scale intercept at lambda=0,
-mu=1, u0=1, so neither runs an artificial phase).  Each nonbasic column is
-placed by its old value against its new bounds.  If the basic solution is
-then primal feasible, primal phase 2 runs alone; if it is only dual
-feasible (a parent basis after one bound changed), a bounded dual simplex
-(Koberstein 2005) restores primal feasibility first.  The dual leaves on the
+at theta=1, lambda_o=1 and each returns-to-scale intercept at a vertex with
+at most one positive lambda, so none of them runs an artificial phase).
+Each nonbasic column is placed by its old value against its new bounds.
+If the basic solution is then primal feasible, primal phase 2 runs alone;
+if it is only dual feasible (a parent basis after one bound changed), a
+bounded dual simplex (Koberstein 2005) restores primal feasibility first.  The dual leaves on the
 largest bound violation and enters by the ratio test |d_j|/|alpha_rj|, ties
 going to the largest |alpha_rj|.  It reports an infeasible program only when
 the leaving row, read as a bound over the variable box, certifies it.

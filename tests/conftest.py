@@ -38,6 +38,12 @@ def make_dataset(x: np.ndarray, y: np.ndarray, names=None) -> Dataset:
                    tuple(f"y{r + 1}" for r in range(y.shape[1])))
 
 
+def log_uniform_dataset(seed):
+    """15 DMUs, 2 inputs and 2 outputs spread over six decades within each column."""
+    v = np.round(10 ** np.random.default_rng(seed).uniform(0, 6, (15, 4)), 3)
+    return make_dataset(v[:, :2], v[:, 2:])
+
+
 def with_dmu(ds: Dataset, name: str, inputs, outputs) -> Dataset:
     """``ds`` with one DMU appended, a virtual point to test against."""
     return Dataset(ds.names + (name,), np.vstack([ds.x, list(inputs)]),

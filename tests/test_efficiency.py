@@ -8,7 +8,8 @@ from dea_closest import (AnalysisError, Frontier, ValidationError, closest_proje
                          load_dataset, solve_lp)
 from dea_closest.efficiency import _bcc_program, _phase2_program
 
-from conftest import make_dataset, multiplier_score, random_dataset, with_dmu
+from conftest import (log_uniform_dataset, make_dataset, multiplier_score, random_dataset,
+                      with_dmu)
 
 
 def test_eight_dmu_classification(eight_dmu, cfg):
@@ -367,12 +368,6 @@ def fdh_bound(ds, o):
     largest input ratio to the cheapest DMU producing at least y_o."""
     producing = np.all(ds.y >= ds.y[o], axis=1)
     return float(np.min(np.max(ds.x[producing] / ds.x[o], axis=1)))
-
-
-def log_uniform_dataset(seed):
-    """15 DMUs, 2 inputs and 2 outputs spread over six decades within each column."""
-    v = np.round(10 ** np.random.default_rng(seed).uniform(0, 6, (15, 4)), 3)
-    return make_dataset(v[:, :2], v[:, 2:])
 
 
 def test_theta_never_exceeds_the_fdh_bound(cfg):

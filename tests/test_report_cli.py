@@ -250,7 +250,7 @@ def test_cli_analysis_error_exit_code(table_path, capsys, monkeypatch):
 
 
 def test_cli_rts_solver_limit_names_dmu_and_stage(table_path, capsys, monkeypatch):
-    def out_of_pivots(lp, cfg):
+    def out_of_pivots(lp, cfg, *start):
         return Solution(SolveStatus.ITERATION_LIMIT, float("nan"), None)
 
     monkeypatch.setattr(returns_to_scale, "solve_lp", out_of_pivots)

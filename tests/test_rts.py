@@ -1,14 +1,19 @@
+import io
+import warnings
+
 import numpy as np
 import pytest
 
 from dea_closest import (AnalysisError, RtsBounds, RtsLabel, Solution, SolverLimitError,
                          SolveStatus, classify_rts, closest_projection, closest_rts,
-                         default_priority, efficient_set, intercept_bounds, returns_to_scale)
+                         default_priority, efficient_set, intercept_bounds, load_dataset,
+                         returns_to_scale)
 from dea_closest.report import RunConfig, analyze
 from dea_closest.solver import solve_lp
 from dea_closest.solver.simplex import standardize
 
-from conftest import make_dataset, multiplier_intercept_program, random_dataset, with_dmu
+from conftest import (log_uniform_dataset, make_dataset, multiplier_intercept_program,
+                      random_dataset, with_dmu)
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +164,7 @@ def test_statuses_map_by_duality(cfg):
 
 
 def test_closest_rts_failure_names_the_dmu(eight_dmu, je8, cfg, monkeypatch):
-    def out_of_pivots(lp, cfg):
+    def out_of_pivots(lp, cfg, *start):
         return Solution(SolveStatus.ITERATION_LIMIT, float("nan"), None)
 
     monkeypatch.setattr(returns_to_scale, "solve_lp", out_of_pivots)
@@ -230,31 +235,135 @@ def test_bounds_match_highs_on_the_multiplier_form(eight_dmu, four_dmu, cfg):
     assert checked > 100 and raised > 10
 
 
-def test_lower_stage_starts_at_unit_multipliers(monkeypatch, cfg):
-    # lambda=0, mu=1, u0=1 is a vertex of the minimizing stage; starting there
-    # ends at the cold solve's bound; over these sets it took 53 pivots
-    # against 91 cold
-    lower_stages = []
+def test_both_stages_start_at_their_best_single_dmu_vertex(monkeypatch, cfg):
+    # each stage starts at a vertex with at most one positive lambda (the
+    # lower stage at lambda=0, mu=1, u0=1 when no DMU lies below the point in
+    # every input, the upper one cold when none exceeds it in every output);
+    # starting there ends at the cold solve's bound; over these sets the
+    # 26 started stages took 30 pivots against 121 cold
+    stages = []
 
     def recording(lp, cfg, *start):
         sol = solve_lp(lp, cfg, *start)
-        if lp.sense == "max":  # the minimizing stage, in its dual form
-            lower_stages.append((lp, start, sol))
+        stages.append((lp, start, sol))
         return sol
 
     monkeypatch.setattr(returns_to_scale, "solve_lp", recording)
     warm_pivots = cold_pivots = 0
+    started = {"min": 0, "max": 0}  # by the sense of the dual form
     for seed in (7, 11, 2024):
         ds = random_dataset(np.random.default_rng(seed))
         for o in efficient_set(ds, cfg).indices:
-            lower_stages.clear()
+            stages.clear()
             intercept_bounds(ds, ds.x[o], ds.y[o], cfg)
-            for lp, (start,), warm in lower_stages:
-                assert np.abs(standardize(lp).a @ start.x - lp.b).max() == 0.0
+            for lp, starts, warm in stages:
                 cold = solve_lp(lp, cfg)
-                assert warm.status is cold.status is SolveStatus.OPTIMAL
-                assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+                assert warm.status is cold.status
+                if warm.status is SolveStatus.OPTIMAL:
+                    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+                (start,) = starts
+                if start is None:
+                    assert lp.sense == "min"  # only the upper stage may start cold
+                    continue
+                std = standardize(lp)
+                nonbasic = np.ones(std.a.shape[1], dtype=bool)
+                nonbasic[start.columns] = False
+                rest = np.where(np.isfinite(std.lower), std.lower, 0.0)
+                assert np.array_equal(start.x[nonbasic], rest[nonbasic])
+                assert np.linalg.matrix_rank(std.a[:, start.columns]) == lp.n_rows
+                started[lp.sense] += 1
                 warm_pivots += warm.iterations
                 cold_pivots += cold.iterations
-    assert cold_pivots > 0
+    assert started["min"] > 0 and started["max"] > 0
     assert warm_pivots <= 2 * cold_pivots // 3
+
+
+def test_starts_raise_no_warning_at_zeros_and_duplicates():
+    # U1 and U7 have a zero input and a zero output, so each targets a point
+    # with both; U7 exceeds U1 on its positive output and equals it on the
+    # zero one, and U1 lies below U7 in every positive input; U4 duplicates U2
+    x = [[0, 4], [2, 2], [4, 1], [2, 2], [5, 5], [3, 4], [0, 6]]
+    y = [[2, 0], [3, 2], [4, 3], [3, 2], [1, 1], [2, 1], [3, 0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = analyze(make_dataset(x, y), RunConfig("zeros.csv"))
+    assert all(rec.rts_label is RtsLabel.CRS for rec in report.records)
+
+
+def highs_intercept_both(lp, linprog):
+    """Optimum of a multiplier-form intercept program by HiGHS's dual simplex
+    and by its interior point, which must agree; +-inf when unbounded."""
+    eq = np.array([rel == "=" for rel in lp.relations])
+    sign = 1.0 if lp.sense == "min" else -1.0
+    optima = []
+    for method in ("highs-ds", "highs-ipm"):
+        res = linprog(sign * lp.c, A_ub=lp.a[~eq], b_ub=lp.b[~eq], A_eq=lp.a[eq], b_eq=lp.b[eq],
+                      bounds=np.column_stack([lp.lower, lp.upper]), method=method,
+                      options={"presolve": False})
+        assert res.status in (0, 3), (method, res.message)
+        optima.append(-sign * np.inf if res.status == 3 else sign * res.fun)
+    assert optima[0] == pytest.approx(optima[1], rel=1e-9, abs=1e-9)
+    return optima[0]
+
+
+# two "units" benchmark tables (seed 4 dataset 28, seed 1 dataset 48): the
+# proj-bnb data with every column rescaled by a power of ten
+UNITS_4_28 = """dmu,in:x1,in:x2,out:y1,out:y2
+U1,8.214,877750.0,67161.0,744460.0
+U2,6.533799999999999,343650.0,17652.0,982790.0
+U3,5.125900000000001,199140.00000000003,83290.0,134190.0
+U4,7.443000000000001,423470.0,54503.0,657870.0000000001
+U5,6.116700000000001,461960.0,55772.0,331930.0
+U6,4.1204,660909.9999999999,69597.0,767189.9999999999
+U7,1.8355000000000001,734140.0,51714.0,806380.0
+U8,9.0843,622770.0,45931.0,798870.0
+U9,9.721400000000001,396629.99999999994,39174.0,1102410.0
+U10,8.5615,357510.0,43894.0,415390.0
+U11,5.990600000000001,640840.0,76913.0,805190.0
+U12,5.6793000000000005,792230.0,40840.0,694430.0
+"""
+
+UNITS_1_48 = """dmu,in:x1,in:x2,out:y1,out:y2
+U1,733.8599999999999,86758.0,0.7625400000000001,468020.0
+U2,282.73,6072.0,0.23431000000000002,537170.0
+U3,782.69,86159.0,0.5532900000000001,283480.0
+U4,792.62,5768.0,0.85345,349159.99999999994
+U5,784.86,82882.0,0.80652,257170.0
+U6,338.68,106005.0,0.45433,546770.0
+U7,92.44999999999999,87543.0,0.5428499999999999,820490.0000000001
+U8,602.53,90815.0,0.9151600000000001,820470.0
+U9,755.6100000000001,44908.0,0.8150000000000001,234570.0
+U10,838.94,49790.0,0.53049,420450.0
+U11,321.22,80720.0,0.35468000000000005,1001310.0
+U12,810.99,56970.0,1.16828,125760.0
+"""
+
+
+@pytest.mark.parametrize("table,dmu,upper", [
+    # the cold phase 1 of the upper stage read its program as infeasible (+inf)
+    ("log-uniform seed 10", "U1", 17994.8131),
+    # the cold solve stopped at 3.00905865
+    ("units seed 4 dataset 28", "U2", 3.00825103),
+    # the cold solve hit the iteration limit at U1's target
+    ("units seed 1 dataset 48", "U1", 4.35337097),
+])
+def test_rts_bounds_match_highs_where_the_cold_upper_stage_failed(table, dmu, upper):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ds = (log_uniform_dataset(10) if table.startswith("log")
+          else load_dataset(io.StringIO(UNITS_4_28 if "seed 4" in table else UNITS_1_48)))
+    report = analyze(ds, RunConfig("table.csv"))
+    for rec in report.records:
+        px, py = rec.projection.target_inputs, rec.projection.target_outputs
+        b = rec.rts_bounds
+        pairs = [(b.upper, highs_intercept_both(multiplier_intercept_program(ds, px, py, "max"),
+                                                linprog))]
+        if b.stage_count == 2:
+            pairs.append((b.lower, highs_intercept_both(
+                multiplier_intercept_program(ds, px, py, "min"), linprog)))
+        for got, want in pairs:
+            if np.isinf(want) or np.isinf(got):
+                assert got == want, rec.name
+            else:
+                assert abs(got - want) <= 1e-9 * (1 + abs(want)), rec.name
+    by_name = {rec.name: rec for rec in report.records}
+    assert by_name[dmu].rts_bounds.upper == pytest.approx(upper, rel=1e-8)  # 9 digits

@@ -4,8 +4,8 @@ For each decision-making unit the pipeline computes a BCC efficiency score,
 a unique closest efficient target by lexicographic slack minimization, the
 maximal closest reference set behind that target, and the returns-to-scale
 class of the target point.  All optimization runs on an embedded
-bounded-variable simplex with a branch-and-bound layer for binaries and
-complementarity pairs.
+bounded-variable simplex with a branch-and-bound layer for complementarity
+pairs.
 """
 
 __version__ = "0.1.0"

@@ -166,7 +166,10 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
     root from the previous stage's final basis.
     ``root`` is the ``root`` of another DMU's projection over the same
     frontier and first slack; stage 1 starts its root from it, and without
-    it starts cold.  It never changes the result.
+    it starts cold.  It does not change the result at the 9 significant
+    digits a report prints, but it can move the last bits of the slacks and
+    targets: on uniform (2,2) data with n=250, 220 of 227 inefficient DMUs
+    differ from a cold root by up to 3.1e-13 relative.
     """
     dataset = frontier.dataset
     m, s = dataset.m, dataset.s

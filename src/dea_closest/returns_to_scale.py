@@ -101,10 +101,13 @@ def _single_dmu_vertex(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarra
     it is the smallest L with L.(y_rj - y_pr) >= y_pr on every row, so j
     must exceed the point on each of its positive outputs; for sigma = -1,
     where u0 falls with L only when j lies below the point in every input,
-    it is the largest L with L.(y_pr - y_rj) <= y_pr.  The DMU with the
-    lowest u0 is taken, ties to the lowest index.  Without one, the sigma =
-    -1 stage starts at L = 0 (lambda = 0, mu = 1, u0 = 1), its vertex for
-    every point, and the sigma = +1 stage, which has no such vertex, cold.
+    it is the largest L with L.(y_pr - y_rj) <= y_pr.  An output counts as
+    above or below the point only by more than 1e-9.(1 + |y_pr|): a target
+    that is an efficient DMU moved by rounding would otherwise start a stage
+    at L near y_pr/1e-14.  The DMU with the lowest u0 is taken, ties to the
+    lowest index.  Without one, the sigma = -1 stage starts at L = 0
+    (lambda = 0, mu = 1, u0 = 1), its vertex for every point, and the
+    sigma = +1 stage, which has no such vertex, cold.
 
     Over the standardized columns [u0, mu, lambda (n), row slacks (m+s)],
     u0 is basic in place of the slack of the binding input row, lambda_j in
@@ -123,11 +126,12 @@ def _single_dmu_vertex(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarra
         top = ratio.max(axis=1)
         fits = (dataset.x[:, ~pos] == 0).all(axis=1)
         gap = dataset.y - point_y
+        tiny = 1e-9 * (1.0 + np.abs(point_y))  # a gap of rounding size is no gap
         if sigma > 0:
             rows = point_y > 0
-            fits &= rows.any() & (gap > 0)[:, rows].all(axis=1)
+            fits &= rows.any() & (gap > tiny)[:, rows].all(axis=1)
         else:
-            rows = gap < 0
+            rows = gap < -tiny
             fits &= (top < 1) & rows.any(axis=1)
         idx = np.flatnonzero(fits)
         if idx.size:

@@ -1,14 +1,12 @@
-"""Exhaustive branch and bound over binaries and complementarity pairs.
+"""Exhaustive branch and bound over complementarity pairs.
 
 A node is split by pinning bounds on the shared standardized system (the
-matrix is built once per program): a fractional binary is fixed to 1 in one
-child and to 0 in the other, and a complementarity pair ``(a, b)`` with both
-members positive gets ``x_a = 0`` in one child and ``x_b = 0`` in the other
-(SOS1-style branching, Beale & Tomlin 1970).  Both kinds are lists of
-bound-fix alternatives, so one routine chooses them.  Search is
-depth-first, diving first into the child the relaxation already leans
-toward, and prunes on infeasibility and on relaxation objectives that
-cannot beat the incumbent.  A child's relaxation is never better than its
+matrix is built once per program): a complementarity pair ``(a, b)`` with
+both members positive gets ``x_a = 0`` in one child and ``x_b = 0`` in the
+other (SOS1-style branching, Beale & Tomlin 1970).  Search is depth-first,
+diving first into the child the relaxation already leans toward, and
+prunes on infeasibility and on relaxation objectives that cannot beat the
+incumbent.  A child's relaxation is never better than its
 parent's, so each stacked child carries its parent's objective as a bound:
 a child whose inherited bound no longer beats the incumbent (one found
 after the child was stacked, typically by its sibling's dive) is discarded
@@ -30,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import FEAS_TOL, INT_TOL, Basis, LinearProgram, Solution, SolveStatus, SolverConfig
+from .model import FEAS_TOL, Basis, LinearProgram, Solution, SolveStatus, SolverConfig
 from .simplex import _Box, check_warm_start, quiet, solve_lp, solve_standardized, standardize
 
 
@@ -39,25 +37,13 @@ def _branching(lp: LinearProgram):
     ``x`` to the bound-fix alternatives ``(column, value)`` that split it,
     the preferred one last, or () when ``x`` needs no branching.
 
-    The most fractional binary goes first; with every binary integral, the
-    pair with the largest product is split, zeroing its smaller member
-    first.  The index arrays are taken from ``lp`` once, not per node.
+    The pair with the largest product is split, zeroing its smaller member
+    first.  ``lp`` has at least one pair; the index arrays are taken from it
+    once, not per node.
     """
-    bin_idx = np.flatnonzero(lp.binary)
     first, second = lp.complements[:, 0].copy(), lp.complements[:, 1].copy()
 
     def split(x: np.ndarray) -> tuple[tuple[int, float], ...]:
-        if bin_idx.size:
-            vals = x[bin_idx]
-            frac = np.abs(vals - np.round(vals))
-            open_bins = np.flatnonzero(frac > INT_TOL)
-            if open_bins.size:
-                k = int(open_bins[np.argmin(np.abs(vals[open_bins] - 0.5))])
-                j = int(bin_idx[k])
-                preferred = 1.0 if vals[k] >= 0.5 else 0.0
-                return (j, 1.0 - preferred), (j, preferred)
-        if not first.size:
-            return ()
         xa, xb = x[first], x[second]
         violated = np.minimum(xa, xb) > 10.0 * FEAS_TOL  # a smaller member below this is zero
         k = int(np.where(violated, xa * xb, -np.inf).argmax())
@@ -72,8 +58,7 @@ def _branching(lp: LinearProgram):
 
 def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
                warm_start: Basis | None = None) -> Solution:
-    """Solve a program with binaries and complementarity pairs to proven
-    optimality.
+    """Solve a program with complementarity pairs to proven optimality.
 
     ``warm_start`` is a basis of a program with the same rows and columns
     (the ``basis`` of the previous stage of a lexicographic sequence, or the

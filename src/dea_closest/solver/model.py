@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,7 +21,6 @@ class SolveStatus(Enum):
 # Fixed tolerances of the solver
 FEAS_TOL = 1e-9  # constraint and bound satisfaction
 PIVOT_TOL = 1e-9  # reduced-cost and pivot-element threshold in the simplex
-INT_TOL = 1e-6  # how far a binary may sit from {0, 1} and still count as integral
 DEGEN_LIMIT = 50  # degenerate pivots in a row before pricing switches from Dantzig to Bland
 
 
@@ -68,17 +67,15 @@ def _as_float_array(value, ndim: int) -> np.ndarray:
 
 @dataclass
 class LinearProgram:
-    """Dense linear program with per-variable bounds, optional binaries and
-    optional complementarity pairs.
+    """Dense linear program with per-variable bounds and optional
+    complementarity pairs.
 
-    ``a @ x  (relations)  b`` row-wise, ``lower <= x <= upper``, variables
-    flagged in ``binary`` additionally restricted to {0, 1}, and for each row
-    ``(i, j)`` of ``complements`` the nonnegative columns i and j may not both
-    be positive (``x_i * x_j = 0``).  A lower bound may be ``-inf`` and an
-    upper bound ``+inf``; a pair with ``lower == upper`` pins the variable.
-    Construction rejects any other NaN or infinity with a ValueError that
-    names the field.  The binary-bound checks run only when there are
-    binaries.
+    ``a @ x  (relations)  b`` row-wise, ``lower <= x <= upper``, and for each
+    row ``(i, j)`` of ``complements`` the nonnegative columns i and j may not
+    both be positive (``x_i * x_j = 0``).  ``complements`` is keyword-only.
+    A lower bound may be ``-inf`` and an upper bound ``+inf``; a pair with
+    ``lower == upper`` pins the variable.  Construction rejects any other NaN
+    or infinity with a ValueError that names the field.
 
     A related program is derived with ``dataclasses.replace``, which runs
     the whole validation again and shares with this program, not copies,
@@ -92,8 +89,8 @@ class LinearProgram:
     b: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    binary: np.ndarray = field(default=None)  # type: ignore[assignment]
-    complements: np.ndarray = field(default=None)  # type: ignore[assignment]
+    _: KW_ONLY
+    complements: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -117,12 +114,6 @@ class LinearProgram:
         self.relations = tuple(self.relations)
         if self.lower.size != n or self.upper.size != n:
             raise ValueError("bound vectors must match the number of variables")
-        if self.binary is None:
-            self.binary = np.zeros(n, dtype=bool)
-        else:
-            self.binary = np.asarray(self.binary, dtype=bool)
-            if self.binary.size != n:
-                raise ValueError("binary mask must match the number of variables")
         if self.complements is None:
             self.complements = np.zeros((0, 2), dtype=int)
         else:
@@ -139,8 +130,8 @@ class LinearProgram:
     def _check_values(self):
         """Reject a NaN or an infinity in the objective, the matrix or the
         right-hand side, a NaN bound, a lower bound of +inf, an upper bound
-        of -inf, crossed bounds, binaries boxed outside [0, 1] and
-        complementary variables that may go negative.
+        of -inf, crossed bounds and complementary variables that may go
+        negative.
 
         A lower bound may be -inf and an upper bound +inf: clipping them at
         zero from the side they may be infinite on maps both to finite
@@ -162,16 +153,13 @@ class LinearProgram:
         if crossed.any():
             bad = int(crossed.argmax())
             raise ValueError(f"variable {bad}: lower bound exceeds upper bound")
-        if self.binary.any() and ((self.lower[self.binary] < -0.0).any()
-                                  or (self.upper[self.binary] > 1.0).any()):
-            raise ValueError("binary variables must have bounds within [0, 1]")
         if len(self.complements) and (self.lower[self.complements] < 0.0).any():
             raise ValueError("complementary variables must be nonnegative")
 
     @property
     def is_mixed(self) -> bool:
-        """True when some binary or complementarity pair needs branching."""
-        return bool(self.binary.any()) or len(self.complements) > 0
+        """True when some complementarity pair needs branching."""
+        return len(self.complements) > 0
 
     @property
     def n_vars(self) -> int:
@@ -196,10 +184,10 @@ class Basis:
     itself as ``Basis(columns, x)``.  A basis the solve cannot resume from
     (a singular one, or one of another system) sends it to its cold start.
 
-    ``inverse`` is the factorized inverse of ``matrix``, the basic columns
-    in row order, and ``source`` the standardized matrix that ``matrix`` was
-    gathered from.  A resuming solve over that very array (a
-    branch-and-bound node, or a program derived from another with
+    The keyword-only ``inverse`` is the factorized inverse of the basic
+    columns of ``source`` in row order, and ``source`` the standardized
+    matrix they were gathered from.  A resuming solve over that very array
+    (a branch-and-bound node, or a program derived from another with
     ``dataclasses.replace``, which shares it) starts from a copy of
     ``inverse``; a solve over any other array, even one equal to it,
     factorizes its own basic columns afresh.  Two branch-and-bound children
@@ -209,12 +197,12 @@ class Basis:
 
     columns: np.ndarray
     x: np.ndarray
-    matrix: np.ndarray | None = None
+    _: KW_ONLY
     inverse: np.ndarray | None = None
     source: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.columns, self.x, self.matrix, self.inverse):
+        for arr in (self.columns, self.x, self.inverse):
             if arr is not None:
                 arr.flags.writeable = False
 

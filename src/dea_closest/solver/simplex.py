@@ -28,7 +28,9 @@ largest bound violation and enters by the ratio test |d_j|/|alpha_rj|, ties
 going to the largest |alpha_rj|.  It reports an infeasible program only when
 the leaving row, read as a bound over the variable box, certifies it.
 Whenever the warm path cannot certify its answer (neither feasibility holds,
-a numerical guard fires, the budget runs out), the program is solved cold.
+a numerical guard fires, the budget runs out, or the primal finds no blocking
+row, which the cold solve certifies as an unbounded ray on its own
+factorization), the program is solved cold.
 The start can still change the result where a cold solve stops early: a
 warm start may finish where the cold solve hits a numerical guard or runs
 out of iterations.
@@ -61,9 +63,8 @@ only on its first iteration (the dual feasibility test) and its last
 (handed on to the primal).  A resumed ``Basis`` names the standardized
 matrix it was gathered from, so a solve over that same array (a
 branch-and-bound node, or a program derived with ``dataclasses.replace``
-from the one that produced the record) takes its basis matrix and inverse
-as they are; a solve over another array factorizes its basic columns
-afresh.  Per LP solve: one ``np.errstate`` context.  Per
+from the one that produced the record) takes a copy of its inverse; a solve
+over another array factorizes its basic columns afresh.  Per LP solve: one ``np.errstate`` context.  Per
 branch-and-bound solve: the standardized system, the index arrays of the
 branching rule and one ``np.errstate`` context for the whole tree; each
 child's ``_Box`` is its parent's, patched at the fixed column.  None of this
@@ -270,7 +271,6 @@ class _Simplex:
         self._cols = np.arange(self.n + self.rows)  # column indices, artificials included
         self.iterations = 0
         self.b_inv: np.ndarray | None = None  # inverse of the current basis matrix; None if singular
-        self.b_mat: np.ndarray | None = None  # the matrix b_inv was last factorized from
         self.updates = 0  # eta updates applied to b_inv since its last factorization
         self._priced = None  # (x, d, dtol) the dual simplex hands on to the primal
         self._restart()
@@ -318,10 +318,9 @@ class _Simplex:
         basis[need] = np.arange(n, n + k)
         vstatus = np.concatenate([box.status, np.full(k, _BASIC, dtype=np.intp)])
         vstatus[basis] = _BASIC
-        self.b_mat, self.updates = a_ext[:, basis], 0
-        # a signed identity is its own inverse; the copy keeps the gathered
-        # matrix's memory order, which decides how BLAS rounds products with it
-        self.b_inv = self.b_mat.copy(order="K")
+        # a signed identity is its own inverse; the gathered matrix's memory
+        # order decides how BLAS rounds products with it
+        self.b_inv, self.updates = a_ext[:, basis], 0
 
         state = (a_ext, a_abs, ext, basis, vstatus)
         if np.any(resid[need] != 0.0):  # otherwise phase 1 starts at its optimum, zero
@@ -360,7 +359,7 @@ class _Simplex:
         if start.inverse is not None and start.source is self.a:
             # gathered from this very matrix, so it holds these basic columns;
             # the record is shared, so never update its inverse
-            self.b_inv, self.b_mat, self.updates = start.inverse.copy(), start.matrix, 0
+            self.b_inv, self.updates = start.inverse.copy(), 0
         else:
             self._refactor(self.a[:, basis])
 
@@ -370,8 +369,6 @@ class _Simplex:
         if outcome is not None:
             return None
         outcome, x = self._iterate(c, self.a, self.a_abs, self.box, basis, vstatus)
-        if outcome is SolveStatus.UNBOUNDED:
-            return outcome, None, None
         if outcome is not None or not self._holds_bounds(x):
             return None
         return SolveStatus.OPTIMAL, x, basis
@@ -407,7 +404,7 @@ class _Simplex:
             self.b_inv = np.linalg.inv(b_mat)
         except np.linalg.LinAlgError:
             self.b_inv = None
-        self.b_mat, self.updates = b_mat, 0
+        self.updates = 0
 
     def _exchange(self, a_ext, basis, r, q, col):
         """Make column ``q`` basic in row ``r``; ``col`` is B^-1 a_q.
@@ -627,8 +624,7 @@ def solve_standardized(std: StandardizedLP, cfg: SolverConfig, start: Basis | No
     """Solve the standardized system, optionally under another bound table.
 
     Branch-and-bound passes ``box``, the node's bound table patched from
-    the parent node's, to fix binaries and pair members without rebuilding
-    the system; without it the solve builds the table of the system's own
+    the parent node's, to fix pair members without rebuilding the system; without it the solve builds the table of the system's own
     bounds.  ``start`` is the final basis of a related solve over the same
     system; the solve resumes from it where it can and solves cold
     otherwise.  The caller runs the solve under ``quiet()``.  Returns
@@ -643,7 +639,7 @@ def solve_standardized(std: StandardizedLP, cfg: SolverConfig, start: Basis | No
     obj = float(std.c[: std.n_struct].dot(x_struct))
     if basis.max(initial=-1) < sx.n:
         # no artificial left basic: hand on the inverse the point was read with
-        record = Basis(basis, x, sx.b_mat, sx.b_inv, std.a)
+        record = Basis(basis, x, inverse=sx.b_inv, source=std.a)
     else:
         record = Basis(basis, x)
     return status, x_struct.copy(), obj, sx.iterations, record
@@ -674,7 +670,7 @@ def check_warm_start(warm_start) -> None:
 
 def solve_lp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
              warm_start: Basis | None = None) -> Solution:
-    """Solve a linear program without binaries or complementarity pairs.
+    """Solve a linear program without complementarity pairs.
 
     ``warm_start`` is a basis of a program with the same rows and columns:
     the ``basis`` of an earlier solve (for instance the same model under
@@ -689,7 +685,7 @@ def solve_lp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
     that is not a Basis raises TypeError.
     """
     if lp.is_mixed:
-        raise ValueError("program has binaries or complementarity pairs; use solve_milp")
+        raise ValueError("program has complementarity pairs; use solve_milp")
     check_warm_start(warm_start)
     std = standardize(lp)
     with quiet():

@@ -135,6 +135,22 @@ def multiplier_intercept_program(ds: Dataset, px: np.ndarray, py: np.ndarray,
                          np.full(m + s + 1, np.inf))
 
 
+def highs_intercept_both(lp, linprog):
+    """Optimum of a multiplier-form intercept program by HiGHS's dual simplex
+    and by its interior point, which must agree; +-inf when unbounded."""
+    eq = np.array([rel == "=" for rel in lp.relations])
+    sign = 1.0 if lp.sense == "min" else -1.0
+    optima = []
+    for method in ("highs-ds", "highs-ipm"):
+        res = linprog(sign * lp.c, A_ub=lp.a[~eq], b_ub=lp.b[~eq], A_eq=lp.a[eq], b_eq=lp.b[eq],
+                      bounds=np.column_stack([lp.lower, lp.upper]), method=method,
+                      options={"presolve": False})
+        assert res.status in (0, 3), (method, res.message)
+        optima.append(-sign * np.inf if res.status == 3 else sign * res.fun)
+    assert optima[0] == pytest.approx(optima[1], rel=1e-9, abs=1e-9)
+    return optima[0]
+
+
 def random_box_lp(rng: np.random.Generator) -> LinearProgram:
     """Equality-constrained LP with finite box bounds; two thirds are feasible
     by construction, the rest get a random rhs."""
@@ -196,24 +212,6 @@ def equality_twin(lp: LinearProgram) -> LinearProgram:
                          np.concatenate([lp.upper, slack_up]))
 
 
-def random_binary_lp(rng: np.random.Generator, max_binaries: int = 10) -> LinearProgram:
-    k = int(rng.integers(2, max_binaries + 1))
-    nc = int(rng.integers(0, 4))
-    n = k + nc
-    m = int(rng.integers(1, 4))
-    a = np.round(rng.uniform(-4, 4, (m, n)), 2)
-    lower = np.zeros(n)
-    upper = np.ones(n)
-    upper[k:] = np.round(rng.uniform(1, 8, nc), 2)
-    rels = tuple(str(rng.choice(["<=", ">=", "="])) for _ in range(m))
-    b = np.round(rng.uniform(-3, 5, m), 2)
-    c = np.round(rng.uniform(-5, 5, n), 2)
-    binary = np.zeros(n, dtype=bool)
-    binary[:k] = True
-    sense = "min" if rng.integers(2) else "max"
-    return LinearProgram(sense, c, a, rels, b, lower, upper, binary)
-
-
 def random_complementarity_lp(rng: np.random.Generator, max_pairs: int = 5) -> LinearProgram:
     """Boxed nonnegative program with complementarity pairs over distinct
     columns; two thirds have rows that a complementary point satisfies."""
@@ -269,18 +267,14 @@ def enumerate_lp_optimum(lp: LinearProgram, tol: float = 1e-7) -> float | None:
 
 
 def enumerate_milp_optimum(lp: LinearProgram, cfg: SolverConfig) -> float | None:
-    """Optimal objective over every 0/1 assignment of the binary mask and
-    every choice of the member zeroed in each complementarity pair, each
-    combination evaluated with solve_lp.  None means none is feasible."""
-    bins = np.flatnonzero(lp.binary)
+    """Optimal objective over every choice of the member zeroed in each
+    complementarity pair, each choice evaluated with solve_lp.  None means
+    none is feasible."""
     sign = 1.0 if lp.sense == "min" else -1.0
     best = None
-    for bits, sides in itertools.product(itertools.product((0.0, 1.0), repeat=len(bins)),
-                                         itertools.product((0, 1), repeat=len(lp.complements))):
+    for sides in itertools.product((0, 1), repeat=len(lp.complements)):
         lo = lp.lower.copy()
         up = lp.upper.copy()
-        lo[bins] = bits
-        up[bins] = bits
         zeroed = lp.complements[np.arange(len(sides)), list(sides)]
         lo[zeroed] = up[zeroed] = 0.0
         sub = LinearProgram(lp.sense, lp.c, lp.a, lp.relations, lp.b, lo, up)

@@ -10,8 +10,8 @@ from dea_closest import (RtsLabel, SolveStatus, classify_rts, closest_projection
                          closest_rts, default_priority, efficient_set, evaluate_bcc,
                          identify_mcrs, intercept_bounds, solve_lp, solve_milp)
 
-from conftest import (enumerate_lp_optimum, enumerate_milp_optimum, random_binary_lp,
-                      random_box_lp, random_dataset, reordered, with_dmu)
+from conftest import (enumerate_lp_optimum, enumerate_milp_optimum, random_box_lp,
+                      random_complementarity_lp, random_dataset, reordered, with_dmu)
 
 
 @contextmanager
@@ -116,7 +116,7 @@ def test_criterion_7_solver_oracle_equivalence(cfg):
                 assert abs(sol.objective - expected) < 1e-7
         milp_feasible = 0
         for _ in range(50):
-            lp = random_binary_lp(rng, max_binaries=10)
+            lp = random_complementarity_lp(rng, max_pairs=10)
             sol = solve_milp(lp, cfg)
             expected = enumerate_milp_optimum(lp, cfg)
             if expected is None:

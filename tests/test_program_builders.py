@@ -195,7 +195,7 @@ def test_stage_programs_objective_and_bounds(ds, cfg):
             lp = derive_stage_program(first, pinned, target) if k else first
             assert_objective_and_bounds(lp, "min", *loop_stage_bounds(ds, je, pinned, target))
             assert lp.relations == ("=",) * (ds.m + ds.s + 1 + t)
-            assert not lp.binary.any() and np.array_equal(lp.complements, pairs)
+            assert np.array_equal(lp.complements, pairs)
             # a basis resumes its inverse across stages only over the same matrix
             assert lp.a is first.a and lp.b is first.b
             assert lp.relations is first.relations and lp.complements is first.complements
@@ -245,7 +245,7 @@ def test_bcc_programs_objective_and_bounds(ds, cfg):
         assert_objective_and_bounds(phase2, "max", *loop_bcc_bounds(ds, theta))
         for lp in (phase1, phase2):
             assert lp.relations == ("=",) * (ds.m + ds.s + 1)
-            assert not lp.binary.any() and lp.complements.size == 0
+            assert lp.complements.size == 0
         assert phase2.a is phase1.a and phase2.b is phase1.b
         assert phase2.relations is phase1.relations
         assert phase2.complements is phase1.complements

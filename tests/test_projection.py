@@ -60,7 +60,6 @@ def test_stage_program_shape(eight_dmu, je8, cfg):
     t = je8.size
     assert lp.c[t + 1] == 1.0
     assert np.count_nonzero(lp.c) == 1
-    assert not lp.binary.any()
     assert lp.n_rows == 1 + 1 + 1 + t
     # one complementarity pair (lambda_k, d_k) per efficient DMU
     assert lp.complements.tolist() == [[k, t + 5 + k] for k in range(t)]

@@ -13,7 +13,8 @@ from dea_closest import cli, report
 from dea_closest.cli import main
 from dea_closest.report import RunConfig, analyze, emit_plot_data, run
 
-from conftest import EIGHT_DMU_CSV, FOUR_DMU_CSV
+from conftest import (EIGHT_DMU_CSV, FOUR_DMU_CSV, highs_intercept_both,
+                      multiplier_intercept_program)
 
 
 @pytest.fixture(scope="module")
@@ -343,3 +344,27 @@ def test_cli_has_no_big_m_flag(table_path, capsys):
 
 def test_cli_bad_priority_label(table_path, capsys):
     assert main(["report", "--input", table_path, "--priority", "out:wrong,in:input"]) == 2
+
+
+def test_report_on_uniform_data_where_a_target_rounds_onto_a_dmu(tmp_path, capsys):
+    # uniform[1, 100] (2,2) data, n=150, seed 7, 3 decimals: the closest
+    # target of U52 is the efficient U133 moved by rounding, from which the
+    # minimizing intercept stage started at lambda near 1e15, found no
+    # blocking row and made report exit 5 ("not on the efficient frontier")
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(7)
+    x = np.round(rng.uniform(1, 100, (150, 2)), 3)
+    y = np.round(rng.uniform(1, 100, (150, 2)), 3)
+    rows = [f"U{k + 1}," + ",".join(repr(float(v)) for v in (*x[k], *y[k])) for k in range(150)]
+    path = tmp_path / "uniform.csv"
+    path.write_text("\n".join(["dmu,in:x1,in:x2,out:y1,out:y2", *rows]) + "\n", encoding="utf-8")
+    assert main(["report", "--input", str(path)]) == 0
+    rec = next(r for r in json.loads(capsys.readouterr().out)["results"] if r["name"] == "U52")
+    assert [m["name"] for m in rec["mcrs"]["members"]] == ["U133"]
+    ds = load_dataset(str(path))
+    px = np.array(rec["projection"]["target_inputs"])
+    py = np.array(rec["projection"]["target_outputs"])
+    assert rec["rts"]["stages"] == 2
+    for sense, key in (("max", "intercept_upper"), ("min", "intercept_lower")):
+        want = highs_intercept_both(multiplier_intercept_program(ds, px, py, sense), linprog)
+        assert rec["rts"][key] == pytest.approx(want, rel=1e-8)  # 9 digits

@@ -12,8 +12,8 @@ from dea_closest.report import RunConfig, analyze
 from dea_closest.solver import solve_lp
 from dea_closest.solver.simplex import standardize
 
-from conftest import (log_uniform_dataset, make_dataset, multiplier_intercept_program,
-                      random_dataset, with_dmu)
+from conftest import (highs_intercept_both, log_uniform_dataset, make_dataset,
+                      multiplier_intercept_program, random_dataset, with_dmu)
 
 
 @pytest.fixture(scope="module")
@@ -290,22 +290,6 @@ def test_starts_raise_no_warning_at_zeros_and_duplicates():
     assert all(rec.rts_label is RtsLabel.CRS for rec in report.records)
 
 
-def highs_intercept_both(lp, linprog):
-    """Optimum of a multiplier-form intercept program by HiGHS's dual simplex
-    and by its interior point, which must agree; +-inf when unbounded."""
-    eq = np.array([rel == "=" for rel in lp.relations])
-    sign = 1.0 if lp.sense == "min" else -1.0
-    optima = []
-    for method in ("highs-ds", "highs-ipm"):
-        res = linprog(sign * lp.c, A_ub=lp.a[~eq], b_ub=lp.b[~eq], A_eq=lp.a[eq], b_eq=lp.b[eq],
-                      bounds=np.column_stack([lp.lower, lp.upper]), method=method,
-                      options={"presolve": False})
-        assert res.status in (0, 3), (method, res.message)
-        optima.append(-sign * np.inf if res.status == 3 else sign * res.fun)
-    assert optima[0] == pytest.approx(optima[1], rel=1e-9, abs=1e-9)
-    return optima[0]
-
-
 # two "units" benchmark tables (seed 4 dataset 28, seed 1 dataset 48): the
 # proj-bnb data with every column rescaled by a power of ten
 UNITS_4_28 = """dmu,in:x1,in:x2,out:y1,out:y2
@@ -367,3 +351,30 @@ def test_rts_bounds_match_highs_where_the_cold_upper_stage_failed(table, dmu, up
                 assert abs(got - want) <= 1e-9 * (1 + abs(want)), rec.name
     by_name = {rec.name: rec for rec in report.records}
     assert by_name[dmu].rts_bounds.upper == pytest.approx(upper, rel=1e-8)  # 9 digits
+
+
+def test_bounds_match_highs_at_efficient_dmus_moved_by_rounding(cfg):
+    # a closest target can be an efficient DMU moved by rounding; here each
+    # input and output of the DMU is raised by 1e-14 relative.  Counting a
+    # gap of that size as "below the point", the minimizing stage started at
+    # lambda near 1e14, from which it stopped at a wrong lower bound (five of
+    # these points) or reported a false unbounded ray
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    checked = 0
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            ds = random_dataset(rng, max_n=12, max_dim=2)
+            for o in efficient_set(ds, cfg).indices:
+                px, py = ds.x[o] * (1.0 + 1e-14), ds.y[o] * (1.0 + 1e-14)
+                b = intercept_bounds(ds, px, py, cfg)
+                senses = ("max", "min")[:b.stage_count]
+                for got, sense in zip((b.upper, b.lower), senses):
+                    want = highs_intercept_both(multiplier_intercept_program(ds, px, py, sense),
+                                                linprog)
+                    if np.isinf(want) or np.isinf(got):
+                        assert got == want, (seed, ds.names[o], sense)
+                    else:
+                        assert abs(got - want) <= 1e-9 * (1 + abs(want)), (seed, ds.names[o], sense)
+                checked += b.stage_count
+    assert checked > 100

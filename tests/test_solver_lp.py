@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from dea_closest.solver.simplex import standardize
 
 from dea_closest.returns_to_scale import _intercept_program
 
-from conftest import (enumerate_lp_optimum, equality_twin, random_binary_lp, random_box_lp,
+from conftest import (enumerate_lp_optimum, equality_twin, random_box_lp,
                       random_complementarity_lp, random_inequality_lp)
 
 
@@ -71,6 +72,18 @@ def cheapest_bound_objective(lp: LinearProgram) -> float:
     return sign * total
 
 
+def cheapest_complementary_objective(lp: LinearProgram) -> float:
+    """Optimum of a program without rows whose paired columns rest on a
+    lower bound of zero: the best cheapest-bound objective over every choice
+    of the member zeroed in each pair."""
+    values = []
+    for sides in itertools.product((0, 1), repeat=len(lp.complements)):
+        upper = lp.upper.copy()
+        upper[lp.complements[np.arange(len(sides)), list(sides)]] = 0.0
+        values.append(cheapest_bound_objective(replace(lp, upper=upper, complements=None)))
+    return min(values) if lp.sense == "min" else max(values)
+
+
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_programs_without_rows(sense, cfg):
     rng = np.random.default_rng(5)
@@ -80,12 +93,12 @@ def test_programs_without_rows(sense, cfg):
         c = rng.choice([-2.0, -0.5, 0.0, 1.0, 3.0], n)
         upper = rng.choice([-1.0, 0.0, 2.0, 5.0, np.inf], n)
         lower = np.minimum(rng.choice([-np.inf, -2.0, 0.0, 1.5], n), upper)
-        binary = rng.random(n) < 0.4
-        lower[binary], upper[binary] = 0.0, 1.0
-        expected = None
-        for mask, solve in ((None, solve_lp), (binary, solve_milp)):
-            lp = LinearProgram(sense, c, np.zeros((0, n)), (), [], lower, upper, binary=mask)
-            expected = cheapest_bound_objective(lp)
+        pairs = rng.permutation(n)[:2 * (n // 2)].reshape(-1, 2)
+        lower[pairs], upper[pairs] = 0.0, np.maximum(upper[pairs], 0.0)
+        for complements, solve in ((None, solve_lp), (pairs, solve_milp)):
+            lp = LinearProgram(sense, c, np.zeros((0, n)), (), [], lower, upper,
+                               complements=complements)
+            expected = cheapest_complementary_objective(lp)
             sol = solve(lp, cfg)
             if np.isinf(expected):
                 assert sol.status is SolveStatus.UNBOUNDED
@@ -94,7 +107,8 @@ def test_programs_without_rows(sense, cfg):
                 assert sol.status is SolveStatus.OPTIMAL
                 assert sol.objective == pytest.approx(expected, abs=1e-12)
                 assert np.all((sol.x >= lower) & (sol.x <= upper))
-                assert np.array_equal(sol.x[binary], np.round(sol.x[binary]))
+                assert not np.minimum(sol.x[lp.complements[:, 0]],
+                                      sol.x[lp.complements[:, 1]]).any()
             statuses.add(sol.status)
     assert statuses == {SolveStatus.OPTIMAL, SolveStatus.UNBOUNDED}
 
@@ -126,11 +140,7 @@ def test_iteration_limit_reported():
     assert sol.x is None
 
 
-def test_binary_mask_rejected(cfg):
-    lp = LinearProgram("min", [1.0], np.zeros((0, 1)), (), [],
-                       [0.0], [1.0], binary=[True])
-    with pytest.raises(ValueError):
-        solve_lp(lp, cfg)
+def test_complementarity_pairs_rejected(cfg):
     lp = LinearProgram("min", [1.0, 1.0], [[1.0, 1.0]], ("=",), [1.0],
                        [0.0, 0.0], [1.0, 1.0], complements=[(0, 1)])
     with pytest.raises(ValueError):
@@ -166,8 +176,6 @@ def test_dimension_mismatch_is_construction_error():
         LinearProgram("min", [1.0], [[1.0]], ("=",), [1.0], [2.0], [1.0])  # lower > upper
     with pytest.raises(ValueError):
         LinearProgram("min", [1.0], [[1.0]], ("??",), [1.0], [0.0], [1.0])
-    with pytest.raises(ValueError):
-        LinearProgram("min", [1.0], [[1.0]], ("=",), [1.0], [0.0], [2.0], binary=[True])
     pair = ("min", [1.0, 1.0], [[1.0, 1.0]], ("=",), [1.0])
     with pytest.raises(ValueError):
         LinearProgram(*pair, [0.0, 0.0], [1.0, 1.0], complements=[(0, 2)])  # no column 2
@@ -175,6 +183,24 @@ def test_dimension_mismatch_is_construction_error():
         LinearProgram(*pair, [0.0, 0.0], [1.0, 1.0], complements=[(1, 1)])
     with pytest.raises(ValueError):
         LinearProgram(*pair, [-1.0, 0.0], [1.0, 1.0], complements=[(0, 1)])  # may go negative
+
+
+def test_pairs_and_the_inverse_of_a_basis_are_keyword_only(cfg):
+    # were pairs the eighth positional field, a 0/1 mask such as
+    # [True, False, True, False] put there would read as the pairs
+    # [[1, 0], [1, 0]]; a Basis given three arrays is as ambiguous
+    args = ("min", [1.0] * 4, [[1.0] * 4], ("=",), [1.0], [0.0] * 4, [1.0] * 4)
+    for eighth in ([True, False, True, False], [[0, 1]]):
+        with pytest.raises(TypeError):
+            LinearProgram(*args, eighth)
+    assert LinearProgram(*args, complements=[[0, 1]]).complements.tolist() == [[0, 1]]
+    record = solve_lp(LinearProgram(*args), cfg).basis
+    with pytest.raises(TypeError):
+        Basis(record.columns, record.x, record.inverse)
+    with pytest.raises(TypeError):
+        Basis(record.columns, record.x, record.inverse, record.source)
+    resumed = Basis(record.columns, record.x, inverse=record.inverse, source=record.source)
+    assert resumed.inverse is record.inverse and resumed.source is record.source
 
 
 def one_row(**changes) -> LinearProgram:
@@ -213,7 +239,7 @@ def test_derived_program_shares_rows_and_solves_like_a_fresh_one(cfg):
     fresh = one_row(sense="max", c=[3.0, 1.0], upper=[0.25, np.inf])
     derived = replace(base, sense="max", c=[3.0, 1.0], upper=[0.25, np.inf])
     assert derived.a is base.a and derived.b is base.b and derived.relations is base.relations
-    assert derived.lower is base.lower and derived.binary is base.binary
+    assert derived.lower is base.lower
     assert derived.complements is base.complements
     assert base.sense == "min" and base.upper[0] == np.inf  # the original is untouched
     a, b = solve_lp(derived, cfg), solve_lp(fresh, cfg)
@@ -263,6 +289,31 @@ def test_singular_warm_start_falls_back_to_a_cold_start(monkeypatch, cfg):
     assert np.array_equal(warm.x, cold.x) and warm.iterations == cold.iterations
 
 
+def test_warm_solve_without_a_blocking_row_is_solved_cold(monkeypatch, cfg):
+    # a warm primal loop that finds no blocking row certifies nothing (a
+    # returns-to-scale stage started at lambda near 1e15 found none on a
+    # bounded program): the cold solve gives the answer, and it still finds
+    # a ray where there is one
+    original = simplex._Simplex._iterate
+
+    def no_blocking_row(self, c, a_ext, *state):
+        outcome, x = original(self, c, a_ext, *state)
+        if a_ext is self.a:  # the warm path; a cold solve iterates over a copy
+            return SolveStatus.UNBOUNDED, None
+        return outcome, x
+
+    lp = one_row()
+    cold = solve_lp(lp, cfg)
+    unbounded = LinearProgram("min", [-1.0, 0.0], [[1.0, -1.0]], ("=",), [0.0],
+                              [0.0, 0.0], [np.inf, np.inf])
+    monkeypatch.setattr(simplex._Simplex, "_iterate", no_blocking_row)
+    warm = solve_lp(lp, cfg, warm_start=cold.basis)
+    assert warm.status is SolveStatus.OPTIMAL and np.array_equal(warm.x, cold.x)
+    assert warm.iterations == cold.iterations  # the start is optimal: no warm pivot
+    ray = solve_lp(unbounded, cfg, warm_start=Basis(np.array([1]), np.zeros(2)))
+    assert ray.status is SolveStatus.UNBOUNDED and ray.objective == -np.inf
+
+
 def test_record_from_another_matrix_is_factorized_afresh(monkeypatch, cfg):
     # a record names the standardized matrix it was gathered from.  A solve
     # over that very array (a derived program shares it) resumes from a copy
@@ -272,7 +323,7 @@ def test_record_from_another_matrix_is_factorized_afresh(monkeypatch, cfg):
     # take the same pivots to the same point
     lp = long_box_lp(np.random.default_rng(99))
     record = solve_lp(lp, cfg).basis
-    assert record.source is lp.a and record.matrix is not None
+    assert record.source is lp.a and record.inverse is not None
     events = []
     refactor, exchange = simplex._Simplex._refactor, simplex._Simplex._exchange
 
@@ -549,7 +600,7 @@ def test_priced_out_is_none_without_an_lp_inverse(cfg):
                        [0.0, 0.0], [np.inf, np.inf])
     sol = solve_lp(lp, cfg)
     assert sol.status is SolveStatus.OPTIMAL and sol.priced_out is None
-    milp = solve_milp(random_binary_lp(np.random.default_rng(3)), cfg)
+    milp = solve_milp(random_complementarity_lp(np.random.default_rng(3)), cfg)
     assert milp.basis is not None and milp.priced_out is None
 
 
@@ -642,7 +693,8 @@ def test_updated_inverse_crosses_the_refactorization_period(monkeypatch, cfg):
         assert sol.objective == pytest.approx(res.fun, rel=1e-7, abs=1e-7)
         assert np.abs(lp.a @ sol.x - lp.b).max() < 1e-9 * (1.0 + np.abs(lp.b).max())
         # the inverse handed on is a fresh factorization, not an updated one
-        assert np.array_equal(sol.basis.inverse, np.linalg.inv(sol.basis.matrix))
+        matrix = sol.basis.source[:, sol.basis.columns]
+        assert np.array_equal(sol.basis.inverse, np.linalg.inv(matrix))
     assert set(held) == {0}
 
 
@@ -689,7 +741,7 @@ def test_residual_guard_on_an_updated_inverse_refactorizes(monkeypatch, cfg):
     # warm solves still end at the optimum
     rng = np.random.default_rng(99)
     programs = [random_box_lp(rng) for _ in range(40)]
-    milps = [random_binary_lp(rng) for _ in range(20)]
+    milps = [random_complementarity_lp(rng) for _ in range(20)]
     expected = [solve_lp(lp, cfg) for lp in programs] + [solve_milp(lp, cfg) for lp in milps]
 
     guarded = []
@@ -740,8 +792,7 @@ def test_shared_parent_basis_is_never_mutated(monkeypatch, cfg):
 
     def recording(std, cfg, start, box):
         if start is not None:
-            starts.append((start, start.columns.copy(), start.x.copy(), start.matrix.copy(),
-                           start.inverse.copy()))
+            starts.append((start, start.columns.copy(), start.x.copy(), start.inverse.copy()))
         return original(std, cfg, start, box)
 
     monkeypatch.setattr(branch_and_bound, "solve_standardized", recording)
@@ -752,10 +803,9 @@ def test_shared_parent_basis_is_never_mutated(monkeypatch, cfg):
     for start, *_ in starts:
         uses[id(start)] = uses.get(id(start), 0) + 1
     assert max(uses.values()) == 2
-    for start, columns, x, matrix, inverse in starts:
+    for start, columns, x, inverse in starts:
         assert np.array_equal(start.columns, columns)
         assert np.array_equal(start.x, x)
-        assert np.array_equal(start.matrix, matrix)
         assert np.array_equal(start.inverse, inverse)
         with pytest.raises(ValueError):
             start.inverse[0, 0] = 0.0

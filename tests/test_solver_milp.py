@@ -4,32 +4,33 @@ import pytest
 from dea_closest import (LinearProgram, SolverConfig, SolveStatus, closest_projection,
                          default_priority, efficient_set, solve_lp, solve_milp)
 from dea_closest.solver import Basis, branch_and_bound, simplex
-from dea_closest.solver.model import FEAS_TOL, INT_TOL
+from dea_closest.solver.model import FEAS_TOL
 
-from conftest import (enumerate_milp_optimum, random_binary_lp, random_complementarity_lp,
-                      random_dataset)
+from conftest import enumerate_milp_optimum, random_complementarity_lp, random_dataset
 
 
 def knapsack() -> LinearProgram:
-    # max 3a + 4b + 5c s.t. 2a + 3b + 4c <= 5, binaries; optimum 7 at (1,1,0)
+    # max 3a + 4b + 5c s.t. 2a + 3b + 4c <= 5, each in [0, 1], and a, b not
+    # both positive; the relaxation's (1, 1, 0) breaks the pair, and the
+    # optimum is 6.75 at (1, 0, 0.75) against 6.5 at (0, 1, 0.5)
     return LinearProgram("max", [3.0, 4.0, 5.0], [[2.0, 3.0, 4.0]], ("<=",), [5.0],
-                         [0.0] * 3, [1.0] * 3, binary=[True] * 3)
+                         [0.0] * 3, [1.0] * 3, complements=[[0, 1]])
 
 
 def test_knapsack_equals_enumeration(cfg):
     lp = knapsack()
     sol = solve_milp(lp, cfg)
     assert sol.status is SolveStatus.OPTIMAL
-    assert sol.objective == pytest.approx(7.0)
+    assert sol.objective == pytest.approx(6.75)
     assert sol.objective == pytest.approx(enumerate_milp_optimum(lp, cfg))
-    assert sol.x[:2] == pytest.approx([1.0, 1.0], abs=1e-6)
-    assert sol.x[2] == pytest.approx(0.0, abs=1e-6)
+    assert sol.x == pytest.approx([1.0, 0.0, 0.75], abs=1e-6)
+    assert sol.nodes > 1
 
 
-def test_integral_relaxation_short_circuit(cfg):
-    # relaxation optimum already lands on a 0/1 point
+def test_complementary_relaxation_short_circuit(cfg):
+    # relaxation optimum already leaves a member of the pair at zero
     lp = LinearProgram("min", [1.0, -1.0], [[1.0, 1.0]], ("<=",), [1.0],
-                       [0.0, 0.0], [1.0, 1.0], binary=[True, True])
+                       [0.0, 0.0], [1.0, 1.0], complements=[[0, 1]])
     milp = solve_milp(lp, cfg)
     relaxed = solve_lp(LinearProgram("min", lp.c, lp.a, lp.relations, lp.b,
                                      lp.lower, lp.upper), cfg)
@@ -38,7 +39,7 @@ def test_integral_relaxation_short_circuit(cfg):
     assert milp.nodes == 1
 
 
-def test_empty_binary_mask_delegates(cfg):
+def test_program_without_pairs_delegates(cfg):
     lp = LinearProgram("min", [1.0, 0.0], [[1.0, 1.0]], ("=",), [1.0],
                        [0.0, 0.0], [1.0, 1.0])
     sol = solve_milp(lp, cfg)
@@ -48,25 +49,26 @@ def test_empty_binary_mask_delegates(cfg):
 
 
 def test_infeasible_milp(cfg):
-    # a + b = 0.5 has no 0/1 solution
-    lp = LinearProgram("min", [1.0, 1.0], [[1.0, 1.0]], ("=",), [0.5],
-                       [0.0, 0.0], [1.0, 1.0], binary=[True, True])
+    # a + b = 1.5 with a, b in [0, 1] needs both positive
+    lp = LinearProgram("min", [1.0, 1.0], [[1.0, 1.0]], ("=",), [1.5],
+                       [0.0, 0.0], [1.0, 1.0], complements=[[0, 1]])
     assert solve_milp(lp, cfg).status is SolveStatus.INFEASIBLE
 
 
 def test_unbounded_root_reported(cfg):
     lp = LinearProgram("min", [-1.0, 0.0], [[0.0, 1.0]], ("<=",), [1.0],
-                       [0.0, 0.0], [np.inf, 1.0], binary=[False, True])
+                       [0.0, 0.0], [np.inf, 1.0], complements=[[0, 1]])
     sol = solve_milp(lp, cfg)
     assert sol.status is SolveStatus.UNBOUNDED
     assert sol.objective == -np.inf
 
 
 def test_node_limit(cfg):
-    # force branching, then stop after the root node
+    # force branching, then stop after the root node: a sum of 1.5 over
+    # columns in [0, 1] needs two of them positive, which every pair forbids
     lp = LinearProgram("min", [1.0, 1.0, 1.0],
                        [[2.0, 2.0, 2.0]], (">=",), [3.0],
-                       [0.0] * 3, [1.0] * 3, binary=[True] * 3)
+                       [0.0] * 3, [1.0] * 3, complements=[[0, 1], [1, 2], [0, 2]])
     sol = solve_milp(lp, SolverConfig(max_nodes=1))
     assert sol.status is SolveStatus.NODE_LIMIT
 
@@ -100,7 +102,7 @@ def test_child_tied_with_the_incumbent_is_not_solved(monkeypatch, cfg):
 
 
 def relaxation(lp: LinearProgram) -> LinearProgram:
-    """The program without its binaries and complementarity pairs."""
+    """The program without its complementarity pairs."""
     return LinearProgram(lp.sense, lp.c, lp.a, lp.relations, lp.b, lp.lower, lp.upper)
 
 
@@ -134,15 +136,11 @@ def test_matches_enumeration_on_random_milps(cfg):
     # a basis of another system (the wrong size, so the root is solved cold
     # and the search is the cold one), every program reaches the enumerated
     # optimum
-    inputs = (
-        (31415, lambda rng: random_binary_lp(rng, max_binaries=8), 8),
-        (2718, lambda rng: random_complementarity_lp(rng, max_pairs=6), 20),
-    )
-    for seed, generate, minimum in inputs:
+    for seed, max_pairs, minimum in ((31415, 8, 8), (2718, 6, 20)):
         rng = np.random.default_rng(seed)
         feasible = warmed = 0
         for _ in range(25):
-            lp = generate(rng)
+            lp = random_complementarity_lp(rng, max_pairs=max_pairs)
             expected = enumerate_milp_optimum(lp, cfg)
             own = solve_lp(relaxation(lp), cfg).basis
             other = solve_lp(other_system(lp), cfg).basis
@@ -156,8 +154,6 @@ def test_matches_enumeration_on_random_milps(cfg):
                     continue
                 assert sol.status is SolveStatus.OPTIMAL
                 assert sol.objective == pytest.approx(expected, abs=1e-7)
-                frac = np.abs(sol.x[lp.binary] - np.round(sol.x[lp.binary]))
-                assert frac.max(initial=0.0) <= INT_TOL
                 pairs = lp.complements
                 assert np.minimum(sol.x[pairs[:, 0]], sol.x[pairs[:, 1]]).max(initial=0.0) <= 1e-8
             feasible += expected is not None
@@ -165,11 +161,11 @@ def test_matches_enumeration_on_random_milps(cfg):
         assert feasible > minimum and warmed > minimum
 
 
-def test_twelve_binaries_equal_enumeration(cfg):
+def test_twelve_pairs_equal_enumeration(cfg):
     rng = np.random.default_rng(1212)
     lp = None
-    while lp is None or lp.binary.sum() != 12:
-        lp = random_binary_lp(rng, max_binaries=12)
+    while lp is None or len(lp.complements) != 12:
+        lp = random_complementarity_lp(rng, max_pairs=12)
     sol = solve_milp(lp, cfg)
     expected = enumerate_milp_optimum(lp, cfg)
     if expected is None:
@@ -182,7 +178,7 @@ def test_twelve_binaries_equal_enumeration(cfg):
 def test_determinism(cfg):
     rng = np.random.default_rng(161)
     for _ in range(8):
-        lp = random_binary_lp(rng, max_binaries=6)
+        lp = random_complementarity_lp(rng, max_pairs=6)
         a = solve_milp(lp, cfg)
         b = solve_milp(lp, cfg)
         assert a.status is b.status
@@ -194,18 +190,7 @@ def test_determinism(cfg):
 def reference_branching(x: np.ndarray, lp: LinearProgram) -> tuple[tuple[int, float], ...]:
     """The branching rule as it read when it took its index arrays from
     ``lp`` at every node."""
-    bin_idx = np.flatnonzero(lp.binary)
-    vals = x[bin_idx]
-    frac = np.abs(vals - np.round(vals))
-    open_bins = np.flatnonzero(frac > INT_TOL)
-    if open_bins.size:
-        k = int(open_bins[np.argmin(np.abs(vals[open_bins] - 0.5))])
-        j = int(bin_idx[k])
-        preferred = 1.0 if vals[k] >= 0.5 else 0.0
-        return (j, 1.0 - preferred), (j, preferred)
     pairs = lp.complements
-    if len(pairs) == 0:
-        return ()
     xa, xb = x[pairs[:, 0]], x[pairs[:, 1]]
     violated = np.minimum(xa, xb) > 10.0 * FEAS_TOL
     if not violated.any():
@@ -216,36 +201,22 @@ def reference_branching(x: np.ndarray, lp: LinearProgram) -> tuple[tuple[int, fl
     return (large, 0.0), (small, 0.0)
 
 
-def mixed_program(rng: np.random.Generator) -> LinearProgram:
-    """A complementarity program with some of its columns binary as well."""
-    lp = random_complementarity_lp(rng, max_pairs=4)
-    binary = rng.random(lp.n_vars) < 0.4
-    binary[rng.integers(lp.n_vars)] = True
-    upper = lp.upper.copy()
-    upper[binary] = 1.0
-    return LinearProgram(lp.sense, lp.c, lp.a, lp.relations, lp.b, lp.lower, upper,
-                         binary=binary, complements=lp.complements)
-
-
 def test_per_program_index_arrays_branch_as_before(monkeypatch, cfg):
     # the rule built once per program splits every node as the per-node rule
-    # did: on random points (binaries fractional or integral, pair members
-    # zero, tiny or positive) and on every node of solves that branch on both
-    # kinds, which still reach the enumerated optimum
+    # did: on random points (pair members zero, tiny or positive) and on
+    # every node of solves that branch, which still reach the enumerated
+    # optimum
     rng = np.random.default_rng(1909)
     kinds = set()
     for _ in range(40):
-        lp = mixed_program(rng)
+        lp = random_complementarity_lp(rng, max_pairs=4)
         split = branch_and_bound._branching(lp)
         for _ in range(25):
-            x = rng.uniform(0.0, 1.0, lp.n_vars) * rng.choice([1e-9, 1.0, 5.0], lp.n_vars)
-            if rng.integers(2):
-                x[lp.binary] = np.round(x[lp.binary])
+            x = rng.uniform(0.0, 1.0, lp.n_vars) * rng.choice([0.0, 1e-9, 1.0, 5.0], lp.n_vars)
             want = reference_branching(x, lp)
             assert split(x) == want
-            kinds.add("binary" if want and lp.binary[want[0][0]] and want[0][1] != 0.0
-                      else "pair" if want else "none")
-    assert kinds == {"binary", "pair", "none"}
+            kinds.add("pair" if want else "none")
+    assert kinds == {"pair", "none"}
 
     original = branch_and_bound._branching
     splits = []
@@ -263,7 +234,7 @@ def test_per_program_index_arrays_branch_as_before(monkeypatch, cfg):
     monkeypatch.setattr(branch_and_bound, "_branching", checking)
     feasible = 0
     for _ in range(25):
-        lp = mixed_program(rng)
+        lp = random_complementarity_lp(rng, max_pairs=4)
         expected = enumerate_milp_optimum(lp, cfg)
         sol = solve_milp(lp, cfg)
         if expected is None:
@@ -278,7 +249,7 @@ def test_per_program_index_arrays_branch_as_before(monkeypatch, cfg):
 def test_patched_bound_tables_equal_fresh_ones(monkeypatch, cfg):
     # each child's bound table is its parent's, patched at the fixed column;
     # at every node of the stage programs of seeded datasets and of random
-    # programs with binaries and pairs it equals the table built from the
+    # programs with pairs it equals the table built from the
     # node's bounds, array for array (signed zeros included)
     original = branch_and_bound.solve_standardized
     checked = []
@@ -303,6 +274,6 @@ def test_patched_bound_tables_equal_fresh_ones(monkeypatch, cfg):
     stage_nodes = len(checked)
     for _ in range(20):
         solve_milp(random_complementarity_lp(rng), cfg)
-        solve_milp(random_binary_lp(rng), cfg)
+        solve_milp(random_complementarity_lp(rng, max_pairs=10), cfg)
     assert stage_nodes > 100 and len(checked) > stage_nodes + 100
     assert len(set(checked)) > 3  # roots and children several fixes deep

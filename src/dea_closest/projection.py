@@ -163,7 +163,10 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
     one ``frontier`` keeps for the first slack, which the first call with
     that slack builds.  Each stage after the first is derived from the
     stage-1 program (only its objective and pins change) and starts its
-    root from the previous stage's final basis.
+    root from the previous stage's final basis.  A stage whose slack the
+    previous stage's point holds at exactly 0 or below is not solved: no
+    slack goes below its bound 0, so that point is its optimum, and the
+    stage records it with value 0.
     ``root`` is the ``root`` of another DMU's projection over the same
     frontier and first slack; stage 1 starts its root from it, and without
     it starts cold.  It does not change the result at the 9 significant
@@ -192,13 +195,20 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
         first = frontier.stage_templates[target] = build_stage_program(frontier, o, target)
     else:
         first = replace(template, b=_stage_rhs(frontier, o))
-    start = root
+    start, sol = root, None
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):
-        lp = first if stage_no == 1 else derive_stage_program(first, pinned, slack_idx)
-        # the frontier dominates every DMU, so each stage is feasible
-        sol = require_optimal(solve_milp(lp, cfg, warm_start=start),
-                              f"projection of DMU {name!r} stage {stage_no} (slack {slack_idx})")
+        # a previous point that holds this slack at its bound 0 meets every
+        # pin and is optimal here too: that stage is recorded, not solved
+        if sol is None or sol.x[c_s + slack_idx] > 0.0:
+            lp = first if stage_no == 1 else derive_stage_program(first, pinned, slack_idx)
+            # the frontier dominates every DMU, so each stage is feasible
+            sol = require_optimal(
+                solve_milp(lp, cfg, warm_start=start),
+                f"projection of DMU {name!r} stage {stage_no} (slack {slack_idx})")
+            if stage_no == 1:
+                root = sol.root_basis  # this DMU's, for the next DMU's stage 1
+            start = sol.basis
 
         value = max(float(sol.x[c_s + slack_idx]), 0.0)
         stages.append(StageSolution(
@@ -212,9 +222,6 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
             deviations=sol.x[c_d:c_d + t].copy(),
         ))
         pinned.append((slack_idx, value))
-        if stage_no == 1:
-            root = sol.root_basis  # this DMU's, for the next DMU's stage 1
-        start = sol.basis
 
     # the final stage's joint solution is the projection: its slack vector
     # satisfies every pin and its intensities reproduce the target exactly.

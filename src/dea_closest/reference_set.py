@@ -16,9 +16,15 @@ An efficient DMU often needs no LP.  Every optimal basis of its BCC phase 1
 and of its intercept LPs prices a hyperplane that supports every DMU and
 passes through it, and the solver reports which DMU columns it prices out.
 In any convex representation of the DMU, a DMU priced strictly off such a
-hyperplane carries zero weight, so when those masks together cover every
-other efficient DMU, the DMU is its own maximal closest reference set with
-weight 1 (Ali & Seiford 1993).
+hyperplane carries zero weight (Ali & Seiford 1993).  The efficient DMUs C
+those masks leave can then carry weight only through
+sum_C lambda_j (z_j - z_p) = 0 with lambda >= 0, for z = (x, y).  When every
+DMU of C lies strictly above the DMU's point in one input or output, or
+every one strictly below, the sum vanishes only at lambda_C = 0, and the DMU
+is its own maximal closest reference set with weight 1.  The comparisons
+are exact, on the data.  A twin of the DMU, or a DMU inside a face with
+frontier DMUs on both sides of it in every coordinate, still solves the LP,
+as does every inefficient DMU's target.
 """
 
 from __future__ import annotations
@@ -91,11 +97,15 @@ def solve_max_support_lp(frontier: Frontier, projection: Projection,
 
 def _alone_on_supports(frontier: Frontier, projection: Projection,
                        supports: Sequence[np.ndarray]) -> bool:
-    """Whether ``supports`` prove that the projection's DMU is the only
+    """Whether ``supports`` prove that the projection's DMU p is the only
     efficient DMU in any convex representation of it.
 
-    Only an efficient DMU's own point qualifies.  A mask that prices the DMU
-    itself off belongs to a hyperplane that misses it and is ignored.
+    Only an efficient DMU's own point qualifies.  A mask that prices p
+    itself off belongs to a hyperplane that misses it and is ignored.  The
+    other masks rule out what they flag.  In any representation of
+    z_p = (x_p, y_p), the efficient DMUs j they leave then satisfy
+    sum_j lambda_j (z_j - z_p) = 0 with lambda >= 0.  A coordinate in which
+    each z_j - z_p is positive, or each negative, forces every lambda_j to 0.
     """
     dataset, p = frontier.dataset, projection.dmu
     if (not supports or projection.stages or p not in frontier
@@ -106,7 +116,11 @@ def _alone_on_supports(frontier: Frontier, projection: Projection,
     for off in supports:
         if not off[p]:
             ruled_out |= off
-    return bool(ruled_out[list(frontier.indices)].all())
+    left = ~ruled_out[list(frontier.indices)]
+    diff = np.hstack([frontier.x[left], frontier.y[left]]) - np.concatenate(
+        [dataset.x[p], dataset.y[p]])
+    # with no DMU left, every column holds vacuously
+    return bool((diff > 0).all(axis=0).any() or (diff < 0).all(axis=0).any())
 
 
 def identify_mcrs(frontier: Frontier, projection: Projection,
@@ -116,8 +130,11 @@ def identify_mcrs(frontier: Frontier, projection: Projection,
 
     ``supports`` are masks over the DMUs, each flagging the DMUs an optimal
     basis at an efficient DMU's own point prices out
-    (``EfficiencyResult.priced_out``, ``RtsBounds.supports``); when they rule
-    out every other efficient DMU, no LP is solved.
+    (``EfficiencyResult.priced_out``, ``RtsBounds.supports``).  A mask may
+    flag only DMUs that carry zero weight in every representation of the
+    point.  When one coordinate separates the DMU from every other
+    efficient DMU the masks leave, no LP is solved.  Without masks the LP
+    always runs.
     """
     if _alone_on_supports(frontier, projection, supports):
         lam = (np.array(frontier.indices) == projection.dmu).astype(float)

@@ -234,9 +234,9 @@ def analyze(dataset: Dataset, config: RunConfig, priority: PriorityRanking | Non
                                                   rec.projection.target_outputs, cfg)
             rec.rts_label = classify_rts(rec.rts_bounds, cfg)
         if level >= 2:
-            # with the intercept LPs solved, their prices and the BCC prices at
-            # an efficient DMU can spare the support LP
-            supports = (eff[o].priced_out, *rec.rts_bounds.supports) if level >= 3 else ()
+            # the BCC prices at an efficient DMU, and those of its intercept
+            # LPs where they were solved, can spare the support LP
+            supports = (eff[o].priced_out, *(rec.rts_bounds.supports if level >= 3 else ()))
             rec.mcrs = identify_mcrs(frontier, rec.projection, cfg, supports=supports)
         records.append(rec)
 

@@ -20,6 +20,9 @@ OFF_FRONTIER = "intercept bounds requested at a point that is not on the efficie
 
 # call site: (module, solver binding, which programs fail, command, subject).
 # Every program of the site fails, so the first DMU that solves one names it.
+# DMU1 and DMU2 solve no support LP: each lies strictly below or above every
+# other efficient DMU in some coordinate.  DMU3 lies inside the face
+# DMU2-DMU4 and solves one.
 # BCC phase 1 and the upper intercept stage are the minimizations of their
 # modules; BCC phase 2 and the lower intercept stage the maximizations.
 SITES = {
@@ -27,7 +30,7 @@ SITES = {
     "bcc phase 2": (efficiency, "solve_lp", "max", "efficiency", "BCC phase 2 for DMU 'DMU1'"),
     "projection stage": (projection, "solve_milp", "min", "project",
                          "projection of DMU 'DMU5' stage 1 (slack 1)"),
-    "support LP": (reference_set, "solve_lp", "max", "mcrs", "support LP for DMU 'DMU1'"),
+    "support LP": (reference_set, "solve_lp", "max", "mcrs", "support LP for DMU 'DMU3'"),
     "intercept maximization": (returns_to_scale, "solve_lp", "min", "rts",
                                "returns to scale of DMU 'DMU1': intercept maximization"),
     "intercept minimization": (returns_to_scale, "solve_lp", "max", "rts",
@@ -94,9 +97,10 @@ def test_infeasible_intercept_maximization_reads_as_no_upper_bound(table_path, m
 
 def test_support_lp_out_of_pivots_is_a_solver_limit(table_path, capsys):
     # BCC and projection ran out of pivots with exit 3 and the support LP
-    # with exit 5; every spent budget is now a solver limit
+    # with exit 5; every spent budget is now a solver limit.  DMU3's is the
+    # first support LP the mcrs command solves
     assert main(["mcrs", "--input", table_path, "--max-iterations", "2"]) == 3
-    assert capsys.readouterr().err == ("error: solver limit: support LP for DMU 'DMU2' "
+    assert capsys.readouterr().err == ("error: solver limit: support LP for DMU 'DMU3' "
                                        "hit the iteration limit\n")
 
 

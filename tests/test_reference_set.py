@@ -9,7 +9,7 @@ from dea_closest import (AnalysisError, Frontier, LinearProgram, SolveStatus,
                          solve_max_support_lp)
 from dea_closest.projection import Projection
 
-from conftest import make_dataset, random_dataset, with_dmu
+from conftest import log_uniform_dataset, make_dataset, random_dataset, with_dmu
 
 
 @pytest.fixture(scope="module")
@@ -28,11 +28,11 @@ def point_projection(o, x, y, priority):
     return Projection(o, x, y, np.zeros(x.size + y.size), (), priority)
 
 
-def reference_support_oracle(ds, je, target_x, target_y, cfg, tol=1e-7):
+def reference_support_oracle(ds, je, target_x, target_y, cfg, tol=1e-7, linprog=None):
     """Independent membership test: an efficient DMU belongs to the maximal
     reference set exactly when some convex representation of the target gives
     it positive weight, i.e. max lambda_j over the representation polytope is
-    positive."""
+    positive.  Each max is solved by HiGHS when ``linprog`` is scipy's."""
     x, y = ds.x, ds.y
     idx = list(je.indices)
     t = len(idx)
@@ -42,9 +42,14 @@ def reference_support_oracle(ds, je, target_x, target_y, cfg, tol=1e-7):
     for k, j in enumerate(idx):
         c = np.zeros(t)
         c[k] = 1.0
-        sol = solve_lp(LinearProgram("max", c, a, ("=",) * a.shape[0], b,
-                                     np.zeros(t), np.full(t, np.inf)), cfg)
-        if sol.status is SolveStatus.OPTIMAL and sol.objective > tol:
+        if linprog is None:
+            sol = solve_lp(LinearProgram("max", c, a, ("=",) * a.shape[0], b,
+                                         np.zeros(t), np.full(t, np.inf)), cfg)
+            best = sol.objective if sol.status is SolveStatus.OPTIMAL else None
+        else:
+            res = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+            best = -res.fun if res.status == 0 else None
+        if best is not None and best > tol:
             members.append(j)
     return tuple(members)
 
@@ -234,11 +239,13 @@ def counting_support_lps(monkeypatch):
     return solves
 
 
-def test_certified_mcrs_equals_the_support_lp(monkeypatch, cfg):
-    # where the BCC and intercept prices rule out every other efficient DMU,
-    # identify_mcrs solves no LP, and its result is the LP's
+def test_certified_mcrs_equals_the_support_lp(monkeypatch, eight_dmu, cfg):
+    # where the BCC and intercept prices and the sign test certify the DMU
+    # alone, identify_mcrs solves no LP, and its result is the LP's.  A twin
+    # of U1 and DMU3 inside the face DMU2-DMU4 still solve the LP
     rng = np.random.default_rng(2)
     sets = [concave_frontier(rng, 20) for _ in range(2)] + [random_dataset(rng) for _ in range(10)]
+    sets += [with_dmu(sets[0], "twin", sets[0].x[0], sets[0].y[0]), eight_dmu]
     solves = counting_support_lps(monkeypatch)
     certified = solved = 0
     for ds in sets:
@@ -257,7 +264,7 @@ def test_certified_mcrs_equals_the_support_lp(monkeypatch, cfg):
             assert (got.dmu, got.columns, got.members, got.ucrs) == (
                 want.dmu, want.columns, want.members, want.ucrs)
             assert np.abs(got.lambda_max - want.lambda_max).max() <= 1e-9
-    assert certified >= 20 and solved >= 5
+    assert certified >= 20 and solved >= 3
 
 
 def test_duplicate_of_an_efficient_dmu_blocks_the_certificate(monkeypatch, cfg):
@@ -282,8 +289,10 @@ def test_duplicate_of_an_efficient_dmu_blocks_the_certificate(monkeypatch, cfg):
 @pytest.mark.parametrize("flagged", [
     # DMU2 and DMU4 are basic, or priced within the threshold, in every basis
     [(0, 4, 5, 6, 7), (0, 4)],
-    # the line through DMU1 and DMU2 prices DMU4 off, but DMU3 itself too
-    [(2, 3, 4), (0, 1, 5)],
+    # the line through DMU1 and DMU2 prices DMU4 off, but DMU3 itself too;
+    # the line through DMU2 and DMU4 leaves DMU2 below DMU3 and DMU4 above it
+    # in both the input and the output
+    [(2, 3, 4), (0, 4, 5, 6, 7)],
 ])
 def test_prices_that_prove_nothing_leave_the_support_lp(eight_dmu, je8, cfg, monkeypatch,
                                                          flagged):
@@ -295,3 +304,68 @@ def test_prices_that_prove_nothing_leave_the_support_lp(eight_dmu, je8, cfg, mon
     p = project(je8, 2, cfg)
     mc = identify_mcrs(je8, p, cfg, supports=supports)
     assert mc.members == (1, 2, 3) and len(solves) == 1
+
+
+@pytest.mark.parametrize("o,flagged,members,lps", [
+    # DMU4 is extreme; with DMU1 and DMU2 priced out, DMU3 alone remains and
+    # lies below DMU4 in the input
+    (3, (0, 1), (3,), 0),
+    # DMU2 and DMU4 lie on opposite sides of DMU3 in the input and the output
+    (2, (0,), (1, 2, 3), 1),
+])
+def test_sign_test_on_the_dmus_the_masks_leave(eight_dmu, je8, cfg, monkeypatch,
+                                               o, flagged, members, lps):
+    solves = counting_support_lps(monkeypatch)
+    supports = [np.isin(np.arange(eight_dmu.n), flagged)]
+    mc = identify_mcrs(je8, project(je8, o, cfg), cfg, supports=supports)
+    assert mc.members == members and len(solves) == lps
+
+
+def certificate_sets():
+    """Generated sets on which the sign test meets ties, twins, face-interior
+    points and badly scaled columns."""
+    rng = np.random.default_rng(27)
+    for _ in range(6):  # integer grids: many ties and some duplicate rows
+        n, m, s = int(rng.integers(6, 16)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        yield make_dataset(rng.integers(1, 5, (n, m)), rng.integers(1, 5, (n, s)))
+    for _ in range(6):
+        yield random_dataset(rng)
+    for _ in range(3):  # a concave frontier and exact midpoints of frontier pairs
+        base = concave_frontier(rng, 8)
+        pairs = rng.choice(8, size=(4, 2), replace=False)
+        mid = [((base.x[a] + base.x[b]) / 2, (base.y[a] + base.y[b]) / 2) for a, b in pairs]
+        yield make_dataset(np.vstack([base.x, [x for x, _ in mid]]),
+                           np.vstack([base.y, [y for _, y in mid]]))
+    for _ in range(3):  # duplicated rows
+        ds = random_dataset(rng, max_n=10)
+        dup = rng.choice(ds.n, size=3)
+        yield make_dataset(np.vstack([ds.x, ds.x[dup]]), np.vstack([ds.y, ds.y[dup]]))
+    for seed in range(4):
+        yield log_uniform_dataset(seed)
+
+
+def test_sign_test_certificates_agree_with_the_support_lp(monkeypatch, cfg):
+    # wherever the BCC masks alone (mcrs) or with the intercept masks (report)
+    # certify an efficient DMU alone, the support LP without masks finds it
+    # alone too; every fifth certificate is checked against HiGHS as well
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    solves = counting_support_lps(monkeypatch)
+    certified = solved = 0
+    for ds in certificate_sets():
+        eff = evaluate_all(ds, cfg)
+        je = Frontier(ds, tuple(r.dmu for r in eff if r.is_efficient))
+        for o in je.indices:
+            p = project(je, o, cfg)
+            want = identify_mcrs(je, p, cfg)
+            for supports in ((eff[o].priced_out,), supports_at(ds, eff, o, cfg)):
+                before = len(solves)
+                got = identify_mcrs(je, p, cfg, supports=supports)
+                if len(solves) > before:
+                    solved += 1
+                    continue
+                certified += 1
+                assert got.members == want.members == (o,), (ds.x, ds.y, o)
+                if certified % 5 == 0:
+                    assert reference_support_oracle(ds, je, ds.x[o], ds.y[o], cfg,
+                                                    linprog=linprog) == (o,)
+    assert certified >= 100 and solved >= 10

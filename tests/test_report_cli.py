@@ -240,14 +240,15 @@ def test_cli_solver_limit_exit_code(table_path, capsys):
 
 def test_cli_analysis_error_exit_code(table_path, capsys, monkeypatch):
     # a support LP that finds only the zero solution leaves the target
-    # aggregate at 0, which no convex representation allows
+    # aggregate at 0, which no convex representation allows; DMU3 solves the
+    # first support LP, as DMU1 and DMU2 are certified alone
     def zero_solution(lp, cfg):
         return Solution(SolveStatus.OPTIMAL, 0.0, np.zeros(lp.n_vars))
 
     monkeypatch.setattr(reference_set, "solve_lp", zero_solution)
     assert main(["mcrs", "--input", table_path]) == 5
     err = capsys.readouterr().err
-    assert err.startswith("error: analysis: support LP for DMU 'DMU1': target aggregate")
+    assert err.startswith("error: analysis: support LP for DMU 'DMU3': target aggregate")
 
 
 def test_cli_rts_solver_limit_names_dmu_and_stage(table_path, capsys, monkeypatch):
@@ -261,8 +262,9 @@ def test_cli_rts_solver_limit_names_dmu_and_stage(table_path, capsys, monkeypatc
 
 
 def test_only_report_hands_bases_to_the_mcrs(table_path, monkeypatch):
-    # the mcrs command solves no intercept LP, so its MCRS gets no supports;
-    # report hands over the BCC prices and those of at least one intercept LP
+    # the mcrs command solves no intercept LP, so its MCRS gets only the BCC
+    # prices; report also hands over those of at least one intercept LP.
+    # Both print the same MCRS
     handed = []
     identify = report.identify_mcrs
 
@@ -272,7 +274,7 @@ def test_only_report_hands_bases_to_the_mcrs(table_path, monkeypatch):
 
     monkeypatch.setattr(report, "identify_mcrs", recording)
     mcrs = run(RunConfig(input_path=table_path, command="mcrs")).to_dict()
-    assert handed == [0] * 8
+    assert handed == [1] * 8
     handed.clear()
     full = run(RunConfig(input_path=table_path, command="report")).to_dict()
     assert len(handed) == 8 and min(handed) >= 2
@@ -300,7 +302,9 @@ def test_rts_failure_is_reported_before_an_mcrs_failure(table_path, capsys, monk
 # One stage-1 program is built per dataset and priority, and BCC phase 2 of
 # DMU6, whose theta of 0.5 decides its flag, waits for a reader that report
 # does not have.  DMU4 solves no BCC LP: DMU3's phase-1 basis holds its lambda
-# column and prices every slack out, which certifies it efficient
+# column and prices every slack out, which certifies it efficient.  Of the
+# efficient DMUs only DMU3, inside the face DMU2-DMU4, solves a support LP;
+# the four inefficient targets solve one each
 TRACED_CALLS = {
     ("report", "load_dataset"): 1,
     ("report", "analyze"): 1,
@@ -313,7 +317,7 @@ TRACED_CALLS = {
     ("projection", "solve_milp"): 8,
     ("efficiency", "solve_lp"): 8,
     ("returns_to_scale", "solve_lp"): 12,
-    ("reference_set", "solve_lp"): 6,
+    ("reference_set", "solve_lp"): 5,
 }
 
 

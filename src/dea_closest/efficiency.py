@@ -103,6 +103,16 @@ class EfficiencyResult:
         return self._completed[1]
 
 
+def dmu_index(dataset: Dataset, o) -> int:
+    """``o`` as a DMU index of ``dataset`` by the rule ``Frontier`` applies
+    to each of its indices: ``TypeError`` unless it is an integer,
+    ``ValueError`` unless 0 <= o < n."""
+    o = operator.index(o)
+    if not 0 <= o < dataset.n:
+        raise ValueError(f"DMU index {o} is not one of a dataset of {dataset.n} DMUs")
+    return o
+
+
 @dataclass(frozen=True, eq=False)
 class Frontier:
     """The efficient set J_E of one dataset, which every closest projection,
@@ -181,7 +191,7 @@ def _phase2_program(phase1: LinearProgram, n: int, theta: float) -> LinearProgra
 
 
 def _unit_vertex(dataset: Dataset, o: int) -> Basis:
-    """Phase-1 start at theta = 1, lambda_o = 1 with every slack zero.
+    """Phase-1 basis at theta = 1, lambda_o = 1.
 
     The basic columns are the slacks of their own rows, lambda_o in the
     convexity row, and theta in place of the slack of the input row with
@@ -190,11 +200,9 @@ def _unit_vertex(dataset: Dataset, o: int) -> Basis:
     nonsingular: a ``Dataset`` has a positive input in every row.
     """
     n, m, s = dataset.n, dataset.m, dataset.s
-    x = np.zeros(1 + n + m + s)
-    x[0] = x[1 + o] = 1.0
     columns = np.r_[1 + n + np.arange(m + s), 1 + o]
     columns[int(np.argmax(dataset.x[o]))] = 0
-    return Basis(columns, x)
+    return Basis(columns)
 
 
 def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig()) -> EfficiencyResult:
@@ -203,9 +211,9 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig()) -
     Phase 1 starts at the feasible vertex theta = 1, lambda_o = 1, which
     spares it an artificial phase.  Phase 2 of a DMU with theta below
     1 - zero_tol is solved when the result's slacks or lambdas are first
-    read.
+    read.  An ``o`` that is not a DMU index raises as ``dmu_index`` does.
     """
-    return _solve_bcc(dataset, o, cfg, None)[0]
+    return _solve_bcc(dataset, dmu_index(dataset, o), cfg, None)[0]
 
 
 def _solve_bcc(dataset: Dataset, o: int, cfg: SolverConfig,

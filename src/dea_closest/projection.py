@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import PriorityRanking
-from .efficiency import Frontier
+from .efficiency import Frontier, dmu_index
 from .errors import require_optimal
 from .solver import Basis, LinearProgram, SolverConfig, solve_milp
 from .solver.model import FEAS_TOL
@@ -157,7 +157,8 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
     The target is unique: whichever optimal intensities/multipliers each
     stage solver happens to report, the slack optima are the same, and the
     target is the DMU moved by exactly those slacks (inputs down, outputs
-    up).  Efficient DMUs short-circuit to a zero-slack projection.
+    up).  Efficient DMUs short-circuit to a zero-slack projection.  An
+    ``o`` that is not a DMU index raises as ``dmu_index`` does.
 
     The stage-1 program is derived by this DMU's right-hand side from the
     one ``frontier`` keeps for the first slack, which the first call with
@@ -178,6 +179,7 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
     m, s = dataset.m, dataset.s
     if priority.m != m or priority.s != s:
         raise ValueError("priority ranking dimensions do not match the dataset")
+    o = dmu_index(dataset, o)
     name = dataset.names[o]
     xo, yo = dataset.x[o], dataset.y[o]
 

@@ -84,7 +84,6 @@ class DmuAnalysis:
 class AnalysisReport:
     """Per-DMU analysis records plus run metadata, renderable as JSON or CSV."""
 
-    command: str
     dataset: Dataset
     priority: PriorityRanking
     config: RunConfig
@@ -95,7 +94,7 @@ class AnalysisReport:
         ds = self.dataset
         return {
             "schema_version": SCHEMA_VERSION,
-            "command": self.command,
+            "command": self.config.command,
             "config": {
                 "input": self.config.input_path,
                 "priority": list(self.priority.labels(ds)),
@@ -240,7 +239,7 @@ def analyze(dataset: Dataset, config: RunConfig, priority: PriorityRanking | Non
             rec.mcrs = identify_mcrs(frontier, rec.projection, cfg, supports=supports)
         records.append(rec)
 
-    report = AnalysisReport(config.command, dataset, priority, config, records)
+    report = AnalysisReport(dataset, priority, config, records)
     report.timings["total_seconds"] = time.perf_counter() - t0
     return report
 

@@ -91,8 +91,9 @@ def _intercept_program(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarra
 
 def _single_dmu_vertex(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
                        sigma: float) -> Basis | None:
-    """The vertex of the stage-``sigma`` intercept program with the lowest u0
-    among those with at most one positive lambda; None when there is none.
+    """The basis of the stage-``sigma`` intercept program's vertex with the
+    lowest u0 among those with at most one positive lambda; None when there
+    is none.
 
     With lambda_j = L alone, the equality row gives mu = -sigma - L and the
     input rows u0 = -sigma + L.(max_i x_ij/x_pi - 1), the maximum over the
@@ -112,14 +113,13 @@ def _single_dmu_vertex(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarra
     Over the standardized columns [u0, mu, lambda (n), row slacks (m+s)],
     u0 is basic in place of the slack of the binding input row, lambda_j in
     place of that of the binding output row, mu in the equality row, and
-    every other row's slack in its own row.  Only the nonbasic columns'
-    values matter to the solve, and they sit exactly at zero.
+    every other row's slack in its own row; every nonbasic column rests at
+    zero.
     """
     n, m, s = dataset.n, dataset.m, dataset.s
-    x = np.zeros(n + 2 + m + s)
     columns = np.arange(n + 2, n + 3 + m + s)
     columns[m + s] = 1  # mu in the equality row
-    i, rise = int(point_x.argmax()), 0.0  # the binding input row, and u0 + sigma
+    i, j = int(point_x.argmax()), None  # the binding input row, and the DMU with lambda_j > 0
     pos = point_x > 0
     if pos.any():
         ratio = dataset.x[:, pos] / point_x[pos]
@@ -142,22 +142,14 @@ def _single_dmu_vertex(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarra
             lams = limits.max(axis=1) if sigma > 0 else limits.min(axis=1)
             rises = lams * (top[idx] - 1.0)
             k = int(rises.argmin())
-            j, rise = int(idx[k]), rises[k]
+            j = int(idx[k])
             r = int(limits[k].argmax() if sigma > 0 else limits[k].argmin())
             i = int(np.flatnonzero(pos)[ratio[j].argmax()])
-            x[2 + j] = lams[k]
             columns[m + r] = 2 + j
-    lam = x[2:n + 2]
-    if sigma > 0 and not lam.any():
-        return None
-    x[0] = -sigma + rise
-    x[1] = -sigma - lam.sum()
-    slacks = x[n + 2:]
-    slacks[:m] = point_x * (x[0] - x[1]) - dataset.x.T.dot(lam)
-    slacks[m:] = point_y * x[1] + dataset.y.T.dot(lam)
+    if sigma > 0 and j is None:
+        return None  # no DMU qualified
     columns[i] = 0
-    slacks[columns[:m + s] < n + 2] = 0.0  # the rows whose slack left the basis
-    return Basis(columns, x)
+    return Basis(columns)
 
 
 def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
@@ -171,10 +163,14 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
     2 then finds it.  Stage 2 is feasible at lambda=0, mu=1, u0=1, so lower >= -1.
     Each stage starts from its best vertex with at most one positive lambda;
     stage 1, which has no such vertex when no DMU exceeds the point in every
-    positive output, is then solved cold.
+    positive output, is then solved cold.  A point whose shapes are not
+    (m,) and (s,) raises ``ValueError``.
     """
     point_x = np.asarray(point_x, dtype=float)
     point_y = np.asarray(point_y, dtype=float)
+    if point_x.shape != (dataset.m,) or point_y.shape != (dataset.s,):
+        raise ValueError(f"point shapes {point_x.shape} and {point_y.shape} do not match "
+                         f"{dataset.m} inputs and {dataset.s} outputs")
 
     def solve(sense: str, stage: str):
         start = _single_dmu_vertex(dataset, point_x, point_y, 1.0 if sense == "max" else -1.0)

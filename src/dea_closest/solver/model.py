@@ -180,9 +180,11 @@ class Basis:
     i, and ``x`` is the full standardized point at that basis.  A solve that
     resumes from the record places each nonbasic column by its value against
     its own bounds, so the record stays meaningful when bounds change.  A
-    caller that knows a basic feasible point of a program builds the record
-    itself as ``Basis(columns, x)``.  A basis the solve cannot resume from
-    (a singular one, or one of another system) sends it to its cold start.
+    caller that knows a basic feasible point of a program names its basis by
+    hand as ``Basis(columns)``; without ``x``, each nonbasic column rests
+    where its own bounds put it (its lower bound if finite, else its upper,
+    else zero).  A basis the solve cannot resume from (a singular one, or
+    one of another system) sends it to its cold start.
 
     The keyword-only ``inverse`` is the factorized inverse of the basic
     columns of ``source`` in row order, and ``source`` the standardized
@@ -196,7 +198,7 @@ class Basis:
     """
 
     columns: np.ndarray
-    x: np.ndarray
+    x: np.ndarray | None = None
     _: KW_ONLY
     inverse: np.ndarray | None = None
     source: np.ndarray | None = None

@@ -16,11 +16,12 @@ no pivot, and the artificials are evicted and phase 2 begins at once.
 
 A warm solve resumes from the final basis of a related program with the same
 rows and columns (a branch-and-bound parent, the previous lexicographic
-stage, the first phase of a two-phase model), or from a known basic feasible
-point that the caller builds as a ``Basis`` of its own (the BCC score starts
+stage, the first phase of a two-phase model), or from a basis named by hand
+as ``Basis(columns)`` at a known basic feasible point (the BCC score starts
 at theta=1, lambda_o=1 and each returns-to-scale intercept at a vertex with
 at most one positive lambda, so none of them runs an artificial phase).
-Each nonbasic column is placed by its old value against its new bounds.
+Each nonbasic column is placed by its old value against its new bounds, or,
+in a basis named by hand, rests where its own bounds put it.
 If the basic solution is then primal feasible, primal phase 2 runs alone;
 if it is only dual feasible (a parent basis after one bound changed), a
 bounded dual simplex (Koberstein 2005) restores primal feasibility first.  The dual leaves on the
@@ -350,11 +351,12 @@ class _Simplex:
         n = self.n
         basis = np.array(start.columns, dtype=np.intp)
         # read as unsigned, a negative column is past every column of the system
-        if (start.x.size != n or basis.size != self.rows
+        if ((start.x is not None and start.x.size != n) or basis.size != self.rows
                 or basis.view(np.uintp).max(initial=0) >= n):
             return None  # another system's basis, or one holding an artificial
         box = self.box
-        vstatus = _placed(box.status, box.lo, box.up, start.x)
+        vstatus = (box.status.copy() if start.x is None
+                   else _placed(box.status, box.lo, box.up, start.x))
         vstatus[basis] = _BASIC
         if start.inverse is not None and start.source is self.a:
             # gathered from this very matrix, so it holds these basic columns;
@@ -674,9 +676,10 @@ def solve_lp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
 
     ``warm_start`` is a basis of a program with the same rows and columns:
     the ``basis`` of an earlier solve (for instance the same model under
-    other bounds or another objective), or a known basic feasible point
-    built by hand (``Basis(columns, x)``).  The solve starts from it; it
-    never changes which solutions are optimal.
+    other bounds or another objective), or a basis named by hand as
+    ``Basis(columns)``, whose nonbasic columns rest where their own bounds
+    put them.  The solve starts from it; it never changes which solutions
+    are optimal.
 
     Infeasibility and unboundedness are detected and reported as statuses;
     hitting ``max_iterations`` (cycling or severe ill-conditioning) is

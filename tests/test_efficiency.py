@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dea_closest import (AnalysisError, Frontier, ValidationError, closest_projection,
-                         default_priority, efficiency, efficient_set, evaluate_all, evaluate_bcc,
-                         load_dataset, solve_lp)
+                         closest_rts, default_priority, efficiency, efficient_set, evaluate_all,
+                         evaluate_bcc, intercept_bounds, load_dataset, solve_lp)
 from dea_closest.efficiency import _bcc_program, _phase2_program
 
 from conftest import (log_uniform_dataset, make_dataset, multiplier_score, random_dataset,
@@ -28,6 +28,29 @@ def test_frontier_rejects_bad_indices(eight_dmu, indices):
         Frontier(eight_dmu, indices)
     with pytest.raises(TypeError):
         Frontier(eight_dmu, (0, 1.0))
+
+
+@pytest.mark.parametrize("entry", ["evaluate_bcc", "closest_projection", "closest_rts"])
+@pytest.mark.parametrize("o,error", [(-1, ValueError), (8, ValueError), (2.0, TypeError)])
+def test_entry_points_reject_an_index_that_is_not_a_dmu(eight_dmu, cfg, entry, o, error):
+    # -1 once read the last DMU's row under the name of DMU -1, and 8 raised
+    # a bare IndexError; each entry point applies the rule Frontier applies
+    frontier = efficient_set(eight_dmu, cfg)
+    pri = default_priority(1, 1)
+    calls = {"evaluate_bcc": lambda: evaluate_bcc(eight_dmu, o, cfg),
+             "closest_projection": lambda: closest_projection(frontier, o, pri, cfg),
+             "closest_rts": lambda: closest_rts(frontier, o, pri, cfg)}
+    with pytest.raises(error):
+        calls[entry]()
+
+
+def test_intercept_bounds_rejects_a_point_of_other_shapes(eight_dmu, cfg):
+    # a (2,) point for one input once raised a bare IndexError
+    x, y = eight_dmu.x[0], eight_dmu.y[0]
+    for px, py in ((np.r_[x, x], y), (x, np.r_[y, y]), (x[0], y), (x[None], y)):
+        with pytest.raises(ValueError, match="do not match 1 inputs and 1 outputs"):
+            intercept_bounds(eight_dmu, px, py, cfg)
+    assert intercept_bounds(eight_dmu, list(x), list(y), cfg).stage_count == 1
 
 
 def test_empty_frontier_is_an_analysis_error_not_a_crash(eight_dmu, cfg):

@@ -6,10 +6,10 @@ import pytest
 
 from dea_closest import (AnalysisError, RtsBounds, RtsLabel, Solution, SolverLimitError,
                          SolveStatus, classify_rts, closest_projection, closest_rts,
-                         default_priority, efficient_set, intercept_bounds, load_dataset,
-                         returns_to_scale)
+                         default_priority, efficiency, efficient_set, intercept_bounds,
+                         load_dataset, returns_to_scale)
 from dea_closest.report import RunConfig, analyze
-from dea_closest.solver import solve_lp
+from dea_closest.solver import Basis, solve_lp
 from dea_closest.solver.simplex import standardize
 
 from conftest import (highs_intercept_both, log_uniform_dataset, make_dataset,
@@ -265,17 +265,47 @@ def test_both_stages_start_at_their_best_single_dmu_vertex(monkeypatch, cfg):
                 if start is None:
                     assert lp.sense == "min"  # only the upper stage may start cold
                     continue
+                assert start.x is None  # named by its basic columns alone
                 std = standardize(lp)
-                nonbasic = np.ones(std.a.shape[1], dtype=bool)
-                nonbasic[start.columns] = False
-                rest = np.where(np.isfinite(std.lower), std.lower, 0.0)
-                assert np.array_equal(start.x[nonbasic], rest[nonbasic])
                 assert np.linalg.matrix_rank(std.a[:, start.columns]) == lp.n_rows
                 started[lp.sense] += 1
                 warm_pivots += warm.iterations
                 cold_pivots += cold.iterations
     assert started["min"] > 0 and started["max"] > 0
     assert warm_pivots <= 2 * cold_pivots // 3
+
+
+def solve_bits(sol):
+    """Everything a solve returns that a start could move, as raw bytes."""
+    return (sol.status, None if sol.x is None else sol.x.tobytes(),
+            np.float64(sol.objective).tobytes(), sol.iterations,
+            None if sol.basis is None else sol.basis.columns.tobytes())
+
+
+def test_hand_built_starts_rest_nonbasic_columns_at_their_bounds(cfg):
+    # a start named by its columns alone solves bit for bit like the same
+    # columns with a point that holds every nonbasic column at its bound
+    programs = []
+    for seed in (7, 11, 2024):
+        ds = random_dataset(np.random.default_rng(seed))
+        for o in range(ds.n):
+            programs.append((efficiency._bcc_program(ds, o), efficiency._unit_vertex(ds, o)))
+        for o in efficient_set(ds, cfg).indices:
+            for sense, sigma in (("max", 1.0), ("min", -1.0)):
+                start = returns_to_scale._single_dmu_vertex(ds, ds.x[o], ds.y[o], sigma)
+                if start is not None:
+                    lp = returns_to_scale._intercept_program(ds, ds.x[o], ds.y[o], sense)
+                    programs.append((lp, start))
+    senses = set()
+    for lp, start in programs:
+        assert start.x is None
+        std = standardize(lp)
+        rest = np.where(np.isfinite(std.lower), std.lower, 0.0)
+        named = solve_lp(lp, cfg, Basis(start.columns))
+        placed = solve_lp(lp, cfg, Basis(start.columns, rest))
+        assert solve_bits(named) == solve_bits(placed)
+        senses.add(lp.sense)
+    assert senses == {"min", "max"} and len(programs) > 50
 
 
 def test_starts_raise_no_warning_at_zeros_and_duplicates():

@@ -8,7 +8,13 @@ means constant.  For an inefficient DMU the classification is performed at
 its unique closest projection (closest RTS).  Each end of the range is an
 LP in envelopment form (Banker & Thrall 1992), with m+s+1 rows for any n.
 Each LP starts at its best vertex with at most one positive lambda, so
-neither runs an artificial phase where some DMU gives it one.  The optimal
+neither runs an artificial phase where some DMU gives it one.  Both LPs of
+every point share one matrix: its n lambda columns and the slack columns
+are the dataset's, and only the u0 and mu columns hold the point.  The two
+stages differ only in the sign of the objective's sense and of the last
+right-hand-side entry, so each dataset's pair of standardized systems is
+built once, at a zero point, and every point solves copies of its matrix
+with its own columns written in.  The optimal
 prices of each one are a hyperplane that supports every DMU at the point;
 the DMUs whose lambda column they price out lie strictly off it, and that
 mask is kept for the maximal closest reference set.
@@ -16,7 +22,8 @@ mask is kept for the maximal closest reference set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -26,6 +33,7 @@ from .efficiency import Frontier
 from .errors import AnalysisError, failure_context, require_optimal
 from .projection import Projection, closest_projection
 from .solver import Basis, LinearProgram, SolveStatus, SolverConfig, solve_lp
+from .solver.simplex import StandardizedLP, standardize
 
 
 class RtsLabel(Enum):
@@ -87,6 +95,37 @@ def _intercept_program(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarra
     lower[:2] = -np.inf
     return LinearProgram(dual_sense, c, a, (">=",) * (m + s) + ("=",), b, lower,
                          np.full(n + 2, np.inf))
+
+
+# keyed by Dataset, which compares by identity; a weak key keeps none alive
+_SYSTEMS: weakref.WeakKeyDictionary[Dataset, tuple[StandardizedLP, StandardizedLP]] = (
+    weakref.WeakKeyDictionary())
+
+
+def _intercept_systems(dataset: Dataset) -> tuple[StandardizedLP, StandardizedLP]:
+    """The standardized upper- and lower-stage intercept programs of
+    ``dataset`` at a zero point, built on first use and read-only.
+
+    Both come from ``_intercept_program`` through ``standardize``, so each
+    is validated and equals, bit for bit, what a point's own program gives
+    outside the u0 and mu columns.  They share one matrix (the two stages'
+    matrices are equal) and differ in ``b`` (+e_last or -e_last), ``c`` and
+    ``sense_sign`` (+1 or -1).  Both ``c`` minimize u0, but the lower
+    stage's holds -0.0 where the upper's holds 0.0, and a zero objective
+    takes its sign from them, so each stage keeps its own.
+    """
+    systems = _SYSTEMS.get(dataset)
+    if systems is None:
+        zero_x, zero_y = np.zeros(dataset.m), np.zeros(dataset.s)
+        upper = standardize(_intercept_program(dataset, zero_x, zero_y, "max"))
+        lower = replace(standardize(_intercept_program(dataset, zero_x, zero_y, "min")),
+                        a=upper.a, a_abs=upper.a_abs)
+        for std in (upper, lower):
+            for arr in (std.a, std.a_abs, std.b, std.c, std.lower, std.upper,
+                        std.slack_of_row):
+                arr.flags.writeable = False
+        systems = _SYSTEMS[dataset] = (upper, lower)
+    return systems
 
 
 def _single_dmu_vertex(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
@@ -163,33 +202,47 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
     2 then finds it.  Stage 2 is feasible at lambda=0, mu=1, u0=1, so lower >= -1.
     Each stage starts from its best vertex with at most one positive lambda;
     stage 1, which has no such vertex when no DMU exceeds the point in every
-    positive output, is then solved cold.  A point whose shapes are not
-    (m,) and (s,) raises ``ValueError``.
+    positive output, is then solved cold.  Both stages solve the dataset's
+    cached standardized systems (``_intercept_systems``) with one copy of
+    their matrix that holds the point's u0 and mu columns; the answers are
+    those of ``_intercept_program`` bit for bit.  A point whose shapes are
+    not (m,) and (s,), or that holds a NaN or an infinity, raises
+    ``ValueError``.
     """
     point_x = np.asarray(point_x, dtype=float)
     point_y = np.asarray(point_y, dtype=float)
-    if point_x.shape != (dataset.m,) or point_y.shape != (dataset.s,):
+    m, s = dataset.m, dataset.s
+    if point_x.shape != (m,) or point_y.shape != (s,):
         raise ValueError(f"point shapes {point_x.shape} and {point_y.shape} do not match "
-                         f"{dataset.m} inputs and {dataset.s} outputs")
+                         f"{m} inputs and {s} outputs")
+    if not (np.isfinite(point_x).all() and np.isfinite(point_y).all()):
+        raise ValueError(f"point with inputs {point_x} and outputs {point_y} is not finite")
+    systems = _intercept_systems(dataset)
+    a = systems[0].a.copy()
+    a[:m, 0] = point_x
+    a[:m, 1] = -point_x
+    a[m:m + s, 1] = point_y
+    a_abs = systems[0].a_abs.copy()
+    a_abs[:, :2] = np.abs(a[:, :2])
 
-    def solve(sense: str, stage: str):
-        start = _single_dmu_vertex(dataset, point_x, point_y, 1.0 if sense == "max" else -1.0)
-        sol = solve_lp(_intercept_program(dataset, point_x, point_y, sense), cfg, start)
+    def solve(std: StandardizedLP, stage: str):
+        start = _single_dmu_vertex(dataset, point_x, point_y, std.sense_sign)
+        sol = solve_lp(replace(std, a=a, a_abs=a_abs), cfg, start)
         if sol.status is SolveStatus.UNBOUNDED:
             raise AnalysisError("intercept bounds requested at a point that is not "
                                 "on the efficient frontier")
-        if sense == "max" and sol.status is SolveStatus.INFEASIBLE:
+        if std.sense_sign > 0 and sol.status is SolveStatus.INFEASIBLE:
             return sol  # no finite upper bound
         return require_optimal(sol, f"intercept {stage}")
 
     def supports(*solved) -> tuple[np.ndarray, ...]:
         return tuple(sol.priced_out[2:] for sol in solved if sol.priced_out is not None)
 
-    hi = solve("max", "maximization")
+    hi = solve(systems[0], "maximization")
     upper = np.inf if hi.status is SolveStatus.INFEASIBLE else float(hi.objective)
     if upper < -cfg.zero_tol:
         return RtsBounds(upper, -np.inf, 1, supports(hi))
-    lo = solve("min", "minimization")
+    lo = solve(systems[1], "minimization")
     return RtsBounds(upper, float(lo.objective), 2, supports(hi, lo))
 
 

@@ -111,6 +111,13 @@ class StandardizedLP:
     back on exit).  ``a_abs`` is ``|a|``, which scales the pricing threshold.
     A program of equality rows only shares its matrix (when C-contiguous),
     right-hand side and bounds with the system; nothing writes to them.
+
+    ``standardize`` is the one way to make a system from a program, so the
+    program's constructor has validated what the system holds.  A caller
+    that solves many programs of one shape may keep such a system, derive
+    each program's with ``dataclasses.replace`` and hand it to ``solve_lp``
+    directly; the arrays it replaces must be as ``standardize`` would have
+    made them.
     """
 
     a: np.ndarray
@@ -122,6 +129,11 @@ class StandardizedLP:
     sense_sign: float
     slack_of_row: np.ndarray
     a_abs: np.ndarray
+
+    @property
+    def sense(self) -> str:
+        """The original program's sense: "min" when ``sense_sign`` > 0."""
+        return "min" if self.sense_sign > 0 else "max"
 
 
 def standardize(lp: LinearProgram) -> StandardizedLP:
@@ -670,9 +682,13 @@ def check_warm_start(warm_start) -> None:
                         f"Solution.basis), not {type(warm_start).__name__}")
 
 
-def solve_lp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
+def solve_lp(lp: LinearProgram | StandardizedLP, cfg: SolverConfig = SolverConfig(),
              warm_start: Basis | None = None) -> Solution:
     """Solve a linear program without complementarity pairs.
+
+    ``lp`` is a ``LinearProgram``, or a ``StandardizedLP`` derived from the
+    ``standardize`` of one, which is solved as it stands; the solution and
+    its objective are those of the original program either way.
 
     ``warm_start`` is a basis of a program with the same rows and columns:
     the ``basis`` of an earlier solve (for instance the same model under
@@ -687,10 +703,13 @@ def solve_lp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
     ``LinearProgram`` itself is constructed, never here; a ``warm_start``
     that is not a Basis raises TypeError.
     """
-    if lp.is_mixed:
+    if isinstance(lp, StandardizedLP):
+        std = lp
+    elif lp.is_mixed:
         raise ValueError("program has complementarity pairs; use solve_milp")
+    else:
+        std = standardize(lp)
     check_warm_start(warm_start)
-    std = standardize(lp)
     with quiet():
         status, x, obj, iters, basis = solve_standardized(std, cfg, start=warm_start)
     if status is SolveStatus.OPTIMAL:

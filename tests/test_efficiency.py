@@ -53,6 +53,18 @@ def test_intercept_bounds_rejects_a_point_of_other_shapes(eight_dmu, cfg):
     assert intercept_bounds(eight_dmu, list(x), list(y), cfg).stage_count == 1
 
 
+@pytest.mark.parametrize("side", ["inputs", "outputs"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_intercept_bounds_rejects_a_point_that_is_not_finite(four_dmu, cfg, side, value):
+    # the point's columns are written into a cached system that no
+    # constructor checks, so the point itself is checked at the boundary
+    x, y = four_dmu.x[1].copy(), four_dmu.y[1].copy()
+    (x if side == "inputs" else y)[0] = value
+    with pytest.raises(ValueError, match=r"^point with inputs \[.*\] and outputs \[.*\] "
+                                         r"is not finite$"):
+        intercept_bounds(four_dmu, x, y, cfg)
+
+
 def test_empty_frontier_is_an_analysis_error_not_a_crash(eight_dmu, cfg):
     # no efficient DMU can only come from numerical trouble: the frontier is
     # accepted and the projection reports its stage 1 as infeasible

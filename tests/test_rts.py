@@ -1,5 +1,7 @@
+import gc
 import io
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -266,8 +268,8 @@ def test_both_stages_start_at_their_best_single_dmu_vertex(monkeypatch, cfg):
                     assert lp.sense == "min"  # only the upper stage may start cold
                     continue
                 assert start.x is None  # named by its basic columns alone
-                std = standardize(lp)
-                assert np.linalg.matrix_rank(std.a[:, start.columns]) == lp.n_rows
+                # each stage is handed to the solver as its standardized system
+                assert np.linalg.matrix_rank(lp.a[:, start.columns]) == lp.a.shape[0]
                 started[lp.sense] += 1
                 warm_pivots += warm.iterations
                 cold_pivots += cold.iterations
@@ -306,6 +308,91 @@ def test_hand_built_starts_rest_nonbasic_columns_at_their_bounds(cfg):
         assert solve_bits(named) == solve_bits(placed)
         senses.add(lp.sense)
     assert senses == {"min", "max"} and len(programs) > 50
+
+
+def test_stages_on_the_shared_system_solve_like_their_own_programs(
+        monkeypatch, eight_dmu, four_dmu, cfg):
+    # every stage solved on the dataset's cached system, with the point's
+    # columns written into a copy of its matrix, is the stage's own program
+    # standardized, and solves bit for bit like it from the same start: at
+    # efficient DMUs' own points and at inefficient DMUs' closest targets
+    stages = []
+
+    def recording(lp, cfg, *start):
+        sol = solve_lp(lp, cfg, *start)
+        stages.append((lp, start, sol))
+        return sol
+
+    monkeypatch.setattr(returns_to_scale, "solve_lp", recording)
+    datasets = [eight_dmu, four_dmu] + [random_dataset(np.random.default_rng(seed))
+                                        for seed in (7, 11, 2024)]
+    seen = {"cold upper": 0, "infeasible upper": 0, "lower": 0, "inefficient": 0}
+    for ds in datasets:
+        frontier = efficient_set(ds, cfg)
+        priority = default_priority(ds.m, ds.s)
+        for o in range(ds.n):
+            if o in frontier:
+                px, py = ds.x[o], ds.y[o]
+            else:
+                target = closest_projection(frontier, o, priority, cfg)
+                px, py = target.target_inputs, target.target_outputs
+                seen["inefficient"] += 1
+            stages.clear()
+            intercept_bounds(ds, px, py, cfg)
+            for std, (start,), shared in stages:
+                sense = "max" if std.sense_sign > 0 else "min"
+                lp = returns_to_scale._intercept_program(ds, px, py, sense)
+                own = standardize(lp)
+                for name in ("a", "a_abs", "b", "c", "lower", "upper", "slack_of_row"):
+                    assert getattr(std, name).tobytes() == getattr(own, name).tobytes(), name
+                assert (std.n_struct, std.sense_sign, std.sense) == (
+                    own.n_struct, own.sense_sign, lp.sense)
+                alone = solve_lp(lp, cfg, start)
+                assert solve_bits(shared) == solve_bits(alone)
+                assert (shared.priced_out is None) == (alone.priced_out is None)
+                if alone.priced_out is not None:
+                    assert shared.priced_out.tobytes() == alone.priced_out.tobytes()
+                if sense == "max":
+                    seen["cold upper"] += start is None
+                    seen["infeasible upper"] += alone.status is SolveStatus.INFEASIBLE
+                else:
+                    seen["lower"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_intercept_system_is_built_once_per_dataset_object(monkeypatch, cfg):
+    built = []
+    program = returns_to_scale._intercept_program
+
+    def counting(ds, *args):
+        built.append(ds)
+        return program(ds, *args)
+
+    monkeypatch.setattr(returns_to_scale, "_intercept_program", counting)
+    x, y = [[2.0], [3.0], [6.0], [4.0]], [[2.0], [5.0], [6.0], [4.0]]
+    ds = make_dataset(x, y)
+    bounds = [intercept_bounds(ds, ds.x[o], ds.y[o], cfg) for o in (0, 1, 2, 1)]
+    assert bounds[1] == bounds[3]
+    assert len(built) == 2 and all(d is ds for d in built)  # one system per stage
+    systems = returns_to_scale._intercept_systems(ds)
+    assert returns_to_scale._intercept_systems(ds) is systems
+    assert systems[0].a is systems[1].a and systems[0].a_abs is systems[1].a_abs
+    for std in systems:
+        for arr in (std.a, std.a_abs, std.b, std.c, std.lower, std.upper, std.slack_of_row):
+            assert not arr.flags.writeable
+
+    # an equal but distinct dataset gets a system of its own, with the same bounds
+    twin = make_dataset(x, y)
+    assert intercept_bounds(twin, twin.x[1], twin.y[1], cfg) == bounds[1]
+    assert len(built) == 4 and built[2:] == [twin, twin]
+    assert returns_to_scale._intercept_systems(twin)[0] is not systems[0]
+
+    # the cache keeps no dataset alive
+    gone = weakref.ref(twin)
+    built.clear()
+    del twin
+    gc.collect()
+    assert gone() is None
 
 
 def test_starts_raise_no_warning_at_zeros_and_duplicates():

@@ -33,26 +33,30 @@ class Row(NamedTuple):
 
 
 GATES = {
-    # warm-started nodes and stage-1 roots (3.04 pivots per node with each
-    # DMU's stage-1 root cold, 1.81 from the previous DMU's root basis), the
-    # size of the search (184 nodes when every popped node is solved, 156 when
-    # a node whose parent's bound ties the incumbent is discarded unsolved)
-    # and the BCC phase-1 start (465 BCC pivots with phase 1 cold, 222 from
-    # theta=1, lambda_o=1, 133 from the previous DMU's optimal phase-1 basis);
-    # BCC phase 2 runs at once only where theta = 1 leaves the flag open (58
-    # BCC solves and 133 pivots with it run wherever a slack is not priced
-    # out, 42 and 91 with it deferred below theta = 1 to a reader of the
-    # slacks, which project does not have; 28 and 72 when a DMU whose lambda
-    # column is basic in an earlier phase-1 basis that prices out every
-    # slack is certified efficient without an LP).  A lexicographic stage
-    # whose slack the previous stage's point holds at 0 is recorded unsolved
-    # (72 MILPs and 156 nodes with every stage solved, 67 and 151 without);
-    # those stages took no pivot, so the 346 pivots stay and pivots per node
-    # rises from 1.76 to 1.81: the pivots and the MILPs are gated instead
+    # warm-started nodes and stage-1 roots: every stage-1 root after a
+    # frontier's first starts from the root basis the frontier keeps from
+    # its first DMU (147 nodes, 344 pivots and 65 MILPs; 148, 554 and 67 with
+    # every stage-1 root cold; 151, 346 and 67 with each started from the
+    # previous DMU's root basis).  The size of the search (184 nodes when
+    # every popped node is solved, 156 when a node whose parent's bound ties
+    # the incumbent is discarded unsolved, both with roots from the previous
+    # DMU's) and the BCC phase-1 start (465 BCC pivots with phase 1 cold,
+    # 222 from theta=1, lambda_o=1, 133 from the previous DMU's optimal
+    # phase-1 basis); BCC phase 2 runs at once only where theta = 1 leaves
+    # the flag open (58 BCC solves and 133 pivots with it run wherever a
+    # slack is not priced out, 42 and 91 with it deferred below theta = 1 to
+    # a reader of the slacks, which project does not have; 28 and 72 when a
+    # DMU whose lambda column is basic in an earlier phase-1 basis that
+    # prices out every slack is certified efficient without an LP).  A
+    # lexicographic stage whose slack the previous stage's point holds at 0
+    # is recorded unsolved (72 MILPs and 156 nodes with every stage solved,
+    # 67 and 151 without); those stages take no pivot, so pivots per node
+    # rises with every stage so skipped: the pivots and the MILPs are gated
+    # beside the nodes
     "proj-bnb": Row(seed=1, seconds=10, clean=True, gates={
-        "solver.branch_and_bound.nodes": 151,
-        "solver.simplex.pivots": 346,
-        "projection.milp_solves": 67,
+        "solver.branch_and_bound.nodes": 147,
+        "solver.simplex.pivots": 344,
+        "projection.milp_solves": 65,
         "efficiency.lp_solves": 28,
         "efficiency.pivots": 72,
     }),

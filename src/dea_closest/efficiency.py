@@ -45,7 +45,8 @@ belongs to a hyperplane through it.
 ``efficient_set`` returns the efficient DMUs as a ``Frontier``, the one
 record per dataset that the projection, reference-set and returns-to-scale
 programs are built over.  It slices the efficient rows once and keeps the
-stage-1 projection programs built over them.
+stage-1 projection programs built over them, each with the root basis
+every later stage 1 starts from.
 """
 
 from __future__ import annotations
@@ -72,22 +73,20 @@ class EfficiencyResult:
     rule out every slack (phase 2 would start and stop at that point).
     ``completion`` returns both; where theta alone marks the DMU
     inefficient, it solves phase 2, so the first read of either raises the
-    error a failed phase 2 means.  ``basis`` is the optimal phase-1 basis,
-    which the next solved DMU's phase 1 starts from.  ``priced_out`` flags
-    the DMUs whose lambda column that basis prices out: they carry zero
+    error a failed phase 2 means.  ``priced_out`` flags the DMUs whose
+    lambda column the optimal phase-1 basis prices out: they carry zero
     weight in every phase-1 optimum.
 
     A DMU that ``evaluate_all`` certifies from an earlier DMU's phase-1
-    basis reads theta 1.0, zero slacks and lambdas e_o.  Its ``basis`` is
-    None, and ``priced_out`` is the certifying basis's mask: that basis
-    prices a hyperplane through this DMU, and the mask never flags it.
+    basis reads theta 1.0, zero slacks and lambdas e_o, and ``priced_out``
+    is the certifying basis's mask: that basis prices a hyperplane through
+    this DMU, and the mask never flags it.
     """
 
     dmu: int
     theta: float
     is_efficient: bool
     completion: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False, compare=False)
-    basis: Basis | None = field(default=None, repr=False, compare=False)
     priced_out: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -124,16 +123,19 @@ class Frontier:
     out-of-range, repeated or decreasing index and ``TypeError`` for one
     that is not an integer; an empty set is allowed.  ``stage_templates``
     holds, per first slack, the stage-1 program ``closest_projection``
-    built for the first DMU it projected with that slack; every later
-    projection derives its own from it with ``dataclasses.replace`` by a new
-    right-hand side, so they share one matrix.  Equality is identity.
+    built for the first DMU it projected with that slack, with the final
+    basis of that DMU's cold stage-1 root.  Every later projection derives
+    its own program from it with ``dataclasses.replace`` by a new
+    right-hand side, so they share one matrix, and starts its stage-1 root
+    from that basis.  Equality is identity.
     """
 
     dataset: Dataset = field(repr=False)
     indices: tuple[int, ...]
     x: np.ndarray = field(init=False, repr=False)
     y: np.ndarray = field(init=False, repr=False)
-    stage_templates: dict[int, LinearProgram] = field(default_factory=dict, init=False, repr=False)
+    stage_templates: dict[int, tuple[LinearProgram, Basis]] = field(
+        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         idx = tuple(map(operator.index, self.indices))
@@ -217,11 +219,11 @@ def evaluate_bcc(dataset: Dataset, o: int, cfg: SolverConfig = SolverConfig()) -
 
 
 def _solve_bcc(dataset: Dataset, o: int, cfg: SolverConfig,
-               start: Basis | None) -> tuple[EfficiencyResult, bool]:
+               start: Basis | None) -> tuple[EfficiencyResult, Basis, bool]:
     """``evaluate_bcc`` with phase 1 resuming from ``start``, another DMU's
-    optimal phase-1 basis, where given, and whether the phase-1 solve prices
-    out every slack column.  The start never changes which points are
-    optimal."""
+    optimal phase-1 basis, where given; also the optimal phase-1 basis and
+    whether it prices out every slack column.  The start never changes
+    which points are optimal."""
     name = dataset.names[o]
     n, m, s = dataset.n, dataset.m, dataset.s
     lp1 = _bcc_program(dataset, o)
@@ -255,8 +257,8 @@ def _solve_bcc(dataset: Dataset, o: int, cfg: SolverConfig,
                  and float(np.abs(completed[0]).max()) <= cfg.zero_tol)
     result = EfficiencyResult(o, theta, efficient,
                               phase2 if completed is None else lambda: completed,
-                              phase1.basis, priced_out[1: 1 + n])
-    return result, slacks_priced_out
+                              priced_out[1: 1 + n])
+    return result, phase1.basis, slacks_priced_out
 
 
 def _certified(dataset: Dataset, o: int, priced_out: np.ndarray) -> EfficiencyResult:
@@ -264,7 +266,7 @@ def _certified(dataset: Dataset, o: int, priced_out: np.ndarray) -> EfficiencyRe
     basis, whose lambda mask is ``priced_out``: theta = 1, no slack, and the
     DMU as its own reference point."""
     completed = np.zeros(dataset.m + dataset.s), (np.arange(dataset.n) == o).astype(float)
-    return EfficiencyResult(o, 1.0, True, lambda: completed, None, priced_out)
+    return EfficiencyResult(o, 1.0, True, lambda: completed, priced_out)
 
 
 def evaluate_all(dataset: Dataset, cfg: SolverConfig = SolverConfig()) -> list[EfficiencyResult]:
@@ -279,9 +281,8 @@ def evaluate_all(dataset: Dataset, cfg: SolverConfig = SolverConfig()) -> list[E
         if o in certifier:
             results.append(_certified(dataset, o, certifier[o]))
             continue
-        result, slacks_priced_out = _solve_bcc(dataset, o, cfg, start)
+        result, start, slacks_priced_out = _solve_bcc(dataset, o, cfg, start)
         results.append(result)
-        start = result.basis
         if slacks_priced_out:
             # every later DMU whose lambda column is basic lies on the
             # supporting hyperplane, whose multipliers are all positive

@@ -11,27 +11,28 @@ weight only if it lies on that hyperplane (lambda_k * d_k = 0).
 The stage-1 programs of all DMUs over one frontier and first slack share
 their matrix, objective and bounds and differ only in the DMU's own values
 on the right-hand side.  The first projection with a given first slack
-builds its stage-1 program and keeps it on the ``Frontier``; every later
-one derives its own from it with ``dataclasses.replace`` by a new
-right-hand side.  A caller that projects several DMUs also hands each
-projection's ``root`` to the next call, whose stage-1 root re-optimizes
-from that optimal root basis, still dual feasible, with the dual simplex
-instead of solving cold.  Within one DMU, stages 2..m+s are derived from
-its stage-1 program the same way: the same rows, a new objective and one
-more pin.  Every derived program shares its parent's matrix, so a basis
-resumed across them keeps its inverse.
+builds its stage-1 program, solves its root cold and keeps the program
+with that optimal root basis on the ``Frontier``.  Every later one derives
+its own program from it with ``dataclasses.replace`` by a new right-hand
+side, and its stage-1 root re-optimizes from the kept basis, still dual
+feasible, with the dual simplex instead of solving cold.  So a projection
+depends on the frontier and on which DMU first fixed that basis, never on
+the calls in between.  Within one DMU, stages 2..m+s are derived from its
+stage-1 program the same way: the same rows, a new objective and one more
+pin.  Every derived program shares its parent's matrix, so a basis resumed
+across them keeps its inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import PriorityRanking
 from .efficiency import Frontier, dmu_index
 from .errors import require_optimal
-from .solver import Basis, LinearProgram, SolverConfig, solve_milp
+from .solver import LinearProgram, SolverConfig, solve_milp
 from .solver.model import FEAS_TOL
 
 
@@ -58,12 +59,7 @@ class StageSolution:
 
 @dataclass(frozen=True)
 class Projection:
-    """Closest efficient target of one DMU with its stage audit trail.
-
-    ``root`` is the final basis of its stage-1 root relaxation, which the
-    next DMU's stage 1 over the same frontier and first slack can start
-    from; None for an efficient DMU.
-    """
+    """Closest efficient target of one DMU with its stage audit trail."""
 
     dmu: int
     target_inputs: np.ndarray
@@ -71,7 +67,6 @@ class Projection:
     slacks: np.ndarray
     stages: tuple[StageSolution, ...]
     priority: PriorityRanking
-    root: Basis | None = field(default=None, repr=False, compare=False)
 
 
 def _layout(t: int, n_slack: int) -> tuple[int, int, int, int]:
@@ -150,8 +145,7 @@ def derive_stage_program(first: LinearProgram, pinned: list[tuple[int, float]],
 
 
 def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
-                       cfg: SolverConfig = SolverConfig(),
-                       root: Basis | None = None) -> Projection:
+                       cfg: SolverConfig = SolverConfig()) -> Projection:
     """Lexicographically minimal slack vector and the target it induces.
 
     The target is unique: whichever optimal intensities/multipliers each
@@ -160,20 +154,18 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
     up).  Efficient DMUs short-circuit to a zero-slack projection.  An
     ``o`` that is not a DMU index raises as ``dmu_index`` does.
 
-    The stage-1 program is derived by this DMU's right-hand side from the
-    one ``frontier`` keeps for the first slack, which the first call with
-    that slack builds.  Each stage after the first is derived from the
-    stage-1 program (only its objective and pins change) and starts its
-    root from the previous stage's final basis.  A stage whose slack the
-    previous stage's point holds at exactly 0 or below is not solved: no
-    slack goes below its bound 0, so that point is its optimum, and the
-    stage records it with value 0.
-    ``root`` is the ``root`` of another DMU's projection over the same
-    frontier and first slack; stage 1 starts its root from it, and without
-    it starts cold.  It does not change the result at the 9 significant
-    digits a report prints, but it can move the last bits of the slacks and
-    targets: on uniform (2,2) data with n=250, 220 of 227 inefficient DMUs
-    differ from a cold root by up to 3.1e-13 relative.
+    The first call over ``frontier`` with a given first slack builds the
+    stage-1 program, solves its root cold and keeps the program with that
+    root's final basis on ``frontier``.  Every later call derives its
+    stage-1 program from the kept one by this DMU's right-hand side and
+    starts its root from the kept basis.  That start can move the last
+    bits of the slacks and targets, so they depend on the first DMU
+    projected over ``frontier`` and on no other call.  Each stage after the
+    first is derived from the stage-1 program (only its objective and pins
+    change) and starts its root from the previous stage's final basis.  A
+    stage whose slack the previous stage's point holds at exactly 0 or
+    below is not solved: no slack goes below its bound 0, so that point is
+    its optimum, and the stage records it with value 0.
     """
     dataset = frontier.dataset
     m, s = dataset.m, dataset.s
@@ -194,10 +186,10 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
     target = priority.order[0]
     template = frontier.stage_templates.get(target)
     if template is None:
-        first = frontier.stage_templates[target] = build_stage_program(frontier, o, target)
+        first, start = build_stage_program(frontier, o, target), None
     else:
-        first = replace(template, b=_stage_rhs(frontier, o))
-    start, sol = root, None
+        first, start = replace(template[0], b=_stage_rhs(frontier, o)), template[1]
+    sol = None
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):
         # a previous point that holds this slack at its bound 0 meets every
@@ -208,8 +200,8 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
             sol = require_optimal(
                 solve_milp(lp, cfg, warm_start=start),
                 f"projection of DMU {name!r} stage {stage_no} (slack {slack_idx})")
-            if stage_no == 1:
-                root = sol.root_basis  # this DMU's, for the next DMU's stage 1
+            if template is None and stage_no == 1:
+                frontier.stage_templates[target] = first, sol.root_basis
             start = sol.basis
 
         value = max(float(sol.x[c_s + slack_idx]), 0.0)
@@ -231,5 +223,4 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
     # solver noise around a zero optimum and is reported as exactly 0.
     s_star = stages[-1].slacks.copy()
     s_star[s_star <= FEAS_TOL * (1.0 + np.abs(np.concatenate([xo, yo])))] = 0.0
-    return Projection(o, xo - s_star[:m], yo + s_star[m:], s_star, tuple(stages), priority,
-                      root)
+    return Projection(o, xo - s_star[:m], yo + s_star[m:], s_star, tuple(stages), priority)

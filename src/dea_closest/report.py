@@ -220,13 +220,10 @@ def analyze(dataset: Dataset, config: RunConfig, priority: PriorityRanking | Non
     frontier = Frontier(dataset, tuple(r.dmu for r in eff if r.is_efficient))
 
     records: list[DmuAnalysis] = []
-    root = None  # stage-1 root basis of the last DMU that solved one
     for o in range(dataset.n):
         rec = DmuAnalysis(dataset.names[o], eff[o])
         if need_projection:
-            rec.projection = closest_projection(frontier, o, priority, cfg, root)
-            if rec.projection.root is not None:
-                root = rec.projection.root
+            rec.projection = closest_projection(frontier, o, priority, cfg)
         if level >= 3:
             with failure_context(f"returns to scale of DMU {rec.name!r}"):
                 rec.rts_bounds = intercept_bounds(dataset, rec.projection.target_inputs,

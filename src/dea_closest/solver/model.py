@@ -222,8 +222,9 @@ class Solution:
 
     ``root_basis`` is, for a MILP, the final basis of its root relaxation:
     a program that differs only in its right-hand side can start its own
-    root from it.  It is None for an LP, and when the root was not solved
-    to optimality.
+    root from it, as every later stage 1 over a ``Frontier`` starts from
+    that of the first one.  It is None for an LP, and when the root was not
+    solved to optimality.
 
     ``priced_out`` is, for an optimal LP, a mask over the structural
     columns: True where the column is nonbasic and its reduced cost at the

@@ -130,11 +130,6 @@ class StandardizedLP:
     slack_of_row: np.ndarray
     a_abs: np.ndarray
 
-    @property
-    def sense(self) -> str:
-        """The original program's sense: "min" when ``sense_sign`` > 0."""
-        return "min" if self.sense_sign > 0 else "max"
-
 
 def standardize(lp: LinearProgram) -> StandardizedLP:
     """Append one slack column per inequality row and flip max to min."""
@@ -389,7 +384,7 @@ class _Simplex:
 
     def _infeasibility_cut(self) -> float:
         """Phase-1 infeasibility below which a program counts as feasible."""
-        return FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0)) * 10.0
+        return FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
 
     def _holds_bounds(self, x: np.ndarray) -> bool:
         """Whether ``x`` lies within ``_BOUND_TOL`` (relative) of every bound."""

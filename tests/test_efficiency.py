@@ -443,35 +443,50 @@ def test_theta_of_u1_within_the_fdh_bound_on_six_decades(cfg, seed):
     assert evaluate_all(ds, cfg)[0].theta <= fdh_bound(ds, 0) * (1.0 + 1e-9)
 
 
+def certified_dmus(patched) -> list[int]:
+    """The DMUs that ``evaluate_all`` certifies without an LP of their own,
+    recorded as it certifies them."""
+    certified = []
+    certify = efficiency._certified
+
+    def recording(dataset, o, priced_out):
+        certified.append(o)
+        return certify(dataset, o, priced_out)
+
+    patched.setattr(efficiency, "_certified", recording)
+    return certified
+
+
 def test_chained_phase1_matches_each_dmu_alone(monkeypatch, cfg):
     # evaluate_all resumes each phase 1 from the last solved DMU's optimal
     # phase-1 basis and solves nothing for a DMU an earlier basis certifies;
     # the scores and flags are those of DMUs solved alone
     rng = np.random.default_rng(31)
-    starts = []
+    phase1 = []  # (start, solution) of every phase-1 solve
 
     def recording(lp, cfg, warm_start=None):
+        sol = solve_lp(lp, cfg, warm_start=warm_start)
         if lp.sense == "min":
-            starts.append(warm_start)
-        return solve_lp(lp, cfg, warm_start=warm_start)
+            phase1.append((warm_start, sol))
+        return sol
 
     certified = 0
     for _ in range(20):
         ds = random_dataset(rng)
         with monkeypatch.context() as patched:
             patched.setattr(efficiency, "solve_lp", recording)
+            skipped = certified_dmus(patched)
             chained = evaluate_all(ds, cfg)
-        solved = [r for r in chained if r.basis is not None]
-        assert len(starts) == len(solved)
-        assert np.array_equal(starts[0].columns, efficiency._unit_vertex(ds, 0).columns)
-        for prev, start in zip(solved, starts[1:]):
+        assert len(phase1) + len(skipped) == ds.n
+        assert np.array_equal(phase1[0][0].columns, efficiency._unit_vertex(ds, 0).columns)
+        for (_, prev), (start, _) in zip(phase1, phase1[1:]):
             assert start is prev.basis
-        starts.clear()
+        phase1.clear()
         for r in chained:
             alone = evaluate_bcc(ds, r.dmu, cfg)
             assert abs(r.theta - alone.theta) <= 1e-12, ds.names[r.dmu]
             assert r.is_efficient == alone.is_efficient
-        certified += len(chained) - len(solved)
+        certified += len(skipped)
     assert certified > 20
 
 
@@ -487,21 +502,23 @@ def integer_table(rng):
     return make_dataset(v[:, :m], v[:, m:])
 
 
-def test_certified_dmus_match_each_dmu_alone(cfg):
+def test_certified_dmus_match_each_dmu_alone(monkeypatch, cfg):
     # a DMU whose lambda column is basic in an earlier optimal phase-1 basis
     # that prices out every slack lies on a supporting hyperplane with all
     # multipliers positive: theta = 1 and no slack, with no LP of its own.
     # Its mask is that hyperplane's, which passes through it
     rng = np.random.default_rng(1993)
+    skipped = certified_dmus(monkeypatch)
     certified = 0
     for _ in range(400):
         ds = integer_table(rng)
+        skipped.clear()
         for r in evaluate_all(ds, cfg):
             alone = evaluate_bcc(ds, r.dmu, cfg)
             assert abs(r.theta - alone.theta) <= 1e-9, ds.names[r.dmu]
             assert r.is_efficient == alone.is_efficient
             assert abs(r.slacks.sum() - alone.slacks.sum()) <= 1e-9
-            if r.basis is None:
+            if r.dmu in skipped:
                 assert r.theta == 1.0 and r.is_efficient and not r.priced_out[r.dmu]
                 assert np.array_equal(r.slacks, np.zeros(ds.m + ds.s))
                 assert np.array_equal(r.lambdas, np.arange(ds.n) == r.dmu)
@@ -509,14 +526,16 @@ def test_certified_dmus_match_each_dmu_alone(cfg):
     assert certified > 200
 
 
-def test_certified_dmus_have_a_unit_highs_score(cfg):
+def test_certified_dmus_have_a_unit_highs_score(monkeypatch, cfg):
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(1993)
+    skipped = certified_dmus(monkeypatch)
     certified = 0
     for _ in range(400):
         ds = integer_table(rng)
+        skipped.clear()
         for r in evaluate_all(ds, cfg):
-            if r.basis is None:
+            if r.dmu in skipped:
                 assert abs(highs_bcc_theta(ds, r.dmu, linprog) - 1.0) <= 1e-9, ds.names[r.dmu]
                 certified += 1
     assert certified > 200
@@ -538,10 +557,11 @@ def test_dmu_on_a_face_with_an_open_slack_is_solved(monkeypatch, cfg):
         return sol
 
     monkeypatch.setattr(efficiency, "solve_lp", recording)
+    skipped = certified_dmus(monkeypatch)
     results = evaluate_all(ds, cfg)
     first = phase1[0]
     assert 1 + 1 in first.basis.columns and not first.priced_out[1 + ds.n:].all()
     assert results[0].is_efficient
-    assert results[1].basis is not None
+    assert 1 not in skipped
     assert results[1].theta == pytest.approx(1.0, abs=1e-12) and not results[1].is_efficient
     assert results[1].slacks == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)

@@ -11,6 +11,7 @@ from dea_closest import (AnalysisError, Solution, SolveStatus, SolverLimitError,
                          evaluate_all, load_dataset, projection, reference_set, returns_to_scale)
 from dea_closest.cli import main
 from dea_closest.report import RunConfig, run
+from dea_closest.solver.simplex import StandardizedLP
 
 from conftest import EIGHT_DMU_CSV
 
@@ -54,12 +55,20 @@ def table_path(tmp_path_factory):
     return str(p)
 
 
+def sense_of(lp) -> str:
+    """The sense of a ``LinearProgram``, or of the program a
+    ``StandardizedLP`` was standardized from."""
+    if isinstance(lp, StandardizedLP):
+        return "min" if lp.sense_sign > 0 else "max"
+    return lp.sense
+
+
 def fail_site(monkeypatch, site, status):
     module, binding, sense, command, subject = SITES[site]
     solve = getattr(module, binding)
 
     def failing(lp, cfg, *args, **kwargs):
-        if lp.sense == sense:
+        if sense_of(lp) == sense:
             return Solution(status, np.nan, None)
         return solve(lp, cfg, *args, **kwargs)
 

@@ -284,21 +284,50 @@ def test_warm_start_prunes_stage_nodes(monkeypatch, cfg):
 
 
 def chained_projections(ds, pri):
-    """Every DMU's projection as ``report.analyze`` computes them, each
-    stage-1 root starting from the previous projected DMU's root basis."""
+    """Every DMU's projection as ``report.analyze`` computes them: in
+    dataset order over one frontier."""
     report = analyze(ds, RunConfig("chained.csv", command="project"), pri)
     return [rec.projection for rec in report.records]
 
 
-def test_stage1_roots_start_from_the_previous_dmus_root(monkeypatch, cfg):
-    # the stage-1 programs of all DMUs differ only in the DMU's own values,
-    # so each starts from the previous one's root basis: only the first
-    # inefficient DMU's stage-1 root is solved cold, and the targets and
-    # slacks are those of independent calls
+def projection_bits(p):
+    """Everything a projection holds, as raw bytes."""
+    stages = tuple(
+        (st.stage, st.slack_index, np.float64(st.value).tobytes(),
+         np.float64(st.intercept).tobytes(), st.lambdas.tobytes(), st.slacks.tobytes(),
+         st.weights.tobytes(), st.deviations.tobytes())
+        for st in p.stages)
+    return (p.dmu, p.target_inputs.tobytes(), p.target_outputs.tobytes(), p.slacks.tobytes(),
+            stages)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_report_projections_equal_separate_calls_in_dataset_order(cfg, seed):
+    # report passes nothing from one DMU's projection to the next: its
+    # projections are, bit for bit, those of separate closest_projection
+    # calls in dataset order over one frontier
+    ds = random_dataset(np.random.default_rng(seed), max_n=30, max_dim=2)
+    pri = default_priority(ds.m, ds.s)
+    frontier = efficient_set(ds, cfg)
+    separate = [closest_projection(frontier, o, pri, cfg) for o in range(ds.n)]
+    chained = chained_projections(ds, pri)
+    assert ds.n - frontier.size >= 9
+    for p, q in zip(chained, separate):
+        assert projection_bits(p) == projection_bits(q), ds.names[p.dmu]
+
+
+@pytest.mark.parametrize("path", ["report", "calls"])
+def test_stage1_roots_start_from_the_first_dmus_root(monkeypatch, cfg, path):
+    # the stage-1 programs of all DMUs over one frontier differ only in the
+    # DMU's own values, so each starts from the root basis of the first one
+    # solved, which the frontier keeps: in report and in separate calls
+    # alike only the first inefficient DMU's stage-1 root is solved cold,
+    # and the targets and slacks are those of DMUs projected cold, each
+    # over a frontier of its own
     ds = random_dataset(np.random.default_rng(7), max_n=12, max_dim=2)
     je = efficient_set(ds, cfg)
     pri = default_priority(ds.m, ds.s)
-    alone = [closest_projection(je, o, pri, cfg) for o in range(ds.n)]
+    alone = [closest_projection(Frontier(ds, je.indices), o, pri, cfg) for o in range(ds.n)]
 
     cold_runs = []
     run_cold = simplex._Simplex._run_cold
@@ -308,7 +337,9 @@ def test_stage1_roots_start_from_the_previous_dmus_root(monkeypatch, cfg):
         return run_cold(self, c)
 
     root_cold = []  # per MILP, whether its root ran a cold solve
-    stage1 = []  # per MILP, whether it is a stage 1, the only one minimizing the first slack
+    # (start, solution, index into root_cold) of each stage 1, the only MILP
+    # minimizing the first slack
+    stage1 = []
     solve_node = branch_and_bound.solve_standardized
 
     def node(std, cfg, start=None, box=None):
@@ -320,20 +351,28 @@ def test_stage1_roots_start_from_the_previous_dmus_root(monkeypatch, cfg):
 
     def milp(lp, cfg, warm_start=None):
         root_cold.append(None)
-        stage1.append(lp.c[je.size + pri.order[0]] == 1.0)
-        return solve_milp(lp, cfg, warm_start=warm_start)
+        sol = solve_milp(lp, cfg, warm_start=warm_start)
+        if lp.c[je.size + pri.order[0]] == 1.0:
+            stage1.append((warm_start, sol, len(root_cold) - 1))
+        return sol
 
     monkeypatch.setattr(simplex._Simplex, "_run_cold", counting_cold)
     monkeypatch.setattr(branch_and_bound, "solve_standardized", node)
     monkeypatch.setattr(projection, "solve_milp", milp)
-    chained = chained_projections(ds, pri)
+    if path == "report":
+        projections = chained_projections(ds, pri)
+    else:
+        frontier = Frontier(ds, je.indices)
+        projections = [closest_projection(frontier, o, pri, cfg) for o in range(ds.n)]
 
     inefficient = ds.n - je.size
-    assert inefficient >= 3 and sum(stage1) == inefficient
+    assert inefficient >= 3 and len(stage1) == inefficient
     assert len(root_cold) <= inefficient * (ds.m + ds.s)
-    assert [cold for cold, first in zip(root_cold, stage1) if first] == (
-        [True] + [False] * (inefficient - 1))
-    for p, q in zip(chained, alone):
+    assert [root_cold[k] for _, _, k in stage1] == [True] + [False] * (inefficient - 1)
+    root = stage1[0][1].root_basis
+    assert stage1[0][0] is None and root is not None
+    assert all(start is root for start, _, _ in stage1[1:])
+    for p, q in zip(projections, alone):
         assert np.abs(p.target_inputs - q.target_inputs).max() <= 1e-9
         assert np.abs(p.target_outputs - q.target_outputs).max() <= 1e-9
         assert np.abs(p.slacks - q.slacks).max() <= 1e-9
@@ -341,39 +380,39 @@ def test_stage1_roots_start_from_the_previous_dmus_root(monkeypatch, cfg):
 
 def test_one_stage1_build_per_frontier_and_first_slack(monkeypatch, cfg):
     # a frontier builds one stage-1 program per first slack and derives every
-    # later call's from it; each projection equals, bit for bit, the one
-    # computed over a fresh frontier with the program built for it alone
+    # later call's from it; it keeps that program with the root basis of the
+    # stage 1 it was built for
     ds = random_dataset(np.random.default_rng(7), max_n=12, max_dim=2)
     frontier = efficient_set(ds, cfg)
     slack_count = ds.m + ds.s
     priorities = (default_priority(ds.m, ds.s),
                   PriorityRanking(tuple(range(slack_count)), ds.m, ds.s))
     assert priorities[0].order[0] != priorities[1].order[0]
-    targets = []
+    built = []  # (first slack, program) of every build
+    solves = []  # (program, solution) of every stage solve
     build = projection.build_stage_program
 
     def building(frontier, o, target):
-        targets.append(target)
-        return build(frontier, o, target)
+        built.append((target, build(frontier, o, target)))
+        return built[-1][1]
+
+    def milp(lp, cfg, warm_start=None):
+        solves.append((lp, solve_milp(lp, cfg, warm_start=warm_start)))
+        return solves[-1][1]
 
     monkeypatch.setattr(projection, "build_stage_program", building)
-    calls = [(pri, o) for _ in range(2) for pri in priorities for o in range(ds.n)]
-    shared = [closest_projection(frontier, o, pri, cfg) for pri, o in calls]
-    assert targets == [pri.order[0] for pri in priorities]
-    assert sorted(frontier.stage_templates) == sorted(targets)
-
-    targets.clear()
-    fresh = [closest_projection(Frontier(ds, frontier.indices), o, pri, cfg) for pri, o in calls]
-    assert len(targets) == sum(o not in frontier for _, o in calls) > 2
-    for p, q in zip(shared, fresh):
-        assert p.dmu == q.dmu and len(p.stages) == len(q.stages)
-        for name in ("target_inputs", "target_outputs", "slacks"):
-            assert getattr(p, name).tobytes() == getattr(q, name).tobytes(), name
-        for st, su in zip(p.stages, q.stages):
-            assert (st.stage, st.slack_index, st.value, st.intercept) == (
-                su.stage, su.slack_index, su.value, su.intercept)
-            for name in ("lambdas", "slacks", "weights", "deviations"):
-                assert getattr(st, name).tobytes() == getattr(su, name).tobytes(), name
+    monkeypatch.setattr(projection, "solve_milp", milp)
+    for _ in range(2):
+        for pri in priorities:
+            for o in range(ds.n):
+                closest_projection(frontier, o, pri, cfg)
+    assert [target for target, _ in built] == [pri.order[0] for pri in priorities]
+    assert sorted(frontier.stage_templates) == sorted(target for target, _ in built)
+    for target, program in built:
+        kept, root = frontier.stage_templates[target]
+        own = [sol for lp, sol in solves if lp is program]
+        assert kept is program and len(own) == 1
+        assert root is own[0].root_basis and root is not None
 
 
 # 12 DMUs, 6 of them on a known frontier: the final stage of U3 (priority
@@ -532,22 +571,24 @@ def check_stage_optima_against_highs(ds, je, projections, linprog):
 
 def test_stage_optima_match_highs_on_rescaled_columns(cfg):
     # every stage optimum of every inefficient DMU against an independent
-    # enumeration.  A branch-and-bound node relaxation that stopped short of
-    # its optimum once pruned the branch holding U5's stage-1 optimum (slack
-    # out:y1): 58.98 came back where HiGHS finds 0
+    # enumeration, each DMU projected over a frontier of its own, so that its
+    # stage-1 root is solved cold.  A branch-and-bound node relaxation that
+    # stopped short of its optimum once pruned the branch holding U5's
+    # stage-1 optimum (slack out:y1): 58.98 came back where HiGHS finds 0
     linprog = pytest.importorskip("scipy.optimize").linprog
     ds = load_dataset(io.StringIO(RESCALED_UNITS_CSV))
     je = efficient_set(ds, cfg)
     pri = default_priority(ds.m, ds.s)
-    projections = [closest_projection(je, o, pri, cfg) for o in range(ds.n)]
+    projections = [closest_projection(Frontier(ds, je.indices), o, pri, cfg)
+                   for o in range(ds.n)]
     checked = check_stage_optima_against_highs(ds, je, projections, linprog)
     assert "U5" in checked and len(checked) >= 5
 
 
 def test_chained_stage_optima_match_highs_on_rescaled_columns(cfg):
-    # the same enumeration with the DMUs projected as report.analyze chains
-    # them: on these badly scaled columns each stage-1 root re-optimizes from
-    # another DMU's root basis instead of starting cold
+    # the same enumeration with the DMUs projected as report.analyze does:
+    # on these badly scaled columns each stage-1 root after the first
+    # re-optimizes from the first DMU's root basis instead of starting cold
     linprog = pytest.importorskip("scipy.optimize").linprog
     ds = load_dataset(io.StringIO(RESCALED_UNITS_CSV))
     je = efficient_set(ds, cfg)

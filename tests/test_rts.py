@@ -265,12 +265,12 @@ def test_both_stages_start_at_their_best_single_dmu_vertex(monkeypatch, cfg):
                     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
                 (start,) = starts
                 if start is None:
-                    assert lp.sense == "min"  # only the upper stage may start cold
+                    assert lp.sense_sign > 0  # only the upper stage may start cold
                     continue
                 assert start.x is None  # named by its basic columns alone
                 # each stage is handed to the solver as its standardized system
                 assert np.linalg.matrix_rank(lp.a[:, start.columns]) == lp.a.shape[0]
-                started[lp.sense] += 1
+                started["min" if lp.sense_sign > 0 else "max"] += 1
                 warm_pivots += warm.iterations
                 cold_pivots += cold.iterations
     assert started["min"] > 0 and started["max"] > 0
@@ -345,8 +345,8 @@ def test_stages_on_the_shared_system_solve_like_their_own_programs(
                 own = standardize(lp)
                 for name in ("a", "a_abs", "b", "c", "lower", "upper", "slack_of_row"):
                     assert getattr(std, name).tobytes() == getattr(own, name).tobytes(), name
-                assert (std.n_struct, std.sense_sign, std.sense) == (
-                    own.n_struct, own.sense_sign, lp.sense)
+                assert (std.n_struct, std.sense_sign) == (own.n_struct, own.sense_sign)
+                assert std.sense_sign == (1.0 if lp.sense == "min" else -1.0)
                 alone = solve_lp(lp, cfg, start)
                 assert solve_bits(shared) == solve_bits(alone)
                 assert (shared.priced_out is None) == (alone.priced_out is None)

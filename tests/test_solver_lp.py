@@ -49,6 +49,15 @@ def test_infeasible(cfg):
     assert solve_lp(lp, cfg).status is SolveStatus.INFEASIBLE
 
 
+def test_rows_apart_by_more_than_the_feasibility_tolerance_are_infeasible(cfg):
+    # x = 1 and x = 1 + 1e-8 disagree by five times the phase-1 cut
+    # FEAS_TOL * (1 + max|b|); a cut ten times wider once called this
+    # program feasible and solved it at x = 1
+    lp = LinearProgram("min", [1.0], [[1.0], [1.0]], ("=", "="), [1.0, 1.0 + 1e-8],
+                       [0.0], [np.inf])
+    assert solve_lp(lp, cfg).status is SolveStatus.INFEASIBLE
+
+
 def test_unbounded(cfg):
     # min -x with x - y = 0 and no upper bounds
     lp = LinearProgram("min", [-1.0, 0.0], [[1.0, -1.0]], ("=",), [0.0],

@@ -44,9 +44,10 @@ belongs to a hyperplane through it.
 
 ``efficient_set`` returns the efficient DMUs as a ``Frontier``, the one
 record per dataset that the projection, reference-set and returns-to-scale
-programs are built over.  It slices the efficient rows once and keeps the
-stage-1 projection programs built over them, each with the root basis
-every later stage 1 starts from.
+programs are built over.  It slices the efficient rows once and keeps, per
+first slack, the stage-1 projection program of its first non-member DMU
+with the optimal basis of that program's LP relaxation, the template every
+stage 1 over it is derived from and starts at.
 """
 
 from __future__ import annotations
@@ -122,19 +123,20 @@ class Frontier:
     of them taken.  Construction raises ``ValueError`` for a negative,
     out-of-range, repeated or decreasing index and ``TypeError`` for one
     that is not an integer; an empty set is allowed.  ``stage_templates``
-    holds, per first slack, the stage-1 program ``closest_projection``
-    built for the first DMU it projected with that slack, with the final
-    basis of that DMU's cold stage-1 root.  Every later projection derives
-    its own program from it with ``dataclasses.replace`` by a new
-    right-hand side, so they share one matrix, and starts its stage-1 root
-    from that basis.  Equality is identity.
+    is a memo of the frontier: per first slack, the stage-1 program of the
+    first DMU in dataset order that is not a member, with the optimal basis
+    of that program's LP relaxation (None when the relaxation has no
+    optimum).  ``closest_projection`` fills it on first use; every
+    projection derives its own program from it with ``dataclasses.replace``
+    by a new right-hand side, so they share one matrix, and starts its
+    stage-1 root from that basis.  Equality is identity.
     """
 
     dataset: Dataset = field(repr=False)
     indices: tuple[int, ...]
     x: np.ndarray = field(init=False, repr=False)
     y: np.ndarray = field(init=False, repr=False)
-    stage_templates: dict[int, tuple[LinearProgram, Basis]] = field(
+    stage_templates: dict[int, tuple[LinearProgram, Basis | None]] = field(
         default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):

@@ -10,17 +10,19 @@ weight only if it lies on that hyperplane (lambda_k * d_k = 0).
 
 The stage-1 programs of all DMUs over one frontier and first slack share
 their matrix, objective and bounds and differ only in the DMU's own values
-on the right-hand side.  The first projection with a given first slack
-builds its stage-1 program, solves its root cold and keeps the program
-with that optimal root basis on the ``Frontier``.  Every later one derives
+on the right-hand side.  On first use with a given first slack, the
+``Frontier`` builds the stage-1 program of its first DMU in dataset order
+that is not a member, solves that program's LP relaxation cold and keeps
+the program with the relaxation's optimal basis.  Every projection derives
 its own program from it with ``dataclasses.replace`` by a new right-hand
 side, and its stage-1 root re-optimizes from the kept basis, still dual
-feasible, with the dual simplex instead of solving cold.  So a projection
-depends on the frontier and on which DMU first fixed that basis, never on
-the calls in between.  Within one DMU, stages 2..m+s are derived from its
-stage-1 program the same way: the same rows, a new objective and one more
-pin.  Every derived program shares its parent's matrix, so a basis resumed
-across them keeps its inverse.
+feasible, with the dual simplex instead of solving cold.  The kept pair
+depends on the frontier alone, so a projection depends only on the
+frontier, the DMU and the priority, never on which calls came before.
+Within one DMU, stages 2..m+s are derived from its stage-1 program the same
+way: the same rows, a new objective and one more pin.  Every derived
+program shares its parent's matrix, so a basis resumed across them keeps
+its inverse.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .data import PriorityRanking
 from .efficiency import Frontier, dmu_index
 from .errors import require_optimal
-from .solver import LinearProgram, SolverConfig, solve_milp
+from .solver import LinearProgram, SolverConfig, solve_lp, solve_milp
 from .solver.model import FEAS_TOL
 
 
@@ -82,11 +84,14 @@ def build_stage_program(frontier: Frontier, o: int, target: int) -> LinearProgra
     Variables: [lambda (t), slacks (m+s), multipliers (m+s), intercept,
     deviations (t)].  Each pair (lambda_k, d_k) is complementary, so an
     efficient DMU carries weight only when it lies on the hyperplane.
-    ``derive_stage_program`` builds the later stages from this program.
+    Its objective is set, and ``target`` checked, by
+    ``derive_stage_program`` with no pin, which builds the later stages from
+    it the same way.  An ``o`` that is not a DMU index raises as
+    ``dmu_index`` does; a ``target`` outside 0..m+s-1 raises ValueError.
     """
     m, s = frontier.dataset.m, frontier.dataset.s
     t = frontier.size
-
+    o = dmu_index(frontier.dataset, o)
     n_slack = m + s
     c_s, c_w, c_w0, c_d = _layout(t, n_slack)
     nv = c_d + t
@@ -108,11 +113,10 @@ def build_stage_program(frontier: Frontier, o: int, target: int) -> LinearProgra
     lower[c_w:c_w + n_slack] = 1.0
     lower[c_w0] = -np.inf
 
-    c = np.zeros(nv)
-    c[c_s + target] = 1.0
     complements = np.column_stack([np.arange(t), np.arange(c_d, c_d + t)])
-    return LinearProgram("min", c, a, ("=",) * rows, b, lower, upper,
-                         complements=complements)
+    rows_and_bounds = LinearProgram("min", np.zeros(nv), a, ("=",) * rows, b, lower, upper,
+                                    complements=complements)
+    return derive_stage_program(rows_and_bounds, [], target)
 
 
 def _stage_rhs(frontier: Frontier, o: int) -> np.ndarray:
@@ -131,11 +135,15 @@ def derive_stage_program(first: LinearProgram, pinned: list[tuple[int, float]],
     Each pinned slack is fixed at its earlier optimum, which the previous
     stage's point satisfies, so every stage is feasible.  Stages differ only
     in their objective and pins, so the matrix, right-hand side and pairs
-    are shared with ``first``, not copied.
+    are shared with ``first``, not copied.  A target or pinned slack
+    outside 0..m+s-1 raises ValueError.
     """
     if target in {idx for idx, _ in pinned}:
         raise ValueError("stage target is already pinned")
     c_s = len(first.complements)  # the slacks follow the t lambdas
+    n_slack = (first.n_vars - 2 * c_s - 1) // 2  # m+s slacks and multipliers, 1 intercept
+    if not all(0 <= k < n_slack for k in (target, *(idx for idx, _ in pinned))):
+        raise ValueError(f"a target or pinned slack is not one of the {n_slack} slacks")
     c = np.zeros(first.n_vars)
     c[c_s + target] = 1.0
     lower, upper = first.lower.copy(), first.upper.copy()
@@ -154,14 +162,13 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
     up).  Efficient DMUs short-circuit to a zero-slack projection.  An
     ``o`` that is not a DMU index raises as ``dmu_index`` does.
 
-    The first call over ``frontier`` with a given first slack builds the
-    stage-1 program, solves its root cold and keeps the program with that
-    root's final basis on ``frontier``.  Every later call derives its
-    stage-1 program from the kept one by this DMU's right-hand side and
-    starts its root from the kept basis.  That start can move the last
-    bits of the slacks and targets, so they depend on the first DMU
-    projected over ``frontier`` and on no other call.  Each stage after the
-    first is derived from the stage-1 program (only its objective and pins
+    Every call derives its stage-1 program by this DMU's right-hand side
+    from the one ``frontier`` keeps for the first slack, that of its first
+    non-member DMU, and starts the root from the kept basis of that
+    program's LP relaxation.  Both depend on ``frontier`` alone, so the
+    result, to the last bit, depends only on ``frontier``, ``o`` and
+    ``priority``, not on earlier calls.  Each stage after the first is
+    derived from the stage-1 program (only its objective and pins
     change) and starts its root from the previous stage's final basis.  A
     stage whose slack the previous stage's point holds at exactly 0 or
     below is not solved: no slack goes below its bound 0, so that point is
@@ -172,7 +179,6 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
     if priority.m != m or priority.s != s:
         raise ValueError("priority ranking dimensions do not match the dataset")
     o = dmu_index(dataset, o)
-    name = dataset.names[o]
     xo, yo = dataset.x[o], dataset.y[o]
 
     if o in frontier:
@@ -184,11 +190,14 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
     n_slack = m + s
     c_s, c_w, c_w0, c_d = _layout(t, n_slack)
     target = priority.order[0]
-    template = frontier.stage_templates.get(target)
-    if template is None:
-        first, start = build_stage_program(frontier, o, target), None
-    else:
-        first, start = replace(template[0], b=_stage_rhs(frontier, o)), template[1]
+    if target not in frontier.stage_templates:
+        # the frontier's first non-member fixes the template, so it does not
+        # depend on which DMU came first; the basis is None without an optimum
+        outside = next(j for j in range(dataset.n) if j not in frontier)
+        lp = build_stage_program(frontier, outside, target)
+        frontier.stage_templates[target] = lp, solve_lp(replace(lp, complements=None), cfg).basis
+    template, start = frontier.stage_templates[target]
+    first = replace(template, b=_stage_rhs(frontier, o))
     sol = None
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):
@@ -199,9 +208,7 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
             # the frontier dominates every DMU, so each stage is feasible
             sol = require_optimal(
                 solve_milp(lp, cfg, warm_start=start),
-                f"projection of DMU {name!r} stage {stage_no} (slack {slack_idx})")
-            if template is None and stage_no == 1:
-                frontier.stage_templates[target] = first, sol.root_basis
+                f"projection of DMU {dataset.names[o]!r} stage {stage_no} (slack {slack_idx})")
             start = sol.basis
 
         value = max(float(sol.x[c_s + slack_idx]), 0.0)

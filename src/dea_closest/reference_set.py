@@ -134,8 +134,12 @@ def identify_mcrs(frontier: Frontier, projection: Projection,
     flag only DMUs that carry zero weight in every representation of the
     point.  When one coordinate separates the DMU from every other
     efficient DMU the masks leave, no LP is solved.  Without masks the LP
-    always runs.
+    always runs.  A mask that is not a boolean array of n entries raises
+    ValueError.
     """
+    for k, off in enumerate(supports):
+        if np.asarray(off).dtype != bool or np.shape(off) != (frontier.dataset.n,):
+            raise ValueError(f"supports[{k}] is not a boolean array with one entry per DMU")
     if _alone_on_supports(frontier, projection, supports):
         lam = (np.array(frontier.indices) == projection.dmu).astype(float)
         return McrsResult(projection.dmu, frontier.indices, lam, (projection.dmu,),

@@ -16,12 +16,11 @@ Every node carries its parent's final basis and bound table.  A child
 differs from its parent in one bound, so its bound table is the parent's
 patched at that column, and the parent's basis stays dual feasible: the
 simplex resumes from it with a few dual pivots instead of a cold two-phase
-solve;
-the root starts from a caller-supplied basis (the previous lexicographic
-stage's, or the root basis of a program that differs only in its
-right-hand side).  The incumbent always starts empty.  With the
-deterministic simplex underneath, identical programs always produce
-identical solutions.
+solve; the root starts from a caller-supplied basis (the previous
+lexicographic stage's, or that of the LP relaxation of a program that
+differs only in its right-hand side).  The incumbent always starts empty.
+With the deterministic simplex underneath, identical programs always
+produce identical solutions.
 """
 
 from __future__ import annotations
@@ -61,9 +60,9 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
     """Solve a program with complementarity pairs to proven optimality.
 
     ``warm_start`` is a basis of a program with the same rows and columns
-    (the ``basis`` of the previous stage of a lexicographic sequence, or the
-    ``root_basis`` of a program that differs only in ``b``); the root
-    relaxation starts from it.  It seeds no incumbent and never changes
+    (the ``basis`` of the previous stage of a lexicographic sequence, or
+    that of the LP relaxation of a program that differs only in ``b``); the
+    root relaxation starts from it.  It seeds no incumbent and never changes
     which solutions are optimal.
 
     A child whose parent's relaxation objective cannot beat the incumbent
@@ -71,8 +70,7 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
     nodes.  An unbounded relaxation is reported as UNBOUNDED; exhausting
     ``cfg.max_nodes`` returns NODE_LIMIT with the best incumbent found so
     far, if any.  The returned ``basis`` is that of the node that found the
-    incumbent, and ``root_basis`` that of the root relaxation.  A
-    ``warm_start`` that is not a Basis raises TypeError.
+    incumbent.  A ``warm_start`` that is not a Basis raises TypeError.
     """
     check_warm_start(warm_start)
     if not lp.is_mixed:
@@ -90,7 +88,6 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
     stack = [(_Box(std.lower, std.upper), -np.inf, warm_start)]
     nodes = 0
     total_iters = 0
-    root_basis: Basis | None = None
     hit_node_limit = False
 
     with quiet():
@@ -104,8 +101,6 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
             status, x, obj, iters, basis = solve_standardized(std, cfg, start, box)
             nodes += 1
             total_iters += iters
-            if nodes == 1:
-                root_basis = basis
 
             if status is SolveStatus.INFEASIBLE:
                 continue
@@ -130,5 +125,4 @@ def solve_milp(lp: LinearProgram, cfg: SolverConfig = SolverConfig(),
         status = SolveStatus.NODE_LIMIT if hit_node_limit else SolveStatus.INFEASIBLE
         return Solution(status, np.nan, None, total_iters, nodes)
     status = SolveStatus.NODE_LIMIT if hit_node_limit else SolveStatus.OPTIMAL
-    return Solution(status, std.sense_sign * inc_obj, inc_x, total_iters, nodes,
-                    inc_basis, root_basis)
+    return Solution(status, std.sense_sign * inc_obj, inc_x, total_iters, nodes, inc_basis)

@@ -220,12 +220,6 @@ class Solution:
     when there is no ``x``.  Passing it as ``warm_start`` to a solve of a
     program with the same rows and columns starts it from that basis.
 
-    ``root_basis`` is, for a MILP, the final basis of its root relaxation:
-    a program that differs only in its right-hand side can start its own
-    root from it, as every later stage 1 over a ``Frontier`` starts from
-    that of the first one.  It is None for an LP, and when the root was not
-    solved to optimality.
-
     ``priced_out`` is, for an optimal LP, a mask over the structural
     columns: True where the column is nonbasic and its reduced cost at the
     final basis holds it at its bound by more than the simplex's pricing
@@ -240,5 +234,4 @@ class Solution:
     iterations: int = 0
     nodes: int = 0
     basis: Basis | None = None
-    root_basis: Basis | None = None
     priced_out: np.ndarray | None = None

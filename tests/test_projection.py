@@ -9,7 +9,7 @@ from dea_closest import (Frontier, LinearProgram, PriorityRanking, SolveStatus,
                          derive_stage_program, efficient_set, evaluate_bcc, load_dataset,
                          projection, solve_lp, solve_milp)
 from dea_closest.report import RunConfig, analyze
-from dea_closest.solver import branch_and_bound, simplex
+from dea_closest.solver import simplex
 from dea_closest.solver.model import FEAS_TOL
 
 from conftest import make_dataset, random_dataset, reordered, with_dmu
@@ -76,6 +76,25 @@ def test_stage_program_pins_previous_optimum(eight_dmu, je8, cfg):
     assert lp.lower[t + 1] == lp.upper[t + 1] == 0.25
     with pytest.raises(ValueError):
         derive_stage_program(first, [(1, 0.0)], target=1)
+
+
+def test_stage_builders_reject_indices_outside_their_program(four_dmu, je4):
+    # a DMU index of -1 would build the last DMU's program, a target of
+    # m+s or -1 would minimize a multiplier or a lambda column, and a pinned
+    # slack past m+s-1 would pin a deviation column
+    n_slack = four_dmu.m + four_dmu.s
+    with pytest.raises(ValueError, match="DMU index -1"):
+        build_stage_program(je4, -1, 1)
+    with pytest.raises(ValueError, match="DMU index 4"):
+        build_stage_program(je4, four_dmu.n, 1)
+    for target in (n_slack, -1):
+        with pytest.raises(ValueError, match="not one of the 2 slacks"):
+            build_stage_program(je4, 3, target)
+    first = build_stage_program(je4, 3, 1)
+    for pinned, target in (([(7, 0.0)], 0), ([(-1, 0.0)], 0), ([], n_slack), ([(1, 0.0)], -1)):
+        with pytest.raises(ValueError, match="not one of the 2 slacks"):
+            derive_stage_program(first, pinned, target)
+    assert derive_stage_program(first, [(1, 0.0)], 0).lower[je4.size + 1] == 0.0
 
 
 def test_stage_one_output_slack_dmu7_is_zero(eight_dmu, je8, cfg):
@@ -317,47 +336,38 @@ def test_report_projections_equal_separate_calls_in_dataset_order(cfg, seed):
 
 
 @pytest.mark.parametrize("path", ["report", "calls"])
-def test_stage1_roots_start_from_the_first_dmus_root(monkeypatch, cfg, path):
+def test_stage1_roots_start_from_the_frontier_template(monkeypatch, cfg, path):
     # the stage-1 programs of all DMUs over one frontier differ only in the
-    # DMU's own values, so each starts from the root basis of the first one
-    # solved, which the frontier keeps: in report and in separate calls
-    # alike only the first inefficient DMU's stage-1 root is solved cold,
-    # and the targets and slacks are those of DMUs projected cold, each
-    # over a frontier of its own
+    # DMU's own values, so each starts from the optimal basis of the LP
+    # relaxation of the frontier's template: in report and in separate
+    # calls alike that relaxation is the one solve that runs cold, and the
+    # projections are, bit for bit, those over a fresh frontier per DMU
     ds = random_dataset(np.random.default_rng(7), max_n=12, max_dim=2)
     je = efficient_set(ds, cfg)
     pri = default_priority(ds.m, ds.s)
     alone = [closest_projection(Frontier(ds, je.indices), o, pri, cfg) for o in range(ds.n)]
 
-    cold_runs = []
-    run_cold = simplex._Simplex._run_cold
+    cold_runs = []  # per cold simplex run, whether it ran inside the relaxation solve
+    relaxations = []  # (program, solution) of every projection LP solve
+    stage1_starts = []  # warm start of every stage 1, the only MILP minimizing the first slack
+    run_cold, solve_relaxation = simplex._Simplex._run_cold, projection.solve_lp
 
     def counting_cold(self, c):
-        cold_runs.append(self)
+        cold_runs.append(len(relaxations) > 0 and relaxations[-1] is None)
         return run_cold(self, c)
 
-    root_cold = []  # per MILP, whether its root ran a cold solve
-    # (start, solution, index into root_cold) of each stage 1, the only MILP
-    # minimizing the first slack
-    stage1 = []
-    solve_node = branch_and_bound.solve_standardized
-
-    def node(std, cfg, start=None, box=None):
-        before = len(cold_runs)
-        out = solve_node(std, cfg, start, box)
-        if root_cold[-1] is None:
-            root_cold[-1] = len(cold_runs) > before
-        return out
+    def relaxation(lp, cfg, warm_start=None):
+        relaxations.append(None)
+        relaxations[-1] = lp, solve_relaxation(lp, cfg, warm_start)
+        return relaxations[-1][1]
 
     def milp(lp, cfg, warm_start=None):
-        root_cold.append(None)
-        sol = solve_milp(lp, cfg, warm_start=warm_start)
         if lp.c[je.size + pri.order[0]] == 1.0:
-            stage1.append((warm_start, sol, len(root_cold) - 1))
-        return sol
+            stage1_starts.append(warm_start)
+        return solve_milp(lp, cfg, warm_start=warm_start)
 
     monkeypatch.setattr(simplex._Simplex, "_run_cold", counting_cold)
-    monkeypatch.setattr(branch_and_bound, "solve_standardized", node)
+    monkeypatch.setattr(projection, "solve_lp", relaxation)
     monkeypatch.setattr(projection, "solve_milp", milp)
     if path == "report":
         projections = chained_projections(ds, pri)
@@ -366,53 +376,83 @@ def test_stage1_roots_start_from_the_first_dmus_root(monkeypatch, cfg, path):
         projections = [closest_projection(frontier, o, pri, cfg) for o in range(ds.n)]
 
     inefficient = ds.n - je.size
-    assert inefficient >= 3 and len(stage1) == inefficient
-    assert len(root_cold) <= inefficient * (ds.m + ds.s)
-    assert [root_cold[k] for _, _, k in stage1] == [True] + [False] * (inefficient - 1)
-    root = stage1[0][1].root_basis
-    assert stage1[0][0] is None and root is not None
-    assert all(start is root for start, _, _ in stage1[1:])
+    assert inefficient >= 3 and len(stage1_starts) == inefficient
+    assert cold_runs == [True] and len(relaxations) == 1
+    program, sol = relaxations[0]
+    assert not program.is_mixed and sol.status is SolveStatus.OPTIMAL
+    assert all(start is sol.basis for start in stage1_starts)
     for p, q in zip(projections, alone):
-        assert np.abs(p.target_inputs - q.target_inputs).max() <= 1e-9
-        assert np.abs(p.target_outputs - q.target_outputs).max() <= 1e-9
-        assert np.abs(p.slacks - q.slacks).max() <= 1e-9
+        assert projection_bits(p) == projection_bits(q), ds.names[p.dmu]
 
 
-def test_one_stage1_build_per_frontier_and_first_slack(monkeypatch, cfg):
-    # a frontier builds one stage-1 program per first slack and derives every
-    # later call's from it; it keeps that program with the root basis of the
-    # stage 1 it was built for
+def test_one_stage1_template_per_frontier_and_first_slack(monkeypatch, cfg):
+    # a frontier builds one stage-1 program per first slack, that of its
+    # first DMU that is not a member, solves the program's LP relaxation
+    # and keeps the program with that relaxation's basis; no MILP solves
+    # the kept program itself, every projection derives its own from it
     ds = random_dataset(np.random.default_rng(7), max_n=12, max_dim=2)
     frontier = efficient_set(ds, cfg)
+    first_outside = min(set(range(ds.n)) - set(frontier.indices))
+    assert first_outside > 0
     slack_count = ds.m + ds.s
     priorities = (default_priority(ds.m, ds.s),
                   PriorityRanking(tuple(range(slack_count)), ds.m, ds.s))
     assert priorities[0].order[0] != priorities[1].order[0]
-    built = []  # (first slack, program) of every build
-    solves = []  # (program, solution) of every stage solve
-    build = projection.build_stage_program
+    built = []  # (DMU, first slack, program) of every build
+    relaxed = []  # (program, solution) of every LP solve
+    milps = []  # every program solved as a MILP
+    build, solve_relaxation = projection.build_stage_program, projection.solve_lp
 
     def building(frontier, o, target):
-        built.append((target, build(frontier, o, target)))
-        return built[-1][1]
+        built.append((o, target, build(frontier, o, target)))
+        return built[-1][2]
+
+    def relaxation(lp, cfg, warm_start=None):
+        relaxed.append((lp, solve_relaxation(lp, cfg, warm_start)))
+        return relaxed[-1][1]
 
     def milp(lp, cfg, warm_start=None):
-        solves.append((lp, solve_milp(lp, cfg, warm_start=warm_start)))
-        return solves[-1][1]
+        milps.append(lp)
+        return solve_milp(lp, cfg, warm_start=warm_start)
 
     monkeypatch.setattr(projection, "build_stage_program", building)
+    monkeypatch.setattr(projection, "solve_lp", relaxation)
     monkeypatch.setattr(projection, "solve_milp", milp)
     for _ in range(2):
         for pri in priorities:
-            for o in range(ds.n):
+            for o in reversed(range(ds.n)):
                 closest_projection(frontier, o, pri, cfg)
-    assert [target for target, _ in built] == [pri.order[0] for pri in priorities]
-    assert sorted(frontier.stage_templates) == sorted(target for target, _ in built)
-    for target, program in built:
-        kept, root = frontier.stage_templates[target]
-        own = [sol for lp, sol in solves if lp is program]
-        assert kept is program and len(own) == 1
-        assert root is own[0].root_basis and root is not None
+    assert [(o, target) for o, target, _ in built] == [
+        (first_outside, pri.order[0]) for pri in priorities]
+    assert sorted(frontier.stage_templates) == sorted(pri.order[0] for pri in priorities)
+    assert len(relaxed) == len(built)
+    for (_, target, program), (lp, sol) in zip(built, relaxed):
+        kept, basis = frontier.stage_templates[target]
+        assert kept is program and basis is sol.basis and basis is not None
+        assert not lp.is_mixed and lp.a is program.a and lp.b is program.b
+        assert all(solved is not program for solved in milps)
+    # each stage program solved shares the matrix of its first slack's template
+    assert {id(lp.a) for lp in milps} == {id(program.a) for _, _, program in built}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_projection_bits_do_not_depend_on_earlier_calls(cfg, seed):
+    # a projection is a function of its frontier, DMU and priority: over a
+    # fresh frontier and over one that other DMUs were projected over first,
+    # in dataset order (as report does) or in reverse, every inefficient DMU
+    # gets the same bits
+    ds = random_dataset(np.random.default_rng(seed), max_n=30, max_dim=2)
+    pri = default_priority(ds.m, ds.s)
+    je = efficient_set(ds, cfg)
+    inefficient = [o for o in range(ds.n) if o not in je]
+    assert len(inefficient) >= 9
+    fresh = {o: projection_bits(closest_projection(Frontier(ds, je.indices), o, pri, cfg))
+             for o in inefficient}
+    for order in (inefficient, inefficient[::-1]):
+        shared = Frontier(ds, je.indices)
+        for o in order:
+            assert projection_bits(closest_projection(shared, o, pri, cfg)) == fresh[o], (
+                ds.names[o])
 
 
 # 12 DMUs, 6 of them on a known frontier: the final stage of U3 (priority

@@ -321,6 +321,22 @@ def test_sign_test_on_the_dmus_the_masks_leave(eight_dmu, je8, cfg, monkeypatch,
     assert mc.members == members and len(solves) == lps
 
 
+@pytest.mark.parametrize("mask", [
+    np.ones(7, dtype=bool),  # one entry short
+    np.ones((8, 1), dtype=bool),  # n entries, but not a flat array
+    np.zeros(8),  # floats
+    np.zeros(8, dtype=int),  # integers, which would index instead of mask
+    None,
+])
+@pytest.mark.parametrize("o", [2, 6])  # efficient, inefficient
+def test_a_support_that_is_no_mask_over_the_dmus_is_named(eight_dmu, je8, cfg, mask, o):
+    # every mask is checked, also where none is read: a target that is no
+    # DMU's own point goes to the LP without looking at the masks
+    good = np.zeros(eight_dmu.n, dtype=bool)
+    with pytest.raises(ValueError, match=r"supports\[1\] is not a boolean array with one entry per DMU"):
+        identify_mcrs(je8, project(je8, o, cfg), cfg, supports=[good, mask])
+
+
 def certificate_sets():
     """Generated sets on which the sign test meets ties, twins, face-interior
     points and badly scaled columns."""

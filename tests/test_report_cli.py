@@ -299,7 +299,8 @@ def test_rts_failure_is_reported_before_an_mcrs_failure(table_path, capsys, monk
 # every (module[:class], name) binding the benchmark tracer wraps, with the
 # number of calls one ``report`` of the eight-DMU table makes through it; a
 # binding the pipeline stops calling would leave its traced counters at 0.
-# One stage-1 program is built per dataset and priority, and BCC phase 2 of
+# One stage-1 program is built per dataset and priority, whose LP relaxation
+# is the one LP projection solves, and BCC phase 2 of
 # DMU6, whose theta of 0.5 decides its flag, waits for a reader that report
 # does not have.  DMU4 solves no BCC LP: DMU3's phase-1 basis holds its lambda
 # column and prices every slack out, which certifies it efficient.  Of the
@@ -315,6 +316,7 @@ TRACED_CALLS = {
     ("report", "identify_mcrs"): 8,
     ("projection", "build_stage_program"): 1,
     ("projection", "solve_milp"): 8,
+    ("projection", "solve_lp"): 1,
     ("efficiency", "solve_lp"): 8,
     ("returns_to_scale", "solve_lp"): 12,
     ("reference_set", "solve_lp"): 5,

@@ -23,6 +23,13 @@ Within one DMU, stages 2..m+s are derived from its stage-1 program the same
 way: the same rows, a new objective and one more pin.  Every derived
 program shares its parent's matrix, so a basis resumed across them keeps
 its inverse.
+
+The last stage is never solved.  With every slack but one pinned, two
+feasible targets differ in one coordinate, so one dominates the other.  The
+dominated one lies on a hyperplane with multipliers >= 1 that supports every
+efficient DMU, and the dominating one, a convex combination of efficient
+DMUs, would lie strictly beyond it.  So stage m+s has a single feasible
+value, and the point of stage m+s-1, which meets every pin, holds it.
 """
 
 from __future__ import annotations
@@ -172,7 +179,10 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
     change) and starts its root from the previous stage's final basis.  A
     stage whose slack the previous stage's point holds at exactly 0 or
     below is not solved: no slack goes below its bound 0, so that point is
-    its optimum, and the stage records it with value 0.
+    its optimum, and the stage records it with value 0.  Nor is the last
+    stage, m+s: its one free slack has a single feasible value (see the
+    module docstring), so it records the previous stage's point and slack.
+    At most m+s-1 stage MILPs are solved per DMU.
     """
     dataset = frontier.dataset
     m, s = dataset.m, dataset.s
@@ -202,8 +212,10 @@ def closest_projection(frontier: Frontier, o: int, priority: PriorityRanking,
 
     for stage_no, slack_idx in enumerate(priority.order, start=1):
         # a previous point that holds this slack at its bound 0 meets every
-        # pin and is optimal here too: that stage is recorded, not solved
-        if sol is None or sol.x[c_s + slack_idx] > 0.0:
+        # pin and is optimal here too: that stage is recorded, not solved.
+        # So is the last stage, whose one free slack has a single feasible
+        # value, which the previous point holds
+        if sol is None or (stage_no < n_slack and sol.x[c_s + slack_idx] > 0.0):
             lp = first if stage_no == 1 else derive_stage_program(first, pinned, slack_idx)
             # the frontier dominates every DMU, so each stage is feasible
             sol = require_optimal(

@@ -23,6 +23,7 @@ mask is kept for the maximal closest reference set.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -128,11 +129,13 @@ def _intercept_systems(dataset: Dataset) -> tuple[StandardizedLP, StandardizedLP
     return systems
 
 
-def _single_dmu_vertex(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
-                       sigma: float) -> Basis | None:
-    """The basis of the stage-``sigma`` intercept program's vertex with the
-    lowest u0 among those with at most one positive lambda; None when there
-    is none.
+def _single_dmu_vertices(dataset: Dataset, point_x: np.ndarray,
+                         point_y: np.ndarray) -> Callable[[float], Basis | None]:
+    """A function of ``sigma`` that gives the basis of the stage-``sigma``
+    intercept program's vertex with the lowest u0 among those with at most
+    one positive lambda, or None when there is none.  The arrays both
+    stages read (each DMU's input ratios to the point and output gaps) are
+    computed here, once per point.
 
     With lambda_j = L alone, the equality row gives mu = -sigma - L and the
     input rows u0 = -sigma + L.(max_i x_ij/x_pi - 1), the maximum over the
@@ -156,39 +159,44 @@ def _single_dmu_vertex(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarra
     zero.
     """
     n, m, s = dataset.n, dataset.m, dataset.s
-    columns = np.arange(n + 2, n + 3 + m + s)
-    columns[m + s] = 1  # mu in the equality row
-    i, j = int(point_x.argmax()), None  # the binding input row, and the DMU with lambda_j > 0
     pos = point_x > 0
     if pos.any():
         ratio = dataset.x[:, pos] / point_x[pos]
         top = ratio.max(axis=1)
-        fits = (dataset.x[:, ~pos] == 0).all(axis=1)
+        inputs_fit = (dataset.x[:, ~pos] == 0).all(axis=1)
         gap = dataset.y - point_y
         tiny = 1e-9 * (1.0 + np.abs(point_y))  # a gap of rounding size is no gap
-        if sigma > 0:
-            rows = point_y > 0
-            fits &= rows.any() & (gap > tiny)[:, rows].all(axis=1)
-        else:
-            rows = gap < -tiny
-            fits &= (top < 1) & rows.any(axis=1)
-        idx = np.flatnonzero(fits)
-        if idx.size:
-            if sigma < 0:
-                rows = rows[idx]
-            limits = np.where(rows, point_y / np.where(rows, np.abs(gap[idx]), 1.0),
-                              0.0 if sigma > 0 else np.inf)
-            lams = limits.max(axis=1) if sigma > 0 else limits.min(axis=1)
-            rises = lams * (top[idx] - 1.0)
-            k = int(rises.argmin())
-            j = int(idx[k])
-            r = int(limits[k].argmax() if sigma > 0 else limits[k].argmin())
-            i = int(np.flatnonzero(pos)[ratio[j].argmax()])
-            columns[m + r] = 2 + j
-    if sigma > 0 and j is None:
-        return None  # no DMU qualified
-    columns[i] = 0
-    return Basis(columns)
+
+    def vertex(sigma: float) -> Basis | None:
+        columns = np.arange(n + 2, n + 3 + m + s)
+        columns[m + s] = 1  # mu in the equality row
+        i, j = int(point_x.argmax()), None  # the binding input row, and the DMU with lambda_j > 0
+        if pos.any():
+            if sigma > 0:
+                rows = point_y > 0
+                fits = inputs_fit & rows.any() & (gap > tiny)[:, rows].all(axis=1)
+            else:
+                rows = gap < -tiny
+                fits = inputs_fit & (top < 1) & rows.any(axis=1)
+            idx = np.flatnonzero(fits)
+            if idx.size:
+                if sigma < 0:
+                    rows = rows[idx]
+                limits = np.where(rows, point_y / np.where(rows, np.abs(gap[idx]), 1.0),
+                                  0.0 if sigma > 0 else np.inf)
+                lams = limits.max(axis=1) if sigma > 0 else limits.min(axis=1)
+                rises = lams * (top[idx] - 1.0)
+                k = int(rises.argmin())
+                j = int(idx[k])
+                r = int(limits[k].argmax() if sigma > 0 else limits[k].argmin())
+                i = int(np.flatnonzero(pos)[ratio[j].argmax()])
+                columns[m + r] = 2 + j
+        if sigma > 0 and j is None:
+            return None  # no DMU qualified
+        columns[i] = 0
+        return Basis(columns)
+
+    return vertex
 
 
 def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
@@ -225,8 +233,10 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
     a_abs = systems[0].a_abs.copy()
     a_abs[:, :2] = np.abs(a[:, :2])
 
+    vertex = _single_dmu_vertices(dataset, point_x, point_y)
+
     def solve(std: StandardizedLP, stage: str):
-        start = _single_dmu_vertex(dataset, point_x, point_y, std.sense_sign)
+        start = vertex(std.sense_sign)
         sol = solve_lp(replace(std, a=a, a_abs=a_abs), cfg, start)
         if sol.status is SolveStatus.UNBOUNDED:
             raise AnalysisError("intercept bounds requested at a point that is not "

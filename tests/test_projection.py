@@ -489,6 +489,42 @@ def test_final_slack_within_tolerance_of_the_dmu_reads_as_zero():
         assert np.array_equal(p.target_outputs, ds.y[o] + p.slacks[ds.m:])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_recorded_last_stage_equals_the_solved_one(monkeypatch, cfg, dim):
+    # with every other slack pinned, the last stage has a single feasible
+    # value, so it is recorded from the previous stage's point: solving it
+    # gives the same optimum, and no DMU solves more than m+s-1 stage MILPs
+    solves = []
+
+    def counting(lp, cfg, warm_start=None):
+        solves.append(lp)
+        return solve_milp(lp, cfg, warm_start=warm_start)
+
+    monkeypatch.setattr(projection, "solve_milp", counting)
+    checked = 0
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        ds = make_dataset(np.round(rng.uniform(1, 100, (20, dim)), 3),
+                          np.round(rng.uniform(1, 100, (20, dim)), 3))
+        je = efficient_set(ds, cfg)
+        pri = default_priority(ds.m, ds.s)
+        for o in range(ds.n):
+            solves.clear()
+            p = closest_projection(je, o, pri, cfg)
+            if o in je:
+                continue
+            assert len(p.stages) == 2 * dim and len(solves) <= 2 * dim - 1
+            first = build_stage_program(je, o, pri.order[0])
+            pins = [(st.slack_index, st.value) for st in p.stages[:-1]]
+            last = p.stages[-1]
+            sol = solve_milp(derive_stage_program(first, pins, last.slack_index), cfg)
+            assert sol.status is SolveStatus.OPTIMAL
+            assert abs(sol.objective - last.value) <= 1e-9 * (1 + abs(last.value)), (
+                f"{ds.names[o]}: solved {sol.objective}, recorded {last.value}")
+            checked += 1
+    assert checked > 10
+
+
 def test_warm_started_stages_stay_within_five_pivots_per_node(monkeypatch, cfg):
     # every node resumes from its parent's basis and every stage root from
     # the previous stage's; cold-starting every node took about 15 pivots per

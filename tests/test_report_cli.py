@@ -305,7 +305,9 @@ def test_rts_failure_is_reported_before_an_mcrs_failure(table_path, capsys, monk
 # does not have.  DMU4 solves no BCC LP: DMU3's phase-1 basis holds its lambda
 # column and prices every slack out, which certifies it efficient.  Of the
 # efficient DMUs only DMU3, inside the face DMU2-DMU4, solves a support LP;
-# the four inefficient targets solve one each
+# the four inefficient targets solve one each.  On this (1,1) table stage 2
+# is the last lexicographic stage, which is recorded from stage 1's point, so
+# each of the four inefficient DMUs solves one stage MILP, not two
 TRACED_CALLS = {
     ("report", "load_dataset"): 1,
     ("report", "analyze"): 1,
@@ -315,7 +317,7 @@ TRACED_CALLS = {
     ("report", "intercept_bounds"): 8,
     ("report", "identify_mcrs"): 8,
     ("projection", "build_stage_program"): 1,
-    ("projection", "solve_milp"): 8,
+    ("projection", "solve_milp"): 4,
     ("projection", "solve_lp"): 1,
     ("efficiency", "solve_lp"): 8,
     ("returns_to_scale", "solve_lp"): 12,

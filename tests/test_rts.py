@@ -294,7 +294,7 @@ def test_hand_built_starts_rest_nonbasic_columns_at_their_bounds(cfg):
             programs.append((efficiency._bcc_program(ds, o), efficiency._unit_vertex(ds, o)))
         for o in efficient_set(ds, cfg).indices:
             for sense, sigma in (("max", 1.0), ("min", -1.0)):
-                start = returns_to_scale._single_dmu_vertex(ds, ds.x[o], ds.y[o], sigma)
+                start = returns_to_scale._single_dmu_vertices(ds, ds.x[o], ds.y[o])(sigma)
                 if start is not None:
                     lp = returns_to_scale._intercept_program(ds, ds.x[o], ds.y[o], sense)
                     programs.append((lp, start))

@@ -19,8 +19,9 @@ side, and its stage-1 root re-optimizes from the kept basis, still dual
 feasible, with the dual simplex instead of solving cold.  The kept pair
 depends on the frontier alone, so a projection depends only on the
 frontier, the DMU and the priority, never on which calls came before.
-Within one DMU, stages 2..m+s are derived from its stage-1 program the same
-way: the same rows, a new objective and one more pin.  Every derived
+Within one DMU, stages 2..m+s-1 are derived from its stage-1 program the
+same way: the same rows, a new objective and one more pin; stage m+s is
+recorded, not derived (see below).  Every derived
 program shares its parent's matrix, so a basis resumed across them keeps
 its inverse.
 

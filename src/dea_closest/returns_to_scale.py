@@ -113,17 +113,18 @@ def _intercept_systems(dataset: Dataset) -> tuple[StandardizedLP, StandardizedLP
     matrices are equal) and differ in ``b`` (+e_last or -e_last), ``c`` and
     ``sense_sign`` (+1 or -1).  Both ``c`` minimize u0, but the lower
     stage's holds -0.0 where the upper's holds 0.0, and a zero objective
-    takes its sign from them, so each stage keeps its own.
+    takes its sign from them, so each stage keeps its own.  Neither is
+    solved as it stands: each point's system replaces ``a`` and derives
+    its own ``|a|`` from it.
     """
     systems = _SYSTEMS.get(dataset)
     if systems is None:
         zero_x, zero_y = np.zeros(dataset.m), np.zeros(dataset.s)
         upper = standardize(_intercept_program(dataset, zero_x, zero_y, "max"))
         lower = replace(standardize(_intercept_program(dataset, zero_x, zero_y, "min")),
-                        a=upper.a, a_abs=upper.a_abs)
+                        a=upper.a)
         for std in (upper, lower):
-            for arr in (std.a, std.a_abs, std.b, std.c, std.lower, std.upper,
-                        std.slack_of_row):
+            for arr in (std.a, std.b, std.c, std.lower, std.upper, std.slack_of_row):
                 arr.flags.writeable = False
         systems = _SYSTEMS[dataset] = (upper, lower)
     return systems
@@ -230,14 +231,12 @@ def intercept_bounds(dataset: Dataset, point_x: np.ndarray, point_y: np.ndarray,
     a[:m, 0] = point_x
     a[:m, 1] = -point_x
     a[m:m + s, 1] = point_y
-    a_abs = systems[0].a_abs.copy()
-    a_abs[:, :2] = np.abs(a[:, :2])
 
     vertex = _single_dmu_vertices(dataset, point_x, point_y)
 
     def solve(std: StandardizedLP, stage: str):
         start = vertex(std.sense_sign)
-        sol = solve_lp(replace(std, a=a, a_abs=a_abs), cfg, start)
+        sol = solve_lp(replace(std, a=a), cfg, start)
         if sol.status is SolveStatus.UNBOUNDED:
             raise AnalysisError("intercept bounds requested at a point that is not "
                                 "on the efficient frontier")

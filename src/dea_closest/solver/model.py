@@ -65,6 +65,22 @@ def _as_float_array(value, ndim: int) -> np.ndarray:
     return arr
 
 
+def _as_pairs(value) -> np.ndarray:
+    """``complements`` as a (k, 2) integer array: None or an empty sequence
+    is no pairs, and an integer (k, 2) array is shared as given.  Any other
+    value raises a ValueError that names the field."""
+    try:
+        pairs = np.asarray(() if value is None else value)
+    except ValueError:  # ragged rows, rejected below as a 0-d array
+        pairs = np.asarray(None)
+    if pairs.shape == (0,):
+        pairs = np.zeros((0, 2), dtype=int)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.issubdtype(pairs.dtype, np.integer):
+        raise ValueError("complements must be None or integer column pairs of shape (k, 2), "
+                         f"not {value!r}")
+    return pairs.astype(int, copy=False)
+
+
 @dataclass
 class LinearProgram:
     """Dense linear program with per-variable bounds and optional
@@ -72,7 +88,8 @@ class LinearProgram:
 
     ``a @ x  (relations)  b`` row-wise, ``lower <= x <= upper``, and for each
     row ``(i, j)`` of ``complements`` the nonnegative columns i and j may not
-    both be positive (``x_i * x_j = 0``).  ``complements`` is keyword-only.
+    both be positive (``x_i * x_j = 0``).  ``complements`` is keyword-only:
+    None or an empty sequence (no pairs), or integers of shape (k, 2).
     A lower bound may be ``-inf`` and an upper bound ``+inf``; a pair with
     ``lower == upper`` pins the variable.  Construction rejects any other NaN
     or infinity with a ValueError that names the field.
@@ -114,17 +131,12 @@ class LinearProgram:
         self.relations = tuple(self.relations)
         if self.lower.size != n or self.upper.size != n:
             raise ValueError("bound vectors must match the number of variables")
-        if self.complements is None:
-            self.complements = np.zeros((0, 2), dtype=int)
-        else:
-            self.complements = np.asarray(self.complements, dtype=int)
-            if self.complements.shape[1:] != (2,):  # a (k, 2) array is shared as given
-                self.complements = self.complements.reshape(-1, 2)
-            if len(self.complements) and (self.complements.min() < 0
-                                           or self.complements.max() >= n):
-                raise ValueError("complementarity pair refers to a missing variable")
-            if (self.complements[:, 0] == self.complements[:, 1]).any():
-                raise ValueError("complementarity pair joins a variable with itself")
+        self.complements = _as_pairs(self.complements)
+        if len(self.complements) and (self.complements.min() < 0
+                                       or self.complements.max() >= n):
+            raise ValueError("complementarity pair refers to a missing variable")
+        if (self.complements[:, 0] == self.complements[:, 1]).any():
+            raise ValueError("complementarity pair joins a variable with itself")
         self._check_values()
 
     def _check_values(self):

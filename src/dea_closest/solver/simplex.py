@@ -66,7 +66,7 @@ matrix it was gathered from, so a solve over that same array (a
 branch-and-bound node, or a program derived with ``dataclasses.replace``
 from the one that produced the record) takes a copy of its inverse; a solve
 over another array factorizes its basic columns afresh.  Per LP solve: one ``np.errstate`` context.  Per
-branch-and-bound solve: the standardized system, the index arrays of the
+branch-and-bound solve: the standardized system and its ``|a|``, the index arrays of the
 branching rule and one ``np.errstate`` context for the whole tree; each
 child's ``_Box`` is its parent's, patched at the fixed column.  None of this
 changes an operation that decides a pivot or a reported value: states are
@@ -79,6 +79,7 @@ two round differently), and a maximum is read at its ``argmax``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,7 +109,8 @@ class StandardizedLP:
     inequality slacks.  ``slack_of_row[i]`` is the column of row i's slack,
     or -1 for an equality row.  ``sense_sign`` is +1 when the original
     program was a minimization, -1 otherwise (objective values are mapped
-    back on exit).  ``a_abs`` is ``|a|``, which scales the pricing threshold.
+    back on exit).  ``a_abs`` is ``|a|``, which scales the pricing
+    threshold; each system computes it from its own ``a`` on first use.
     A program of equality rows only shares its matrix (when C-contiguous),
     right-hand side and bounds with the system; nothing writes to them.
 
@@ -116,8 +118,8 @@ class StandardizedLP:
     program's constructor has validated what the system holds.  A caller
     that solves many programs of one shape may keep such a system, derive
     each program's with ``dataclasses.replace`` and hand it to ``solve_lp``
-    directly; the arrays it replaces must be as ``standardize`` would have
-    made them.
+    directly; a replaced ``a`` must have the same shape and the same slack
+    columns.
     """
 
     a: np.ndarray
@@ -128,7 +130,10 @@ class StandardizedLP:
     n_struct: int
     sense_sign: float
     slack_of_row: np.ndarray
-    a_abs: np.ndarray
+
+    @cached_property
+    def a_abs(self) -> np.ndarray:
+        return np.abs(self.a)
 
 
 def standardize(lp: LinearProgram) -> StandardizedLP:
@@ -140,8 +145,7 @@ def standardize(lp: LinearProgram) -> StandardizedLP:
     slack_of_row = np.full(rows, -1)
     if not ineq:  # the program's own arrays, contiguous as BLAS calls expect them
         a = np.ascontiguousarray(lp.a)
-        return StandardizedLP(a, lp.b, sign * lp.c, lp.lower, lp.upper, n, sign,
-                              slack_of_row, np.abs(a))
+        return StandardizedLP(a, lp.b, sign * lp.c, lp.lower, lp.upper, n, sign, slack_of_row)
 
     n_total = n + len(ineq)
     a = np.zeros((rows, n_total))
@@ -155,22 +159,21 @@ def standardize(lp: LinearProgram) -> StandardizedLP:
     c[:n] = sign * lp.c
     lower = np.concatenate([lp.lower, np.zeros(len(ineq))])
     upper = np.concatenate([lp.upper, np.full(len(ineq), np.inf)])
-    return StandardizedLP(a, lp.b, c, lower, upper, n, sign, slack_of_row, np.abs(a))
+    return StandardizedLP(a, lp.b, c, lower, upper, n, sign, slack_of_row)
 
 
-def _nonbasic_status(lower: np.ndarray, upper: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """Where each column rests while nonbasic, by its bounds alone: at a fixed
-    column's single value, otherwise at the finite lower bound if there is
-    one, else at the finite upper bound, else free at zero.
+def _nonbasic_status(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Where each column rests while nonbasic, by its bounds alone: at the
+    finite lower bound if there is one (a fixed column's, whose pin is
+    finite), else at the finite upper bound, else free at zero.
 
     States are ``np.intp``, the index type numpy gathers by without a
-    conversion.  ``fixed`` is ``lower == upper``.
+    conversion.
     """
     status = np.empty(lower.size, dtype=np.intp)
     status.fill(_FREE)
     status[np.isfinite(upper)] = _AT_UPPER
     status[np.isfinite(lower)] = _AT_LOWER
-    status[fixed] = _AT_LOWER
     return status
 
 
@@ -222,7 +225,7 @@ class _Box:
         self.rest[_AT_UPPER] = up
         self.lo, self.up = self.rest[_AT_LOWER], self.rest[_AT_UPPER]
         self.fixed = lo == up
-        self.status = _nonbasic_status(lo, up, self.fixed)
+        self.status = _nonbasic_status(lo, up)
         self.free = (self.status == _FREE).nonzero()[0]
 
     def fixed_at(self, j: int, value: float) -> _Box:
@@ -317,7 +320,7 @@ class _Simplex:
         art = np.zeros((rows, k))
         art[need, np.arange(k)] = np.where(resid[need] >= 0, 1.0, -1.0)
         a_ext = np.hstack([self.a, art])
-        a_abs = np.hstack([self.a_abs, np.abs(art)])
+        a_abs = np.abs(a_ext)
         ext = _Box(np.concatenate([box.lo, np.zeros(k)]),
                    np.concatenate([box.up, np.full(k, np.inf)]))
         c1 = np.zeros(n + k)
@@ -666,7 +669,7 @@ def _priced_out(std: StandardizedLP, record: Basis) -> np.ndarray | None:
     d, y = _reduced_costs(record.inverse, std.c, std.a, record.columns)
     dtol = _zero_threshold(std.a_abs, y)
     lo, up = std.lower, std.upper
-    state = _placed(_nonbasic_status(lo, up, lo == up), lo, up, record.x)
+    state = _placed(_nonbasic_status(lo, up), lo, up, record.x)
     return (-d * _GAIN_SIGN[state] > dtol)[: std.n_struct]
 
 
@@ -682,7 +685,8 @@ def solve_lp(lp: LinearProgram | StandardizedLP, cfg: SolverConfig = SolverConfi
     """Solve a linear program without complementarity pairs.
 
     ``lp`` is a ``LinearProgram``, or a ``StandardizedLP`` derived from the
-    ``standardize`` of one, which is solved as it stands; the solution and
+    ``standardize`` of one, which is solved as it stands: a replaced ``a``
+    must have the same shape and the same slack columns.  The solution and
     its objective are those of the original program either way.
 
     ``warm_start`` is a basis of a program with the same rows and columns:

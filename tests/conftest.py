@@ -135,18 +135,29 @@ def multiplier_intercept_program(ds: Dataset, px: np.ndarray, py: np.ndarray,
                          np.full(m + s + 1, np.inf))
 
 
+def highs_solve(lp: LinearProgram, linprog, method: str, presolve: bool = True):
+    """``lp`` solved by scipy's ``linprog`` with the HiGHS ``method``: the
+    result and the optimum in ``lp``'s own sense, +-inf when scipy reports
+    the program unbounded (status 3) and None for any other status but 0."""
+    assert ">=" not in lp.relations, "every inequality row is read as <="
+    eq = np.array([rel == "=" for rel in lp.relations], dtype=bool)
+    sign = 1.0 if lp.sense == "min" else -1.0
+    res = linprog(sign * lp.c, A_ub=lp.a[~eq], b_ub=lp.b[~eq], A_eq=lp.a[eq], b_eq=lp.b[eq],
+                  bounds=np.column_stack([lp.lower, lp.upper]), method=method,
+                  options={"presolve": presolve})
+    if res.status == 3:
+        return res, -sign * np.inf
+    return res, (sign * res.fun if res.status == 0 else None)
+
+
 def highs_intercept_both(lp, linprog):
     """Optimum of a multiplier-form intercept program by HiGHS's dual simplex
     and by its interior point, which must agree; +-inf when unbounded."""
-    eq = np.array([rel == "=" for rel in lp.relations])
-    sign = 1.0 if lp.sense == "min" else -1.0
     optima = []
     for method in ("highs-ds", "highs-ipm"):
-        res = linprog(sign * lp.c, A_ub=lp.a[~eq], b_ub=lp.b[~eq], A_eq=lp.a[eq], b_eq=lp.b[eq],
-                      bounds=np.column_stack([lp.lower, lp.upper]), method=method,
-                      options={"presolve": False})
+        res, value = highs_solve(lp, linprog, method, presolve=False)
         assert res.status in (0, 3), (method, res.message)
-        optima.append(-sign * np.inf if res.status == 3 else sign * res.fun)
+        optima.append(value)
     assert optima[0] == pytest.approx(optima[1], rel=1e-9, abs=1e-9)
     return optima[0]
 
@@ -266,10 +277,11 @@ def enumerate_lp_optimum(lp: LinearProgram, tol: float = 1e-7) -> float | None:
     return None if best is None else sign * best
 
 
-def enumerate_milp_optimum(lp: LinearProgram, cfg: SolverConfig) -> float | None:
+def enumerate_pair_sides(lp: LinearProgram, solve) -> float | None:
     """Optimal objective over every choice of the member zeroed in each
-    complementarity pair, each choice evaluated with solve_lp.  None means
-    none is feasible."""
+    complementarity pair: ``solve`` maps each choice, a program without
+    pairs, to its optimum, or to None when it has none.  None means no
+    choice has one."""
     sign = 1.0 if lp.sense == "min" else -1.0
     best = None
     for sides in itertools.product((0, 1), repeat=len(lp.complements)):
@@ -277,9 +289,17 @@ def enumerate_milp_optimum(lp: LinearProgram, cfg: SolverConfig) -> float | None
         up = lp.upper.copy()
         zeroed = lp.complements[np.arange(len(sides)), list(sides)]
         lo[zeroed] = up[zeroed] = 0.0
-        sub = LinearProgram(lp.sense, lp.c, lp.a, lp.relations, lp.b, lo, up)
-        sol = solve_lp(sub, cfg)
-        if sol.status is SolveStatus.OPTIMAL:
-            v = sign * sol.objective
+        value = solve(LinearProgram(lp.sense, lp.c, lp.a, lp.relations, lp.b, lo, up))
+        if value is not None:
+            v = sign * value
             best = v if best is None else min(best, v)
     return None if best is None else sign * best
+
+
+def enumerate_milp_optimum(lp: LinearProgram, cfg: SolverConfig) -> float | None:
+    """``enumerate_pair_sides`` with each choice solved by solve_lp."""
+    def optimum(sub):
+        sol = solve_lp(sub, cfg)
+        return sol.objective if sol.status is SolveStatus.OPTIMAL else None
+
+    return enumerate_pair_sides(lp, optimum)

@@ -1,5 +1,4 @@
 import io
-import itertools
 
 import numpy as np
 import pytest
@@ -12,7 +11,8 @@ from dea_closest.report import RunConfig, analyze
 from dea_closest.solver import simplex
 from dea_closest.solver.model import FEAS_TOL
 
-from conftest import make_dataset, random_dataset, reordered, with_dmu
+from conftest import (enumerate_pair_sides, highs_solve, make_dataset, random_dataset, reordered,
+                      with_dmu)
 
 
 @pytest.fixture(scope="module")
@@ -608,16 +608,11 @@ def highs_stage_optimum(lp, linprog):
     """Smallest stage objective over every choice of the zeroed member of each
     complementarity pair, each choice an LP solved by HiGHS; None when HiGHS
     finds none of them feasible."""
-    best = None
-    for sides in itertools.product((0, 1), repeat=len(lp.complements)):
-        lo, up = lp.lower.copy(), lp.upper.copy()
-        zeroed = lp.complements[np.arange(len(sides)), list(sides)]
-        lo[zeroed] = up[zeroed] = 0.0
-        res = linprog(lp.c, A_eq=lp.a, b_eq=lp.b, bounds=np.column_stack([lo, up]),
-                      method="highs")
-        if res.status == 0:
-            best = res.fun if best is None else min(best, res.fun)
-    return best
+    def optimum(sub):
+        res, value = highs_solve(sub, linprog, "highs")
+        return value if res.status == 0 else None
+
+    return enumerate_pair_sides(lp, optimum)
 
 
 def check_stage_optima_against_highs(ds, je, projections, linprog):

@@ -14,7 +14,7 @@ from dea_closest.report import RunConfig, analyze
 from dea_closest.solver import Basis, solve_lp
 from dea_closest.solver.simplex import standardize
 
-from conftest import (highs_intercept_both, log_uniform_dataset, make_dataset,
+from conftest import (highs_intercept_both, highs_solve, log_uniform_dataset, make_dataset,
                       multiplier_intercept_program, random_dataset, with_dmu)
 
 
@@ -193,15 +193,9 @@ def highs_intercept(lp, linprog):
     when HiGHS finds it infeasible; +-inf when unbounded.  Presolve is off:
     with it, HiGHS calls some unbounded maximizations infeasible although
     the minimization of the same program has an optimum."""
-    eq = np.array([rel == "=" for rel in lp.relations])
-    sign = 1.0 if lp.sense == "min" else -1.0
-    res = linprog(sign * lp.c, A_ub=lp.a[~eq], b_ub=lp.b[~eq], A_eq=lp.a[eq], b_eq=lp.b[eq],
-                  bounds=np.column_stack([lp.lower, lp.upper]), method="highs",
-                  options={"presolve": False})
+    res, value = highs_solve(lp, linprog, "highs", presolve=False)
     assert res.status in (0, 2, 3), res.message
-    if res.status == 2:
-        return None
-    return -sign * np.inf if res.status == 3 else sign * res.fun
+    return value
 
 
 def test_bounds_match_highs_on_the_multiplier_form(eight_dmu, four_dmu, cfg):
@@ -376,9 +370,9 @@ def test_intercept_system_is_built_once_per_dataset_object(monkeypatch, cfg):
     assert len(built) == 2 and all(d is ds for d in built)  # one system per stage
     systems = returns_to_scale._intercept_systems(ds)
     assert returns_to_scale._intercept_systems(ds) is systems
-    assert systems[0].a is systems[1].a and systems[0].a_abs is systems[1].a_abs
+    assert systems[0].a is systems[1].a
     for std in systems:
-        for arr in (std.a, std.a_abs, std.b, std.c, std.lower, std.upper, std.slack_of_row):
+        for arr in (std.a, std.b, std.c, std.lower, std.upper, std.slack_of_row):
             assert not arr.flags.writeable
 
     # an equal but distinct dataset gets a system of its own, with the same bounds

@@ -196,7 +196,7 @@ def test_dimension_mismatch_is_construction_error():
 
 def test_pairs_and_the_inverse_of_a_basis_are_keyword_only(cfg):
     # were pairs the eighth positional field, a 0/1 mask such as
-    # [True, False, True, False] put there would read as the pairs
+    # [True, False, True, False] put there once read as the pairs
     # [[1, 0], [1, 0]]; a Basis given three arrays is as ambiguous
     args = ("min", [1.0] * 4, [[1.0] * 4], ("=",), [1.0], [0.0] * 4, [1.0] * 4)
     for eighth in ([True, False, True, False], [[0, 1]]):
@@ -236,6 +236,26 @@ def test_nonfinite_values_are_rejected_by_name(field, value):
         replace(one_row(), **{field: value})  # a derived program is validated in full
 
 
+@pytest.mark.parametrize("pairs,kept", [
+    ([[0, 1, 2], [3, 4, 5]], None),  # was reshaped into [[0, 1], [2, 3], [4, 5]]
+    ([[0.5, 1.7]], None),  # was truncated to [[0, 1]]
+    ([0, 1, 2], None),  # raised numpy's bare "cannot reshape"
+    ([0, 1], None), ([[0, 1], [2]], None), ([[True, False]], None), ("01", None),
+    (None, []), ([], []), ((), []), ([(0, 1)], [[0, 1]]),
+    (np.array([[5, 0]], dtype=np.int32), [[5, 0]]),
+])
+def test_complements_are_integer_pairs_or_rejected_by_name(pairs, kept):
+    args = ("min", [1.0] * 6, [[1.0] * 6], ("=",), [1.0], [0.0] * 6, [1.0] * 6)
+    for make in (lambda: LinearProgram(*args, complements=pairs),
+                 lambda: replace(LinearProgram(*args), complements=pairs)):
+        if kept is None:
+            with pytest.raises(ValueError, match="^complements must be"):
+                make()
+        else:
+            lp = make()
+            assert lp.complements.shape == (len(kept), 2) and lp.complements.tolist() == kept
+
+
 def test_infinite_bounds_on_their_own_side_are_accepted(cfg):
     # min 2 x0 + x1 = 2 - x1 with x0 free: x1 climbs to its bound 5, x0 = -4
     sol = solve_lp(one_row(c=[2.0, 1.0], lower=[-np.inf, 0.0], upper=[np.inf, 5.0]), cfg)
@@ -262,6 +282,26 @@ def test_derived_program_shares_rows_and_solves_like_a_fresh_one(cfg):
         replace(base, sense="maximize")
     with pytest.raises(ValueError, match="rhs has 2"):
         replace(base, b=[1.0, 1.0])  # right-hand side of the wrong length
+
+
+def test_system_derived_with_another_matrix_solves_like_that_matrix_program(cfg):
+    # max 1.05 x1 + x2 over one "<=" row.  A system derived from the 1e10
+    # row's with the [2, 1] row's matrix once priced with the 1e10 row's |a|,
+    # whose threshold passed x2's reduced cost at x = (2, 0) as zero: it
+    # stopped there with 2.1
+    def program(row):
+        return LinearProgram("max", [1.05, 1.0], [row], ("<=",), [4.0], [0.0, 0.0],
+                             [np.inf, np.inf])
+
+    own = program([2.0, 1.0])
+    derived = replace(standardize(program([1e10, 1e10])), a=standardize(own).a)
+    got, want = solve_lp(derived, cfg), solve_lp(own, cfg)
+    assert got.status is want.status is SolveStatus.OPTIMAL
+    assert got.x.tolist() == want.x.tolist() == [0.0, 4.0]
+    assert got.objective == want.objective == 4.0
+    assert got.iterations == want.iterations
+    assert np.array_equal(got.basis.columns, want.basis.columns)
+    assert np.array_equal(got.priced_out, want.priced_out)
 
 
 @pytest.mark.parametrize("column", [-2, -1, 2])
